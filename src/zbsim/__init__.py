@@ -31,7 +31,6 @@ _EXPORTS = {
     "trajectory": "dynamics",
     "position": "dynamics",
     "ladder_expectations": "dynamics",
-    "time_integrals": "dynamics",
     "cyclotron_reference": "dynamics",
     "TruncatedHamiltonian": "reference",
     "build_matrix": "reference",

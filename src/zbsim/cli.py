@@ -35,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--check-oracle", action="store_true",
                       help="also run the matrix-reference evolution and compare")
     runp.add_argument("--threads", type=int, default=None,
-                      help="BLAS thread budget (exported before numerics load)")
+                      help="BLAS thread budget; overrides OMP/OPENBLAS/MKL_NUM_THREADS "
+                      "(exported before numerics load)")
     runp.add_argument("--dump-decomposition", action="store_true",
                       help="write F_n(kx) and U_mn tables as CSV")
     runp.add_argument("--list-scenarios", action="store_true",
@@ -62,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     threads = args.threads if args.threads is not None else _config_thread_hint(args.config)
     if threads is not None and threads > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(threads))
+            os.environ[var] = str(threads)
 
     # heavy imports after the thread environment is pinned
     from .errors import ConfigError, ConvergenceError, OracleMismatchError, QuadratureError

@@ -34,12 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .landau import energies, energy
+from .landau import energy
 from .packet import GaussianPacket, Numerics, PacketDecomposition, decompose
 from .params import Dimensionality, SimParams
 
 _IMAG_RESIDUE_TOL = 1e-10
-_CHUNK = 1 << 21  # matrix-element budget per trig evaluation block
+_CHUNK = 1 << 20  # matrix-element budget per trig evaluation block
 
 
 @dataclass(frozen=True)
@@ -80,34 +80,6 @@ class Trajectory:
         )
 
 
-def time_integrals(
-    n: int, t, decomp: PacketDecomposition, params: SimParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four kz integrals (Ic+, Ic-, Is+, Is-) for the pair (n, n+1).
-
-    In 2+1 mode the |g_z|^2 weight is a delta at kz = 0 and the integrals
-    collapse to the kz = 0 integrand.  Accepts scalar or array t.
-    """
-    tarr = np.atleast_1d(np.asarray(t, dtype=float))
-    kz = decomp.kz_nodes
-    w = decomp.kz_weights
-    e_lo = energies(n, kz, params)
-    e_hi = energies(n + 1, kz, params)
-    f_minus = e_hi - e_lo
-    f_plus = e_hi + e_lo
-    cos_minus = np.cos(np.outer(tarr, f_minus))
-    cos_plus = np.cos(np.outer(tarr, f_plus))
-    sin_minus = np.sin(np.outer(tarr, f_minus))
-    sin_plus = np.sin(np.outer(tarr, f_plus))
-    ic_plus = cos_minus @ (w * (1.0 + e_lo / e_hi))
-    ic_minus = cos_plus @ (w * (1.0 - e_lo / e_hi))
-    is_plus = sin_minus @ (w * (1.0 / e_lo + 1.0 / e_hi))
-    is_minus = sin_plus @ (w * (1.0 / e_lo - 1.0 / e_hi))
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return ic_plus[0], ic_minus[0], is_plus[0], is_minus[0]
-    return ic_plus, ic_minus, is_plus, is_minus
-
-
 def _line_tables(decomp: PacketDecomposition, params: SimParams):
     """Flattened (level pair x kz node) frequency and coefficient arrays.
 
@@ -139,26 +111,38 @@ def _line_tables(decomp: PacketDecomposition, params: SimParams):
     return f_minus, c_minus, s_minus, f_plus, c_plus, s_plus
 
 
-def _trig_sum(t: np.ndarray, freqs: np.ndarray, c_cos: np.ndarray, c_sin: np.ndarray):
-    """(sum c_cos cos(f t), sum c_sin sin(f t)) evaluated in bounded-memory blocks."""
-    cos_out = np.zeros(t.size)
-    sin_out = np.zeros(t.size)
+def line_sum(t: np.ndarray, freqs: np.ndarray, cos_coef: np.ndarray, sin_coef: np.ndarray):
+    """Evaluate a set of spectral lines on the samples t.
+
+    Returns the (samples x columns) complex array
+
+        sum_l cos_coef[l, :] cos(freqs[l] t) + sin_coef[l, :] sin(freqs[l] t)
+
+    for complex (lines x columns) coefficients.  The real cos/sin blocks
+    multiply the coefficients' real view, in row blocks of at most _CHUNK
+    matrix elements, so no block is ever cast to complex; the cos block
+    overwrites the phase block to save one allocation per block.
+    """
+    cos_r = np.ascontiguousarray(cos_coef, dtype=complex).view(float)
+    sin_r = np.ascontiguousarray(sin_coef, dtype=complex).view(float)
+    out = np.zeros((t.size, cos_r.shape[1] // 2), dtype=complex)
     if freqs.size == 0:
-        return cos_out, sin_out
+        return out
+    out_r = out.view(float)
     step = max(1, _CHUNK // freqs.size)
     for lo in range(0, t.size, step):
         phase = np.outer(t[lo : lo + step], freqs)
-        cos_out[lo : lo + step] = np.cos(phase) @ c_cos
-        sin_out[lo : lo + step] = np.sin(phase) @ c_sin
-    return cos_out, sin_out
+        out_r[lo : lo + step] = np.sin(phase) @ sin_r
+        out_r[lo : lo + step] += np.cos(phase, out=phase) @ cos_r
+    return out
 
 
 def _band_parts(t: np.ndarray, decomp: PacketDecomposition, params: SimParams):
     """Lowering expectation split into (intraband, interband) complex parts."""
     f_minus, c_minus, s_minus, f_plus, c_plus, s_plus = _line_tables(decomp, params)
-    cos_m, sin_m = _trig_sum(t, f_minus, c_minus, s_minus)
-    cos_p, sin_p = _trig_sum(t, f_plus, c_plus, s_plus)
-    return cos_m - 1j * sin_m, cos_p + 1j * sin_p
+    intra = line_sum(t, f_minus, c_minus[:, None], -1j * s_minus[:, None])
+    inter = line_sum(t, f_plus, c_plus[:, None], 1j * s_plus[:, None])
+    return intra[:, 0], inter[:, 0]
 
 
 def ladder_expectations(
@@ -208,8 +192,9 @@ def trajectory(
 ) -> Trajectory:
     """Batch trajectory over a uniform time grid, with the band split.
 
-    Deterministic for a fixed configuration: all reductions are numpy
-    pairwise sums in a fixed order.
+    Deterministic for a fixed configuration and BLAS thread count: the line
+    sums are BLAS products, whose summation order can change with the number
+    of threads.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .dynamics import Trajectory, _positions_from_ladder
+from .dynamics import Trajectory, _positions_from_ladder, line_sum
 from .packet import (
     GaussianPacket,
     Numerics,
@@ -47,6 +47,10 @@ ALPHA_Y = np.block([[_ZERO2, SIGMA_Y], [SIGMA_Y, _ZERO2]])
 ALPHA_Z = np.block([[_ZERO2, SIGMA_Z], [SIGMA_Z, _ZERO2]])
 BETA = np.block([[_EYE2, _ZERO2], [_ZERO2, -_EYE2]])
 
+# Line amplitudes at or below this fraction of a kz node's largest entry
+# are roundoff and are not evaluated.
+_LINE_CUTOFF = 1e-15
+
 
 def lowering_matrix(n_trunc: int) -> np.ndarray:
     """Truncated ladder operator with <n-1|a|n> = sqrt(n)."""
@@ -62,7 +66,6 @@ class TruncatedHamiltonian:
 
     matrix: np.ndarray
     n_trunc: int
-    kx: float
     kz: float
     params: SimParams
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
@@ -95,8 +98,8 @@ class TruncatedHamiltonian:
         return np.sort(np.concatenate([vals, -vals]))
 
 
-def build_matrix(kx: float, kz: float, n_trunc: int, params: SimParams) -> TruncatedHamiltonian:
-    """Assemble the fibre Hamiltonian at (kx, kz) on levels 0..n_trunc."""
+def build_matrix(kz: float, n_trunc: int, params: SimParams) -> TruncatedHamiltonian:
+    """Assemble the fibre Hamiltonian at kz on levels 0..n_trunc (any kx)."""
     if n_trunc < 0:
         raise ValueError("n_trunc must be non-negative")
     b = params.field_ratio_b
@@ -112,7 +115,7 @@ def build_matrix(kx: float, kz: float, n_trunc: int, params: SimParams) -> Trunc
     herm_dev = float(np.max(np.abs(h - h.conj().T)))
     if herm_dev > 1e-14:
         raise AssertionError(f"assembled Hamiltonian not Hermitian: {herm_dev:.2e}")
-    return TruncatedHamiltonian(matrix=h, n_trunc=n_trunc, kx=kx, kz=kz, params=params)
+    return TruncatedHamiltonian(matrix=h, n_trunc=n_trunc, kz=kz, params=params)
 
 
 def evolve(ham: TruncatedHamiltonian, initial_coeffs: np.ndarray, t) -> np.ndarray:
@@ -175,13 +178,6 @@ def _ladder_lines(ham: TruncatedHamiltonian, coeffs: np.ndarray, weights: np.nda
     return vals, a_eig * s, a_eig.conj().T * s, vals > 0.0
 
 
-def _eval_lines(vals: np.ndarray, k_mat: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_jk K_jk e^{i(E_j - E_k)t} evaluated for all t."""
-    e_minus = np.exp(-1j * np.outer(vals, t))
-    g = k_mat @ e_minus
-    return np.sum(e_minus.conj() * g, axis=0)
-
-
 def oracle_trajectory(
     packet: GaussianPacket,
     params: SimParams,
@@ -200,22 +196,21 @@ def oracle_trajectory(
     trunc = n_trunc if n_trunc is not None else decomp.n_max + 12
     coeffs = _fibre_coefficients(packet, params, decomp, trunc)
 
-    a_intra = np.zeros(t.size, dtype=complex)
-    a_inter = np.zeros(t.size, dtype=complex)
-    adag_intra = np.zeros(t.size, dtype=complex)
-    adag_inter = np.zeros(t.size, dtype=complex)
+    # columns: lowering and raising expectation, intraband then interband
+    ladder = np.zeros((t.size, 4), dtype=complex)
     for kz, w_kz in zip(decomp.kz_nodes, decomp.kz_weights):
-        ham = build_matrix(0.0, float(kz), trunc, params)
+        ham = build_matrix(float(kz), trunc, params)
         vals, k_low, k_high, pos = _ladder_lines(ham, coeffs, decomp.kx_weights)
-        same = np.outer(pos, pos) | np.outer(~pos, ~pos)
-        a_intra += w_kz * _eval_lines(vals, np.where(same, k_low, 0.0), t)
-        a_inter += w_kz * _eval_lines(vals, np.where(same, 0.0, k_low), t)
-        adag_intra += w_kz * _eval_lines(vals, np.where(same, k_high, 0.0), t)
-        adag_inter += w_kz * _eval_lines(vals, np.where(same, 0.0, k_high), t)
+        mag = np.maximum(np.abs(k_low), np.abs(k_high))
+        j, k = np.nonzero(mag > _LINE_CUTOFF * mag.max())
+        amps = w_kz * np.stack([k_low[j, k], k_high[j, k]], axis=1)
+        intra = (pos[j] == pos[k])[:, None]
+        coef = np.concatenate([np.where(intra, amps, 0.0), np.where(intra, 0.0, amps)], axis=1)
+        ladder += line_sum(t, vals[j] - vals[k], coef, 1j * coef)
 
     ell = params.magnetic_length
-    x_intra, y_intra, res1 = _positions_from_ladder(a_intra, adag_intra, ell)
-    x_inter, y_inter, res2 = _positions_from_ladder(a_inter, adag_inter, ell)
+    x_intra, y_intra, res1 = _positions_from_ladder(ladder[:, 0], ladder[:, 1], ell)
+    x_inter, y_inter, res2 = _positions_from_ladder(ladder[:, 2], ladder[:, 3], ell)
     provenance = {
         "engine": "matrix-reference",
         "n_trunc": trunc,
@@ -271,7 +266,7 @@ def check_transform(params: SimParams, n_trunc: int = 20, kz: float = 0.0) -> Tr
     unitarity = float(np.max(np.abs(p @ p.conj().T - np.eye(4))))
     involution = float(np.max(np.abs(delta @ delta - np.eye(4))))
 
-    ham = build_matrix(0.0, kz, n_trunc, params)
+    ham = build_matrix(kz, n_trunc, params)
     dim_osc = n_trunc + 1
     p_full = np.kron(p, np.eye(dim_osc, dtype=complex))
     transformed = p_full @ ham.matrix @ p_full.conj().T

@@ -12,7 +12,9 @@ output directory:
     eigenvalues.csv                                  (with the oracle check)
 
 Every file carries the artifact version and a hash of the configuration
-text, and identical configurations produce byte-identical CSV output.
+text, and identical configurations produce byte-identical CSV output at a
+fixed BLAS thread count (the line sums are BLAS products, whose summation
+order can change with the number of threads).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .ionmap import (
 from .packet import GaussianPacket, Numerics, PacketDecomposition, decompose, u_overlap
 from .params import Dimensionality, SimParams, make_params, make_params_dimensionless
 from .reference import build_matrix, oracle_trajectory
-from .spectral import SpectrumReport, classify_peaks, richness, spectrum
+from .spectral import MIN_SAMPLES, SpectrumReport, classify_peaks, richness, spectrum
 from .svg import Series, line_plot
 
 PRESET_NAMES = ("fig1", "fig2a", "fig2b", "fig2c")
@@ -82,7 +84,6 @@ class RunConfig:
     spectral: SpectralOptions
     oracle: OracleOptions
     position_unit: str  # "lambda_c" or "L"
-    threads: int
     raw_text: str
 
     def config_hash(self) -> str:
@@ -120,9 +121,12 @@ def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default=No
     try:
         if cast is bool:
             return cp.getboolean(section, key)
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(text: str, scenario: str = "inline") -> RunConfig:
@@ -165,8 +169,10 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
 
     t_max = _get(cp, "time", "t_max", float)
     samples = _get(cp, "time", "samples", int)
-    if t_max is None or samples is None or t_max <= 0.0 or samples < 1:
-        raise ConfigError("[time] t_max > 0 and samples >= 1 are required")
+    if t_max is None or samples is None or t_max <= 0.0 or samples < MIN_SAMPLES:
+        raise ConfigError(
+            f"[time] t_max > 0 and samples >= {MIN_SAMPLES} (the spectrum's floor) are required"
+        )
 
     try:
         numerics = Numerics(
@@ -205,7 +211,7 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
     position_unit = _get(cp, "output", "position_unit", str, "lambda_c")
     if position_unit not in ("lambda_c", "L"):
         raise ConfigError(f"[output] position_unit must be lambda_c or L, got {position_unit!r}")
-    threads = _get(cp, "numerics", "threads", int, 1)
+    _get(cp, "numerics", "threads", int)  # applied by the CLI before numpy loads
 
     return RunConfig(
         scenario=scenario,
@@ -225,7 +231,6 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
         spectral=spectral_opts,
         oracle=oracle_opts,
         position_unit=position_unit,
-        threads=threads,
         raw_text=text,
     )
 
@@ -394,7 +399,7 @@ def run(
         )
         oracle_dev = dev / params.magnetic_length
         eig_path = out / "eigenvalues.csv"
-        ham = build_matrix(0.0, 0.0, decomp.n_max + 12, params)
+        ham = build_matrix(0.0, decomp.n_max + 12, params)
         buf = io.StringIO()
         buf.write(_csv_header(config, "truncated-matrix eigenvalues at kx=kz=0"))
         buf.write("index,energy\n")

@@ -17,6 +17,8 @@ from .dynamics import Trajectory
 from .landau import TransitionKind, transition_frequency
 from .params import SimParams
 
+MIN_SAMPLES = 256  # fewest trajectory samples the spectrum accepts
+
 
 @dataclass(frozen=True)
 class PeakLabel:
@@ -94,14 +96,14 @@ def spectrum(
 ) -> SpectrumReport:
     """Windowed power spectrum of both position components with peak list.
 
-    Requires a uniform grid with at least 256 samples.  Peaks are local
+    Requires a uniform grid with at least MIN_SAMPLES samples.  Peaks are local
     maxima of the combined power above `detection_floor` of the strongest
     line, refined by parabolic interpolation; they are returned unlabelled
     (see :func:`classify_peaks`).
     """
     t = trajectory.times
-    if t.size < 256:
-        raise ValueError(f"need at least 256 samples, got {t.size}")
+    if t.size < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {t.size}")
     dt = np.diff(t)
     if np.max(np.abs(dt - dt[0])) > 1e-9 * abs(dt[0]):
         raise ValueError("spectrum requires a uniform time grid")

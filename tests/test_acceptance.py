@@ -43,7 +43,7 @@ def test_criterion_1_spectrum_closed_form():
     for b in (0.1, 1.0, 2.0):
         params = make_params_dimensionless(b)
         for kz in (0.0, 0.5):
-            ham = build_matrix(0.0, kz, 40, params)
+            ham = build_matrix(kz, 40, params)
             computed = np.sort(ham.eigenvalues())
             expected = ham.expected_eigenvalues()
             # interior 90% of levels (edge excluded), tolerance 1e-10 relative

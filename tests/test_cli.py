@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,15 @@ position_unit = L
 """
 
 
+# (line replaced, replacement, text the error message must contain)
+BAD_INPUTS = (
+    ("t_max = 30.0", "t_max = inf", "finite"),
+    ("samples = 512", "samples = 10", "256"),
+    ("d_x = 0.9", "d_x = nan", "finite"),
+    ("kx_nodes = 64", "kx_nodes = 64\nthreads = two", "threads"),
+)
+
+
 def _write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -60,6 +71,9 @@ def test_config_validation_errors():
     # 3+1 requires d_z
     with pytest.raises(ConfigError):
         parse_config(SMALL_CONFIG.replace("mode = 2+1", "mode = 3+1"))
+    for old, new, cause in BAD_INPUTS:
+        with pytest.raises(ConfigError, match=cause):
+            parse_config(SMALL_CONFIG.replace(old, new))
 
 
 def test_cli_exit_codes_for_bad_invocations(tmp_path, capsys):
@@ -69,6 +83,19 @@ def test_cli_exit_codes_for_bad_invocations(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
     both = _write(tmp_path, SMALL_CONFIG, "a.ini")
     assert main(["run", str(both), "--scenario", "fig1"]) == 2
+    for i, (old, new, _) in enumerate(BAD_INPUTS):
+        path = _write(tmp_path, SMALL_CONFIG.replace(old, new), f"bad{i}.ini")
+        assert main(["run", str(path), "--out", str(tmp_path / f"out{i}")]) == 2
+    capsys.readouterr()
+
+
+def test_threads_override_environment(monkeypatch, capsys):
+    variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in variables:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert main(["run", "--threads", "1", "--list-scenarios"]) == 0
+    assert [os.environ.get(var) for var in variables] == ["1", "1", "1"]
     capsys.readouterr()
 
 

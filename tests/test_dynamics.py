@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from zbsim.dynamics import (
+    _line_tables,
     cyclotron_reference,
     ladder_expectations,
+    line_sum,
     position,
-    time_integrals,
     trajectory,
 )
 from zbsim.packet import (
@@ -66,6 +67,27 @@ def _integral_oracle(params, dz, n, t):
     return ic(1), ic(-1), isn(1), isn(-1)
 
 
+def _pair_integrals(n, t, decomp, params):
+    """(Ic+, Ic-, Is+, Is-) for the pair (n, n+1) at scalar t, read off the
+    engine's line tables: the rows of pair n, divided by the pair's
+    prefactor 1/2 sqrt(n+1) U_{n,n+1}, summed by line_sum."""
+    f_minus, c_minus, s_minus, f_plus, c_plus, s_plus = _line_tables(decomp, params)
+    rows = slice(n * decomp.kz_nodes.size, (n + 1) * decomp.kz_nodes.size)
+    base = 0.5 * math.sqrt(n + 1.0) * decomp.u_band[n]
+    tt = np.array([float(t)])
+    zero = np.zeros((f_minus[rows].size, 1))
+
+    def integral(freqs, cos_coef, sin_coef):
+        return float(line_sum(tt, freqs[rows], cos_coef, sin_coef)[0, 0].real) / base
+
+    return (
+        integral(f_minus, c_minus[rows, None], zero),
+        integral(f_plus, c_plus[rows, None], zero),
+        integral(f_minus, zero, s_minus[rows, None]),
+        integral(f_plus, zero, s_plus[rows, None]),
+    )
+
+
 def _fig2_packet(params):
     ell = params.magnetic_length
     return GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
@@ -73,12 +95,12 @@ def _fig2_packet(params):
 
 def test_time_integrals_at_zero():
     dec = decompose(_fig2_packet(B_ONE), B_ONE)
-    ic_p, ic_m, is_p, is_m = time_integrals(3, 0.0, dec, B_ONE)
+    ic_p, ic_m, is_p, is_m = _pair_integrals(3, 0.0, dec, B_ONE)
     assert is_p == 0.0 and is_m == 0.0
     assert ic_p + ic_m == pytest.approx(2.0, abs=1e-12)
 
     dec31 = decompose(FIG1_PACKET, FIG1_PARAMS)
-    ic_p, ic_m, is_p, is_m = time_integrals(0, 0.0, dec31, FIG1_PARAMS)
+    ic_p, ic_m, is_p, is_m = _pair_integrals(0, 0.0, dec31, FIG1_PARAMS)
     assert is_p == 0.0 and is_m == 0.0
     assert ic_p + ic_m == pytest.approx(2.0, abs=1e-10)
 
@@ -88,7 +110,7 @@ def test_time_integrals_flat_reduction_closed_form():
     dec = decompose(_fig2_packet(B_ONE), B_ONE)
     e0, e1 = 1.0, math.sqrt(2.0)
     for t in (0.3, 1.7, 9.2):
-        ic_p, ic_m, is_p, is_m = time_integrals(0, t, dec, B_ONE)
+        ic_p, ic_m, is_p, is_m = _pair_integrals(0, t, dec, B_ONE)
         assert ic_m == pytest.approx((1.0 - e0 / e1) * math.cos((e1 + e0) * t), rel=1e-13)
         assert is_m == pytest.approx((1.0 / e0 - 1.0 / e1) * math.sin((e1 + e0) * t), rel=1e-13)
         assert ic_p == pytest.approx((1.0 + e0 / e1) * math.cos((e1 - e0) * t), rel=1e-13)
@@ -99,8 +121,27 @@ def test_time_integrals_3plus1_frozen_oracle():
     regenerated = _integral_oracle(FIG1_PARAMS, 2.0, 0, 5.0)
     assert regenerated == pytest.approx(FROZEN_INTEGRALS_T5, abs=1e-12)
     dec = decompose(FIG1_PACKET, FIG1_PARAMS)
-    produced = time_integrals(0, 5.0, dec, FIG1_PARAMS)
+    produced = _pair_integrals(0, 5.0, dec, FIG1_PARAMS)
     assert produced == pytest.approx(FROZEN_INTEGRALS_T5, abs=1e-10)
+
+
+@pytest.mark.parametrize("n_cols", [1, 3])
+@pytest.mark.parametrize("n_lines", [0, 1, 7])
+def test_line_sum_matches_explicit_loop(n_lines, n_cols, monkeypatch):
+    # a small block budget makes 23 samples span several ragged row blocks
+    monkeypatch.setattr("zbsim.dynamics._CHUNK", 5 * max(n_lines, 1))
+    rng = np.random.default_rng(3)
+    t = np.linspace(-2.0, 9.0, 23)
+    freqs = np.linspace(-2.5, 2.9, n_lines)  # both signs from two lines on
+    cos_coef = rng.normal(size=(n_lines, n_cols)) + 1j * rng.normal(size=(n_lines, n_cols))
+    sin_coef = rng.normal(size=(n_lines, n_cols)) + 1j * rng.normal(size=(n_lines, n_cols))
+    expected = np.zeros((t.size, n_cols), dtype=complex)
+    for i, ti in enumerate(t):
+        for f, c, s in zip(freqs, cos_coef, sin_coef):
+            expected[i] += c * math.cos(f * ti) + s * math.sin(f * ti)
+    got = line_sum(t, freqs, cos_coef, sin_coef)
+    assert got.shape == (t.size, n_cols)
+    assert np.max(np.abs(got - expected), initial=0.0) < 1e-13
 
 
 def test_ladder_expectation_static_value():

@@ -19,7 +19,7 @@ B_ONE = make_params_dimensionless(1.0, Dimensionality.TWO_PLUS_ONE)
 
 
 def test_matrix_is_hermitian_and_minimal_case():
-    ham = build_matrix(0.0, 0.0, 0, B_ONE)
+    ham = build_matrix(0.0, 0, B_ONE)
     assert ham.dimension == 4
     assert np.max(np.abs(ham.matrix - ham.matrix.conj().T)) < 1e-14
     vals = np.sort(ham.eigenvalues())
@@ -28,7 +28,7 @@ def test_matrix_is_hermitian_and_minimal_case():
 
 def test_smallest_positive_eigenvalue_is_rest_energy():
     for n_trunc in (1, 5, 40):
-        ham = build_matrix(0.0, 0.0, n_trunc, B_ONE)
+        ham = build_matrix(0.0, n_trunc, B_ONE)
         vals = ham.eigenvalues()
         assert np.min(vals[vals > 0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -37,7 +37,7 @@ def test_smallest_positive_eigenvalue_is_rest_energy():
 @pytest.mark.parametrize("kz", [0.0, 0.5])
 def test_spectrum_matches_closed_form(b, kz):
     params = make_params_dimensionless(b)
-    ham = build_matrix(0.0, kz, 40, params)
+    ham = build_matrix(kz, 40, params)
     computed = np.sort(ham.eigenvalues())
     expected = ham.expected_eigenvalues()
     assert computed.shape == expected.shape
@@ -46,13 +46,13 @@ def test_spectrum_matches_closed_form(b, kz):
 
 
 def test_eigenvalues_pair_up():
-    ham = build_matrix(0.0, 0.7, 24, B_ONE)
+    ham = build_matrix(0.7, 24, B_ONE)
     vals = np.sort(ham.eigenvalues())
     assert vals == pytest.approx(-vals[::-1], abs=1e-11)
 
 
 def test_evolve_identity_phase_and_norm():
-    ham = build_matrix(0.0, 0.2, 12, B_ONE)
+    ham = build_matrix(0.2, 12, B_ONE)
     rng = np.random.default_rng(7)
     c0 = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
     c0 /= np.linalg.norm(c0)
@@ -73,7 +73,7 @@ def test_evolve_identity_phase_and_norm():
 
 
 def test_evolve_half_step_composition():
-    ham = build_matrix(0.0, 0.0, 10, B_ONE)
+    ham = build_matrix(0.0, 10, B_ONE)
     rng = np.random.default_rng(11)
     c0 = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
     c0 /= np.linalg.norm(c0)
@@ -84,13 +84,13 @@ def test_evolve_half_step_composition():
 
 
 def test_evolve_rejects_unnormalised_input():
-    ham = build_matrix(0.0, 0.0, 4, B_ONE)
+    ham = build_matrix(0.0, 4, B_ONE)
     with pytest.raises(ValueError):
         evolve(ham, np.ones(ham.dimension), 1.0)
 
 
 def test_single_eigenstate_shows_no_ladder_motion():
-    ham = build_matrix(0.0, 0.0, 16, B_ONE)
+    ham = build_matrix(0.0, 16, B_ONE)
     vals, vecs = ham.eigensystem()
     # a positive-energy eigenstate in the interior of the spectrum
     idx = int(np.argmin(np.abs(vals - energy(2, 0.0, B_ONE))))
@@ -112,7 +112,7 @@ def test_oracle_equals_explicit_fibre_evolution():
     fast = oracle_trajectory(packet, params, t, decomp=dec, n_trunc=n_trunc)
 
     # literal loop: evolve each kx fibre separately and accumulate
-    ham = build_matrix(0.0, 0.0, n_trunc, params)
+    ham = build_matrix(0.0, n_trunc, params)
     phi = oscillator_overlaps(packet, params, dec.kx_nodes, n_trunc, 64)
     a_full = np.kron(np.eye(4), lowering_matrix(n_trunc))
     a_t = np.zeros(t.size, dtype=complex)
@@ -153,4 +153,4 @@ def test_transform_check():
 
 def test_build_matrix_rejects_negative_truncation():
     with pytest.raises(ValueError):
-        build_matrix(0.0, 0.0, -1, B_ONE)
+        build_matrix(0.0, -1, B_ONE)
