@@ -30,16 +30,18 @@ The difference-frequency (E_{n+1} - E_n) terms form the intraband
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .landau import energy
 from .packet import GaussianPacket, Numerics, PacketDecomposition, decompose
 from .params import Dimensionality, SimParams
 
 _IMAG_RESIDUE_TOL = 1e-10
-_CHUNK = 1 << 20  # matrix-element budget per trig evaluation block
+_CHUNK = 1 << 18  # element budget of one line block's start-time tables
+_POSITION_FIELDS = ("x", "y", "x_interband", "y_interband", "x_intraband", "y_intraband")
 
 
 @dataclass(frozen=True)
@@ -66,18 +68,8 @@ class Trajectory:
         if self.position_unit == "L":
             return self
         ell = self.provenance["magnetic_length"]
-        return Trajectory(
-            times=self.times,
-            x=self.x / ell,
-            y=self.y / ell,
-            x_interband=self.x_interband / ell,
-            y_interband=self.y_interband / ell,
-            x_intraband=self.x_intraband / ell,
-            y_intraband=self.y_intraband / ell,
-            mode=self.mode,
-            position_unit="L",
-            provenance=self.provenance,
-        )
+        scaled = {name: getattr(self, name) / ell for name in _POSITION_FIELDS}
+        return replace(self, position_unit="L", **scaled)
 
 
 def _line_tables(decomp: PacketDecomposition, params: SimParams):
@@ -92,9 +84,6 @@ def _line_tables(decomp: PacketDecomposition, params: SimParams):
     kz = decomp.kz_nodes
     w = decomp.kz_weights
     n_pairs = decomp.n_max  # pairs (n, n+1) with n+1 <= n_max
-    if n_pairs == 0:
-        z = np.zeros(0)
-        return z, z, z, z, z, z
     n_idx = np.arange(n_pairs)
     base = 0.5 * np.sqrt(n_idx + 1.0) * decomp.u_band[:n_pairs]  # (n_pairs,)
     e_lo = np.sqrt(params.mass_energy**2 + np.add.outer(n_idx * params.omega**2, kz**2))
@@ -111,6 +100,19 @@ def _line_tables(decomp: PacketDecomposition, params: SimParams):
     return f_minus, c_minus, s_minus, f_plus, c_plus, s_plus
 
 
+def _grid_block(t: np.ndarray) -> int:
+    """Samples per block for t[m B + j] = t[m B] + (t[j] - t[0]): about
+    sqrt(t.size) if every t[i] is within 4 ulp of max|t| of t[0] + i dt, so
+    the factored times are as exact as the samples; else 1 (direct)."""
+    n = t.size
+    if n < 2:
+        return 1
+    uniform = t[0] + np.arange(n) * ((t[-1] - t[0]) / (n - 1))
+    if not np.max(np.abs(t - uniform)) <= 4.0 * np.spacing(np.max(np.abs(t))):
+        return 1
+    return math.isqrt(n - 1) + 1
+
+
 def line_sum(t: np.ndarray, freqs: np.ndarray, cos_coef: np.ndarray, sin_coef: np.ndarray):
     """Evaluate a set of spectral lines on the samples t.
 
@@ -118,23 +120,36 @@ def line_sum(t: np.ndarray, freqs: np.ndarray, cos_coef: np.ndarray, sin_coef: n
 
         sum_l cos_coef[l, :] cos(freqs[l] t) + sin_coef[l, :] sin(freqs[l] t)
 
-    for complex (lines x columns) coefficients.  The real cos/sin blocks
-    multiply the coefficients' real view, in row blocks of at most _CHUNK
-    matrix elements, so no block is ever cast to complex; the cos block
-    overwrites the phase block to save one allocation per block.
+    for complex (lines x columns) coefficients C, S.  With the samples in M
+    blocks of B (_grid_block), t = T_m + tau_j, the angle-sum identities give
+    sum_l [C cos fT_m + S sin fT_m] cos f tau_j + [S cos fT_m - C sin fT_m] sin f tau_j:
+    cos/sin of (lines x M) and (lines x B) tables, and one real BLAS product
+    over lines on the coefficients' real view into an (M columns x B)
+    accumulator.  Lines go in blocks whose bracketed tables hold at most
+    _CHUNK elements.
     """
     cos_r = np.ascontiguousarray(cos_coef, dtype=complex).view(float)
     sin_r = np.ascontiguousarray(sin_coef, dtype=complex).view(float)
-    out = np.zeros((t.size, cos_r.shape[1] // 2), dtype=complex)
-    if freqs.size == 0:
-        return out
-    out_r = out.view(float)
-    step = max(1, _CHUNK // freqs.size)
-    for lo in range(0, t.size, step):
-        phase = np.outer(t[lo : lo + step], freqs)
-        out_r[lo : lo + step] = np.sin(phase) @ sin_r
-        out_r[lo : lo + step] += np.cos(phase, out=phase) @ cos_r
-    return out
+    cols = cos_r.shape[1]
+    block = _grid_block(t)
+    starts = t[::block]
+    offsets = t[:block] - t[:1]
+    acc = np.zeros((starts.size * cols, offsets.size))
+    step = max(1, _CHUNK // max(acc.shape[0], 1))
+    for lo in range(0, freqs.size, step):
+        f = freqs[lo : lo + step]
+        c = cos_r[lo : lo + step, None, :]
+        s = sin_r[lo : lo + step, None, :]
+        phase = np.outer(f, starts)
+        cos_start = np.cos(phase)[:, :, None]
+        sin_start = np.sin(phase, out=phase)[:, :, None]
+        p = (cos_start * c + sin_start * s).reshape(f.size, -1)
+        q = (cos_start * s - sin_start * c).reshape(f.size, -1)
+        phase = np.outer(f, offsets)
+        acc += p.T @ np.cos(phase)
+        acc += q.T @ np.sin(phase, out=phase)
+    out = acc.reshape(starts.size, cols, offsets.size).transpose(0, 2, 1).reshape(-1, cols)
+    return np.ascontiguousarray(out[: t.size]).view(complex)
 
 
 def _band_parts(t: np.ndarray, decomp: PacketDecomposition, params: SimParams):
@@ -153,7 +168,7 @@ def ladder_expectations(
     intra, inter = _band_parts(tarr, decomp, params)
     a_mean = intra + inter
     adag_mean = np.conj(a_mean)  # U_{n+1,n} = U_{n,n+1}* and real tables
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
+    if np.ndim(t) == 0:
         return a_mean[0], adag_mean[0]
     return a_mean, adag_mean
 
@@ -164,20 +179,38 @@ def _positions_from_ladder(a_mean: np.ndarray, adag_mean: np.ndarray, ell: float
     residue = max(float(np.max(np.abs(x.imag), initial=0.0)),
                   float(np.max(np.abs(y.imag), initial=0.0)))
     if residue > _IMAG_RESIDUE_TOL:
-        raise RuntimeError(
+        raise ConvergenceError(
             f"imaginary residue {residue:.3e} of the position sums exceeds "
             f"{_IMAG_RESIDUE_TOL:.1e}"
         )
     return x.real, y.real, residue
 
 
+def _banded_trajectory(t, intra, inter, mode: Dimensionality, provenance: dict):
+    """Trajectory in Compton wavelengths from the (<A>, <A+>) pair of each
+    band; the larger imaginary residue of the two joins the provenance."""
+    ell = provenance["magnetic_length"]
+    x_intra, y_intra, res_intra = _positions_from_ladder(*intra, ell)
+    x_inter, y_inter, res_inter = _positions_from_ladder(*inter, ell)
+    return Trajectory(
+        times=t,
+        x=x_intra + x_inter,
+        y=y_intra + y_inter,
+        x_interband=x_inter,
+        y_interband=y_inter,
+        x_intraband=x_intra,
+        y_intraband=y_intra,
+        mode=mode,
+        position_unit="lambda_c",
+        provenance={**provenance, "imag_residue": max(res_intra, res_inter)},
+    )
+
+
 def position(t, decomp: PacketDecomposition, params: SimParams):
     """Centre-of-mass (x, y) in Compton wavelengths at time(s) t."""
-    scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-    tarr = np.atleast_1d(np.asarray(t, dtype=float))
-    a_mean, adag_mean = ladder_expectations(tarr, decomp, params)
+    a_mean, adag_mean = ladder_expectations(np.atleast_1d(t), decomp, params)
     x, y, _ = _positions_from_ladder(a_mean, adag_mean, params.magnetic_length)
-    if scalar:
+    if np.ndim(t) == 0:
         return float(x[0]), float(y[0])
     return x, y
 
@@ -209,40 +242,20 @@ def trajectory(
     elif decomp.mode is not run_mode:
         raise ValueError("decomposition mode does not match the requested mode")
 
-    ell = params.magnetic_length
-    intra_a, inter_a = _band_parts(t, decomp, params)
-    x_intra, y_intra, res1 = _positions_from_ladder(intra_a, np.conj(intra_a), ell)
-    x_inter, y_inter, res2 = _positions_from_ladder(inter_a, np.conj(inter_a), ell)
-
+    intra, inter = _band_parts(t, decomp, params)
     provenance = {
         "field_ratio_b": params.field_ratio_b,
         "kappa": params.kappa,
-        "magnetic_length": ell,
+        "magnetic_length": params.magnetic_length,
         "mode": run_mode.value,
-        "packet": {
-            "d_x": packet.d_x,
-            "d_y": packet.d_y,
-            "d_z": packet.d_z,
-            "k0x": packet.k0x,
-            "component": packet.component,
-        },
+        "packet": asdict(packet),
         "n_max": decomp.n_max,
         "tail_mass": decomp.tail_mass,
         "kx_nodes": int(decomp.kx_nodes.size),
         "kz_nodes": int(decomp.kz_nodes.size),
-        "imag_residue": max(res1, res2),
     }
-    return Trajectory(
-        times=t,
-        x=x_intra + x_inter,
-        y=y_intra + y_inter,
-        x_interband=x_inter,
-        y_interband=y_inter,
-        x_intraband=x_intra,
-        y_intraband=y_intra,
-        mode=run_mode,
-        position_unit="lambda_c",
-        provenance=provenance,
+    return _banded_trajectory(
+        t, (intra, np.conj(intra)), (inter, np.conj(inter)), run_mode, provenance
     )
 
 

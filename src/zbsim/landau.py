@@ -92,12 +92,6 @@ def energies(n: int, kz: np.ndarray, params: SimParams) -> np.ndarray:
     return np.sqrt(params.mass_energy**2 + n * b * b + np.asarray(kz) ** 2)
 
 
-def kinetic_part(n: int, kz: float, params: SimParams) -> float:
-    """E - mc^2 evaluated without cancellation: (n b^2 + kz^2) / (E + mc^2)."""
-    b = params.field_ratio_b
-    return (n * b * b + kz * kz) / (energy(n, kz, params) + params.mass_energy)
-
-
 def norm_and_chi(n: int, eps: int, kz: float, params: SimParams) -> tuple[float, float]:
     """State norm N = sqrt(2E^2 + 2 eps mc^2 E) and weight chi = (eps E + mc^2)/N.
 
@@ -112,14 +106,14 @@ def norm_and_chi(n: int, eps: int, kz: float, params: SimParams) -> tuple[float,
         nsq = 2.0 * e * (e + m)
         norm = math.sqrt(nsq)
         return norm, (e + m) / norm
-    # eps = -1: evaluate E - mc^2 stably to keep small-b accuracy
-    em = kinetic_part(n, kz, params)
-    if em == 0.0:
+    # eps = -1: E - mc^2 = p^2 / (E + mc^2) with p = sqrt(n b^2 + kz^2) taken
+    # by hypot, which neither cancels at small b nor underflows at tiny kz
+    p = math.hypot(math.sqrt(n) * params.field_ratio_b, kz)
+    if p == 0.0:
         raise NonexistentStateError(
             "(n=0, kz=0, eps=-1) has zero norm and is not a state"
         )
-    norm = math.sqrt(2.0 * e * em)
-    return norm, -em / norm
+    return p * math.sqrt(2.0 * e / (e + m)), -p / math.sqrt(2.0 * e * (e + m))
 
 
 def spectrum_point(n: int, eps: int, kz: float, params: SimParams) -> SpectrumPoint:

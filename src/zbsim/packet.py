@@ -30,7 +30,7 @@ probability-normalised weights w_i (sum_i w_i = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import roots_hermite, roots_legendre
@@ -96,17 +96,12 @@ class Numerics:
         return max(48, self.n_max_cap // 2 + 8)
 
     def doubled(self) -> "Numerics":
-        return Numerics(
-            n_max_cap=self.n_max_cap,
-            n_max_floor=self.n_max_floor,
+        return replace(
+            self,
             kx_nodes=2 * self.kx_nodes,
             y_nodes=2 * self.resolved_y_nodes(),
             kz_nodes=2 * self.kz_nodes,
-            kz_rule=self.kz_rule,
-            kz_cutoff_sigmas=self.kz_cutoff_sigmas,
-            tail_tol=self.tail_tol,
             convergence_check=False,
-            convergence_tol=self.convergence_tol,
         )
 
 
@@ -141,13 +136,10 @@ def _weighted_hermite_sums(
     u, w = roots_hermite(y_nodes)
     xi = xi_star[None, :] + scale * u[:, None]  # (y_nodes, n_kx)
     out = np.empty((n_top + 1, xi_star.size))
-    t_prev = np.broadcast_to((w / _PI_QUARTER)[:, None], xi.shape).copy()
-    out[0] = t_prev.sum(axis=0)
-    if n_top == 0:
-        return out
-    t_cur = math.sqrt(2.0) * xi * t_prev
-    out[1] = t_cur.sum(axis=0)
-    for n in range(1, n_top):
+    t_prev = np.zeros(xi.shape)  # h_{-1} = 0 starts the recurrence
+    t_cur = np.broadcast_to((w / _PI_QUARTER)[:, None], xi.shape).copy()
+    out[0] = t_cur.sum(axis=0)
+    for n in range(n_top):
         t_next = math.sqrt(2.0 / (n + 1)) * xi * t_cur - math.sqrt(n / (n + 1.0)) * t_prev
         out[n + 1] = t_next.sum(axis=0)
         t_prev, t_cur = t_cur, t_next
@@ -173,8 +165,17 @@ def oscillator_overlaps(
     xi_star = -2.0 * a * c / (2.0 * a + 1.0)
     q_star = a * (xi_star + c) ** 2 + 0.5 * xi_star**2
     pref = math.sqrt(ell) * (math.pi * packet.d_y**2) ** -0.25 * s
-    sums = _weighted_hermite_sums(xi_star, s, n_top, y_nodes)
-    return pref * np.exp(-q_star)[None, :] * sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _weighted_hermite_sums(xi_star, s, n_top, y_nodes)
+        phi = pref * np.exp(-q_star)[None, :] * sums
+    finite = np.isfinite(phi).all(axis=1)
+    if not finite.all():
+        raise ConvergenceError(
+            f"the Hermite recurrence of the oscillator overlaps overflowed at level "
+            f"{int(np.argmin(finite))} of {n_top} (L/d_y = {ell / packet.d_y:.3g}, max |kx| L "
+            f"= {np.max(np.abs(c)):.3g}); the field is too weak for this packet"
+        )
+    return phi
 
 
 def f_coeff(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .dynamics import Trajectory, _positions_from_ladder, line_sum
+from .dynamics import Trajectory, _banded_trajectory, line_sum
 from .packet import (
     GaussianPacket,
     Numerics,
@@ -202,32 +202,20 @@ def oracle_trajectory(
         ham = build_matrix(float(kz), trunc, params)
         vals, k_low, k_high, pos = _ladder_lines(ham, coeffs, decomp.kx_weights)
         mag = np.maximum(np.abs(k_low), np.abs(k_high))
-        j, k = np.nonzero(mag > _LINE_CUTOFF * mag.max())
+        mag = np.maximum(mag, mag.T)
+        j, k = np.nonzero(np.triu(mag > _LINE_CUTOFF * mag.max()))
+        # the mirror entries (j, k) and (k, j) share the line w = E_j - E_k:
+        # K_jk e^{iwt} + K_kj e^{-iwt} = (K_jk + K_kj) cos wt + i (K_jk - K_kj) sin wt
         amps = w_kz * np.stack([k_low[j, k], k_high[j, k]], axis=1)
+        mirror = w_kz * np.stack([k_low[k, j], k_high[k, j]], axis=1)
+        coef = np.stack([np.where((j == k)[:, None], amps, amps + mirror), 1j * (amps - mirror)])
         intra = (pos[j] == pos[k])[:, None]
-        coef = np.concatenate([np.where(intra, amps, 0.0), np.where(intra, 0.0, amps)], axis=1)
-        ladder += line_sum(t, vals[j] - vals[k], coef, 1j * coef)
+        coef = np.concatenate([np.where(intra, coef, 0.0), np.where(intra, 0.0, coef)], axis=2)
+        ladder += line_sum(t, vals[j] - vals[k], coef[0], coef[1])
 
-    ell = params.magnetic_length
-    x_intra, y_intra, res1 = _positions_from_ladder(ladder[:, 0], ladder[:, 1], ell)
-    x_inter, y_inter, res2 = _positions_from_ladder(ladder[:, 2], ladder[:, 3], ell)
-    provenance = {
-        "engine": "matrix-reference",
-        "n_trunc": trunc,
-        "magnetic_length": ell,
-        "imag_residue": max(res1, res2),
-    }
-    return Trajectory(
-        times=t,
-        x=x_intra + x_inter,
-        y=y_intra + y_inter,
-        x_interband=x_inter,
-        y_interband=y_inter,
-        x_intraband=x_intra,
-        y_intraband=y_intra,
-        mode=run_mode,
-        position_unit="lambda_c",
-        provenance=provenance,
+    return _banded_trajectory(
+        t, (ladder[:, 0], ladder[:, 1]), (ladder[:, 2], ladder[:, 3]), run_mode,
+        {"engine": "matrix-reference", "n_trunc": trunc, "magnetic_length": params.magnetic_length},
     )
 
 

@@ -1,8 +1,13 @@
 import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zbsim
 from zbsim.cli import main
 from zbsim.errors import ConfigError
 from zbsim.runner import PRESET_NAMES, load_preset, parse_config
@@ -173,6 +178,63 @@ def test_convergence_failure_exit_code(tmp_path, capsys):
     config = _write(tmp_path, text)
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
     assert "convergence" in capsys.readouterr().err
+
+
+def test_weak_field_overflow_exit_code(tmp_path, capsys):
+    # b = 1e-4 puts the packet's kx grid at |kx| L ~ 1e5, where the
+    # oscillator overlaps overflow long before the tail mass converges
+    text = SMALL_CONFIG.replace("b = 1.0", "b = 1e-4").replace(
+        "unit = magnetic_length\nd_x = 0.9\nd_y = 1.0\nk0x = 1.4142135623730951",
+        "unit = lambda_c\nd_x = 1.0\nd_y = 1.0\nk0x = 0.1",
+    )
+    config = _write(tmp_path, text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "Hermite recurrence" in err and "overflowed at level" in err
+    assert "L/d_y = 1.41e+04" in err
+    assert "nan" not in err
+
+
+def test_imaginary_residue_failure_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("zbsim.dynamics._IMAG_RESIDUE_TOL", -1.0)
+    config = _write(tmp_path, SMALL_CONFIG)
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "imaginary residue" in err and "Traceback" not in err
+
+
+def _run_in_subprocess(config, out, threads):
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    src = str(Path(zbsim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zbsim.cli", "run", str(config), "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return (out / "trajectory.csv").read_bytes()
+
+
+def _csv_table(data: bytes) -> np.ndarray:
+    rows = [line for line in data.decode().splitlines() if not line.startswith("#")]
+    return np.array([[float(v) for v in row.split(",")] for row in rows[1:]])  # after header
+
+
+def test_thread_count_reproducibility(tmp_path):
+    config = _write(tmp_path, SMALL_CONFIG)
+    first = _run_in_subprocess(config, tmp_path / "one-a", 1)
+    assert _run_in_subprocess(config, tmp_path / "one-b", 1) == first
+    two = _run_in_subprocess(config, tmp_path / "two", 2)
+    # positions are in magnetic lengths (position_unit = L)
+    assert np.max(np.abs(_csv_table(two) - _csv_table(first))) <= 1e-13
 
 
 def test_oracle_mismatch_exit_code(tmp_path, capsys):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from zbsim.dynamics import (
+    _grid_block,
     _line_tables,
     cyclotron_reference,
     ladder_expectations,
@@ -125,23 +126,55 @@ def test_time_integrals_3plus1_frozen_oracle():
     assert produced == pytest.approx(FROZEN_INTEGRALS_T5, abs=1e-10)
 
 
-@pytest.mark.parametrize("n_cols", [1, 3])
-@pytest.mark.parametrize("n_lines", [0, 1, 7])
-def test_line_sum_matches_explicit_loop(n_lines, n_cols, monkeypatch):
-    # a small block budget makes 23 samples span several ragged row blocks
-    monkeypatch.setattr("zbsim.dynamics._CHUNK", 5 * max(n_lines, 1))
-    rng = np.random.default_rng(3)
-    t = np.linspace(-2.0, 9.0, 23)
-    freqs = np.linspace(-2.5, 2.9, n_lines)  # both signs from two lines on
-    cos_coef = rng.normal(size=(n_lines, n_cols)) + 1j * rng.normal(size=(n_lines, n_cols))
-    sin_coef = rng.normal(size=(n_lines, n_cols)) + 1j * rng.normal(size=(n_lines, n_cols))
-    expected = np.zeros((t.size, n_cols), dtype=complex)
+def _explicit_line_sum(t, freqs, cos_coef, sin_coef):
+    expected = np.zeros((t.size, cos_coef.shape[1]), dtype=complex)
     for i, ti in enumerate(t):
         for f, c, s in zip(freqs, cos_coef, sin_coef):
             expected[i] += c * math.cos(f * ti) + s * math.sin(f * ti)
+    return expected
+
+
+def _random_lines(rng, n_lines, n_cols):
+    cos_coef = rng.normal(size=(n_lines, n_cols)) + 1j * rng.normal(size=(n_lines, n_cols))
+    sin_coef = rng.normal(size=(n_lines, n_cols)) + 1j * rng.normal(size=(n_lines, n_cols))
+    return cos_coef, sin_coef
+
+
+# (samples, samples per block B): 23 uniform samples fill 4 blocks of 5 and
+# a ragged fifth; jittered samples are evaluated directly (B = 1)
+_GRIDS = (
+    (np.linspace(-2.0, 9.0, 23), 5),
+    (np.linspace(-2.0, 9.0, 23) + 1e-9 * np.sin(np.arange(23.0)), 1),
+    (np.array([3.7]), 1),
+    (np.array([-1.5, 4.25]), 2),
+)
+
+
+@pytest.mark.parametrize("n_cols", [1, 3])
+@pytest.mark.parametrize("n_lines", [0, 1, 7])
+def test_line_sum_matches_explicit_loop(n_lines, n_cols, monkeypatch):
+    # a budget below one line's tables puts every line in its own block
+    monkeypatch.setattr("zbsim.dynamics._CHUNK", 1)
+    freqs = np.linspace(-2.5, 2.9, n_lines)  # both signs from two lines on
+    cos_coef, sin_coef = _random_lines(np.random.default_rng(3), n_lines, n_cols)
+    for t, block in _GRIDS:
+        assert _grid_block(t) == block
+        got = line_sum(t, freqs, cos_coef, sin_coef)
+        assert got.shape == (t.size, n_cols)
+        expected = _explicit_line_sum(t, freqs, cos_coef, sin_coef)
+        assert np.max(np.abs(got - expected), initial=0.0) < 1e-13
+
+
+def test_line_sum_large_phases():
+    # phases f t up to about 1e3 rad, 1001 samples in 32 blocks of 32
+    t = np.linspace(0.0, 100.0, 1001)
+    freqs = np.array([-9.7, -3.1, 0.0, 0.4, 5.5, 10.0])
+    cos_coef, sin_coef = _random_lines(np.random.default_rng(5), freqs.size, 2)
+    assert _grid_block(t) == 32
     got = line_sum(t, freqs, cos_coef, sin_coef)
-    assert got.shape == (t.size, n_cols)
-    assert np.max(np.abs(got - expected), initial=0.0) < 1e-13
+    expected = _explicit_line_sum(t, freqs, cos_coef, sin_coef)
+    scale = np.sum(np.abs(cos_coef) + np.abs(sin_coef), axis=0)
+    assert np.max(np.abs(got - expected) / scale) < 1e-12
 
 
 def test_ladder_expectation_static_value():
