@@ -40,7 +40,7 @@ from .packet import GaussianPacket, Numerics, PacketDecomposition, decompose
 from .params import Dimensionality, SimParams
 
 _IMAG_RESIDUE_TOL = 1e-10
-_CHUNK = 1 << 18  # element budget of one line block's start-time tables
+_CHUNK = 1 << 18  # element budget of one line block's tables
 _POSITION_FIELDS = ("x", "y", "x_interband", "y_interband", "x_intraband", "y_intraband")
 
 
@@ -122,11 +122,11 @@ def line_sum(t: np.ndarray, freqs: np.ndarray, cos_coef: np.ndarray, sin_coef: n
 
     for complex (lines x columns) coefficients C, S.  With the samples in M
     blocks of B (_grid_block), t = T_m + tau_j, the angle-sum identities give
-    sum_l [C cos fT_m + S sin fT_m] cos f tau_j + [S cos fT_m - C sin fT_m] sin f tau_j:
-    cos/sin of (lines x M) and (lines x B) tables, and one real BLAS product
-    over lines on the coefficients' real view into an (M columns x B)
-    accumulator.  Lines go in blocks whose bracketed tables hold at most
-    _CHUNK elements.
+    sum_l cos fT_m [C cos f tau_j + S sin f tau_j] + sin fT_m [S cos f tau_j - C sin f tau_j]:
+    trig of (M x lines) and (lines x B) tables, and real BLAS products over
+    lines of the start tables with the brackets' real views.  With B = 1 the
+    brackets are C and S: the direct evaluation.  Lines go in blocks whose
+    tables hold at most _CHUNK elements.
     """
     cos_r = np.ascontiguousarray(cos_coef, dtype=complex).view(float)
     sin_r = np.ascontiguousarray(sin_coef, dtype=complex).view(float)
@@ -134,22 +134,24 @@ def line_sum(t: np.ndarray, freqs: np.ndarray, cos_coef: np.ndarray, sin_coef: n
     block = _grid_block(t)
     starts = t[::block]
     offsets = t[:block] - t[:1]
-    acc = np.zeros((starts.size * cols, offsets.size))
-    step = max(1, _CHUNK // max(acc.shape[0], 1))
+    acc = np.zeros((starts.size, offsets.size * cols))
+    step = max(1, _CHUNK // (starts.size + acc.shape[1]))
+    # reused: fresh start tables would be paged in again for every block
+    buffers = np.empty((2, starts.size * min(step, freqs.size)))
     for lo in range(0, freqs.size, step):
         f = freqs[lo : lo + step]
         c = cos_r[lo : lo + step, None, :]
         s = sin_r[lo : lo + step, None, :]
-        phase = np.outer(f, starts)
-        cos_start = np.cos(phase)[:, :, None]
-        sin_start = np.sin(phase, out=phase)[:, :, None]
-        p = (cos_start * c + sin_start * s).reshape(f.size, -1)
-        q = (cos_start * s - sin_start * c).reshape(f.size, -1)
         phase = np.outer(f, offsets)
-        acc += p.T @ np.cos(phase)
-        acc += q.T @ np.sin(phase, out=phase)
-    out = acc.reshape(starts.size, cols, offsets.size).transpose(0, 2, 1).reshape(-1, cols)
-    return np.ascontiguousarray(out[: t.size]).view(complex)
+        cos_offset = np.cos(phase)[:, :, None]
+        sin_offset = np.sin(phase, out=phase)[:, :, None]
+        p = (c * cos_offset + s * sin_offset).reshape(f.size, -1)
+        q = (s * cos_offset - c * sin_offset).reshape(f.size, -1)
+        phase, trig = buffers[:, : starts.size * f.size].reshape(2, starts.size, f.size)
+        np.multiply.outer(starts, f, out=phase)
+        acc += np.cos(phase, out=trig) @ p
+        acc += np.sin(phase, out=trig) @ q
+    return acc.reshape(-1, cols)[: t.size].view(complex)
 
 
 def _band_parts(t: np.ndarray, decomp: PacketDecomposition, params: SimParams):

@@ -156,7 +156,8 @@ def oscillator_overlaps(
     """Phi[n, i]: overlap of the y profile with oscillator level n at kx_i.
 
     Exact (up to roundoff) for y_nodes >= (n_top + 1)/2 since the integrand
-    is a single Gaussian times a polynomial of degree n.
+    is a single Gaussian times a polynomial of degree n.  Levels where the
+    recurrence overflowed are not finite (see check_finite_overlaps).
     """
     ell = params.magnetic_length
     a = ell * ell / (2.0 * packet.d_y**2)
@@ -167,15 +168,19 @@ def oscillator_overlaps(
     pref = math.sqrt(ell) * (math.pi * packet.d_y**2) ** -0.25 * s
     with np.errstate(over="ignore", invalid="ignore"):
         sums = _weighted_hermite_sums(xi_star, s, n_top, y_nodes)
-        phi = pref * np.exp(-q_star)[None, :] * sums
-    finite = np.isfinite(phi).all(axis=1)
-    if not finite.all():
+        return pref * np.exp(-q_star)[None, :] * sums
+
+
+def check_finite_overlaps(values: np.ndarray, kx: np.ndarray, packet: GaussianPacket, params: SimParams):
+    """ConvergenceError naming the first level (axis 0) whose overlaps overflowed."""
+    bad = np.flatnonzero(~np.isfinite(values).reshape(len(values), -1).all(axis=1))
+    if bad.size:
+        ell = params.magnetic_length
         raise ConvergenceError(
-            f"the Hermite recurrence of the oscillator overlaps overflowed at level "
-            f"{int(np.argmin(finite))} of {n_top} (L/d_y = {ell / packet.d_y:.3g}, max |kx| L "
-            f"= {np.max(np.abs(c)):.3g}); the field is too weak for this packet"
+            f"the Hermite recurrence of the oscillator overlaps overflowed at level {bad[0]} on "
+            f"{kx.size} kx nodes (L/d_y = {ell / packet.d_y:.3g}, max |kx| L = "
+            f"{np.max(np.abs(kx)) * ell:.3g}); the field is too weak for this packet"
         )
-    return phi
 
 
 def f_coeff(
@@ -195,8 +200,10 @@ def f_coeff(
     nodes = y_nodes if y_nodes > 0 else max(32, n // 2 + 8)
     karr = np.asarray([float(kx)])
     phi = oscillator_overlaps(packet, params, karr, n, nodes)[n, 0]
-    phi2 = oscillator_overlaps(packet, params, karr, n, 2 * nodes)[n, 0]
-    if abs(phi - phi2) > 1e-10 * max(1.0, abs(phi2)):
+    phi2 = oscillator_overlaps(packet, params, karr, n, 2 * nodes)[:, 0]
+    check_finite_overlaps(phi2, karr, packet, params)
+    phi2 = phi2[n]
+    if not abs(phi - phi2) <= 1e-10 * max(1.0, abs(phi2)):
         raise QuadratureError(
             f"F_{n}({kx}) not converged: {phi} vs {phi2} at {nodes}/{2*nodes} nodes"
         )
@@ -275,7 +282,8 @@ def decompose(
     The truncation n_max is the smallest level with tail mass below
     numerics.tail_tol (ConvergenceError if the cap is too small).  With
     convergence_check on, the kx/y quadratures are re-run at doubled node
-    counts and must agree to numerics.convergence_tol.
+    counts and must agree to numerics.convergence_tol.  Only an overlap
+    overflow at or below n_max is a ConvergenceError.
     """
     if packet.component != 2:
         raise NotImplementedError(
@@ -289,22 +297,25 @@ def decompose(
         kx = packet.k0x + u / packet.d_x
         weights = w / math.sqrt(math.pi)
         phi = oscillator_overlaps(packet, params, kx, n.n_max_cap, n.resolved_y_nodes())
-        diag_full = phi**2 @ weights
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag_full = phi**2 @ weights
         return kx, weights, phi, diag_full
 
     kx, weights, phi, diag_full = build(num)
     cum = np.cumsum(diag_full)
     ok = np.nonzero(1.0 - cum < num.tail_tol)[0]
+    n_max = max(int(ok[0]) if ok.size else num.n_max_cap, min(num.n_max_floor, num.n_max_cap))
+    check_finite_overlaps(diag_full[: n_max + 1], kx, packet, params)
     if ok.size == 0:
         raise ConvergenceError(
             f"tail mass {1.0 - cum[-1]:.3e} above {num.tail_tol:.1e} at the "
             f"cap n_max_cap={num.n_max_cap}; raise the cap"
         )
-    n_max = max(int(ok[0]), min(num.n_max_floor, num.n_max_cap))
     tail = float(1.0 - cum[n_max])
 
     if num.convergence_check:
-        _, _, phi2, diag2 = build(num.doubled())
+        kx2, _, _, diag2 = build(num.doubled())
+        check_finite_overlaps(diag2[: n_max + 1], kx2, packet, params)
         dev = float(np.max(np.abs(diag2[: n_max + 1] - diag_full[: n_max + 1])))
         if dev > num.convergence_tol:
             raise QuadratureError(

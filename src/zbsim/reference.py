@@ -31,6 +31,7 @@ from .packet import (
     GaussianPacket,
     Numerics,
     PacketDecomposition,
+    check_finite_overlaps,
     decompose,
     oscillator_overlaps,
 )
@@ -149,6 +150,7 @@ def _fibre_coefficients(
     phi = oscillator_overlaps(
         packet, params, decomp.kx_nodes, n_trunc, max(48, n_trunc // 2 + 8)
     )
+    check_finite_overlaps(phi, decomp.kx_nodes, packet, params)
     n_fib = decomp.kx_nodes.size
     coeffs = np.zeros((4 * (n_trunc + 1), n_fib), dtype=complex)
     coeffs[n_trunc + 1 : 2 * (n_trunc + 1), :] = phi  # component index 1 (0-based)

@@ -23,7 +23,7 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -129,6 +129,11 @@ def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default=No
     return value
 
 
+def _section(cp: configparser.ConfigParser, section: str, options) -> dict:
+    """Every field of the options dataclass, read with its default's type."""
+    return {f.name: _get(cp, section, f.name, type(f.default), f.default) for f in fields(options)}
+
+
 def parse_config(text: str, scenario: str = "inline") -> RunConfig:
     """Parse and validate an INI configuration; raises ConfigError on problems."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -175,27 +180,11 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
         )
 
     try:
-        numerics = Numerics(
-            n_max_cap=_get(cp, "numerics", "n_max_cap", int, 256),
-            n_max_floor=_get(cp, "numerics", "n_max_floor", int, 0),
-            kx_nodes=_get(cp, "numerics", "kx_nodes", int, 96),
-            y_nodes=_get(cp, "numerics", "y_nodes", int, 0),
-            kz_nodes=_get(cp, "numerics", "kz_nodes", int, 160),
-            kz_rule=_get(cp, "numerics", "kz_rule", str, "hermite"),
-            kz_cutoff_sigmas=_get(cp, "numerics", "kz_cutoff_sigmas", float, 6.0),
-            tail_tol=_get(cp, "numerics", "tail_tol", float, 1e-10),
-            convergence_check=_get(cp, "numerics", "convergence_check", bool, True),
-            convergence_tol=_get(cp, "numerics", "convergence_tol", float, 1e-9),
-        )
+        numerics = Numerics(**_section(cp, "numerics", Numerics))
     except ValueError as exc:
         raise ConfigError(f"[numerics] {exc}") from exc
 
-    spectral_opts = SpectralOptions(
-        window=_get(cp, "spectral", "window", str, "hann"),
-        pad_factor=_get(cp, "spectral", "pad_factor", int, 4),
-        detection_floor=_get(cp, "spectral", "detection_floor", float, 1e-3),
-        significant_rel_power=_get(cp, "spectral", "significant_rel_power", float, 0.01),
-    )
+    spectral_opts = SpectralOptions(**_section(cp, "spectral", SpectralOptions))
     for value in (spectral_opts.detection_floor, spectral_opts.significant_rel_power):
         if value <= 0.0:
             raise ConfigError("[spectral] thresholds must be positive")

@@ -198,6 +198,19 @@ def test_weak_field_overflow_exit_code(tmp_path, capsys):
     assert "nan" not in err
 
 
+def test_overflow_above_truncation_exit_code(tmp_path, capsys):
+    # with a raised cap the overlaps of both kx grids overflow above the
+    # converged truncation n_max = 106; those levels are never used
+    text = SMALL_CONFIG.replace("d_x = 0.9", "d_x = 0.33").replace(
+        "k0x = 1.4142135623730951", "k0x = 0.0"
+    ).replace("kx_nodes = 64", "kx_nodes = 512\nn_max_cap = 512")
+    config = _write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert "n_max = 106" in capsys.readouterr().out
+
+
 def test_imaginary_residue_failure_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("zbsim.dynamics._IMAG_RESIDUE_TOL", -1.0)
     config = _write(tmp_path, SMALL_CONFIG)

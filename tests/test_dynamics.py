@@ -153,16 +153,18 @@ _GRIDS = (
 @pytest.mark.parametrize("n_cols", [1, 3])
 @pytest.mark.parametrize("n_lines", [0, 1, 7])
 def test_line_sum_matches_explicit_loop(n_lines, n_cols, monkeypatch):
-    # a budget below one line's tables puts every line in its own block
-    monkeypatch.setattr("zbsim.dynamics._CHUNK", 1)
     freqs = np.linspace(-2.5, 2.9, n_lines)  # both signs from two lines on
     cos_coef, sin_coef = _random_lines(np.random.default_rng(3), n_lines, n_cols)
     for t, block in _GRIDS:
         assert _grid_block(t) == block
-        got = line_sum(t, freqs, cos_coef, sin_coef)
-        assert got.shape == (t.size, n_cols)
         expected = _explicit_line_sum(t, freqs, cos_coef, sin_coef)
-        assert np.max(np.abs(got - expected), initial=0.0) < 1e-13
+        # a budget below one line's tables puts every line in its own block;
+        # the second puts up to 5 lines in a block, most often with a ragged last one
+        for chunk in (1, 3 * (t.size + 2 * n_cols)):
+            monkeypatch.setattr("zbsim.dynamics._CHUNK", chunk)
+            got = line_sum(t, freqs, cos_coef, sin_coef)
+            assert got.shape == (t.size, n_cols)
+            assert np.max(np.abs(got - expected), initial=0.0) < 1e-13
 
 
 def test_line_sum_large_phases():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zbsim.landau import (
@@ -121,6 +121,7 @@ def test_energy_monotone_in_level(n, kz, b):
 
 
 @given(levels, wavenumbers, fields)
+@example(0, 5e-324, 1.0)  # n b^2 + kz^2 underflows to zero for the subnormal kz
 def test_norm_positive_for_existing_states(n, kz, b):
     p = make_params_dimensionless(b)
     for eps in (1, -1):

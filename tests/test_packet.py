@@ -7,6 +7,8 @@ here so they can be regenerated.
 """
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +165,30 @@ def test_truncation_behaviour():
     assert dec_tight.tail_mass <= dec.tail_mass
     with pytest.raises(ConvergenceError):
         decompose(TRAP_PACKET, B_ONE, Numerics(n_max_cap=4, convergence_check=False))
+
+
+# a narrow x profile (L/d_x = 3) with a raised cap: the tail mass converges
+# at level 106, and the overlaps on 512 kx nodes (the doubled grid of the
+# convergence check) overflow near level 420
+NARROW_PACKET = GaussianPacket(d_x=0.33 * math.sqrt(2.0), d_y=math.sqrt(2.0))
+RAISED_CAP = Numerics(n_max_cap=512, kx_nodes=256)
+
+
+def test_overlap_overflow_above_truncation_is_unused():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = decompose(NARROW_PACKET, B_ONE, RAISED_CAP)
+        assert dec.n_max == 106
+        assert np.all(np.isfinite(dec.phi)) and np.all(np.isfinite(dec.u_band))
+        # a floor that forces the truncation past the overflow names it, on the
+        # doubled grid of the convergence check and on a 512-node grid without it
+        with pytest.raises(ConvergenceError, match=r"overflowed at level \d+ on 512 kx nodes"):
+            decompose(NARROW_PACKET, B_ONE, replace(RAISED_CAP, n_max_floor=450))
+        unchecked = Numerics(n_max_cap=512, n_max_floor=450, kx_nodes=512, convergence_check=False)
+        with pytest.raises(ConvergenceError, match=r"overflowed at level \d+ on 512 kx nodes"):
+            decompose(NARROW_PACKET, B_ONE, unchecked)
+        with pytest.raises(ConvergenceError, match="overflowed at level 268 on 1 kx nodes"):
+            f_coeff(NARROW_PACKET, 300, 200.0 / math.sqrt(2.0), B_ONE)
 
 
 def test_quadrature_doubling_is_converged():
