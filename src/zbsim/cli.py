@@ -49,10 +49,11 @@ def _config_thread_hint(path: str | None) -> int | None:
     if not path or not os.path.exists(path):
         return None
     import configparser
+    from pathlib import Path
 
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        cp.read_string(open(path).read())
+        cp.read_string(Path(path).read_text())
         return cp.getint("numerics", "threads")
     except Exception:
         return None

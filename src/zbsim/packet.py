@@ -57,10 +57,10 @@ class GaussianPacket:
     component: int = 2
 
     def __post_init__(self) -> None:
-        if self.d_x <= 0.0 or self.d_y <= 0.0:
-            raise ValueError("transverse widths d_x, d_y must be positive")
-        if self.d_z is not None and self.d_z <= 0.0:
-            raise ValueError("longitudinal width d_z must be positive when given")
+        widths = {"d_x": self.d_x, "d_y": self.d_y, "d_z": self.d_z}
+        for name, value in widths.items():
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"width {name} must be finite and positive, got {value!r}")
         if self.component not in (1, 2, 3, 4):
             raise ValueError(f"spinor component must be 1..4, got {self.component}")
         if not math.isfinite(self.k0x):
@@ -87,8 +87,10 @@ class Numerics:
             raise ValueError("node counts out of range")
         if self.kz_rule not in ("hermite", "legendre"):
             raise ValueError(f"unknown kz rule {self.kz_rule!r}")
-        if self.tail_tol <= 0.0 or self.convergence_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        for name in ("kz_cutoff_sigmas", "tail_tol", "convergence_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     def resolved_y_nodes(self) -> int:
         if self.y_nodes > 0:

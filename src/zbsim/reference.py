@@ -6,9 +6,11 @@ operators of the oscillator coordinate xi = y/L - kx L:
 
     H = -(b/2) alpha_x (a + a+) + (b/2) alpha_y i(a+ - a) + kz alpha_z + beta
 
-in natural units (hbar*omega = b, mc^2 = c = 1).  The matrix is independent
-of kx; kx enters only through the packet coefficients, so one
-diagonalisation per kz node serves every kx quadrature fibre.
+in natural units (hbar*omega = b, mc^2 = c = 1).  i alpha_y is real, so the
+matrix is real symmetric and is assembled, solved and collapsed in real
+arithmetic.  It is independent of kx; kx enters only through the packet
+coefficients, so one dense symmetric solve per kz node serves every kx
+quadrature fibre.
 
 Truncating the ladder at level N leaves, besides the exact eigenstates with
 n <= N, a two-dimensional remnant on the top oscillator level whose
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import Trajectory, _banded_trajectory, line_sum
 from .packet import (
@@ -37,14 +38,14 @@ from .packet import (
 )
 from .params import Dimensionality, SimParams
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_ZERO2 = np.zeros((2, 2), dtype=complex)
-_EYE2 = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+I_SIGMA_Y = np.array([[0.0, 1.0], [-1.0, 0.0]])  # i sigma_y
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+_ZERO2 = np.zeros((2, 2))
+_EYE2 = np.eye(2)
 
 ALPHA_X = np.block([[_ZERO2, SIGMA_X], [SIGMA_X, _ZERO2]])
-ALPHA_Y = np.block([[_ZERO2, SIGMA_Y], [SIGMA_Y, _ZERO2]])
+I_ALPHA_Y = np.block([[_ZERO2, I_SIGMA_Y], [I_SIGMA_Y, _ZERO2]])  # i alpha_y
 ALPHA_Z = np.block([[_ZERO2, SIGMA_Z], [SIGMA_Z, _ZERO2]])
 BETA = np.block([[_EYE2, _ZERO2], [_ZERO2, -_EYE2]])
 
@@ -55,7 +56,7 @@ _LINE_CUTOFF = 1e-15
 
 def lowering_matrix(n_trunc: int) -> np.ndarray:
     """Truncated ladder operator with <n-1|a|n> = sqrt(n)."""
-    a = np.zeros((n_trunc + 1, n_trunc + 1), dtype=complex)
+    a = np.zeros((n_trunc + 1, n_trunc + 1))
     idx = np.arange(1, n_trunc + 1)
     a[idx - 1, idx] = np.sqrt(idx)
     return a
@@ -63,7 +64,7 @@ def lowering_matrix(n_trunc: int) -> np.ndarray:
 
 @dataclass
 class TruncatedHamiltonian:
-    """Dense Hermitian Dirac Hamiltonian on the truncated oscillator basis."""
+    """Dense real symmetric Dirac Hamiltonian on the truncated oscillator basis."""
 
     matrix: np.ndarray
     n_trunc: int
@@ -76,10 +77,9 @@ class TruncatedHamiltonian:
         return self.matrix.shape[0]
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (eigenvalues, eigenvectors) from a dense Hermitian solve."""
+        """Cached (eigenvalues, real eigenvectors) from a dense symmetric solve."""
         if self._eig is None:
-            vals, vecs = scipy.linalg.eigh(self.matrix)
-            self._eig = (vals, vecs)
+            self._eig = np.linalg.eigh(self.matrix)
         return self._eig
 
     def eigenvalues(self) -> np.ndarray:
@@ -100,22 +100,20 @@ class TruncatedHamiltonian:
 
 
 def build_matrix(kz: float, n_trunc: int, params: SimParams) -> TruncatedHamiltonian:
-    """Assemble the fibre Hamiltonian at kz on levels 0..n_trunc (any kx)."""
+    """Assemble the real symmetric fibre Hamiltonian at kz on levels 0..n_trunc (any kx)."""
     if n_trunc < 0:
         raise ValueError("n_trunc must be non-negative")
     b = params.field_ratio_b
     a = lowering_matrix(n_trunc)
-    adag = a.conj().T
-    eye = np.eye(n_trunc + 1, dtype=complex)
+    eye = np.eye(n_trunc + 1)
     h = (
-        -(b / 2.0) * np.kron(ALPHA_X, a + adag)
-        + (b / 2.0) * np.kron(ALPHA_Y, 1j * (adag - a))
+        -(b / 2.0) * np.kron(ALPHA_X, a + a.T)
+        + (b / 2.0) * np.kron(I_ALPHA_Y, a.T - a)
         + kz * np.kron(ALPHA_Z, eye)
         + params.mass_energy * np.kron(BETA, eye)
     )
-    herm_dev = float(np.max(np.abs(h - h.conj().T)))
-    if herm_dev > 1e-14:
-        raise AssertionError(f"assembled Hamiltonian not Hermitian: {herm_dev:.2e}")
+    if not np.array_equal(h, h.T):
+        raise AssertionError("assembled Hamiltonian not symmetric")
     return TruncatedHamiltonian(matrix=h, n_trunc=n_trunc, kz=kz, params=params)
 
 
@@ -132,7 +130,7 @@ def evolve(ham: TruncatedHamiltonian, initial_coeffs: np.ndarray, t) -> np.ndarr
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"initial coefficients must be normalised, |c| = {norm}")
     vals, vecs = ham.eigensystem()
-    proj = vecs.conj().T @ c0
+    proj = vecs.T @ c0
     scalar = np.isscalar(t) or np.asarray(t).ndim == 0
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
     phases = np.exp(-1j * np.outer(vals, tarr)) * proj[:, None]
@@ -140,27 +138,13 @@ def evolve(ham: TruncatedHamiltonian, initial_coeffs: np.ndarray, t) -> np.ndarr
     return out[:, 0] if scalar else out
 
 
-def _fibre_coefficients(
-    packet: GaussianPacket,
-    params: SimParams,
-    decomp: PacketDecomposition,
-    n_trunc: int,
-) -> np.ndarray:
-    """Packet coefficients per kx fibre: second spinor component, levels 0..N."""
-    phi = oscillator_overlaps(
-        packet, params, decomp.kx_nodes, n_trunc, max(48, n_trunc // 2 + 8)
-    )
-    check_finite_overlaps(phi, decomp.kx_nodes, packet, params)
-    n_fib = decomp.kx_nodes.size
-    coeffs = np.zeros((4 * (n_trunc + 1), n_fib), dtype=complex)
-    coeffs[n_trunc + 1 : 2 * (n_trunc + 1), :] = phi  # component index 1 (0-based)
-    return coeffs
-
-
-def _ladder_lines(ham: TruncatedHamiltonian, coeffs: np.ndarray, weights: np.ndarray):
+def _ladder_lines(ham: TruncatedHamiltonian, phi: np.ndarray, weights: np.ndarray):
     """Collapse the weighted fibre ensemble into eigenbasis line amplitudes.
 
-    Returns (vals, K_lower, K_raise, pos_mask) with the weighted ladder
+    phi holds the packet's overlaps with levels 0..N per kx fibre; the packet
+    lives in spinor component 1 (0-based), so its projections on the real
+    eigenvectors are those rows of the eigenvector matrix times phi.
+    Returns (vals, K_lower, K_raise, pos_mask) with the real weighted ladder
     expectations
 
         <A(t)>  = sum_jk K_lower_jk e^{i (E_j - E_k) t},
@@ -168,16 +152,16 @@ def _ladder_lines(ham: TruncatedHamiltonian, coeffs: np.ndarray, weights: np.nda
 
     and pos_mask selecting positive-energy eigenvectors for the band split.
     The raising expectation is evolved from its own operator matrix rather
-    than conjugated, so the reality of the positions is a genuine check.
+    than transposed, so the reality of the positions is a genuine check.
     This regroups the per-fibre evolution algebraically; every fibre shares
     the kx-independent Hamiltonian.
     """
     vals, vecs = ham.eigensystem()
-    a_full = np.kron(np.eye(4, dtype=complex), lowering_matrix(ham.n_trunc))
-    a_eig = vecs.conj().T @ a_full @ vecs
-    proj = vecs.conj().T @ coeffs  # (dim, n_fib)
-    s = (proj.conj() * weights[None, :]) @ proj.T  # S_jk = sum_f w_f conj(p_jf) p_kf
-    return vals, a_eig * s, a_eig.conj().T * s, vals > 0.0
+    n = ham.n_trunc + 1
+    a_eig = vecs.T @ np.kron(np.eye(4), lowering_matrix(ham.n_trunc)) @ vecs
+    proj = vecs[n : 2 * n].T @ phi  # (dim, n_fib)
+    s = (proj * weights[None, :]) @ proj.T  # S_jk = sum_f w_f p_jf p_kf
+    return vals, a_eig * s, a_eig.T * s, vals > 0.0
 
 
 def oracle_trajectory(
@@ -196,13 +180,14 @@ def oracle_trajectory(
     if decomp is None:
         decomp = decompose(packet, params, numerics, run_mode)
     trunc = n_trunc if n_trunc is not None else decomp.n_max + 12
-    coeffs = _fibre_coefficients(packet, params, decomp, trunc)
+    phi = oscillator_overlaps(packet, params, decomp.kx_nodes, trunc, max(48, trunc // 2 + 8))
+    check_finite_overlaps(phi, decomp.kx_nodes, packet, params)
 
-    # columns: lowering and raising expectation, intraband then interband
-    ladder = np.zeros((t.size, 4), dtype=complex)
+    # intraband then interband; columns: lowering and raising expectation
+    bands = np.zeros((2, t.size, 2), dtype=complex)
     for kz, w_kz in zip(decomp.kz_nodes, decomp.kz_weights):
         ham = build_matrix(float(kz), trunc, params)
-        vals, k_low, k_high, pos = _ladder_lines(ham, coeffs, decomp.kx_weights)
+        vals, k_low, k_high, pos = _ladder_lines(ham, phi, decomp.kx_weights)
         mag = np.maximum(np.abs(k_low), np.abs(k_high))
         mag = np.maximum(mag, mag.T)
         j, k = np.nonzero(np.triu(mag > _LINE_CUTOFF * mag.max()))
@@ -210,13 +195,14 @@ def oracle_trajectory(
         # K_jk e^{iwt} + K_kj e^{-iwt} = (K_jk + K_kj) cos wt + i (K_jk - K_kj) sin wt
         amps = w_kz * np.stack([k_low[j, k], k_high[j, k]], axis=1)
         mirror = w_kz * np.stack([k_low[k, j], k_high[k, j]], axis=1)
-        coef = np.stack([np.where((j == k)[:, None], amps, amps + mirror), 1j * (amps - mirror)])
-        intra = (pos[j] == pos[k])[:, None]
-        coef = np.concatenate([np.where(intra, coef, 0.0), np.where(intra, 0.0, coef)], axis=2)
-        ladder += line_sum(t, vals[j] - vals[k], coef[0], coef[1])
+        cos_coef = np.where((j == k)[:, None], amps, amps + mirror)
+        sin_coef = 1j * (amps - mirror)
+        intra = pos[j] == pos[k]
+        for band, sel in zip(bands, (intra, ~intra)):
+            band += line_sum(t, vals[j[sel]] - vals[k[sel]], cos_coef[sel], sin_coef[sel])
 
     return _banded_trajectory(
-        t, (ladder[:, 0], ladder[:, 1]), (ladder[:, 2], ladder[:, 3]), run_mode,
+        t, tuple(bands[0].T), tuple(bands[1].T), run_mode,
         {"engine": "matrix-reference", "n_trunc": trunc, "magnetic_length": params.magnetic_length},
     )
 
@@ -251,30 +237,27 @@ def check_transform(params: SimParams, n_trunc: int = 20, kz: float = 0.0) -> Tr
     (natural units, fibre momentum term absorbed at kx = 0).  The spectrum is
     compared eigenvalue by eigenvalue.
     """
-    delta = ALPHA_X @ ALPHA_Y @ ALPHA_Z @ BETA
+    alpha_y = -1j * I_ALPHA_Y
+    delta = ALPHA_X @ alpha_y @ ALPHA_Z @ BETA
     p = delta @ (delta + BETA) / math.sqrt(2.0)
     unitarity = float(np.max(np.abs(p @ p.conj().T - np.eye(4))))
     involution = float(np.max(np.abs(delta @ delta - np.eye(4))))
 
     ham = build_matrix(kz, n_trunc, params)
     dim_osc = n_trunc + 1
-    p_full = np.kron(p, np.eye(dim_osc, dtype=complex))
+    p_full = np.kron(p, np.eye(dim_osc))
     transformed = p_full @ ham.matrix @ p_full.conj().T
 
     b = params.field_ratio_b
     m = params.mass_energy
     a = lowering_matrix(n_trunc)
-    eye = np.eye(dim_osc, dtype=complex)
-    upper = np.block(
-        [[(kz - 1j * m) * eye, -b * a], [-b * a.conj().T, (-kz - 1j * m) * eye]]
-    )
+    eye = np.eye(dim_osc)
+    upper = np.block([[(kz - 1j * m) * eye, -b * a], [-b * a.T, (-kz - 1j * m) * eye]])
     zero = np.zeros_like(upper)
     h_prime = np.block([[zero, upper], [upper.conj().T, zero]])
 
     block_dev = float(np.max(np.abs(transformed - h_prime)))
-    spec = np.sort(scipy.linalg.eigvalsh(h_prime))
-    spec_ref = np.sort(ham.eigenvalues())
-    spectrum_dev = float(np.max(np.abs(spec - spec_ref)))
+    spectrum_dev = float(np.max(np.abs(np.linalg.eigvalsh(h_prime) - ham.eigenvalues())))
     return TransformReport(
         unitarity_dev=unitarity,
         involution_dev=involution,

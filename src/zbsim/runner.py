@@ -42,7 +42,7 @@ from .ionmap import (
 from .packet import GaussianPacket, Numerics, PacketDecomposition, decompose, u_overlap
 from .params import Dimensionality, SimParams, make_params, make_params_dimensionless
 from .reference import build_matrix, oracle_trajectory
-from .spectral import MIN_SAMPLES, SpectrumReport, classify_peaks, richness, spectrum
+from .spectral import MIN_SAMPLES, WINDOWS, SpectrumReport, classify_peaks, richness, spectrum
 from .svg import Series, line_plot
 
 PRESET_NAMES = ("fig1", "fig2a", "fig2b", "fig2c")
@@ -55,12 +55,24 @@ class SpectralOptions:
     detection_floor: float = 1e-3
     significant_rel_power: float = 0.01
 
+    def __post_init__(self) -> None:
+        if self.window not in WINDOWS:
+            raise ValueError(f"window must be one of {', '.join(WINDOWS)}, got {self.window!r}")
+        if self.pad_factor < 1:
+            raise ValueError(f"pad_factor must be >= 1, got {self.pad_factor}")
+        if self.detection_floor <= 0.0 or self.significant_rel_power <= 0.0:
+            raise ValueError("thresholds must be positive")
+
 
 @dataclass(frozen=True)
 class OracleOptions:
     enabled: bool = False
     n_trunc: int = 0  # 0 = automatic margin above the decomposition truncation
-    tol_in_magnetic_lengths: float = 1e-6
+    tol_in_l: float = 1e-6  # in magnetic lengths
+
+    def __post_init__(self) -> None:
+        if self.tol_in_l <= 0.0:
+            raise ValueError("tol_in_l must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,13 +114,16 @@ class RunConfig:
             scale = params.magnetic_length
         else:
             scale = 1.0
-        return GaussianPacket(
-            d_x=self.d_x * scale,
-            d_y=self.d_y * scale,
-            d_z=None if self.d_z is None else self.d_z * scale,
-            k0x=self.k0x / scale,
-            component=self.component,
-        )
+        try:
+            return GaussianPacket(
+                d_x=self.d_x * scale,
+                d_y=self.d_y * scale,
+                d_z=None if self.d_z is None else self.d_z * scale,
+                k0x=self.k0x / scale,
+                component=self.component,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"[packet] {exc}") from exc
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.samples)
@@ -129,9 +144,13 @@ def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default=No
     return value
 
 
-def _section(cp: configparser.ConfigParser, section: str, options) -> dict:
-    """Every field of the options dataclass, read with its default's type."""
-    return {f.name: _get(cp, section, f.name, type(f.default), f.default) for f in fields(options)}
+def _section(cp: configparser.ConfigParser, section: str, options):
+    """The options dataclass of a section, every field read with its default's type."""
+    try:
+        return options(**{f.name: _get(cp, section, f.name, type(f.default), f.default)
+                          for f in fields(options)})
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def parse_config(text: str, scenario: str = "inline") -> RunConfig:
@@ -179,23 +198,9 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
             f"[time] t_max > 0 and samples >= {MIN_SAMPLES} (the spectrum's floor) are required"
         )
 
-    try:
-        numerics = Numerics(**_section(cp, "numerics", Numerics))
-    except ValueError as exc:
-        raise ConfigError(f"[numerics] {exc}") from exc
-
-    spectral_opts = SpectralOptions(**_section(cp, "spectral", SpectralOptions))
-    for value in (spectral_opts.detection_floor, spectral_opts.significant_rel_power):
-        if value <= 0.0:
-            raise ConfigError("[spectral] thresholds must be positive")
-
-    oracle_opts = OracleOptions(
-        enabled=_get(cp, "oracle", "enabled", bool, False),
-        n_trunc=_get(cp, "oracle", "n_trunc", int, 0),
-        tol_in_magnetic_lengths=_get(cp, "oracle", "tol_in_l", float, 1e-6),
-    )
-    if oracle_opts.tol_in_magnetic_lengths <= 0.0:
-        raise ConfigError("[oracle] tol_in_l must be positive")
+    numerics = _section(cp, "numerics", Numerics)
+    spectral_opts = _section(cp, "spectral", SpectralOptions)
+    oracle_opts = _section(cp, "oracle", OracleOptions)
 
     position_unit = _get(cp, "output", "position_unit", str, "lambda_c")
     if position_unit not in ("lambda_c", "L"):
@@ -414,10 +419,10 @@ def run(
     )
     files.append(report_path)
 
-    if oracle_dev is not None and oracle_dev > config.oracle.tol_in_magnetic_lengths:
+    if oracle_dev is not None and oracle_dev > config.oracle.tol_in_l:
         raise OracleMismatchError(
             f"analytic vs reference deviation {oracle_dev:.3e} L exceeds "
-            f"{config.oracle.tol_in_magnetic_lengths:.1e} L"
+            f"{config.oracle.tol_in_l:.1e} L"
         )
     return RunResult(
         out_dir=out,
@@ -533,7 +538,7 @@ def _render_report(
             "",
             "reference check:",
             f"  max |analytic - matrix reference| = {oracle_dev:.3e} L "
-            f"(tolerance {config.oracle.tol_in_magnetic_lengths:.1e} L)",
+            f"(tolerance {config.oracle.tol_in_l:.1e} L)",
         ]
     lines.append("")
     return "\n".join(lines)

@@ -57,12 +57,13 @@ class SpectrumReport:
     pad_factor: int
 
 
+WINDOWS = {"hann": np.hanning, "rect": np.ones, "rectangular": np.ones, "boxcar": np.ones}
+
+
 def _window(name: str, n: int) -> np.ndarray:
-    if name == "hann":
-        return np.hanning(n)
-    if name in ("rect", "rectangular", "boxcar"):
-        return np.ones(n)
-    raise ValueError(f"unknown window {name!r}")
+    if name not in WINDOWS:
+        raise ValueError(f"unknown window {name!r}")
+    return WINDOWS[name](n)
 
 
 def _axis_power(values: np.ndarray, w: np.ndarray, n_pad: int) -> np.ndarray:

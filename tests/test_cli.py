@@ -43,6 +43,11 @@ BAD_INPUTS = (
     ("samples = 512", "samples = 10", "256"),
     ("d_x = 0.9", "d_x = nan", "finite"),
     ("kx_nodes = 64", "kx_nodes = 64\nthreads = two", "threads"),
+    ("kx_nodes = 64", "kx_nodes = 64\nkz_cutoff_sigmas = -1", "kz_cutoff_sigmas"),
+    ("kx_nodes = 64", "kx_nodes = 64\nkz_cutoff_sigmas = 0", "kz_cutoff_sigmas"),
+    ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = 0", "pad_factor"),
+    ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = -2", "pad_factor"),
+    ("position_unit = L", "position_unit = L\n[spectral]\nwindow = foo", "window"),
 )
 
 
@@ -88,10 +93,18 @@ def test_cli_exit_codes_for_bad_invocations(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
     both = _write(tmp_path, SMALL_CONFIG, "a.ini")
     assert main(["run", str(both), "--scenario", "fig1"]) == 2
-    for i, (old, new, _) in enumerate(BAD_INPUTS):
+    capsys.readouterr()
+    for i, (old, new, cause) in enumerate(BAD_INPUTS):
         path = _write(tmp_path, SMALL_CONFIG.replace(old, new), f"bad{i}.ini")
         assert main(["run", str(path), "--out", str(tmp_path / f"out{i}")]) == 2
-    capsys.readouterr()
+        assert cause in capsys.readouterr().err
+
+
+def test_overflowing_packet_width_exit_code(tmp_path, capsys):
+    # finite in the config, but d_x L overflows to inf in lambda_c
+    config = _write(tmp_path, SMALL_CONFIG.replace("d_x = 0.9", "d_x = 1.3e308"))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "[packet] width d_x must be finite" in capsys.readouterr().err
 
 
 def test_threads_override_environment(monkeypatch, capsys):

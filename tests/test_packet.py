@@ -213,6 +213,23 @@ def test_packet_validation():
         decompose(GaussianPacket(d_x=1.0, d_y=1.0, component=1), B_ONE)
 
 
+@pytest.mark.parametrize(
+    ("options", "key", "kwargs"),
+    [
+        (GaussianPacket, "d_x", {"d_x": math.nan, "d_y": 1.0}),
+        (GaussianPacket, "d_y", {"d_x": 1.0, "d_y": math.inf}),
+        (GaussianPacket, "d_z", {"d_x": 1.0, "d_y": 1.0, "d_z": math.nan}),
+        (Numerics, "tail_tol", {"tail_tol": math.nan}),
+        (Numerics, "convergence_tol", {"convergence_tol": math.nan}),
+        (Numerics, "kz_cutoff_sigmas", {"kz_cutoff_sigmas": math.inf}),
+    ],
+    ids=["d_x-nan", "d_y-inf", "d_z-nan", "tail_tol-nan", "convergence_tol-nan", "kz_cutoff_sigmas-inf"],
+)
+def test_non_finite_fields_rejected(options, key, kwargs):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        options(**kwargs)
+
+
 def test_three_plus_one_needs_dz():
     p31 = make_params_dimensionless(1.0, Dimensionality.THREE_PLUS_ONE)
     with pytest.raises(ValueError):

@@ -26,6 +26,12 @@ def test_matrix_is_hermitian_and_minimal_case():
     assert vals == pytest.approx([-1.0, -1.0, 1.0, 1.0], abs=1e-14)
 
 
+def test_matrix_is_real_symmetric():
+    matrix = build_matrix(0.7, 12, B_ONE).matrix
+    assert matrix.dtype == np.float64
+    assert np.array_equal(matrix, matrix.T)
+
+
 def test_smallest_positive_eigenvalue_is_rest_energy():
     for n_trunc in (1, 5, 40):
         ham = build_matrix(0.0, n_trunc, B_ONE)
@@ -128,6 +134,18 @@ def test_oracle_equals_explicit_fibre_evolution():
     y = (ell * (a_t + a_t.conj()) / math.sqrt(2.0)).real
     assert np.max(np.abs(x - fast.x)) < 1e-10
     assert np.max(np.abs(y - fast.y)) < 1e-10
+
+
+def test_oracle_band_split_matches_analytic():
+    params = B_ONE
+    ell = params.magnetic_length
+    packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
+    dec = decompose(packet, params)
+    t = np.linspace(0.0, 8.0, 33)
+    analytic = trajectory(packet, params, t, decomp=dec)
+    oracle = oracle_trajectory(packet, params, t, decomp=dec)
+    for name in ("x_interband", "y_interband", "x_intraband", "y_intraband"):
+        assert np.max(np.abs(getattr(analytic, name) - getattr(oracle, name))) < 1e-8 * ell, name
 
 
 def test_truncation_doubling_changes_little():
