@@ -25,6 +25,16 @@ count exceeds (n+1)/2.  Overlap matrix entries are then
 
 on a Gauss-Hermite kx grid scaled to the packet momentum width, with
 probability-normalised weights w_i (sum_i w_i = 1).
+
+The Gauss rules are computed here with numpy alone.  Both refine their
+non-negative nodes by Newton's method on the three-term recurrence of the
+orthonormal polynomials and mirror them; the weights are the Christoffel
+numbers 1 / sum_{k<n} p_k(x)^2, which vary slowly near a node, so rounding of
+the node hardly moves them.  Gauss-Legendre starts from
+cos(pi (i - 1/4) / (n + 1/2)); Gauss-Hermite starts from the square roots of
+the generalised Laguerre Jacobi eigenvalues (the squared Hermite zeros) and
+carries a log scale through the recurrence, so no weight becomes NaN however
+far out its node lies.
 """
 
 from __future__ import annotations
@@ -33,12 +43,87 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import roots_hermite, roots_legendre
 
 from .errors import ConvergenceError, QuadratureError, TruncationError
 from .params import Dimensionality, SimParams
 
 _PI_QUARTER = math.pi ** 0.25
+_NEWTON_STEPS = 50
+_RESCALE_EVERY = 16  # recurrence steps between rescalings; |p| grows < (1.5|x| + 1)^16 between
+
+
+def _recurrence(x: np.ndarray, n: int, a: np.ndarray, p0: float):
+    """p_n(x), p_{n-1}(x), sum_{k<n} p_k(x)^2 and a log scale.
+
+    p_k are the orthonormal polynomials of x p_k = a[k+1] p_{k+1} + a[k] p_{k-1},
+    p_0 = p0.  The true values are the first two times exp(scale) and the
+    sum times exp(2 scale).
+    """
+    p_prev, p = np.zeros_like(x), np.full_like(x, p0)
+    squares = np.zeros_like(x)
+    scale = np.zeros_like(x)
+    for k in range(n):
+        squares += p * p
+        p_prev, p = p, (x * p - a[k] * p_prev) / a[k + 1]
+        if k % _RESCALE_EVERY == _RESCALE_EVERY - 1:
+            m = np.maximum(np.abs(p), np.abs(p_prev))
+            p /= m
+            p_prev /= m
+            squares /= m * m
+            scale += np.log(m)
+    return p, p_prev, squares, scale
+
+
+def _gauss_rule(start: np.ndarray, n: int, a: np.ndarray, p0: float, derivative):
+    """Ascending nodes and weights of the symmetric n-point Gauss rule.
+
+    start holds the ceil(n/2) non-negative nodes, ascending (exactly 0 first
+    for odd n); derivative(x, p_n, p_{n-1}) gives p_n'(x) on the same scale.
+    """
+    x = start
+    for _ in range(_NEWTON_STEPS):
+        p, p_prev, squares, scale = _recurrence(x, n, a, p0)
+        step = p / derivative(x, p, p_prev)
+        if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(x))):
+            break
+        x = x - step
+    else:
+        raise QuadratureError(f"the {n}-point Gauss rule did not converge")
+    w = np.exp(-np.log(squares) - 2.0 * scale)
+    k = n // 2
+    return np.concatenate((-x[::-1][:k], x)), np.concatenate((w[::-1][:k], w))
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1] (weights sum to 2)."""
+    if n < 1:
+        raise ValueError(f"a Gauss rule needs at least one node, got {n}")
+    k = np.arange(n + 1.0)
+    a = k / np.sqrt(np.maximum(4.0 * k * k - 1.0, 1.0))  # a[0] = 0
+    start = np.cos(math.pi * (np.arange((n + 1) // 2, 0, -1) - 0.25) / (n + 0.5))
+    if n % 2:
+        start[0] = 0.0
+
+    def derivative(x, p, p_prev):  # (1 - x^2) P_n' = n (P_{n-1} - x P_n), orthonormal
+        return ((2 * n + 1) * a[n] * p_prev - n * x * p) / ((1.0 - x) * (1.0 + x))
+
+    return _gauss_rule(start, n, a, 1.0 / math.sqrt(2.0), derivative)
+
+
+def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Hermite nodes and weights for the weight exp(-x^2) (sum sqrt(pi))."""
+    if n < 1:
+        raise ValueError(f"a Gauss rule needs at least one node, got {n}")
+    a = np.sqrt(np.arange(n + 1) / 2.0)
+    # the positive zeros squared are the zeros of L_{n//2}^(alpha), alpha = -+1/2
+    m, alpha = n // 2, n % 2 - 0.5
+    k = np.arange(m)
+    jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(np.sqrt(k[1:] * (k[1:] + alpha)), 1)
+    start = np.sqrt(np.linalg.eigvalsh(jacobi, UPLO="U"))
+    if n % 2:
+        start = np.concatenate(([0.0], start))
+    root = math.sqrt(2.0 * n)  # p_n' = sqrt(2n) p_{n-1}
+    return _gauss_rule(start, n, a, 1.0 / _PI_QUARTER, lambda x, p, p_prev: root * p_prev)
 
 
 @dataclass(frozen=True)
@@ -83,8 +168,9 @@ class Numerics:
     convergence_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.n_max_cap < 1 or self.kx_nodes < 4 or self.kz_nodes < 2:
-            raise ValueError("node counts out of range")
+        for name, least in (("n_max_cap", 1), ("kx_nodes", 4), ("y_nodes", 0), ("kz_nodes", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.kz_rule not in ("hermite", "legendre"):
             raise ValueError(f"unknown kz rule {self.kz_rule!r}")
         for name in ("kz_cutoff_sigmas", "tail_tol", "convergence_tol"):
@@ -135,7 +221,7 @@ def _weighted_hermite_sums(
     seeded with the quadrature weights so intermediate products stay
     representable even where w_j underflows and h_n overflows separately.
     """
-    u, w = roots_hermite(y_nodes)
+    u, w = gauss_hermite(y_nodes)
     xi = xi_star[None, :] + scale * u[:, None]  # (y_nodes, n_kx)
     out = np.empty((n_top + 1, xi_star.size))
     t_prev = np.zeros(xi.shape)  # h_{-1} = 0 starts the recurrence
@@ -262,12 +348,12 @@ def _kz_grid(packet: GaussianPacket, numerics: Numerics) -> tuple[np.ndarray, np
     if dz is None:
         raise ValueError("3+1 decomposition requires a longitudinal width d_z")
     if numerics.kz_rule == "hermite":
-        u, w = roots_hermite(numerics.kz_nodes)
+        u, w = gauss_hermite(numerics.kz_nodes)
         return u / dz, w / math.sqrt(math.pi)
     # truncated Gauss-Legendre for long-horizon runs with oscillatory kernels
     sigma = 1.0 / (math.sqrt(2.0) * dz)
     cutoff = numerics.kz_cutoff_sigmas * sigma
-    x, w = roots_legendre(numerics.kz_nodes)
+    x, w = gauss_legendre(numerics.kz_nodes)
     kz = cutoff * x
     weights = cutoff * w * (dz / math.sqrt(math.pi)) * np.exp(-((kz * dz) ** 2))
     return kz, weights
@@ -295,7 +381,7 @@ def decompose(
     run_mode = mode if mode is not None else params.dimensionality
 
     def build(n: Numerics):
-        u, w = roots_hermite(n.kx_nodes)
+        u, w = gauss_hermite(n.kx_nodes)
         kx = packet.k0x + u / packet.d_x
         weights = w / math.sqrt(math.pi)
         phi = oscillator_overlaps(packet, params, kx, n.n_max_cap, n.resolved_y_nodes())

@@ -71,6 +71,8 @@ class OracleOptions:
     tol_in_l: float = 1e-6  # in magnetic lengths
 
     def __post_init__(self) -> None:
+        if self.n_trunc < 0:
+            raise ValueError(f"n_trunc must be >= 0 (0 = automatic), got {self.n_trunc}")
         if self.tol_in_l <= 0.0:
             raise ValueError("tol_in_l must be positive")
 
@@ -181,6 +183,10 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
         raise ConfigError("[packet] d_z is required in 3+1 mode")
     k0x = _get(cp, "packet", "k0x", float, 0.0)
     component = _get(cp, "packet", "component", int, 2)
+    if component != 2:
+        raise ConfigError(
+            f"[packet] component: only the second spinor component (2) is supported, got {component}"
+        )
 
     field_b = _get(cp, "field", "b", float)
     field_tesla = _get(cp, "field", "tesla", float)
@@ -288,8 +294,9 @@ class RunResult:
     files: list[Path] = dc_field(default_factory=list)
 
 
-def _fmt17(x: float) -> str:
-    return f"{float(x):.17g}"
+def _csv_rows(fmt: str, *columns) -> str:
+    """fmt % row for each row of the stacked columns; %.17g round-trips a float."""
+    return "".join(fmt % tuple(row) for row in np.column_stack(columns).tolist())
 
 
 def _csv_header(config: RunConfig, extra: str = "") -> str:
@@ -309,8 +316,7 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, config: RunConfig) -> No
     buf.write("t,x,y,x_interband,y_interband,x_intraband,y_intraband\n")
     cols = (traj.times, traj.x, traj.y, traj.x_interband, traj.y_interband,
             traj.x_intraband, traj.y_intraband)
-    for row in zip(*cols):
-        buf.write(",".join(_fmt17(v) for v in row) + "\n")
+    buf.write(_csv_rows(",".join(["%.17g"] * len(cols)) + "\n", *cols))
     path.write_text(buf.getvalue())
 
 
@@ -324,8 +330,8 @@ def _write_spectrum_csv(path: Path, report: SpectrumReport, config: RunConfig) -
     buf = io.StringIO()
     buf.write(_csv_header(config, "frequency-unit: rad/t_c"))
     buf.write("freq,power_x,power_y,label\n")
-    for f, px, py, lab in zip(report.freqs, report.power_x, report.power_y, labels):
-        buf.write(f"{_fmt17(f)},{_fmt17(px)},{_fmt17(py)},{lab}\n")
+    rows = np.column_stack((report.freqs, report.power_x, report.power_y)).tolist()
+    buf.write("".join("%.17g,%.17g,%.17g,%s\n" % (*row, lab) for row, lab in zip(rows, labels)))
     path.write_text(buf.getvalue())
 
 
@@ -334,19 +340,18 @@ def _write_decomposition_csv(out: Path, decomp: PacketDecomposition, config: Run
     buf = io.StringIO()
     buf.write(_csv_header(config, "transverse expansion coefficients F_n(kx)"))
     buf.write("n,kx,re,im\n")
-    f_table = decomp.f_table()
-    for n in range(decomp.n_max + 1):
-        for kx, value in zip(decomp.kx_nodes, f_table[n]):
-            buf.write(f"{n},{_fmt17(kx)},{_fmt17(value)},{_fmt17(0.0)}\n")
+    levels = decomp.n_max + 1
+    n_kx = decomp.kx_nodes.size
+    buf.write(_csv_rows("%d,%.17g,%.17g,0\n", np.repeat(np.arange(levels), n_kx),
+                        np.tile(decomp.kx_nodes, levels), decomp.f_table().ravel()))
     f_path.write_text(buf.getvalue())
 
     u_path = out / "decomposition_u.csv"
     buf = io.StringIO()
     buf.write(_csv_header(config, "overlap matrix U_mn"))
     buf.write("m,n,re,im\n")
-    for m in range(decomp.n_max + 1):
-        for n in range(decomp.n_max + 1):
-            buf.write(f"{m},{n},{_fmt17(u_overlap(decomp, m, n))},{_fmt17(0.0)}\n")
+    buf.write("".join("%d,%d,%.17g,0\n" % (m, n, u_overlap(decomp, m, n))
+                      for m in range(levels) for n in range(levels)))
     u_path.write_text(buf.getvalue())
     return [f_path, u_path]
 
@@ -397,8 +402,8 @@ def run(
         buf = io.StringIO()
         buf.write(_csv_header(config, "truncated-matrix eigenvalues at kx=kz=0"))
         buf.write("index,energy\n")
-        for i, e in enumerate(ham.eigenvalues()):
-            buf.write(f"{i},{_fmt17(e)}\n")
+        energies = ham.eigenvalues()
+        buf.write(_csv_rows("%d,%.17g\n", np.arange(energies.size), energies))
         eig_path.write_text(buf.getvalue())
         files.append(eig_path)
 

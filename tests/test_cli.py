@@ -48,6 +48,9 @@ BAD_INPUTS = (
     ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = 0", "pad_factor"),
     ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = -2", "pad_factor"),
     ("position_unit = L", "position_unit = L\n[spectral]\nwindow = foo", "window"),
+    ("position_unit = L", "position_unit = L\n[oracle]\nn_trunc = -3", "n_trunc"),
+    ("kx_nodes = 64", "kx_nodes = 64\ny_nodes = -1", "y_nodes"),
+    ("k0x = 1.4142135623730951", "k0x = 1.4142135623730951\ncomponent = 3", "component"),
 )
 
 
@@ -308,3 +311,24 @@ def test_svg_outputs_are_well_formed_xml(tmp_path, capsys):
         assert root.tag.endswith("svg")
         assert any(child.tag.endswith("polyline") for child in root.iter())
     capsys.readouterr()
+
+
+def test_a_run_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only: its import alone costs about 0.3 s a run
+    config = _write(tmp_path, SMALL_CONFIG)
+    script = (
+        "import sys, zbsim.cli, zbsim.runner\n"
+        f"code = zbsim.cli.main(['run', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(zbsim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert not any(dep.startswith("scipy") for dep in pyproject["project"]["dependencies"])
+    assert any(dep.startswith("scipy") for dep in pyproject["project"]["optional-dependencies"]["test"])

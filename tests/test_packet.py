@@ -3,7 +3,8 @@
 The oracle path evaluates the defining overlap integrals with
 scipy.integrate.quad / dense trapezoids and explicit normalised Hermite
 functions; expected values below were frozen from it and the oracle is kept
-here so they can be regenerated.
+here so they can be regenerated.  The in-house Gauss rules are checked
+against scipy.special's and against the exact moments they must integrate.
 """
 
 import math
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import roots_hermite, roots_legendre
 
 from zbsim.errors import ConvergenceError, TruncationError
 from zbsim.packet import (
@@ -23,6 +25,8 @@ from zbsim.packet import (
     decompose,
     f_coeff,
     g_z,
+    gauss_hermite,
+    gauss_legendre,
     momentum_profile_x,
     u_overlap,
 )
@@ -260,3 +264,39 @@ def test_f_coeff_flags_unconverged_quadrature():
 
     with pytest.raises(QuadratureError):
         f_coeff(TRAP_PACKET, 40, 0.3, B_ONE, y_nodes=4)
+
+
+# preset counts (kx 96/192, y 136/272, kz 160/320) and the largest a test
+# reaches (kx_nodes = 512, doubled), plus 2048 where weights underflow
+RULE_COUNTS = (1, 2, 3, 24, 96, 136, 160, 272, 320, 1024, 2048)
+
+
+@pytest.mark.parametrize(
+    ("rule", "reference", "moment"),
+    [
+        (gauss_legendre, roots_legendre, lambda k: 2.0 / (2 * k + 1)),
+        (gauss_hermite, roots_hermite, lambda k: math.gamma(k + 0.5)),
+    ],
+    ids=["legendre", "hermite"],
+)
+def test_gauss_rules_match_scipy_and_are_exact(rule, reference, moment):
+    for n in RULE_COUNTS:
+        x, w = rule(n)
+        x_ref, w_ref = reference(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+        assert np.array_equal(x, -x[::-1]) and np.all(np.diff(x) > 0.0)
+        assert np.all(np.abs(x - x_ref) <= 1e-13 * np.maximum(1.0, np.abs(x_ref))), n
+        # scipy's own endpoint Legendre weight at 2048 is off by 1.4e-7
+        big = w_ref >= 1e-280
+        assert np.all(np.abs(w[big] - w_ref[big]) <= 1e-6 * w_ref[big]), n
+        # exact for polynomials of degree <= 2n - 1
+        for k in range(min(8, n)):
+            total = math.fsum(w * x ** (2 * k))
+            assert abs(total - moment(k)) <= 1e-13 * moment(k), (n, k)
+
+
+def test_gauss_rules_reject_empty_rules():
+    for rule in (gauss_legendre, gauss_hermite):
+        with pytest.raises(ValueError, match="at least one node"):
+            rule(0)
