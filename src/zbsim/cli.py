@@ -6,7 +6,8 @@
     zbsim run --list-scenarios
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-convergence
-failure, 4 reference mismatch beyond tolerance.
+failure (a truncation or quadrature that did not converge), 4 reference
+mismatch beyond tolerance.
 """
 
 from __future__ import annotations
@@ -15,10 +16,27 @@ import argparse
 import os
 import sys
 
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    OracleMismatchError,
+    QuadratureError,
+    TruncationError,
+)
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_ORACLE = 4
+
+# every zbsim.errors type: its exit code and the prefix of its message
+EXIT_CODES = {
+    ConfigError: (EXIT_CONFIG, "configuration error"),
+    ConvergenceError: (EXIT_CONVERGENCE, "numerical convergence failure"),
+    QuadratureError: (EXIT_CONVERGENCE, "numerical convergence failure"),
+    TruncationError: (EXIT_CONVERGENCE, "numerical convergence failure"),
+    OracleMismatchError: (EXIT_ORACLE, "reference mismatch"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +85,6 @@ def main(argv: list[str] | None = None) -> int:
             os.environ[var] = str(threads)
 
     # heavy imports after the thread environment is pinned
-    from .errors import ConfigError, ConvergenceError, OracleMismatchError, QuadratureError
     from .runner import PRESET_NAMES, load_config_file, load_preset, run
 
     if args.list_scenarios:
@@ -84,26 +101,16 @@ def main(argv: list[str] | None = None) -> int:
             config = load_config_file(args.config)
         else:
             raise ConfigError("a config file or --scenario is required")
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         result = run(
             config,
             args.out,
             check_oracle=args.check_oracle,
             dump_decomposition=args.dump_decomposition,
         )
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (QuadratureError, ConvergenceError) as exc:
-        print(f"numerical convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except OracleMismatchError as exc:
-        print(f"reference mismatch: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
+    except tuple(EXIT_CODES) as exc:
+        code, cause = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
+        print(f"{cause}: {exc}", file=sys.stderr)
+        return code
 
     print(f"run complete: kappa = {result.kappa:.6g}, n_max = {result.n_max}, "
           f"tail = {result.tail_mass:.2e}, significant peaks = {result.richness}")

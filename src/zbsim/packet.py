@@ -26,6 +26,12 @@ count exceeds (n+1)/2.  Overlap matrix entries are then
 on a Gauss-Hermite kx grid scaled to the packet momentum width, with
 probability-normalised weights w_i (sum_i w_i = 1).
 
+The overlaps are evaluated level by level: overlap_levels runs the Hermite
+recurrence one step per level, and decompose draws levels only until the
+tail mass 1 - sum_{n<=N} U_{n,n} falls below the tolerance, so no level
+above the truncation n_max is computed, on the kx grid or on the doubled
+grid of the convergence check.
+
 The Gauss rules are computed here with numpy alone.  Both refine their
 non-negative nodes by Newton's method on the three-term recurrence of the
 orthonormal polynomials and mirror them; the weights are the Christoffel
@@ -39,7 +45,9 @@ far out its node lies.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,6 +58,13 @@ from .params import Dimensionality, SimParams
 _PI_QUARTER = math.pi ** 0.25
 _NEWTON_STEPS = 50
 _RESCALE_EVERY = 16  # recurrence steps between rescalings; |p| grows < (1.5|x| + 1)^16 between
+
+# The largest dense float64 array (32 MiB) that a node count, level cap or
+# matrix truncation may imply; larger settings are rejected before anything
+# is allocated.
+MAX_ARRAY = 1 << 22
+# An n-node Gauss-Hermite rule solves an (n/2) x (n/2) Jacobi matrix.
+MAX_NODES = 2 * math.isqrt(MAX_ARRAY)
 
 
 def _recurrence(x: np.ndarray, n: int, a: np.ndarray, p0: float):
@@ -177,6 +192,27 @@ class Numerics:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        # the largest arrays are the Jacobi matrix of each Gauss rule, the
+        # (y x kx) arrays of the overlap recurrence and the (levels x kx)
+        # overlap table, on the doubled grids when the convergence check is on
+        grid = 2 if self.convergence_check else 1
+        kx, y = grid * self.kx_nodes, grid * self.resolved_y_nodes()
+        y_key = "y_nodes" if self.y_nodes else "n_max_cap (through the automatic y_nodes)"
+        for key, value, nodes in (
+            ("kx_nodes", self.kx_nodes, kx),
+            (y_key, self.y_nodes or self.n_max_cap, y),
+            ("kz_nodes", self.kz_nodes, self.kz_nodes),
+        ):
+            if nodes > MAX_NODES:
+                raise ValueError(
+                    f"{key} = {value} needs a Gauss rule of {nodes} nodes, above {MAX_NODES}"
+                )
+        for keys, rows in ((f"kx_nodes and {y_key}", y),
+                           ("kx_nodes and n_max_cap", self.n_max_cap + 1)):
+            if rows * kx > MAX_ARRAY:
+                raise ValueError(
+                    f"{keys} need a {rows} x {kx} overlap array, above {MAX_ARRAY} elements"
+                )
 
     def resolved_y_nodes(self) -> int:
         if self.y_nodes > 0:
@@ -184,11 +220,11 @@ class Numerics:
         return max(48, self.n_max_cap // 2 + 8)
 
     def doubled(self) -> "Numerics":
+        """The kx and y quadratures at twice the nodes, for the convergence check."""
         return replace(
             self,
             kx_nodes=2 * self.kx_nodes,
             y_nodes=2 * self.resolved_y_nodes(),
-            kz_nodes=2 * self.kz_nodes,
             convergence_check=False,
         )
 
@@ -212,26 +248,36 @@ def momentum_profile_x(packet: GaussianPacket, kx) -> np.ndarray | float:
     )
 
 
-def _weighted_hermite_sums(
-    xi_star: np.ndarray, scale: float, n_top: int, y_nodes: int
-) -> np.ndarray:
-    """S[n, i] = sum_j w_j h_n(xi_star_i + scale*u_j) for GH nodes (u_j, w_j).
+def overlap_levels(
+    packet: GaussianPacket, params: SimParams, kx: np.ndarray, y_nodes: int
+) -> Iterator[np.ndarray]:
+    """Phi_n(kx_i), the overlap of the y profile with oscillator level n, for n = 0, 1, 2, ...
 
-    h_n is the normalised Hermite polynomial H_n / C_n.  The recurrence is
-    seeded with the quadrature weights so intermediate products stay
-    representable even where w_j underflows and h_n overflows separately.
+    Each level costs one step of the Hermite recurrence on the (y_nodes, kx)
+    grid, so a caller draws only the levels it keeps.  The recurrence is
+    seeded with the quadrature weights, so intermediate products stay
+    representable even where a weight underflows and h_n overflows
+    separately; past an overflow the levels are not finite, and the caller
+    silences the overflow warnings (np.errstate) around its draws.
     """
+    ell = params.magnetic_length
+    a = ell * ell / (2.0 * packet.d_y**2)
+    s = math.sqrt(2.0 / (2.0 * a + 1.0))
+    c = np.asarray(kx) * ell
+    xi_star = -2.0 * a * c / (2.0 * a + 1.0)
+    q_star = a * (xi_star + c) ** 2 + 0.5 * xi_star**2
+    pref = math.sqrt(ell) * (math.pi * packet.d_y**2) ** -0.25 * s
+    factor = pref * np.exp(-q_star)
+    # sum_j w_j h_n(xi_star_i + s u_j) on Gauss-Hermite nodes (u_j, w_j), with
+    # h_n = H_n / C_n the normalised Hermite polynomial
     u, w = gauss_hermite(y_nodes)
-    xi = xi_star[None, :] + scale * u[:, None]  # (y_nodes, n_kx)
-    out = np.empty((n_top + 1, xi_star.size))
+    xi = xi_star[None, :] + s * u[:, None]  # (y_nodes, n_kx)
     t_prev = np.zeros(xi.shape)  # h_{-1} = 0 starts the recurrence
     t_cur = np.broadcast_to((w / _PI_QUARTER)[:, None], xi.shape).copy()
-    out[0] = t_cur.sum(axis=0)
-    for n in range(n_top):
+    for n in itertools.count():
+        yield factor * t_cur.sum(axis=0)
         t_next = math.sqrt(2.0 / (n + 1)) * xi * t_cur - math.sqrt(n / (n + 1.0)) * t_prev
-        out[n + 1] = t_next.sum(axis=0)
         t_prev, t_cur = t_cur, t_next
-    return out
 
 
 def oscillator_overlaps(
@@ -241,22 +287,15 @@ def oscillator_overlaps(
     n_top: int,
     y_nodes: int,
 ) -> np.ndarray:
-    """Phi[n, i]: overlap of the y profile with oscillator level n at kx_i.
+    """Phi[n, i] for n = 0..n_top: the first n_top + 1 rows of overlap_levels.
 
     Exact (up to roundoff) for y_nodes >= (n_top + 1)/2 since the integrand
     is a single Gaussian times a polynomial of degree n.  Levels where the
     recurrence overflowed are not finite (see check_finite_overlaps).
     """
-    ell = params.magnetic_length
-    a = ell * ell / (2.0 * packet.d_y**2)
-    s = math.sqrt(2.0 / (2.0 * a + 1.0))
-    c = np.asarray(kx) * ell
-    xi_star = -2.0 * a * c / (2.0 * a + 1.0)
-    q_star = a * (xi_star + c) ** 2 + 0.5 * xi_star**2
-    pref = math.sqrt(ell) * (math.pi * packet.d_y**2) ** -0.25 * s
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = _weighted_hermite_sums(xi_star, s, n_top, y_nodes)
-        return pref * np.exp(-q_star)[None, :] * sums
+        levels = overlap_levels(packet, params, kx, y_nodes)
+        return np.array(list(itertools.islice(levels, n_top + 1)))
 
 
 def check_finite_overlaps(values: np.ndarray, kx: np.ndarray, packet: GaussianPacket, params: SimParams):
@@ -367,10 +406,12 @@ def decompose(
 ) -> PacketDecomposition:
     """Expand the packet over the Landau basis and build the overlap tables.
 
-    The truncation n_max is the smallest level with tail mass below
-    numerics.tail_tol (ConvergenceError if the cap is too small).  With
-    convergence_check on, the kx/y quadratures are re-run at doubled node
-    counts and must agree to numerics.convergence_tol.  Only an overlap
+    The truncation n_max is the smallest level, at least
+    min(n_max_floor, n_max_cap), with tail mass below numerics.tail_tol
+    (ConvergenceError if the cap is too small).  Levels are drawn one at a
+    time until then; none above n_max is evaluated.  With convergence_check
+    on, the kx/y quadratures are re-run at doubled node counts for levels
+    0..n_max and must agree to numerics.convergence_tol.  An overlap
     overflow at or below n_max is a ConvergenceError.
     """
     if packet.component != 2:
@@ -380,39 +421,52 @@ def decompose(
     num = numerics if numerics is not None else Numerics()
     run_mode = mode if mode is not None else params.dimensionality
 
-    def build(n: Numerics):
+    def grid(n: Numerics):
+        """kx nodes and weights, the level generator and a zero table of
+        squared overlaps for levels 0..n_max_cap.  The diagonal is one
+        product over the whole table, so each level rounds as in a product
+        over all n_max_cap + 1 levels, whichever of them have been drawn."""
         u, w = gauss_hermite(n.kx_nodes)
         kx = packet.k0x + u / packet.d_x
-        weights = w / math.sqrt(math.pi)
-        phi = oscillator_overlaps(packet, params, kx, n.n_max_cap, n.resolved_y_nodes())
-        with np.errstate(over="ignore", invalid="ignore"):
-            diag_full = phi**2 @ weights
-        return kx, weights, phi, diag_full
+        levels = overlap_levels(packet, params, kx, n.resolved_y_nodes())
+        return kx, w / math.sqrt(math.pi), levels, np.zeros((n.n_max_cap + 1, kx.size))
 
-    kx, weights, phi, diag_full = build(num)
-    cum = np.cumsum(diag_full)
-    ok = np.nonzero(1.0 - cum < num.tail_tol)[0]
-    n_max = max(int(ok[0]) if ok.size else num.n_max_cap, min(num.n_max_floor, num.n_max_cap))
-    check_finite_overlaps(diag_full[: n_max + 1], kx, packet, params)
-    if ok.size == 0:
-        raise ConvergenceError(
-            f"tail mass {1.0 - cum[-1]:.3e} above {num.tail_tol:.1e} at the "
-            f"cap n_max_cap={num.n_max_cap}; raise the cap"
-        )
-    tail = float(1.0 - cum[n_max])
+    kx, weights, levels, squares = grid(num)
+    rows = []
+    cum = 0.0
+    least = min(num.n_max_floor, num.n_max_cap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n_max, row in zip(range(num.n_max_cap + 1), levels):
+            rows.append(row)
+            squares[n_max] = row**2
+            u_diag = squares @ weights
+            check_finite_overlaps(u_diag[: n_max + 1], kx, packet, params)
+            cum += u_diag[n_max]
+            if n_max >= least and 1.0 - cum < num.tail_tol:
+                break
+        else:
+            raise ConvergenceError(
+                f"tail mass {1.0 - cum:.3e} above {num.tail_tol:.1e} at the "
+                f"cap n_max_cap={num.n_max_cap}; raise the cap"
+            )
+    tail = float(1.0 - cum)
+    u_diag = u_diag[: n_max + 1]
 
     if num.convergence_check:
-        kx2, _, _, diag2 = build(num.doubled())
-        check_finite_overlaps(diag2[: n_max + 1], kx2, packet, params)
-        dev = float(np.max(np.abs(diag2[: n_max + 1] - diag_full[: n_max + 1])))
+        kx2, weights2, levels2, squares2 = grid(num.doubled())
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, row in zip(range(n_max + 1), levels2):
+                squares2[n] = row**2
+            diag2 = (squares2 @ weights2)[: n_max + 1]
+        check_finite_overlaps(diag2, kx2, packet, params)
+        dev = float(np.max(np.abs(diag2 - u_diag)))
         if dev > num.convergence_tol:
             raise QuadratureError(
                 f"decomposition quadrature not converged: diagonal shift {dev:.3e} "
                 f"on doubling (tolerance {num.convergence_tol:.1e})"
             )
 
-    phi = phi[: n_max + 1]
-    u_diag = diag_full[: n_max + 1]
+    phi = np.array(rows)
     u_band = (phi[:-1] * phi[1:]) @ weights if n_max >= 1 else np.zeros(0)
 
     if run_mode is Dimensionality.THREE_PLUS_ONE:

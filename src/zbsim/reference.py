@@ -29,6 +29,7 @@ import numpy as np
 
 from .dynamics import Trajectory, _banded_trajectory, line_sum
 from .packet import (
+    MAX_ARRAY,
     GaussianPacket,
     Numerics,
     PacketDecomposition,
@@ -52,6 +53,9 @@ BETA = np.block([[_EYE2, _ZERO2], [_ZERO2, -_EYE2]])
 # Line amplitudes at or below this fraction of a kz node's largest entry
 # are roundoff and are not evaluated.
 _LINE_CUTOFF = 1e-15
+
+# the largest truncation whose 4(n_trunc + 1)-square fibre matrix fits MAX_ARRAY
+MAX_N_TRUNC = math.isqrt(MAX_ARRAY) // 4 - 1
 
 
 def lowering_matrix(n_trunc: int) -> np.ndarray:
@@ -101,8 +105,8 @@ class TruncatedHamiltonian:
 
 def build_matrix(kz: float, n_trunc: int, params: SimParams) -> TruncatedHamiltonian:
     """Assemble the real symmetric fibre Hamiltonian at kz on levels 0..n_trunc (any kx)."""
-    if n_trunc < 0:
-        raise ValueError("n_trunc must be non-negative")
+    if not 0 <= n_trunc <= MAX_N_TRUNC:
+        raise ValueError(f"n_trunc must be in 0..{MAX_N_TRUNC}, got {n_trunc}")
     b = params.field_ratio_b
     a = lowering_matrix(n_trunc)
     eye = np.eye(n_trunc + 1)

@@ -41,7 +41,7 @@ from .ionmap import (
 )
 from .packet import GaussianPacket, Numerics, PacketDecomposition, decompose, u_overlap
 from .params import Dimensionality, SimParams, make_params, make_params_dimensionless
-from .reference import build_matrix, oracle_trajectory
+from .reference import MAX_N_TRUNC, build_matrix, oracle_trajectory
 from .spectral import MIN_SAMPLES, WINDOWS, SpectrumReport, classify_peaks, richness, spectrum
 from .svg import Series, line_plot
 
@@ -71,8 +71,10 @@ class OracleOptions:
     tol_in_l: float = 1e-6  # in magnetic lengths
 
     def __post_init__(self) -> None:
-        if self.n_trunc < 0:
-            raise ValueError(f"n_trunc must be >= 0 (0 = automatic), got {self.n_trunc}")
+        if not 0 <= self.n_trunc <= MAX_N_TRUNC:
+            raise ValueError(
+                f"n_trunc must be in 0..{MAX_N_TRUNC} (0 = automatic), got {self.n_trunc}"
+            )
         if self.tol_in_l <= 0.0:
             raise ValueError("tol_in_l must be positive")
 
@@ -388,6 +390,11 @@ def run(
     oracle_dev = None
     files: list[Path] = []
     if check_oracle or config.oracle.enabled:
+        if decomp.n_max + 12 > MAX_N_TRUNC:  # the eigenvalue table's truncation
+            raise ConfigError(
+                f"[oracle] the reference matrices need the truncation n_max + 12 = "
+                f"{decomp.n_max + 12}, above {MAX_N_TRUNC}; run without the oracle check"
+            )
         n_trunc = config.oracle.n_trunc if config.oracle.n_trunc > 0 else None
         oracle = oracle_trajectory(
             packet, params, t_grid, config.mode, n_trunc=n_trunc, decomp=decomp

@@ -89,10 +89,11 @@ def line_plot(
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(x: float) -> float:
+    # pixel coordinates of a value or of a whole series
+    def px(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = ['<?xml version="1.0" encoding="UTF-8"?>']
@@ -123,10 +124,8 @@ def line_plot(
         )
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(
-            f"{px(float(a)):.2f},{py(float(b)):.2f}"
-            for a, b in zip(np.asarray(s.x), np.asarray(s.y))
-        )
+        xy = np.column_stack((px(np.asarray(s.x, dtype=float)), py(np.asarray(s.y, dtype=float))))
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )

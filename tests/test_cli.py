@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import zbsim
-from zbsim.cli import main
-from zbsim.errors import ConfigError
+import zbsim.errors
+from zbsim.cli import EXIT_CODES, main
+from zbsim.errors import ConfigError, TruncationError
 from zbsim.runner import PRESET_NAMES, load_preset, parse_config
 
 SMALL_CONFIG = """
@@ -51,6 +52,13 @@ BAD_INPUTS = (
     ("position_unit = L", "position_unit = L\n[oracle]\nn_trunc = -3", "n_trunc"),
     ("kx_nodes = 64", "kx_nodes = 64\ny_nodes = -1", "y_nodes"),
     ("k0x = 1.4142135623730951", "k0x = 1.4142135623730951\ncomponent = 3", "component"),
+    # sizes whose arrays would pass 32 MiB, rejected before anything is allocated
+    ("kx_nodes = 64", "kx_nodes = 4096", "kx_nodes"),
+    ("kx_nodes = 64", "kx_nodes = 64\ny_nodes = 3000", "y_nodes"),
+    ("kx_nodes = 64", "kx_nodes = 64\nkz_nodes = 8192", "kz_nodes"),
+    ("kx_nodes = 64", "kx_nodes = 64\nn_max_cap = 100000", "n_max_cap"),
+    ("kx_nodes = 64", "kx_nodes = 1500\ny_nodes = 1500", "kx_nodes and y_nodes"),
+    ("position_unit = L", "position_unit = L\n[oracle]\nn_trunc = 512", "n_trunc"),
 )
 
 
@@ -101,6 +109,30 @@ def test_cli_exit_codes_for_bad_invocations(tmp_path, capsys):
         path = _write(tmp_path, SMALL_CONFIG.replace(old, new), f"bad{i}.ini")
         assert main(["run", str(path), "--out", str(tmp_path / f"out{i}")]) == 2
         assert cause in capsys.readouterr().err
+
+
+def test_every_error_type_has_an_exit_code(tmp_path, capsys, monkeypatch):
+    types = [obj for obj in vars(zbsim.errors).values()
+             if isinstance(obj, type) and issubclass(obj, Exception)]
+    assert len(types) == 5 and set(types) == set(EXIT_CODES)
+    assert {code for code, _ in EXIT_CODES.values()} == {2, 3, 4}
+
+    def truncated(*args, **kwargs):
+        raise TruncationError("U_(0,40) beyond the truncation n_max=33")
+
+    monkeypatch.setattr("zbsim.runner.run", truncated)
+    config = _write(tmp_path, SMALL_CONFIG)
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical convergence failure: U_(0,40)" in err and "Traceback" not in err
+
+
+def test_oracle_truncation_beyond_the_bound_exit_code(tmp_path, capsys, monkeypatch):
+    # SMALL_CONFIG converges at n_max = 31; the reference would need n_trunc = 43
+    monkeypatch.setattr("zbsim.runner.MAX_N_TRUNC", 42)
+    config = _write(tmp_path, SMALL_CONFIG)
+    assert main(["run", str(config), "--out", str(tmp_path / "out"), "--check-oracle"]) == 2
+    assert "n_max + 12 = 43, above 42" in capsys.readouterr().err
 
 
 def test_overflowing_packet_width_exit_code(tmp_path, capsys):

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_hermite, roots_legendre
 
+import zbsim.packet
 from zbsim.errors import ConvergenceError, TruncationError
 from zbsim.packet import (
+    MAX_NODES,
     GaussianPacket,
     Numerics,
     decompose,
@@ -28,9 +30,12 @@ from zbsim.packet import (
     gauss_hermite,
     gauss_legendre,
     momentum_profile_x,
+    oscillator_overlaps,
+    overlap_levels,
     u_overlap,
 )
 from zbsim.params import Dimensionality, make_params_dimensionless
+from zbsim.runner import OracleOptions, load_preset
 
 B_ONE = make_params_dimensionless(1.0, Dimensionality.TWO_PLUS_ONE)
 
@@ -193,6 +198,115 @@ def test_overlap_overflow_above_truncation_is_unused():
             decompose(NARROW_PACKET, B_ONE, unchecked)
         with pytest.raises(ConvergenceError, match="overflowed at level 268 on 1 kx nodes"):
             f_coeff(NARROW_PACKET, 300, 200.0 / math.sqrt(2.0), B_ONE)
+
+
+def _overlap_table(packet, params, kx, n_top, y_nodes):
+    """All levels 0..n_top at once: the recurrence over a preallocated table."""
+    ell = params.magnetic_length
+    a = ell * ell / (2.0 * packet.d_y**2)
+    s = math.sqrt(2.0 / (2.0 * a + 1.0))
+    c = kx * ell
+    xi_star = -2.0 * a * c / (2.0 * a + 1.0)
+    q_star = a * (xi_star + c) ** 2 + 0.5 * xi_star**2
+    pref = math.sqrt(ell) * (math.pi * packet.d_y**2) ** -0.25 * s
+    u, w = gauss_hermite(y_nodes)
+    xi = xi_star[None, :] + s * u[:, None]
+    sums = np.empty((n_top + 1, kx.size))
+    t_prev = np.zeros(xi.shape)
+    t_cur = np.broadcast_to((w / math.pi**0.25)[:, None], xi.shape).copy()
+    sums[0] = t_cur.sum(axis=0)
+    for n in range(n_top):
+        t_next = math.sqrt(2.0 / (n + 1)) * xi * t_cur - math.sqrt(n / (n + 1.0)) * t_prev
+        sums[n + 1] = t_next.sum(axis=0)
+        t_prev, t_cur = t_cur, t_next
+    return pref * np.exp(-q_star)[None, :] * sums
+
+
+def _preset_grids(name):
+    """Packet, field and both kx grids (with their y node counts) of a preset."""
+    config = load_preset(name)
+    params, _ = config.build_params()
+    packet = config.build_packet(params)
+    grids = []
+    for num in (config.numerics, config.numerics.doubled()):
+        u, w = gauss_hermite(num.kx_nodes)
+        grids.append((packet.k0x + u / packet.d_x, w / math.sqrt(math.pi), num.resolved_y_nodes()))
+    return config, params, packet, grids
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2a"])
+def test_overlap_levels_match_the_full_table(name):
+    _, params, packet, grids = _preset_grids(name)
+    for kx, _, y_nodes in grids:
+        table = _overlap_table(packet, params, kx, 256, y_nodes)
+        levels = overlap_levels(packet, params, kx, y_nodes)
+        assert np.all(np.isfinite(table))
+        for n in range(257):
+            assert np.array_equal(next(levels), table[n]), n
+        assert np.array_equal(oscillator_overlaps(packet, params, kx, 256, y_nodes), table)
+
+
+def _counting_levels(monkeypatch):
+    """Rows drawn from each overlap_levels generator decompose creates."""
+    counts = []
+
+    def counted(*args):
+        counts.append(0)
+        for row in overlap_levels(*args):
+            counts[-1] += 1
+            yield row
+
+    monkeypatch.setattr(zbsim.packet, "overlap_levels", counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2a"])
+def test_decompose_draws_only_the_kept_levels(name, monkeypatch):
+    config, params, packet, grids = _preset_grids(name)
+    counts = _counting_levels(monkeypatch)
+    dec = decompose(packet, params, config.numerics, config.mode)
+    assert counts == [dec.n_max + 1, dec.n_max + 1]
+    # the diagonal and the tail are those of the full n_max_cap table
+    kx, weights, y_nodes = grids[0]
+    diag = _overlap_table(packet, params, kx, config.numerics.n_max_cap, y_nodes) ** 2 @ weights
+    cum = np.cumsum(diag)
+    assert dec.n_max == np.flatnonzero(1.0 - cum < config.numerics.tail_tol)[0]
+    assert np.array_equal(dec.u_diag, diag[: dec.n_max + 1])
+    assert dec.tail_mass == 1.0 - cum[dec.n_max]
+    # a floor above the natural truncation draws floor + 1 levels on each grid
+    counts.clear()
+    floor = dec.n_max + 7
+    raised = decompose(packet, params, replace(config.numerics, n_max_floor=floor), config.mode)
+    assert raised.n_max == floor and raised.phi.shape[0] == floor + 1
+    assert counts == [floor + 1, floor + 1]
+    assert np.array_equal(raised.u_diag, diag[: floor + 1])
+    assert np.array_equal(raised.phi[: dec.n_max + 1], dec.phi)
+    # reaching the cap draws every level up to it once
+    counts.clear()
+    with pytest.raises(ConvergenceError, match="at the cap n_max_cap=4"):
+        decompose(packet, params, replace(config.numerics, n_max_cap=4), config.mode)
+    assert counts == [5]
+
+
+def test_node_counts_and_caps_are_bounded():
+    # the largest values the tests and the acceptance criteria use
+    Numerics(kx_nodes=512, n_max_cap=512)
+    Numerics(kz_rule="legendre", kz_nodes=2048)
+    Numerics(kx_nodes=MAX_NODES // 2)
+    Numerics(kx_nodes=MAX_NODES, convergence_check=False)
+    OracleOptions(n_trunc=511)
+    for kwargs, key in (
+        ({"kx_nodes": MAX_NODES // 2 + 1}, "kx_nodes"),
+        ({"y_nodes": MAX_NODES // 2 + 1}, "y_nodes"),
+        ({"kz_nodes": MAX_NODES + 1}, "kz_nodes"),
+        ({"n_max_cap": 100000}, "n_max_cap"),
+        ({"kx_nodes": 1500, "y_nodes": 1500}, "kx_nodes and y_nodes"),
+        ({"kx_nodes": 2048, "y_nodes": 64, "n_max_cap": 4000}, "kx_nodes and n_max_cap"),
+    ):
+        with pytest.raises(ValueError, match=key):
+            Numerics(**kwargs)
+    with pytest.raises(ValueError, match="n_trunc"):
+        OracleOptions(n_trunc=512)
 
 
 def test_quadrature_doubling_is_converged():
