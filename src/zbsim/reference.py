@@ -9,8 +9,10 @@ operators of the oscillator coordinate xi = y/L - kx L:
 in natural units (hbar*omega = b, mc^2 = c = 1).  i alpha_y is real, so the
 matrix is real symmetric and is assembled, solved and collapsed in real
 arithmetic.  It is independent of kx; kx enters only through the packet
-coefficients, so one dense symmetric solve per kz node serves every kx
-quadrature fibre.
+coefficients, so one eigensystem per kz node serves every kx quadrature
+fibre.  The matrix falls apart into small connected blocks (4 x 4 at
+kz != 0, 2 x 2 at kz = 0), read off its nonzero pattern; each block gets its
+own symmetric solve, so eigenvectors are exactly zero off their block.
 
 Truncating the ladder at level N leaves, besides the exact eigenstates with
 n <= N, a two-dimensional remnant on the top oscillator level whose
@@ -81,9 +83,10 @@ class TruncatedHamiltonian:
         return self.matrix.shape[0]
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (eigenvalues, real eigenvectors) from a dense symmetric solve."""
+        """Cached (ascending eigenvalues, real eigenvectors), one symmetric
+        solve per connected block of the matrix (see _block_eigh)."""
         if self._eig is None:
-            self._eig = np.linalg.eigh(self.matrix)
+            self._eig = _block_eigh(self.matrix)
         return self._eig
 
     def eigenvalues(self) -> np.ndarray:
@@ -101,6 +104,44 @@ class TruncatedHamiltonian:
         vals = np.repeat(e, mult)
         vals = np.concatenate([vals, [e[0]]])  # remnant pair at +-E_0
         return np.sort(np.concatenate([vals, -vals]))
+
+
+def _components(matrix: np.ndarray) -> np.ndarray:
+    """Per index, the smallest index joined to it by a path of nonzero
+    entries: min-label propagation with pointer jumping."""
+    pattern = matrix != 0
+    rows, cols = np.nonzero(pattern | pattern.T)
+    label = np.arange(matrix.shape[0])
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _block_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a real symmetric matrix, solved block by block.
+
+    The blocks are the connected components of the nonzero pattern, so a
+    stray coupling merges two blocks rather than being dropped.  Blocks of
+    one size go through one batched eigh; each block's eigenvectors fill the
+    columns of its own indices, exactly zero off the block.  The eigenvalues
+    are sorted ascending by a stable sort.
+    """
+    label = _components(matrix)
+    order = np.argsort(label, kind="stable")
+    _, first, size = np.unique(label[order], return_index=True, return_counts=True)
+    vals = np.empty(matrix.shape[0])
+    vecs = np.zeros(matrix.shape)
+    for s in sorted(set(size.tolist())):  # np.unique(size) would import numpy.ma
+        idx = order[first[size == s][:, None] + np.arange(s)]  # (blocks, s)
+        vals[idx], vecs[idx[:, :, None], idx[:, None, :]] = np.linalg.eigh(
+            matrix[idx[:, :, None], idx[:, None, :]]
+        )
+    ascending = np.argsort(vals, kind="stable")
+    return vals[ascending], vecs[:, ascending]
 
 
 def build_matrix(kz: float, n_trunc: int, params: SimParams) -> TruncatedHamiltonian:
@@ -196,11 +237,12 @@ def oracle_trajectory(
         mag = np.maximum(mag, mag.T)
         j, k = np.nonzero(np.triu(mag > _LINE_CUTOFF * mag.max()))
         # the mirror entries (j, k) and (k, j) share the line w = E_j - E_k:
-        # K_jk e^{iwt} + K_kj e^{-iwt} = (K_jk + K_kj) cos wt + i (K_jk - K_kj) sin wt
+        # K_jk e^{iwt} + K_kj e^{-iwt} = (K_jk + K_kj) cos wt + i (K_jk - K_kj) sin wt,
+        # so line_sum takes the real K_jk + K_kj and K_jk - K_kj
         amps = w_kz * np.stack([k_low[j, k], k_high[j, k]], axis=1)
         mirror = w_kz * np.stack([k_low[k, j], k_high[k, j]], axis=1)
         cos_coef = np.where((j == k)[:, None], amps, amps + mirror)
-        sin_coef = 1j * (amps - mirror)
+        sin_coef = amps - mirror
         intra = pos[j] == pos[k]
         for band, sel in zip(bands, (intra, ~intra)):
             band += line_sum(t, vals[j[sel]] - vals[k[sel]], cos_coef[sel], sin_coef[sel])

@@ -39,7 +39,7 @@ from .ionmap import (
     kappa_of,
     trap_to_dirac,
 )
-from .packet import GaussianPacket, Numerics, PacketDecomposition, decompose, u_overlap
+from .packet import MAX_ARRAY, GaussianPacket, Numerics, PacketDecomposition, decompose, u_overlap
 from .params import Dimensionality, SimParams, make_params, make_params_dimensionless
 from .reference import MAX_N_TRUNC, build_matrix, oracle_trajectory
 from .spectral import MIN_SAMPLES, WINDOWS, SpectrumReport, classify_peaks, richness, spectrum
@@ -209,6 +209,19 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
     numerics = _section(cp, "numerics", Numerics)
     spectral_opts = _section(cp, "spectral", SpectralOptions)
     oracle_opts = _section(cp, "oracle", OracleOptions)
+    # the largest arrays a run allocates past those Numerics bounds: the
+    # padded spectrum and, in 3+1, the (level pair x kz node) line tables
+    if samples * spectral_opts.pad_factor > MAX_ARRAY:
+        raise ConfigError(
+            f"[time] samples = {samples} and [spectral] pad_factor = {spectral_opts.pad_factor} "
+            f"need a {samples * spectral_opts.pad_factor}-point spectrum, above {MAX_ARRAY} elements"
+        )
+    lines = numerics.n_max_cap * numerics.kz_nodes
+    if mode is Dimensionality.THREE_PLUS_ONE and lines > MAX_ARRAY:
+        raise ConfigError(
+            f"[numerics] n_max_cap = {numerics.n_max_cap} and kz_nodes = {numerics.kz_nodes} "
+            f"need {lines}-row line tables, above {MAX_ARRAY} elements"
+        )
 
     position_unit = _get(cp, "output", "position_unit", str, "lambda_c")
     if position_unit not in ("lambda_c", "L"):

@@ -59,6 +59,11 @@ BAD_INPUTS = (
     ("kx_nodes = 64", "kx_nodes = 64\nn_max_cap = 100000", "n_max_cap"),
     ("kx_nodes = 64", "kx_nodes = 1500\ny_nodes = 1500", "kx_nodes and y_nodes"),
     ("position_unit = L", "position_unit = L\n[oracle]\nn_trunc = 512", "n_trunc"),
+    # the padded spectrum has samples x pad_factor points
+    ("samples = 512", "samples = 10000000000000", "samples = 10000000000000 and"),
+    ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = 10000000000000",
+     "pad_factor = 10000000000000 need"),
+    ("samples = 512", "samples = 1048577", "4194308-point spectrum"),
 )
 
 
@@ -95,6 +100,28 @@ def test_config_validation_errors():
     for old, new, cause in BAD_INPUTS:
         with pytest.raises(ConfigError, match=cause):
             parse_config(SMALL_CONFIG.replace(old, new))
+
+
+def test_line_tables_are_bounded_in_3plus1(tmp_path, capsys):
+    text_3d = SMALL_CONFIG.replace("mode = 2+1", "mode = 3+1").replace(
+        "k0x = 1.4142135623730951", "k0x = 1.4142135623730951\nd_z = 1.0")
+    # acceptance criterion 6's quadrature, and the largest product allowed
+    for numerics in ("kz_nodes = 2048", "kz_nodes = 4096\nn_max_cap = 1024"):
+        parse_config(text_3d.replace("kx_nodes = 64", f"kx_nodes = 64\n{numerics}"))
+    too_many = "kx_nodes = 64\nkz_nodes = 4096\nn_max_cap = 1025"
+    parse_config(SMALL_CONFIG.replace("kx_nodes = 64", too_many))  # 2+1 has one kz node
+    with pytest.raises(ConfigError, match="n_max_cap = 1025 and kz_nodes = 4096 need 4198400-row"):
+        parse_config(text_3d.replace("kx_nodes = 64", too_many))
+    path = _write(tmp_path, text_3d.replace("kx_nodes = 64", too_many))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "n_max_cap = 1025 and kz_nodes = 4096" in err and "Traceback" not in err
+
+
+def test_spectrum_bound_admits_its_largest_size():
+    parse_config(SMALL_CONFIG.replace("samples = 512", "samples = 1048576"))
+    parse_config(SMALL_CONFIG.replace("samples = 512", "samples = 4096").replace(
+        "position_unit = L", "position_unit = L\n[spectral]\npad_factor = 1024"))
 
 
 def test_cli_exit_codes_for_bad_invocations(tmp_path, capsys):

@@ -30,6 +30,7 @@ from zbsim.packet import (
 )
 from zbsim.params import Dimensionality, make_params, make_params_dimensionless
 from zbsim.reference import oracle_trajectory
+from zbsim.runner import load_preset
 
 B_ONE = make_params_dimensionless(1.0, Dimensionality.TWO_PLUS_ONE)
 FIG1_PARAMS = make_params(2e9)  # b = 0.951948764143658
@@ -71,7 +72,8 @@ def _integral_oracle(params, dz, n, t):
 def _pair_integrals(n, t, decomp, params):
     """(Ic+, Ic-, Is+, Is-) for the pair (n, n+1) at scalar t, read off the
     engine's line tables: the rows of pair n, divided by the pair's
-    prefactor 1/2 sqrt(n+1) U_{n,n+1}, summed by line_sum."""
+    prefactor 1/2 sqrt(n+1) U_{n,n+1}, summed by line_sum (the cos sums in
+    the real part, the sin sums in the imaginary part)."""
     f_minus, c_minus, s_minus, f_plus, c_plus, s_plus = _line_tables(decomp, params)
     rows = slice(n * decomp.kz_nodes.size, (n + 1) * decomp.kz_nodes.size)
     base = 0.5 * math.sqrt(n + 1.0) * decomp.u_band[n]
@@ -79,13 +81,13 @@ def _pair_integrals(n, t, decomp, params):
     zero = np.zeros((f_minus[rows].size, 1))
 
     def integral(freqs, cos_coef, sin_coef):
-        return float(line_sum(tt, freqs[rows], cos_coef, sin_coef)[0, 0].real) / base
+        return line_sum(tt, freqs[rows], cos_coef, sin_coef)[0, 0]
 
     return (
-        integral(f_minus, c_minus[rows, None], zero),
-        integral(f_plus, c_plus[rows, None], zero),
-        integral(f_minus, zero, s_minus[rows, None]),
-        integral(f_plus, zero, s_plus[rows, None]),
+        float(integral(f_minus, c_minus[rows, None], zero).real) / base,
+        float(integral(f_plus, c_plus[rows, None], zero).real) / base,
+        float(integral(f_minus, zero, s_minus[rows, None]).imag) / base,
+        float(integral(f_plus, zero, s_plus[rows, None]).imag) / base,
     )
 
 
@@ -130,14 +132,12 @@ def _explicit_line_sum(t, freqs, cos_coef, sin_coef):
     expected = np.zeros((t.size, cos_coef.shape[1]), dtype=complex)
     for i, ti in enumerate(t):
         for f, c, s in zip(freqs, cos_coef, sin_coef):
-            expected[i] += c * math.cos(f * ti) + s * math.sin(f * ti)
+            expected[i] += c * math.cos(f * ti) + 1j * s * math.sin(f * ti)
     return expected
 
 
 def _random_lines(rng, n_lines, n_cols):
-    cos_coef = rng.normal(size=(n_lines, n_cols)) + 1j * rng.normal(size=(n_lines, n_cols))
-    sin_coef = rng.normal(size=(n_lines, n_cols)) + 1j * rng.normal(size=(n_lines, n_cols))
-    return cos_coef, sin_coef
+    return rng.normal(size=(n_lines, n_cols)), rng.normal(size=(n_lines, n_cols))
 
 
 # (samples, samples per block B): 23 uniform samples fill 4 blocks of 5 and
@@ -177,6 +177,53 @@ def test_line_sum_large_phases():
     expected = _explicit_line_sum(t, freqs, cos_coef, sin_coef)
     scale = np.sum(np.abs(cos_coef) + np.abs(sin_coef), axis=0)
     assert np.max(np.abs(got - expected) / scale) < 1e-12
+
+
+def _complex_line_sum(t, freqs, cos_coef, sin_coef):
+    """Frozen copy of the earlier line_sum, which took complex C and S and
+    returned sum C cos(f t) + S sin(f t) through the real views of C and S."""
+    cos_r = np.ascontiguousarray(cos_coef, dtype=complex).view(float)
+    sin_r = np.ascontiguousarray(sin_coef, dtype=complex).view(float)
+    cols = cos_r.shape[1]
+    block = _grid_block(t)
+    starts = t[::block]
+    offsets = t[:block] - t[:1]
+    acc = np.zeros((starts.size, offsets.size * cols))
+    step = max(1, (1 << 18) // (starts.size + acc.shape[1]))
+    for lo in range(0, freqs.size, step):
+        f = freqs[lo : lo + step]
+        c = cos_r[lo : lo + step, None, :]
+        s = sin_r[lo : lo + step, None, :]
+        phase = np.outer(f, offsets)
+        cos_offset = np.cos(phase)[:, :, None]
+        sin_offset = np.sin(phase)[:, :, None]
+        p = (c * cos_offset + s * sin_offset).reshape(f.size, -1)
+        q = (s * cos_offset - c * sin_offset).reshape(f.size, -1)
+        phase = np.multiply.outer(starts, f)
+        acc += np.cos(phase) @ p
+        acc += np.sin(phase) @ q
+    return acc.reshape(-1, cols)[: t.size].view(complex)
+
+
+def test_line_sum_is_bitwise_the_complex_kernel_on_fig1():
+    # real C and S give the BLAS products the values, in the order, that the
+    # complex kernel gave them with C + 0i and 0 + iS
+    config = load_preset("fig1")
+    params, _ = config.build_params()
+    t = config.time_grid()
+    dec = decompose(config.build_packet(params), params, config.numerics, config.mode)
+    f_minus, c_minus, s_minus, f_plus, c_plus, s_plus = _line_tables(dec, params)
+    assert f_minus.size == 10560
+    for freqs, c, s, sign in ((f_minus, c_minus, s_minus, -1), (f_plus, c_plus, s_plus, 1)):
+        got = line_sum(t, freqs, c[:, None], sign * s[:, None])
+        frozen = _complex_line_sum(t, freqs, c[:, None], sign * 1j * s[:, None])
+        assert np.array_equal(got.view(np.uint64), frozen.view(np.uint64))
+
+
+def test_line_sum_rejects_complex_coefficients():
+    t = np.linspace(0.0, 1.0, 300)
+    with pytest.raises(TypeError):
+        line_sum(t, np.array([1.0]), np.ones((1, 1)), 1j * np.ones((1, 1)))
 
 
 def test_ladder_expectation_static_value():

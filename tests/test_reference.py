@@ -6,8 +6,10 @@ import pytest
 from zbsim.dynamics import trajectory
 from zbsim.landau import energy
 from zbsim.packet import GaussianPacket, decompose, oscillator_overlaps
-from zbsim.params import Dimensionality, make_params_dimensionless
+from zbsim.params import Dimensionality, make_params, make_params_dimensionless
 from zbsim.reference import (
+    _block_eigh,
+    _components,
     build_matrix,
     check_transform,
     evolve,
@@ -16,6 +18,7 @@ from zbsim.reference import (
 )
 
 B_ONE = make_params_dimensionless(1.0, Dimensionality.TWO_PLUS_ONE)
+FIG1_PARAMS = make_params(2e9)  # the fig1 preset's field
 
 
 def test_matrix_is_hermitian_and_minimal_case():
@@ -49,6 +52,13 @@ def test_spectrum_matches_closed_form(b, kz):
     assert computed.shape == expected.shape
     # all levels, including the accounted-for truncation remnant at +-E_0
     assert np.max(np.abs(computed - expected) / np.abs(expected)) < 1e-10
+    # the block solve against a dense one, and as an eigensystem
+    vals, vecs = ham.eigensystem()
+    assert np.array_equal(vals, computed)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(ham.matrix))) < 1e-13
+    assert np.max(np.abs(vals - expected)) < 1e-13
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(ham.dimension))) < 1e-13
+    assert np.max(np.abs(ham.matrix @ vecs - vecs * vals)) < 1e-13
 
 
 def test_eigenvalues_pair_up():
@@ -117,19 +127,18 @@ def test_oracle_equals_explicit_fibre_evolution():
     t = np.linspace(0.0, 8.0, 33)
     fast = oracle_trajectory(packet, params, t, decomp=dec, n_trunc=n_trunc)
 
-    # literal loop: evolve each kx fibre separately and accumulate
+    # literal loop: evolve each kx fibre separately, with a dense solve that
+    # shares no code with the oracle's block solve, and accumulate
     ham = build_matrix(0.0, n_trunc, params)
+    vals, vecs = np.linalg.eigh(ham.matrix)
     phi = oscillator_overlaps(packet, params, dec.kx_nodes, n_trunc, 64)
     a_full = np.kron(np.eye(4), lowering_matrix(n_trunc))
     a_t = np.zeros(t.size, dtype=complex)
     for i, w in enumerate(dec.kx_weights):
         c0 = np.zeros(ham.dimension, dtype=complex)
         c0[n_trunc + 1 : 2 * (n_trunc + 1)] = phi[:, i]
-        weight = np.linalg.norm(c0) ** 2
-        if weight == 0.0:
-            continue
-        ct = evolve(ham, c0 / np.sqrt(weight), t)
-        a_t += w * weight * np.einsum("it,ij,jt->t", ct.conj(), a_full, ct)
+        ct = vecs @ (np.exp(-1j * np.outer(vals, t)) * (vecs.T @ c0)[:, None])
+        a_t += w * np.einsum("it,ij,jt->t", ct.conj(), a_full, ct)
     x = (ell * (a_t - a_t.conj()) / (1j * math.sqrt(2.0))).real
     y = (ell * (a_t + a_t.conj()) / math.sqrt(2.0)).real
     assert np.max(np.abs(x - fast.x)) < 1e-10
@@ -172,3 +181,46 @@ def test_transform_check():
 def test_build_matrix_rejects_negative_truncation():
     with pytest.raises(ValueError):
         build_matrix(0.0, -1, B_ONE)
+
+
+@pytest.mark.parametrize("kz, blocks", [(0.37, {4: 45, 2: 2}), (0.0, {2: 90, 1: 4})])
+def test_fig1_fibre_falls_into_small_blocks(kz, blocks):
+    ham = build_matrix(kz, 45, FIG1_PARAMS)  # fig1's oracle truncation, n_max + 12
+    _, size = np.unique(_components(ham.matrix), return_counts=True)
+    assert dict(zip(*np.unique(size, return_counts=True))) == blocks
+    # each eigenvector is exactly zero off its block
+    assert np.count_nonzero(ham.eigensystem()[1]) <= sum(s * s * n for s, n in blocks.items())
+
+
+def _hidden_blocks(rng, sizes):
+    """A random symmetric matrix of the given diagonal blocks, rows and
+    columns shuffled by one random permutation, and the block of each index."""
+    dim = sum(sizes)
+    matrix = np.zeros((dim, dim))
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    for i in range(len(sizes)):
+        idx = np.flatnonzero(block == i)
+        m = rng.normal(size=(idx.size, idx.size))
+        matrix[np.ix_(idx, idx)] = m + m.T
+    perm = rng.permutation(dim)
+    return matrix[np.ix_(perm, perm)], block[perm]
+
+
+@pytest.mark.parametrize("couple", [False, True])
+def test_block_solve_of_hidden_blocks_matches_dense_eigh(couple):
+    rng = np.random.default_rng(2024)
+    sizes = [1, 2, 3, 3, 5, 7, 4, 1]
+    matrix, block = _hidden_blocks(rng, sizes)
+    if couple:
+        # one stray entry joins the 2- and 5-blocks; it must not be dropped
+        i, j = np.flatnonzero(block == 1)[0], np.flatnonzero(block == 4)[-1]
+        matrix[i, j] = matrix[j, i] = 0.3
+        sizes = [1, 3, 3, 7, 7, 4, 1]
+    vals, vecs = _block_eigh(matrix)
+    dense_vals, dense_vecs = np.linalg.eigh(matrix)
+    assert np.min(np.diff(dense_vals)) > 1e-3  # so eigenvectors are unique up to sign
+    assert np.max(np.abs(vals - dense_vals)) < 1e-13
+    assert np.max(np.abs(np.abs(np.sum(vecs * dense_vecs, axis=0)) - 1.0)) < 1e-12
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(matrix.shape[0]))) < 1e-13
+    assert np.max(np.abs(matrix @ vecs - vecs * vals)) < 1e-13
+    assert np.count_nonzero(vecs) == sum(s * s for s in sizes)
