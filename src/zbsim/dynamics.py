@@ -135,12 +135,10 @@ def line_sum(t: np.ndarray, freqs: np.ndarray, cos_coef: np.ndarray, sin_coef: n
     acc = np.zeros((starts.size, offsets.size * cols * 2))
     step = max(1, _CHUNK // (starts.size + acc.shape[1]))
     lines = min(step, freqs.size)
-    # reused: fresh tables would be paged in again for every block.  p and q
-    # have buffers of their own: one buffer of twice the size raised
-    # fig1-oracle's peak RSS by 0.8 MB (measured with glibc malloc)
+    # reused: fresh tables would be paged in again for every block; the
+    # bracket buffer holds p until its product is taken, then q
     start_buf = np.empty((2, starts.size * lines))
-    p_buf = np.empty(lines * acc.shape[1])
-    q_buf = np.empty(lines * acc.shape[1])
+    pq_buf = np.empty(lines * acc.shape[1])
     for lo in range(0, freqs.size, step):
         f = freqs[lo : lo + step]
         c = cos_coef[lo : lo + step, None, :]
@@ -148,16 +146,15 @@ def line_sum(t: np.ndarray, freqs: np.ndarray, cos_coef: np.ndarray, sin_coef: n
         phase = np.outer(f, offsets)
         cos_offset = np.cos(phase)[:, :, None]
         sin_offset = np.sin(phase, out=phase)[:, :, None]
-        p = p_buf[: f.size * acc.shape[1]].reshape(f.size, offsets.size, cols, 2)
-        q = q_buf[: f.size * acc.shape[1]].reshape(f.size, offsets.size, cols, 2)
-        np.multiply(c, cos_offset, out=p[..., 0])
-        np.multiply(s, sin_offset, out=p[..., 1])
-        np.multiply(-c, sin_offset, out=q[..., 0])
-        np.multiply(s, cos_offset, out=q[..., 1])
+        pq = pq_buf[: f.size * acc.shape[1]].reshape(f.size, offsets.size, cols, 2)
         phase, trig = start_buf[:, : starts.size * f.size].reshape(2, starts.size, f.size)
         np.multiply.outer(starts, f, out=phase)
-        acc += np.cos(phase, out=trig) @ p.reshape(f.size, -1)
-        acc += np.sin(phase, out=trig) @ q.reshape(f.size, -1)
+        np.multiply(c, cos_offset, out=pq[..., 0])
+        np.multiply(s, sin_offset, out=pq[..., 1])
+        acc += np.cos(phase, out=trig) @ pq.reshape(f.size, -1)
+        np.multiply(-c, sin_offset, out=pq[..., 0])
+        np.multiply(s, cos_offset, out=pq[..., 1])
+        acc += np.sin(phase, out=trig) @ pq.reshape(f.size, -1)
     return acc.reshape(-1, cols * 2)[: t.size].view(complex)
 
 
@@ -185,9 +182,8 @@ def ladder_expectations(
 def _positions_from_ladder(a_mean: np.ndarray, adag_mean: np.ndarray, ell: float):
     y = ell * (a_mean + adag_mean) / math.sqrt(2.0)
     x = ell * (a_mean - adag_mean) / (1j * math.sqrt(2.0))
-    residue = max(float(np.max(np.abs(x.imag), initial=0.0)),
-                  float(np.max(np.abs(y.imag), initial=0.0)))
-    if residue > _IMAG_RESIDUE_TOL:
+    residue = float(np.max(np.abs([x.imag, y.imag]), initial=0.0))
+    if not residue <= _IMAG_RESIDUE_TOL:  # a NaN fails
         raise ConvergenceError(
             f"imaginary residue {residue:.3e} of the position sums exceeds "
             f"{_IMAG_RESIDUE_TOL:.1e}"

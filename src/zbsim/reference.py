@@ -14,6 +14,13 @@ fibre.  The matrix falls apart into small connected blocks (4 x 4 at
 kz != 0, 2 x 2 at kz = 0), read off its nonzero pattern; each block gets its
 own symmetric solve, so eigenvectors are exactly zero off their block.
 
+The oracle evolves the weighted kx ensemble at once.  With the packet's
+level overlaps phi_f (spinor component 1) and fibre weights w_f, a kz node
+adds <A(t)> = sum_jk A_jk S_jk e^{i (E_j - E_k) t} over its real eigenpairs,
+A_jk = v_j . (1 x a) v_k, S_jk = v_j . G v_k, G = sum_f w_f phi_f phi_f^T;
+the eigenvectors are real, so <A+(t)> = conj <A(t)>.  The check's
+independent part is the assembled matrix and its solve.
+
 Truncating the ladder at level N leaves, besides the exact eigenstates with
 n <= N, a two-dimensional remnant on the top oscillator level whose
 eigenvalues coincide with +-E_0(kz); the expected-spectrum helper accounts
@@ -121,6 +128,16 @@ def _components(matrix: np.ndarray) -> np.ndarray:
         label = new
 
 
+def _blocks(matrix: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the nonzero pattern of a symmetric
+    matrix, one (blocks, size) index array per block size, ascending."""
+    label = _components(matrix)
+    order = np.argsort(label, kind="stable")
+    _, first, size = np.unique(label[order], return_index=True, return_counts=True)
+    # np.unique(size) would import numpy.ma
+    return [order[first[size == s][:, None] + np.arange(s)] for s in sorted(set(size.tolist()))]
+
+
 def _block_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh of a real symmetric matrix, solved block by block.
 
@@ -130,13 +147,9 @@ def _block_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     columns of its own indices, exactly zero off the block.  The eigenvalues
     are sorted ascending by a stable sort.
     """
-    label = _components(matrix)
-    order = np.argsort(label, kind="stable")
-    _, first, size = np.unique(label[order], return_index=True, return_counts=True)
     vals = np.empty(matrix.shape[0])
     vecs = np.zeros(matrix.shape)
-    for s in sorted(set(size.tolist())):  # np.unique(size) would import numpy.ma
-        idx = order[first[size == s][:, None] + np.arange(s)]  # (blocks, s)
+    for idx in _blocks(matrix):
         vals[idx], vecs[idx[:, :, None], idx[:, None, :]] = np.linalg.eigh(
             matrix[idx[:, :, None], idx[:, None, :]]
         )
@@ -144,22 +157,29 @@ def _block_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[ascending], vecs[:, ascending]
 
 
-def build_matrix(kz: float, n_trunc: int, params: SimParams) -> TruncatedHamiltonian:
-    """Assemble the real symmetric fibre Hamiltonian at kz on levels 0..n_trunc (any kx)."""
+def _fibre_terms(n_trunc: int, params: SimParams) -> tuple[np.ndarray, np.ndarray]:
+    """(h0, hz): the fibre Hamiltonian on levels 0..n_trunc is h0 + kz hz (any kx)."""
     if not 0 <= n_trunc <= MAX_N_TRUNC:
         raise ValueError(f"n_trunc must be in 0..{MAX_N_TRUNC}, got {n_trunc}")
     b = params.field_ratio_b
     a = lowering_matrix(n_trunc)
     eye = np.eye(n_trunc + 1)
-    h = (
+    h0 = (
         -(b / 2.0) * np.kron(ALPHA_X, a + a.T)
         + (b / 2.0) * np.kron(I_ALPHA_Y, a.T - a)
-        + kz * np.kron(ALPHA_Z, eye)
         + params.mass_energy * np.kron(BETA, eye)
     )
-    if not np.array_equal(h, h.T):
+    hz = np.kron(ALPHA_Z, eye)
+    if not (np.array_equal(h0, h0.T) and np.array_equal(hz, hz.T)):
         raise AssertionError("assembled Hamiltonian not symmetric")
-    return TruncatedHamiltonian(matrix=h, n_trunc=n_trunc, kz=kz, params=params)
+    return h0, hz
+
+
+def build_matrix(kz: float, n_trunc: int, params: SimParams) -> TruncatedHamiltonian:
+    """Assemble the real symmetric fibre Hamiltonian at kz on levels 0..n_trunc (any kx)."""
+    h0, hz = _fibre_terms(n_trunc, params)
+    # alpha_z is nonzero only where the other terms vanish: the four-term sum bit for bit
+    return TruncatedHamiltonian(matrix=h0 + kz * hz, n_trunc=n_trunc, kz=kz, params=params)
 
 
 def evolve(ham: TruncatedHamiltonian, initial_coeffs: np.ndarray, t) -> np.ndarray:
@@ -183,30 +203,24 @@ def evolve(ham: TruncatedHamiltonian, initial_coeffs: np.ndarray, t) -> np.ndarr
     return out[:, 0] if scalar else out
 
 
-def _ladder_lines(ham: TruncatedHamiltonian, phi: np.ndarray, weights: np.ndarray):
-    """Collapse the weighted fibre ensemble into eigenbasis line amplitudes.
-
-    phi holds the packet's overlaps with levels 0..N per kx fibre; the packet
-    lives in spinor component 1 (0-based), so its projections on the real
-    eigenvectors are those rows of the eigenvector matrix times phi.
-    Returns (vals, K_lower, K_raise, pos_mask) with the real weighted ladder
-    expectations
-
-        <A(t)>  = sum_jk K_lower_jk e^{i (E_j - E_k) t},
-        <A+(t)> = sum_jk K_raise_jk e^{i (E_j - E_k) t},
-
-    and pos_mask selecting positive-energy eigenvectors for the band split.
-    The raising expectation is evolved from its own operator matrix rather
-    than transposed, so the reality of the positions is a genuine check.
-    This regroups the per-fibre evolution algebraically; every fibre shares
-    the kx-independent Hamiltonian.
-    """
-    vals, vecs = ham.eigensystem()
-    n = ham.n_trunc + 1
-    a_eig = vecs.T @ np.kron(np.eye(4), lowering_matrix(ham.n_trunc)) @ vecs
-    proj = vecs[n : 2 * n].T @ phi  # (dim, n_fib)
-    s = (proj * weights[None, :]) @ proj.T  # S_jk = sum_f w_f p_jf p_kf
-    return vals, a_eig * s, a_eig.T * s, vals > 0.0
+def _pair_plan(pattern: np.ndarray, h0: np.ndarray, hz: np.ndarray, ops: tuple):
+    """(sizes, h0 blocks, hz blocks, p, q, ops on the block pairs p <= q that
+    ops[0] or its transpose joins) for the blocks of `pattern`, padded to the
+    widest by repeating their last index; sizes: (slice of blocks, size)."""
+    blocks = _blocks(pattern)
+    width = blocks[-1].shape[1]
+    idx = np.concatenate([i[:, np.minimum(np.arange(width), i.shape[1] - 1)] for i in blocks])
+    label = np.empty(pattern.shape[0], dtype=int)
+    label[idx] = np.arange(idx.shape[0])[:, None]
+    coupled = np.zeros((idx.shape[0], idx.shape[0]), dtype=bool)
+    rows, cols = np.nonzero(ops[0])
+    coupled[label[rows], label[cols]] = True
+    p, q = np.nonzero(np.triu(coupled | coupled.T))
+    ends = np.cumsum([i.shape[0] for i in blocks]).tolist()
+    sizes = [(slice(end - i.shape[0], end), i.shape[1]) for i, end in zip(blocks, ends)]
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    pair_ops = np.stack([op[rows[p], cols[q]] for op in ops])
+    return sizes, h0[rows, cols], hz[rows, cols], p, q, pair_ops
 
 
 def oracle_trajectory(
@@ -219,7 +233,12 @@ def oracle_trajectory(
     decomp: PacketDecomposition | None = None,
 ) -> Trajectory:
     """Trajectory from truncated-matrix evolution, bin-compatible with the
-    analytic engine (same time grid, same position units, same band split)."""
+    analytic engine (same time grid, same position units, same band split).
+
+    Per kz node, A_jk, A_kj and S_jk (module docstring) come from small
+    products on the block pairs the ladder couples; each unordered eigenpair
+    pair is one line, intraband when both energies have the same sign.
+    """
     t = np.asarray(t_grid, dtype=float)
     run_mode = mode if mode is not None else params.dimensionality
     if decomp is None:
@@ -228,27 +247,38 @@ def oracle_trajectory(
     phi = oscillator_overlaps(packet, params, decomp.kx_nodes, trunc, max(48, trunc // 2 + 8))
     check_finite_overlaps(phi, decomp.kx_nodes, packet, params)
 
-    # intraband then interband; columns: lowering and raising expectation
-    bands = np.zeros((2, t.size, 2), dtype=complex)
-    for kz, w_kz in zip(decomp.kz_nodes, decomp.kz_weights):
-        ham = build_matrix(float(kz), trunc, params)
-        vals, k_low, k_high, pos = _ladder_lines(ham, phi, decomp.kx_weights)
-        mag = np.maximum(np.abs(k_low), np.abs(k_high))
-        mag = np.maximum(mag, mag.T)
-        j, k = np.nonzero(np.triu(mag > _LINE_CUTOFF * mag.max()))
-        # the mirror entries (j, k) and (k, j) share the line w = E_j - E_k:
-        # K_jk e^{iwt} + K_kj e^{-iwt} = (K_jk + K_kj) cos wt + i (K_jk - K_kj) sin wt,
-        # so line_sum takes the real K_jk + K_kj and K_jk - K_kj
-        amps = w_kz * np.stack([k_low[j, k], k_high[j, k]], axis=1)
-        mirror = w_kz * np.stack([k_low[k, j], k_high[k, j]], axis=1)
-        cos_coef = np.where((j == k)[:, None], amps, amps + mirror)
-        sin_coef = amps - mirror
-        intra = pos[j] == pos[k]
+    h0, hz = _fibre_terms(trunc, params)
+    lower = np.kron(np.eye(4), lowering_matrix(trunc))
+    gram = np.kron(np.diag([0.0, 1.0, 0.0, 0.0]), (phi * decomp.kx_weights) @ phi.T)
+    ops = (lower, lower.T, gram)  # 1 x a, its transpose, G on spinor component 1
+    plans = {}  # the nonzero pattern of h0 + kz hz is that of h0 or of h0 + hz
+    bands = np.zeros((2, t.size), dtype=complex)  # intraband, interband <A>
+    for kz, w_kz in zip(decomp.kz_nodes.tolist(), decomp.kz_weights.tolist()):
+        if (kz == 0.0) not in plans:
+            plans[kz == 0.0] = _pair_plan(h0 if kz == 0.0 else h0 + hz, h0, hz, ops)
+        sizes, h0_blk, hz_blk, p, q, pair_ops = plans[kz == 0.0]
+        vals, vecs = np.zeros(h0_blk.shape[:2]), np.zeros(h0_blk.shape)  # zero on the padding
+        for blk, s in sizes:
+            block = h0_blk[blk, :s, :s] + kz * hz_blk[blk, :s, :s]
+            vals[blk, :s], vecs[blk, :s, :s] = np.linalg.eigh(block)
+        a_jk, a_kj, s_jk = np.swapaxes(vecs[p], 1, 2) @ pair_ops @ vecs[q]
+        k_jk, k_kj = a_jk * s_jk, a_kj * s_jk
+        mag = np.maximum(np.abs(k_jk), np.abs(k_kj))
+        once = (p != q)[:, None, None] | np.triu(np.ones(mag.shape[1:], dtype=bool))
+        keep = once & (mag > _LINE_CUTOFF * mag.max(initial=0.0))
+        # K_jk e^{iwt} + K_kj e^{-iwt} = (K_jk + K_kj) cos wt + i (K_jk - K_kj) sin wt
+        # for w = E_j - E_k; the diagonal j = k is the one term K_jj
+        diag = ((p == q)[:, None, None] & np.eye(mag.shape[1], dtype=bool))[keep]
+        e_j, e_k = vals[p][:, :, None], vals[q][:, None, :]
+        amps, mirror = w_kz * k_jk[keep], w_kz * k_kj[keep]
+        cos_coef = np.where(diag, amps, amps + mirror)
+        freqs, sin_coef = (e_j - e_k)[keep], amps - mirror
+        intra = ((e_j > 0.0) == (e_k > 0.0))[keep]
         for band, sel in zip(bands, (intra, ~intra)):
-            band += line_sum(t, vals[j[sel]] - vals[k[sel]], cos_coef[sel], sin_coef[sel])
+            band += line_sum(t, freqs[sel], cos_coef[sel, None], sin_coef[sel, None])[:, 0]
 
     return _banded_trajectory(
-        t, tuple(bands[0].T), tuple(bands[1].T), run_mode,
+        t, (bands[0], bands[0].conj()), (bands[1], bands[1].conj()), run_mode,
         {"engine": "matrix-reference", "n_trunc": trunc, "magnetic_length": params.magnetic_length},
     )
 

@@ -2,15 +2,18 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import zbsim
+import zbsim.dynamics
 import zbsim.errors
 from zbsim.cli import EXIT_CODES, main
 from zbsim.errors import ConfigError, TruncationError
+from zbsim.reference import oracle_trajectory
 from zbsim.runner import PRESET_NAMES, load_preset, parse_config
 
 SMALL_CONFIG = """
@@ -372,13 +375,13 @@ def test_svg_outputs_are_well_formed_xml(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_a_run_imports_no_scipy(tmp_path):
-    # scipy is a test dependency only: its import alone costs about 0.3 s a run
-    config = _write(tmp_path, SMALL_CONFIG)
+def _modules_after_run(args: list[str], package: str) -> str:
+    """Exit code of zbsim.cli.main(args) in a fresh interpreter and the
+    sorted modules of `package` it left in sys.modules, as one line."""
     script = (
         "import sys, zbsim.cli, zbsim.runner\n"
-        f"code = zbsim.cli.main(['run', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"code = zbsim.cli.main({args!r})\n"
+        f"print(code, sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))\n"
     )
     env = dict(os.environ)
     src = str(Path(zbsim.__file__).resolve().parent.parent)
@@ -386,8 +389,53 @@ def test_a_run_imports_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_a_run_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only: its import alone costs about 0.3 s a run
+    config = _write(tmp_path, SMALL_CONFIG)
+    assert _modules_after_run(["run", str(config), "--out", str(tmp_path / "out")], "scipy") == "0 []"
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
     assert not any(dep.startswith("scipy") for dep in pyproject["project"]["dependencies"])
     assert any(dep.startswith("scipy") for dep in pyproject["project"]["optional-dependencies"]["test"])
+
+
+def test_an_oracle_run_imports_no_numpy_ma(tmp_path):
+    # numpy.ma costs about 1 MB of peak memory; np.unique with an axis or on
+    # the block sizes would import it.  fig1 with 48 kz nodes, as perfbench's
+    # fig1-oracle workload
+    preset = Path(zbsim.__file__).resolve().parent / "presets" / "fig1.ini"
+    config = _write(tmp_path, preset.read_text().replace("kz_nodes = 320", "kz_nodes = 48"))
+    args = ["run", str(config), "--out", str(tmp_path / "out"), "--check-oracle"]
+    assert _modules_after_run(args, "numpy.ma") == "0 []"
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_nan_oracle_sample_fails_the_deviation_gate(tmp_path, capsys, monkeypatch, axis):
+    # a NaN compares false with any tolerance; the gate must still fail
+    def broken(*args, **kwargs):
+        traj = oracle_trajectory(*args, **kwargs)
+        values = getattr(traj, axis).copy()
+        values[7] = np.nan
+        return replace(traj, **{axis: values})
+
+    monkeypatch.setattr("zbsim.runner.oracle_trajectory", broken)
+    config = _write(tmp_path, SMALL_CONFIG)
+    assert main(["run", str(config), "--out", str(tmp_path / "out"), "--check-oracle"]) == 4
+    assert "deviation nan L" in capsys.readouterr().err
+
+
+def test_nan_position_sum_fails_the_residue_gate(tmp_path, capsys, monkeypatch):
+    band_parts = zbsim.dynamics._band_parts
+
+    def broken(*args):
+        intra, inter = band_parts(*args)
+        intra[7] = complex(np.nan, np.nan)
+        return intra, inter
+
+    monkeypatch.setattr("zbsim.dynamics._band_parts", broken)
+    config = _write(tmp_path, SMALL_CONFIG)
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert "imaginary residue nan" in capsys.readouterr().err

@@ -3,13 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from zbsim import reference
 from zbsim.dynamics import trajectory
 from zbsim.landau import energy
-from zbsim.packet import GaussianPacket, decompose, oscillator_overlaps
+from zbsim.packet import GaussianPacket, Numerics, decompose, oscillator_overlaps
 from zbsim.params import Dimensionality, make_params, make_params_dimensionless
 from zbsim.reference import (
+    ALPHA_X,
+    ALPHA_Z,
+    BETA,
+    I_ALPHA_Y,
     _block_eigh,
     _components,
+    _fibre_terms,
+    _pair_plan,
     build_matrix,
     check_transform,
     evolve,
@@ -118,6 +125,29 @@ def test_single_eigenstate_shows_no_ladder_motion():
     assert np.max(np.abs(a_t)) < 1e-12
 
 
+def _literal_oracle(packet, params, dec, n_trunc, t):
+    """Positions from a literal loop: per kz node a dense solve that shares
+    no code with the oracle's block solve, each kx fibre evolved separately,
+    and <A+> taken from its own operator, not as conj <A>."""
+    ell = params.magnetic_length
+    phi = oscillator_overlaps(packet, params, dec.kx_nodes, n_trunc, 64)
+    a_full = np.kron(np.eye(4), lowering_matrix(n_trunc))
+    a_t, adag_t = np.zeros(t.size, dtype=complex), np.zeros(t.size, dtype=complex)
+    for kz, w_kz in zip(dec.kz_nodes, dec.kz_weights):
+        ham = build_matrix(float(kz), n_trunc, params)
+        vals, vecs = np.linalg.eigh(ham.matrix)
+        for i, w in enumerate(dec.kx_weights):
+            c0 = np.zeros(ham.dimension, dtype=complex)
+            c0[n_trunc + 1 : 2 * (n_trunc + 1)] = phi[:, i]
+            ct = vecs @ (np.exp(-1j * np.outer(vals, t)) * (vecs.T @ c0)[:, None])
+            a_t += w_kz * w * np.sum(ct.conj() * (a_full @ ct), axis=0)
+            adag_t += w_kz * w * np.sum(ct.conj() * (a_full.T @ ct), axis=0)
+    x = ell * (a_t - adag_t) / (1j * math.sqrt(2.0))
+    y = ell * (a_t + adag_t) / math.sqrt(2.0)
+    assert max(np.max(np.abs(x.imag)), np.max(np.abs(y.imag))) < 1e-12 * ell
+    return x.real, y.real
+
+
 def test_oracle_equals_explicit_fibre_evolution():
     params = B_ONE
     ell = params.magnetic_length
@@ -126,23 +156,76 @@ def test_oracle_equals_explicit_fibre_evolution():
     n_trunc = dec.n_max + 12
     t = np.linspace(0.0, 8.0, 33)
     fast = oracle_trajectory(packet, params, t, decomp=dec, n_trunc=n_trunc)
-
-    # literal loop: evolve each kx fibre separately, with a dense solve that
-    # shares no code with the oracle's block solve, and accumulate
-    ham = build_matrix(0.0, n_trunc, params)
-    vals, vecs = np.linalg.eigh(ham.matrix)
-    phi = oscillator_overlaps(packet, params, dec.kx_nodes, n_trunc, 64)
-    a_full = np.kron(np.eye(4), lowering_matrix(n_trunc))
-    a_t = np.zeros(t.size, dtype=complex)
-    for i, w in enumerate(dec.kx_weights):
-        c0 = np.zeros(ham.dimension, dtype=complex)
-        c0[n_trunc + 1 : 2 * (n_trunc + 1)] = phi[:, i]
-        ct = vecs @ (np.exp(-1j * np.outer(vals, t)) * (vecs.T @ c0)[:, None])
-        a_t += w * np.einsum("it,ij,jt->t", ct.conj(), a_full, ct)
-    x = (ell * (a_t - a_t.conj()) / (1j * math.sqrt(2.0))).real
-    y = (ell * (a_t + a_t.conj()) / math.sqrt(2.0)).real
+    x, y = _literal_oracle(packet, params, dec, n_trunc, t)
     assert np.max(np.abs(x - fast.x)) < 1e-10
     assert np.max(np.abs(y - fast.y)) < 1e-10
+
+
+def _check_oracle_3plus1():
+    # an odd Hermite kz rule: 4- and 2-blocks at kz != 0, 2- and 1-blocks at kz = 0
+    params = make_params_dimensionless(1.0, Dimensionality.THREE_PLUS_ONE)
+    ell = params.magnetic_length
+    packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, d_z=ell, k0x=math.sqrt(2.0) / ell)
+    dec = decompose(packet, params, Numerics(kx_nodes=32, kz_nodes=5, kz_rule="hermite"))
+    assert dec.kz_nodes.size == 5 and 0.0 in dec.kz_nodes.tolist()
+    n_trunc = dec.n_max + 12
+    t = np.linspace(0.0, 8.0, 33)
+    fast = oracle_trajectory(packet, params, t, decomp=dec, n_trunc=n_trunc)
+    x, y = _literal_oracle(packet, params, dec, n_trunc, t)
+    assert np.max(np.abs(x - fast.x)) < 1e-10 * ell
+    assert np.max(np.abs(y - fast.y)) < 1e-10 * ell
+    assert np.max(np.abs(x)) > 0.1 * ell  # the packet moves
+
+
+def test_oracle_equals_explicit_fibre_evolution_3plus1():
+    _check_oracle_3plus1()
+
+
+def test_oracle_keeps_a_stray_coupling(monkeypatch):
+    # joining (component 1, level 3) to level 4 merges two blocks, so the
+    # ladder also couples the merged block to itself; the oracle must follow
+    # the matrix it is given, diagonal terms K_jj included once
+    fibre_terms = reference._fibre_terms
+
+    def stray(n_trunc, params):
+        h0, hz = fibre_terms(n_trunc, params)
+        i = n_trunc + 1 + 3
+        h0[i, i + 1] = h0[i + 1, i] = 0.05
+        return h0, hz
+
+    monkeypatch.setattr(reference, "_fibre_terms", stray)
+    _check_oracle_3plus1()
+
+
+def test_pair_plan_keeps_every_coupling():
+    rng = np.random.default_rng(5)
+    matrix, _ = _hidden_blocks(rng, [1, 2, 3, 3, 5, 2, 4])
+    lower = np.where(rng.random(matrix.shape) < 0.05, 1.0 + rng.random(matrix.shape), 0.0)
+    ops = (lower, lower.T, np.zeros_like(lower))
+    sizes, h0_blk, _, p, q, pair_ops = _pair_plan(matrix, matrix, np.zeros_like(matrix), ops)
+    assert np.all(p <= q) and len(set(zip(p.tolist(), q.tolist()))) == p.size
+    # every entry of `lower` is on some pair, in one orientation or the other,
+    # and every pair holds one
+    assert set(pair_ops[:2].ravel().tolist()) == set(lower.ravel().tolist())
+    assert np.all(np.any(pair_ops[:2] != 0.0, axis=(0, 2, 3)))
+    vals = np.concatenate([np.linalg.eigvalsh(h0_blk[blk, :s, :s]).ravel() for blk, s in sizes])
+    assert np.max(np.abs(np.sort(vals) - np.linalg.eigvalsh(matrix))) < 1e-12
+
+
+@pytest.mark.parametrize("kz", [0.0, -0.0, 0.37, -0.37, 5e-324, 1e3])
+def test_build_matrix_is_bitwise_the_dirac_sum(kz):
+    b, n_trunc = FIG1_PARAMS.field_ratio_b, 45
+    a, eye = lowering_matrix(n_trunc), np.eye(n_trunc + 1)
+    dirac = (
+        -(b / 2.0) * np.kron(ALPHA_X, a + a.T)
+        + (b / 2.0) * np.kron(I_ALPHA_Y, a.T - a)
+        + kz * np.kron(ALPHA_Z, eye)
+        + FIG1_PARAMS.mass_energy * np.kron(BETA, eye)
+    )
+    h0, hz = _fibre_terms(n_trunc, FIG1_PARAMS)
+    matrix = build_matrix(kz, n_trunc, FIG1_PARAMS).matrix
+    for other in (h0 + kz * hz, matrix):  # signed zeros included
+        assert np.array_equal(other.view(np.uint64), dirac.view(np.uint64))
 
 
 def test_oracle_band_split_matches_analytic():
