@@ -22,9 +22,13 @@ Positions follow from the relative-coordinate operators
 These exclude the guiding-centre offset kx L^2, so a packet kicked by k0x
 starts at Y(0) = -k0x L^2 and circles the origin.
 
-The difference-frequency (E_{n+1} - E_n) terms form the intraband
-(cyclotron) part and the sum-frequency (E_{n+1} + E_n) terms the interband
-(trembling) part; both are exposed separately.
+Both engines write <A(t)> in one line form, per band: the intraband
+(cyclotron) lines at the difference frequencies E_{n+1} - E_n and the
+interband (trembling) lines at the sums E_{n+1} + E_n, each band a
+(freqs, cos, sin) table with <A> = sum cos cos(f t) + i sin sin(f t).
+band_sums evaluates the pair of tables into a (2, samples) array through the
+one kernel line_sum; the oracle (zbsim.reference) feeds it one kz node's
+lines at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError
-from .landau import energy
+from .landau import energies, energy
 from .packet import GaussianPacket, Numerics, PacketDecomposition, decompose
 from .params import Dimensionality, SimParams
 
@@ -73,31 +77,22 @@ class Trajectory:
 
 
 def _line_tables(decomp: PacketDecomposition, params: SimParams):
-    """Flattened (level pair x kz node) frequency and coefficient arrays.
+    """The packet's (intraband, interband) line tables, one line per level
+    pair and kz node, with w = 1/2 sqrt(n+1) U_{n,n+1} times the kz weight:
 
-    Returns (f_minus, c_minus, s_minus, f_plus, c_plus, s_plus): the
-    lowering expectation is
+        intraband (E_{n+1} - E_n, w (1 + E_n/E_{n+1}), -w (1/E_n + 1/E_{n+1})),
+        interband (E_{n+1} + E_n, w (1 - E_n/E_{n+1}),  w (1/E_n - 1/E_{n+1})),
 
-        <A(t)> = sum c_minus cos(f_minus t) - i sum s_minus sin(f_minus t)
-               + sum c_plus  cos(f_plus t)  + i sum s_plus  sin(f_plus t).
+    the intraband sin coefficients carrying the sign of their -i Is+ term.
     """
-    kz = decomp.kz_nodes
-    w = decomp.kz_weights
-    n_pairs = decomp.n_max  # pairs (n, n+1) with n+1 <= n_max
-    n_idx = np.arange(n_pairs)
-    base = 0.5 * np.sqrt(n_idx + 1.0) * decomp.u_band[:n_pairs]  # (n_pairs,)
-    e_lo = np.sqrt(params.mass_energy**2 + np.add.outer(n_idx * params.omega**2, kz**2))
-    e_hi = np.sqrt(
-        params.mass_energy**2 + np.add.outer((n_idx + 1) * params.omega**2, kz**2)
-    )
-    f_minus = (e_hi - e_lo).ravel()
-    f_plus = (e_hi + e_lo).ravel()
-    bw = base[:, None] * w[None, :]
-    c_minus = (bw * (1.0 + e_lo / e_hi)).ravel()
-    c_plus = (bw * (1.0 - e_lo / e_hi)).ravel()
-    s_minus = (bw * (1.0 / e_lo + 1.0 / e_hi)).ravel()
-    s_plus = (bw * (1.0 / e_lo - 1.0 / e_hi)).ravel()
-    return f_minus, c_minus, s_minus, f_plus, c_plus, s_plus
+    n_idx = np.arange(decomp.n_max)[:, None]  # pairs (n, n+1) with n+1 <= n_max
+    base = 0.5 * np.sqrt(n_idx + 1.0) * decomp.u_band[: decomp.n_max, None]
+    e_lo = energies(n_idx, decomp.kz_nodes, params)
+    e_hi = energies(n_idx + 1, decomp.kz_nodes, params)
+    bw = base * decomp.kz_weights
+    intra = (e_hi - e_lo, bw * (1.0 + e_lo / e_hi), -(bw * (1.0 / e_lo + 1.0 / e_hi)))
+    inter = (e_hi + e_lo, bw * (1.0 - e_lo / e_hi), bw * (1.0 / e_lo - 1.0 / e_hi))
+    return tuple(tuple(x.ravel() for x in band) for band in (intra, inter))
 
 
 def _grid_block(t: np.ndarray) -> int:
@@ -114,56 +109,53 @@ def _grid_block(t: np.ndarray) -> int:
 
 
 def line_sum(t: np.ndarray, freqs: np.ndarray, cos_coef: np.ndarray, sin_coef: np.ndarray):
-    """Evaluate a set of spectral lines on the samples t.
+    """Evaluate one set of spectral lines on the samples t.
 
-    Returns the (samples x columns) complex array
+    Returns the complex samples
 
-        sum_l cos_coef[l, :] cos(freqs[l] t) + i sin_coef[l, :] sin(freqs[l] t)
+        sum_l cos_coef[l] cos(freqs[l] t) + i sin_coef[l] sin(freqs[l] t)
 
-    for real (lines x columns) coefficients C, S.  With the samples in M
-    blocks of B (_grid_block), t = T_m + tau_j, the angle-sum identities give
+    for real coefficients C, S.  With the samples in M blocks of B
+    (_grid_block), t = T_m + tau_j, the angle-sum identities give
     sum_l cos fT_m [C cos f tau_j + i S sin f tau_j] + sin fT_m [-C sin f tau_j + i S cos f tau_j]:
     trig of (M x lines) and (lines x B) tables, and real BLAS products over
     lines of the start tables with the brackets, stored as (re, im) pairs.
     With B = 1 the brackets are C + 0i and 0 + iS: the direct evaluation.
     Lines go in blocks whose tables hold at most _CHUNK elements.
     """
-    cols = cos_coef.shape[1]
     block = _grid_block(t)
     starts = t[::block]
     offsets = t[:block] - t[:1]
-    acc = np.zeros((starts.size, offsets.size * cols * 2))
+    acc = np.zeros((starts.size, offsets.size * 2))
     step = max(1, _CHUNK // (starts.size + acc.shape[1]))
     lines = min(step, freqs.size)
     # reused: fresh tables would be paged in again for every block; the
-    # bracket buffer holds p until its product is taken, then q
-    start_buf = np.empty((2, starts.size * lines))
+    # bracket buffer holds p until its product is taken, then q, and the
+    # start table is formed again for the sin pass rather than kept
+    start_buf = np.empty(starts.size * lines)
     pq_buf = np.empty(lines * acc.shape[1])
     for lo in range(0, freqs.size, step):
         f = freqs[lo : lo + step]
-        c = cos_coef[lo : lo + step, None, :]
-        s = sin_coef[lo : lo + step, None, :]
+        c = cos_coef[lo : lo + step, None]
+        s = sin_coef[lo : lo + step, None]
         phase = np.outer(f, offsets)
-        cos_offset = np.cos(phase)[:, :, None]
-        sin_offset = np.sin(phase, out=phase)[:, :, None]
-        pq = pq_buf[: f.size * acc.shape[1]].reshape(f.size, offsets.size, cols, 2)
-        phase, trig = start_buf[:, : starts.size * f.size].reshape(2, starts.size, f.size)
-        np.multiply.outer(starts, f, out=phase)
+        cos_offset = np.cos(phase)
+        sin_offset = np.sin(phase, out=phase)
+        pq = pq_buf[: f.size * acc.shape[1]].reshape(f.size, offsets.size, 2)
+        trig = start_buf[: starts.size * f.size].reshape(starts.size, f.size)
         np.multiply(c, cos_offset, out=pq[..., 0])
         np.multiply(s, sin_offset, out=pq[..., 1])
-        acc += np.cos(phase, out=trig) @ pq.reshape(f.size, -1)
+        acc += np.cos(np.multiply.outer(starts, f, out=trig), out=trig) @ pq.reshape(f.size, -1)
         np.multiply(-c, sin_offset, out=pq[..., 0])
         np.multiply(s, cos_offset, out=pq[..., 1])
-        acc += np.sin(phase, out=trig) @ pq.reshape(f.size, -1)
-    return acc.reshape(-1, cols * 2)[: t.size].view(complex)
+        acc += np.sin(np.multiply.outer(starts, f, out=trig), out=trig) @ pq.reshape(f.size, -1)
+    return acc.ravel()[: 2 * t.size].view(complex)
 
 
-def _band_parts(t: np.ndarray, decomp: PacketDecomposition, params: SimParams):
-    """Lowering expectation split into (intraband, interband) complex parts."""
-    f_minus, c_minus, s_minus, f_plus, c_plus, s_plus = _line_tables(decomp, params)
-    intra = line_sum(t, f_minus, c_minus[:, None], -s_minus[:, None])
-    inter = line_sum(t, f_plus, c_plus[:, None], s_plus[:, None])
-    return intra[:, 0], inter[:, 0]
+def band_sums(t: np.ndarray, bands) -> np.ndarray:
+    """The (2, samples) complex <A(t)> of the intraband and the interband
+    lines, from their (freqs, cos, sin) tables."""
+    return np.array([line_sum(t, *lines) for lines in bands])
 
 
 def ladder_expectations(
@@ -171,7 +163,7 @@ def ladder_expectations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(<A(t)>, <A+(t)>); the latter is the conjugate for real overlap tables."""
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
-    intra, inter = _band_parts(tarr, decomp, params)
+    intra, inter = band_sums(tarr, _line_tables(decomp, params))
     a_mean = intra + inter
     adag_mean = np.conj(a_mean)  # U_{n+1,n} = U_{n,n+1}* and real tables
     if np.ndim(t) == 0:
@@ -179,7 +171,9 @@ def ladder_expectations(
     return a_mean, adag_mean
 
 
-def _positions_from_ladder(a_mean: np.ndarray, adag_mean: np.ndarray, ell: float):
+def _positions_from_ladder(a_mean: np.ndarray, ell: float):
+    """(x, y, imaginary residue) from <A>, with <A+> = conj <A>."""
+    adag_mean = np.conj(a_mean)
     y = ell * (a_mean + adag_mean) / math.sqrt(2.0)
     x = ell * (a_mean - adag_mean) / (1j * math.sqrt(2.0))
     residue = float(np.max(np.abs([x.imag, y.imag]), initial=0.0))
@@ -191,12 +185,13 @@ def _positions_from_ladder(a_mean: np.ndarray, adag_mean: np.ndarray, ell: float
     return x.real, y.real, residue
 
 
-def _banded_trajectory(t, intra, inter, mode: Dimensionality, provenance: dict):
-    """Trajectory in Compton wavelengths from the (<A>, <A+>) pair of each
-    band; the larger imaginary residue of the two joins the provenance."""
-    ell = provenance["magnetic_length"]
-    x_intra, y_intra, res_intra = _positions_from_ladder(*intra, ell)
-    x_inter, y_inter, res_inter = _positions_from_ladder(*inter, ell)
+def _banded_trajectory(t, bands: np.ndarray, mode: Dimensionality, provenance: dict):
+    """Trajectory in Compton wavelengths from the (2, samples) <A> of the
+    intraband and the interband lines (band_sums); the larger imaginary
+    residue of the two joins the provenance."""
+    (x_intra, y_intra, res_intra), (x_inter, y_inter, res_inter) = (
+        _positions_from_ladder(a_mean, provenance["magnetic_length"]) for a_mean in bands
+    )
     return Trajectory(
         times=t,
         x=x_intra + x_inter,
@@ -213,8 +208,8 @@ def _banded_trajectory(t, intra, inter, mode: Dimensionality, provenance: dict):
 
 def position(t, decomp: PacketDecomposition, params: SimParams):
     """Centre-of-mass (x, y) in Compton wavelengths at time(s) t."""
-    a_mean, adag_mean = ladder_expectations(np.atleast_1d(t), decomp, params)
-    x, y, _ = _positions_from_ladder(a_mean, adag_mean, params.magnetic_length)
+    a_mean, _ = ladder_expectations(np.atleast_1d(t), decomp, params)
+    x, y, _ = _positions_from_ladder(a_mean, params.magnetic_length)
     if np.ndim(t) == 0:
         return float(x[0]), float(y[0])
     return x, y
@@ -247,7 +242,7 @@ def trajectory(
     elif decomp.mode is not run_mode:
         raise ValueError("decomposition mode does not match the requested mode")
 
-    intra, inter = _band_parts(t, decomp, params)
+    bands = band_sums(t, _line_tables(decomp, params))
     provenance = {
         "field_ratio_b": params.field_ratio_b,
         "kappa": params.kappa,
@@ -259,9 +254,7 @@ def trajectory(
         "kx_nodes": int(decomp.kx_nodes.size),
         "kz_nodes": int(decomp.kz_nodes.size),
     }
-    return _banded_trajectory(
-        t, (intra, np.conj(intra)), (inter, np.conj(inter)), run_mode, provenance
-    )
+    return _banded_trajectory(t, bands, run_mode, provenance)
 
 
 def cyclotron_reference(packet: GaussianPacket, params: SimParams) -> tuple[float, float]:

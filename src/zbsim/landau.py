@@ -84,12 +84,13 @@ def energy(n: int, kz: float, params: SimParams) -> float:
     return math.hypot(params.mass_energy, math.sqrt(n) * b, kz)
 
 
-def energies(n: int, kz: np.ndarray, params: SimParams) -> np.ndarray:
-    """Vectorised :func:`energy` over an array of kz values."""
-    if n < 0:
-        raise ValueError(f"Landau index must be non-negative, got {n}")
-    b = params.field_ratio_b
-    return np.sqrt(params.mass_energy**2 + n * b * b + np.asarray(kz) ** 2)
+def energies(n, kz, params: SimParams) -> np.ndarray:
+    """Vectorised :func:`energy`, broadcast over arrays of levels n and kz:
+    sqrt(m^2 + (n omega^2 + kz^2)), the rounding of the line tables."""
+    n = np.asarray(n)
+    if np.any(n < 0):
+        raise ValueError(f"Landau index must be non-negative, got {n.min()}")
+    return np.sqrt(params.mass_energy**2 + (n * params.omega**2 + np.asarray(kz) ** 2))
 
 
 def norm_and_chi(n: int, eps: int, kz: float, params: SimParams) -> tuple[float, float]:

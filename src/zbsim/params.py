@@ -50,6 +50,13 @@ ELECTRON = ParticleConstants(
 )
 
 
+# Field bounds, checked before any derived arithmetic: b^2, the magnetic
+# length sqrt(2)/b and its square stay far inside the float range.  The
+# tesla range maps into the b range (b = 0.95 at 2e9 T, b grows as sqrt(B)).
+B_RANGE = (1e-8, 1e8)
+TESLA_RANGE = (1e-6, 1e25)
+
+
 @dataclass(frozen=True)
 class SimParams:
     """Field-strength parameters of the problem in natural units.
@@ -106,8 +113,8 @@ def make_params_dimensionless(
     b: float, dimensionality: Dimensionality = Dimensionality.THREE_PLUS_ONE
 ) -> SimParams:
     """Build parameters directly from the dimensionless field ratio b."""
-    if not (b > 0.0) or not math.isfinite(b):
-        raise ValueError(f"field ratio b must be positive and finite, got {b}")
+    if not B_RANGE[0] <= b <= B_RANGE[1]:  # a NaN fails
+        raise ValueError(f"field ratio b must be in [{B_RANGE[0]:g}, {B_RANGE[1]:g}], got {b!r}")
     return SimParams(
         mass_energy=1.0,
         speed=1.0,
@@ -126,10 +133,13 @@ def make_params(
     """Build parameters from a magnetic field in tesla.
 
     L = sqrt(hbar/eB) is converted to Compton wavelengths and b = sqrt(2)
-    lambda_c / L.  Raises ValueError for a non-positive field.
+    lambda_c / L.  Raises ValueError for a field outside TESLA_RANGE.
     """
-    if not (field_tesla > 0.0) or not math.isfinite(field_tesla):
-        raise ValueError(f"magnetic field must be positive and finite, got {field_tesla}")
+    if not TESLA_RANGE[0] <= field_tesla <= TESLA_RANGE[1]:  # a NaN fails
+        raise ValueError(
+            f"magnetic field must be in [{TESLA_RANGE[0]:g}, {TESLA_RANGE[1]:g}] T, "
+            f"got {field_tesla!r}"
+        )
     length_si = math.sqrt(HBAR_SI / (particle.charge_c * field_tesla))
     b = math.sqrt(2.0) * particle.compton_m / length_si
     return make_params_dimensionless(b, dimensionality)

@@ -18,8 +18,9 @@ The oracle evolves the weighted kx ensemble at once.  With the packet's
 level overlaps phi_f (spinor component 1) and fibre weights w_f, a kz node
 adds <A(t)> = sum_jk A_jk S_jk e^{i (E_j - E_k) t} over its real eigenpairs,
 A_jk = v_j . (1 x a) v_k, S_jk = v_j . G v_k, G = sum_f w_f phi_f phi_f^T;
-the eigenvectors are real, so <A+(t)> = conj <A(t)>.  The check's
-independent part is the assembled matrix and its solve.
+the eigenvectors are real, so <A+(t)> = conj <A(t)>.  Each node's lines
+take the per-band line form of zbsim.dynamics and go through its band_sums.
+The check's independent part is the assembled matrix and its solve.
 
 Truncating the ladder at level N leaves, besides the exact eigenstates with
 n <= N, a two-dimensional remnant on the top oscillator level whose
@@ -36,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Trajectory, _banded_trajectory, line_sum
+from .dynamics import Trajectory, _banded_trajectory, band_sums
+from .landau import energies
 from .packet import (
     MAX_ARRAY,
     GaussianPacket,
@@ -106,7 +108,7 @@ class TruncatedHamiltonian:
         plus the +-E_0 truncation-remnant pair.
         """
         n = np.arange(self.n_trunc + 1)
-        e = np.sqrt(self.params.mass_energy**2 + n * self.params.omega**2 + self.kz**2)
+        e = energies(n, self.kz, self.params)
         mult = np.where(n == 0, 1, 2)
         vals = np.repeat(e, mult)
         vals = np.concatenate([vals, [e[0]]])  # remnant pair at +-E_0
@@ -274,13 +276,11 @@ def oracle_trajectory(
         cos_coef = np.where(diag, amps, amps + mirror)
         freqs, sin_coef = (e_j - e_k)[keep], amps - mirror
         intra = ((e_j > 0.0) == (e_k > 0.0))[keep]
-        for band, sel in zip(bands, (intra, ~intra)):
-            band += line_sum(t, freqs[sel], cos_coef[sel, None], sin_coef[sel, None])[:, 0]
+        bands += band_sums(t, ((freqs[sel], cos_coef[sel], sin_coef[sel]) for sel in (intra, ~intra)))
 
-    return _banded_trajectory(
-        t, (bands[0], bands[0].conj()), (bands[1], bands[1].conj()), run_mode,
-        {"engine": "matrix-reference", "n_trunc": trunc, "magnetic_length": params.magnetic_length},
-    )
+    return _banded_trajectory(t, bands, run_mode, {
+        "engine": "matrix-reference", "n_trunc": trunc, "magnetic_length": params.magnetic_length,
+    })
 
 
 @dataclass(frozen=True)

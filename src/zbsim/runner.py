@@ -46,6 +46,12 @@ from .spectral import MIN_SAMPLES, WINDOWS, SpectrumReport, classify_peaks, rich
 from .svg import Series, line_plot
 
 PRESET_NAMES = ("fig1", "fig2a", "fig2b", "fig2c")
+# packet widths and |kick| in magnetic lengths (inverse for the kick); no
+# truncation under the level caps covers a transverse width or kick near them
+PACKET_RANGE_L = (1e-6, 1e6)
+# every [trap] number, in its own unit: the derived trap frequency and
+# spread stay finite and non-zero
+TRAP_RANGE = (1e-100, 1e100)
 
 
 @dataclass(frozen=True)
@@ -106,18 +112,45 @@ class RunConfig:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
 
     def build_params(self) -> tuple[SimParams, TrapConfig | None]:
-        if self.trap is not None:
-            params, _ = trap_to_dirac(self.trap)
-            return params.with_dimensionality(self.mode), self.trap
-        if self.field_b is not None:
-            return make_params_dimensionless(self.field_b, self.mode), None
-        return make_params(self.field_tesla, dimensionality=self.mode), None
+        try:
+            if self.trap is not None:
+                params, _ = trap_to_dirac(self.trap)
+                return params.with_dimensionality(self.mode), self.trap
+            if self.field_b is not None:
+                return make_params_dimensionless(self.field_b, self.mode), None
+            return make_params(self.field_tesla, dimensionality=self.mode), None
+        except ValueError as exc:
+            if self.trap is not None:
+                hz = 2.0 * math.pi
+                source = (f"[trap] eta = {self.trap.eta!r}, omega_tilde_hz = "
+                          f"{self.trap.omega_tilde / hz:g}, omega_carrier_hz = "
+                          f"{self.trap.omega_carrier / hz:g}")
+            elif self.field_b is not None:
+                source = f"[field] b = {self.field_b!r}"
+            else:
+                source = f"[field] tesla = {self.field_tesla!r}"
+            raise ConfigError(f"{source}: {exc}") from exc
 
     def build_packet(self, params: SimParams) -> GaussianPacket:
-        if self.packet_unit == "magnetic_length":
-            scale = params.magnetic_length
-        else:
-            scale = 1.0
+        """The packet in Compton wavelengths; its widths and kick are bounded
+        in magnetic lengths first, the units of the overlap recurrence."""
+        ell = params.magnetic_length
+        in_l = self.packet_unit == "magnetic_length"
+        scale = ell if in_l else 1.0
+        unit = "L" if in_l else "lambda_c"
+        lo, hi = PACKET_RANGE_L
+        for key in ("d_x", "d_y", "d_z"):
+            value = getattr(self, key)
+            if value is not None and not lo <= (value if in_l else value / ell) <= hi:
+                raise ConfigError(
+                    f"[packet] width {key} must be finite and within [{lo:g}, {hi:g}] "
+                    f"magnetic lengths, got {key} = {value!r} {unit} (L = {ell:.6g} lambda_c)"
+                )
+        if not abs(self.k0x if in_l else self.k0x * ell) <= hi:
+            raise ConfigError(
+                f"[packet] kick k0x must be within +-{hi:g} per magnetic length, "
+                f"got k0x = {self.k0x!r} per {unit} (L = {ell:.6g} lambda_c)"
+            )
         try:
             return GaussianPacket(
                 d_x=self.d_x * scale,
@@ -150,11 +183,42 @@ def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default=No
 
 def _section(cp: configparser.ConfigParser, section: str, options):
     """The options dataclass of a section, every field read with its default's type."""
+    values = {f.name: _get(cp, section, f.name, type(f.default), f.default) for f in fields(options)}
     try:
-        return options(**{f.name: _get(cp, section, f.name, type(f.default), f.default)
-                          for f in fields(options)})
+        return options(**values)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
+
+
+def _check_keys(cp: configparser.ConfigParser) -> None:
+    """ConfigError naming the first section or key outside the schema."""
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise ConfigError(
+                f"unknown section [{section}]; known sections: {', '.join(_KEYS)}"
+            )
+        unknown = [key for key in cp[section] if key not in _KEYS[section]]
+        if unknown:
+            raise ConfigError(
+                f"[{section}] unknown key {unknown[0]!r}; known keys: {', '.join(_KEYS[section])}"
+            )
+
+
+# the numbers of a [trap] section, in the order _parse_trap unpacks them
+_TRAP_NUMBERS = ("eta", "omega_tilde_hz", "omega_carrier_hz", "ion_mass_kg", "delta_m",
+                 "trap_freq_hz")
+# the schema: every section and key a config may hold
+_KEYS = {
+    "run": ("mode",),
+    "field": ("b", "tesla"),
+    "trap": (*_TRAP_NUMBERS, "ion"),
+    "packet": ("unit", "d_x", "d_y", "d_z", "k0x", "component"),
+    "time": ("t_max", "samples"),
+    "numerics": (*(f.name for f in fields(Numerics)), "threads"),
+    "spectral": tuple(f.name for f in fields(SpectralOptions)),
+    "oracle": tuple(f.name for f in fields(OracleOptions)),
+    "output": ("position_unit",),
+}
 
 
 def parse_config(text: str, scenario: str = "inline") -> RunConfig:
@@ -164,6 +228,7 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    _check_keys(cp)
 
     mode_text = _get(cp, "run", "mode", str, "2+1")
     try:
@@ -228,7 +293,7 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
         raise ConfigError(f"[output] position_unit must be lambda_c or L, got {position_unit!r}")
     _get(cp, "numerics", "threads", int)  # applied by the CLI before numpy loads
 
-    return RunConfig(
+    config = RunConfig(
         scenario=scenario,
         mode=mode,
         packet_unit=packet_unit,
@@ -248,22 +313,24 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
         position_unit=position_unit,
         raw_text=text,
     )
+    config.build_packet(config.build_params()[0])  # bounds the field and the packet
+    return config
 
 
 def _parse_trap(cp: configparser.ConfigParser) -> TrapConfig:
-    eta = _get(cp, "trap", "eta", float)
-    omega_tilde_hz = _get(cp, "trap", "omega_tilde_hz", float)
-    omega_carrier_hz = _get(cp, "trap", "omega_carrier_hz", float)
+    values = {key: _get(cp, "trap", key, float) for key in _TRAP_NUMBERS}
+    lo, hi = TRAP_RANGE
+    for key, value in values.items():
+        if value is not None and not lo <= value <= hi:
+            raise ConfigError(f"[trap] {key} = {value!r} must be within [{lo:g}, {hi:g}]")
+    eta, omega_tilde_hz, omega_carrier_hz, mass, delta_m, trap_freq_hz = values.values()
     if eta is None or omega_tilde_hz is None or omega_carrier_hz is None:
         raise ConfigError("[trap] eta, omega_tilde_hz and omega_carrier_hz are required")
     ion = _get(cp, "trap", "ion", str, "ca40")
-    mass = _get(cp, "trap", "ion_mass_kg", float)
     if mass is None:
         if ion not in ION_MASSES_KG:
             raise ConfigError(f"[trap] unknown ion {ion!r}; use ca40, mg25 or ion_mass_kg")
         mass = ION_MASSES_KG[ion]
-    delta_m = _get(cp, "trap", "delta_m", float)
-    trap_freq_hz = _get(cp, "trap", "trap_freq_hz", float)
     if (delta_m is None) == (trap_freq_hz is None):
         raise ConfigError("[trap] give exactly one of delta_m and trap_freq_hz")
     try:

@@ -41,6 +41,14 @@ position_unit = L
 """
 
 
+# fig2a's trap block, to stand in for SMALL_CONFIG's [field] section
+TRAP = "[trap]\neta = 0.06\nomega_tilde_hz = 68e3\nomega_carrier_hz = 1e3\ndelta_m = 9.6e-9"
+
+
+def _trap_row(old, new, cause):
+    return ("[field]\nb = 1.0", TRAP.replace(old, new), cause)
+
+
 # (line replaced, replacement, text the error message must contain)
 BAD_INPUTS = (
     ("t_max = 30.0", "t_max = inf", "finite"),
@@ -67,6 +75,32 @@ BAD_INPUTS = (
     ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = 10000000000000",
      "pad_factor = 10000000000000 need"),
     ("samples = 512", "samples = 1048577", "4194308-point spectrum"),
+    # the field and the packet, bounded before any arithmetic on them; the
+    # causes are both regular expressions and plain text, so a value written
+    # 1e+300 is matched by its start
+    ("b = 1.0", "b = 0", "b = 0.0: field ratio b must be in"),
+    ("b = 1.0", "b = -1", "b = -1.0: field ratio b must be in"),
+    ("b = 1.0", "b = 1e300", "b = 1e"),
+    ("b = 1.0", "b = 1e-300", "b = 1e-300: field ratio b"),
+    ("b = 1.0", "tesla = 0", "tesla = 0.0: magnetic field must be in"),
+    ("b = 1.0", "tesla = -1", "tesla = -1.0: magnetic field"),
+    ("b = 1.0", "tesla = 1e-300", "tesla = 1e-300: magnetic field"),
+    ("d_y = 1.0", "d_y = 1e300", "got d_y = 1e"),
+    ("d_y = 1.0", "d_y = 1e-300", "got d_y = 1e-300 L"),
+    ("k0x = 1.4142135623730951", "k0x = -1e300", "got k0x = -1e"),
+    _trap_row("eta = 0.06", "eta = 1e300", "eta = 1e"),
+    _trap_row("eta = 0.06", "eta = 1e-300", "eta = 1e-300 must be within"),
+    _trap_row("68e3", "1e300", "omega_tilde_hz = 1e"),
+    _trap_row("omega_carrier_hz = 1e3", "omega_carrier_hz = 1e-300", "omega_carrier_hz = 1e-300 must"),
+    _trap_row("delta_m = 9.6e-9", "delta_m = 1e-300", "delta_m = 1e-300 must be within"),
+    _trap_row("delta_m = 9.6e-9", "delta_m = 9.6e-9\nion_mass_kg = 0", "ion_mass_kg = 0.0 must be within"),
+    _trap_row("delta_m = 9.6e-9", "trap_freq_hz = 0", "trap_freq_hz = 0.0 must be within"),
+    # within their own bounds, but b = 2 eta Omega_tilde / Omega is not
+    _trap_row("eta = 0.06", "eta = 1e90", "field ratio b must be in"),
+    # sections and keys outside the schema
+    ("kx_nodes = 64", "kx_nodes = 64\nkzrule = legendre", "unknown key 'kzrule'"),
+    ("[numerics]", "[numeric]", "unknown section"),
+    ("k0x = 1.4142135623730951", "k0x_ = 1.0", "unknown key 'k0x_'"),
 )
 
 
@@ -427,15 +461,27 @@ def test_nan_oracle_sample_fails_the_deviation_gate(tmp_path, capsys, monkeypatc
     assert "deviation nan L" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("kx_nodes = 64", "kx_nodes = 64\nconvergence_check = maybe",
+     "[numerics] convergence_check: cannot parse 'maybe'"),
+    ("position_unit = L", "position_unit = L\n[oracle]\ntol_in_l = nan",
+     "[oracle] tol_in_l: must be finite, got 'nan'"),
+])
+def test_section_errors_carry_one_prefix(tmp_path, capsys, old, new, message):
+    path = _write(tmp_path, SMALL_CONFIG.replace(old, new))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 def test_nan_position_sum_fails_the_residue_gate(tmp_path, capsys, monkeypatch):
-    band_parts = zbsim.dynamics._band_parts
+    band_sums = zbsim.dynamics.band_sums
 
     def broken(*args):
-        intra, inter = band_parts(*args)
-        intra[7] = complex(np.nan, np.nan)
-        return intra, inter
+        bands = band_sums(*args)
+        bands[0, 7] = complex(np.nan, np.nan)
+        return bands
 
-    monkeypatch.setattr("zbsim.dynamics._band_parts", broken)
+    monkeypatch.setattr("zbsim.dynamics.band_sums", broken)
     config = _write(tmp_path, SMALL_CONFIG)
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
     assert "imaginary residue nan" in capsys.readouterr().err

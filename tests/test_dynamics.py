@@ -73,21 +73,22 @@ def _pair_integrals(n, t, decomp, params):
     """(Ic+, Ic-, Is+, Is-) for the pair (n, n+1) at scalar t, read off the
     engine's line tables: the rows of pair n, divided by the pair's
     prefactor 1/2 sqrt(n+1) U_{n,n+1}, summed by line_sum (the cos sums in
-    the real part, the sin sums in the imaginary part)."""
-    f_minus, c_minus, s_minus, f_plus, c_plus, s_plus = _line_tables(decomp, params)
+    the real part, the sin sums in the imaginary part; the intraband sin
+    coefficients carry the sign of -i Is+)."""
+    (f_minus, c_minus, s_minus), (f_plus, c_plus, s_plus) = _line_tables(decomp, params)
     rows = slice(n * decomp.kz_nodes.size, (n + 1) * decomp.kz_nodes.size)
     base = 0.5 * math.sqrt(n + 1.0) * decomp.u_band[n]
     tt = np.array([float(t)])
-    zero = np.zeros((f_minus[rows].size, 1))
+    zero = np.zeros(f_minus[rows].size)
 
     def integral(freqs, cos_coef, sin_coef):
-        return line_sum(tt, freqs[rows], cos_coef, sin_coef)[0, 0]
+        return line_sum(tt, freqs[rows], cos_coef, sin_coef)[0]
 
     return (
-        float(integral(f_minus, c_minus[rows, None], zero).real) / base,
-        float(integral(f_plus, c_plus[rows, None], zero).real) / base,
-        float(integral(f_minus, zero, s_minus[rows, None]).imag) / base,
-        float(integral(f_plus, zero, s_plus[rows, None]).imag) / base,
+        float(integral(f_minus, c_minus[rows], zero).real) / base,
+        float(integral(f_plus, c_plus[rows], zero).real) / base,
+        float(integral(f_minus, zero, -s_minus[rows]).imag) / base,
+        float(integral(f_plus, zero, s_plus[rows]).imag) / base,
     )
 
 
@@ -136,6 +137,11 @@ def _explicit_line_sum(t, freqs, cos_coef, sin_coef):
     return expected
 
 
+def _column_line_sums(t, freqs, cos_coef, sin_coef):
+    """line_sum of each column of (lines x columns) coefficients, as columns."""
+    return np.stack([line_sum(t, freqs, c, s) for c, s in zip(cos_coef.T, sin_coef.T)], axis=1)
+
+
 def _random_lines(rng, n_lines, n_cols):
     return rng.normal(size=(n_lines, n_cols)), rng.normal(size=(n_lines, n_cols))
 
@@ -162,7 +168,7 @@ def test_line_sum_matches_explicit_loop(n_lines, n_cols, monkeypatch):
         # the second puts up to 5 lines in a block, most often with a ragged last one
         for chunk in (1, 3 * (t.size + 2 * n_cols)):
             monkeypatch.setattr("zbsim.dynamics._CHUNK", chunk)
-            got = line_sum(t, freqs, cos_coef, sin_coef)
+            got = _column_line_sums(t, freqs, cos_coef, sin_coef)
             assert got.shape == (t.size, n_cols)
             assert np.max(np.abs(got - expected), initial=0.0) < 1e-13
 
@@ -173,7 +179,7 @@ def test_line_sum_large_phases():
     freqs = np.array([-9.7, -3.1, 0.0, 0.4, 5.5, 10.0])
     cos_coef, sin_coef = _random_lines(np.random.default_rng(5), freqs.size, 2)
     assert _grid_block(t) == 32
-    got = line_sum(t, freqs, cos_coef, sin_coef)
+    got = _column_line_sums(t, freqs, cos_coef, sin_coef)
     expected = _explicit_line_sum(t, freqs, cos_coef, sin_coef)
     scale = np.sum(np.abs(cos_coef) + np.abs(sin_coef), axis=0)
     assert np.max(np.abs(got - expected) / scale) < 1e-12
@@ -212,18 +218,18 @@ def test_line_sum_is_bitwise_the_complex_kernel_on_fig1():
     params, _ = config.build_params()
     t = config.time_grid()
     dec = decompose(config.build_packet(params), params, config.numerics, config.mode)
-    f_minus, c_minus, s_minus, f_plus, c_plus, s_plus = _line_tables(dec, params)
-    assert f_minus.size == 10560
-    for freqs, c, s, sign in ((f_minus, c_minus, s_minus, -1), (f_plus, c_plus, s_plus, 1)):
-        got = line_sum(t, freqs, c[:, None], sign * s[:, None])
-        frozen = _complex_line_sum(t, freqs, c[:, None], sign * 1j * s[:, None])
+    bands = _line_tables(dec, params)
+    assert bands[0][0].size == 10560
+    for freqs, c, s in bands:
+        got = line_sum(t, freqs, c, s)
+        frozen = _complex_line_sum(t, freqs, c[:, None], 1j * s[:, None])[:, 0]
         assert np.array_equal(got.view(np.uint64), frozen.view(np.uint64))
 
 
 def test_line_sum_rejects_complex_coefficients():
     t = np.linspace(0.0, 1.0, 300)
     with pytest.raises(TypeError):
-        line_sum(t, np.array([1.0]), np.ones((1, 1)), 1j * np.ones((1, 1)))
+        line_sum(t, np.array([1.0]), np.ones(1), 1j * np.ones(1))
 
 
 def test_ladder_expectation_static_value():
