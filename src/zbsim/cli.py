@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--check-oracle", action="store_true",
                       help="also run the matrix-reference evolution and compare")
     runp.add_argument("--threads", type=int, default=None,
-                      help="BLAS thread budget; overrides OMP/OPENBLAS/MKL_NUM_THREADS "
+                      help="BLAS thread budget, at least 1; overrides OMP/OPENBLAS/MKL_NUM_THREADS "
                       "(exported before numerics load)")
     runp.add_argument("--dump-decomposition", action="store_true",
                       help="write F_n(kx) and U_mn tables as CSV")
@@ -87,12 +87,13 @@ def main(argv: list[str] | None = None) -> int:
     # heavy imports after the thread environment is pinned
     from .runner import PRESET_NAMES, load_config_file, load_preset, run
 
-    if args.list_scenarios:
-        for name in PRESET_NAMES:
-            print(name)
-        return EXIT_OK
-
     try:
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if args.list_scenarios:
+            for name in PRESET_NAMES:
+                print(name)
+            return EXIT_OK
         if args.scenario:
             if args.config:
                 raise ConfigError("give either a config file or --scenario, not both")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -53,8 +54,10 @@ class TrapConfig:
 
     def __post_init__(self) -> None:
         for name in ("eta", "omega_carrier", "omega_tilde", "delta", "ion_mass", "trap_freq"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            # a derived trap_freq or delta can under- or overflow; a NaN fails
+            if not sys.float_info.min <= value <= sys.float_info.max:
+                raise ValueError(f"{name} must be a positive normal float, got {value!r}")
         expected = math.sqrt(HBAR_SI / (2.0 * self.ion_mass * self.trap_freq))
         if abs(self.delta - expected) > 1e-12 * expected:
             raise ValueError(

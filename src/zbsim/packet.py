@@ -445,9 +445,12 @@ def decompose(
             if n_max >= least and 1.0 - cum < num.tail_tol:
                 break
         else:
+            ell = params.magnetic_length
             raise ConvergenceError(
                 f"tail mass {1.0 - cum:.3e} above {num.tail_tol:.1e} at the "
-                f"cap n_max_cap={num.n_max_cap}; raise the cap"
+                f"cap n_max_cap={num.n_max_cap}; raise the cap, or bring the packet "
+                f"(d_x = {packet.d_x / ell:.3g} L, d_y = {packet.d_y / ell:.3g} L, "
+                f"k0x = {packet.k0x * ell:.3g} / L) nearer one magnetic length"
             )
     tail = float(1.0 - cum)
     u_diag = u_diag[: n_max + 1]

@@ -32,13 +32,7 @@ import numpy as np
 from . import __version__
 from .dynamics import Trajectory, cyclotron_reference, trajectory
 from .errors import ConfigError, OracleMismatchError
-from .ionmap import (
-    ION_MASSES_KG,
-    TrapConfig,
-    excitation_plan,
-    kappa_of,
-    trap_to_dirac,
-)
+from .ionmap import ION_MASSES_KG, TrapConfig, excitation_plan, kappa_of, trap_to_dirac
 from .packet import MAX_ARRAY, GaussianPacket, Numerics, PacketDecomposition, decompose, u_overlap
 from .params import Dimensionality, SimParams, make_params, make_params_dimensionless
 from .reference import MAX_N_TRUNC, build_matrix, oracle_trajectory
@@ -49,9 +43,135 @@ PRESET_NAMES = ("fig1", "fig2a", "fig2b", "fig2c")
 # packet widths and |kick| in magnetic lengths (inverse for the kick); no
 # truncation under the level caps covers a transverse width or kick near them
 PACKET_RANGE_L = (1e-6, 1e6)
-# every [trap] number, in its own unit: the derived trap frequency and
-# spread stay finite and non-zero
+# every [trap] number, in its own unit (TrapConfig checks the values derived from them)
 TRAP_RANGE = (1e-100, 1e100)
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    mode: str = "2+1"
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("2+1", "3+1"):
+            raise ValueError(f"mode must be '2+1' or '3+1', got {self.mode!r}")
+
+
+@dataclass(frozen=True)
+class FieldOptions:
+    b: float | None = None
+    tesla: float | None = None
+
+    def build(self, mode: Dimensionality) -> tuple[None, SimParams]:
+        """No trap, and the field parameters."""
+        key, make = ("b", make_params_dimensionless) if self.b is not None else ("tesla", make_params)
+        try:
+            return None, make(getattr(self, key), dimensionality=mode)
+        except ValueError as exc:
+            raise ValueError(f"{key} = {getattr(self, key)!r}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class TrapOptions:
+    eta: float | None = None
+    omega_tilde_hz: float | None = None
+    omega_carrier_hz: float | None = None
+    ion_mass_kg: float | None = None
+    delta_m: float | None = None
+    trap_freq_hz: float | None = None
+    ion: str = "ca40"
+
+    def __post_init__(self) -> None:
+        lo, hi = TRAP_RANGE
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not lo <= value <= hi:
+                raise ValueError(f"{f.name} = {value!r} must be within [{lo:g}, {hi:g}]")
+        if None in (self.eta, self.omega_tilde_hz, self.omega_carrier_hz):
+            raise ValueError("eta, omega_tilde_hz and omega_carrier_hz are required")
+        if self.ion_mass_kg is None and self.ion not in ION_MASSES_KG:
+            raise ValueError(f"unknown ion {self.ion!r}; use ca40, mg25 or ion_mass_kg")
+        if (self.delta_m is None) == (self.trap_freq_hz is None):
+            raise ValueError("give exactly one of delta_m and trap_freq_hz")
+
+    def build(self, mode: Dimensionality) -> tuple[TrapConfig, SimParams]:
+        """The drive and motion in SI units, and the simulated field parameters;
+        an error names the keys that the failing value was derived from."""
+        mass_key = "ion_mass_kg" if self.ion_mass_kg is not None else "ion"
+        mass = self.ion_mass_kg if self.ion_mass_kg is not None else ION_MASSES_KG[self.ion]
+        source = "delta_m" if self.delta_m is not None else "trap_freq_hz"
+        drive = (self.eta, 2.0 * math.pi * self.omega_carrier_hz, 2.0 * math.pi * self.omega_tilde_hz)
+        try:
+            if self.delta_m is not None:
+                trap = TrapConfig.from_spread(*drive, self.delta_m, mass)
+            else:
+                trap = TrapConfig.from_trap_frequency(*drive, 2.0 * math.pi * self.trap_freq_hz, mass)
+        except ValueError as exc:
+            raise ValueError(
+                f"{exc}, derived from {source} and {mass_key} ({source} = "
+                f"{getattr(self, source)!r}, {mass_key} = {getattr(self, mass_key)!r})"
+            ) from exc
+        try:
+            return trap, trap_to_dirac(trap)[0].with_dimensionality(mode)
+        except ValueError as exc:
+            raise ValueError(
+                f"eta = {self.eta!r}, omega_tilde_hz = {self.omega_tilde_hz:g}, "
+                f"omega_carrier_hz = {self.omega_carrier_hz:g}: {exc}"
+            ) from exc
+
+
+@dataclass(frozen=True)
+class PacketOptions:
+    unit: str = "lambda_c"  # of the widths; the kick is in the inverse unit
+    d_x: float | None = None
+    d_y: float | None = None
+    d_z: float | None = None
+    k0x: float = 0.0
+    component: int = 2
+
+    def __post_init__(self) -> None:
+        if self.unit not in ("lambda_c", "magnetic_length"):
+            raise ValueError(f"unit must be lambda_c or magnetic_length, got {self.unit!r}")
+        if self.d_x is None or self.d_y is None:
+            raise ValueError("d_x and d_y are required")
+        if self.component != 2:
+            raise ValueError(
+                f"component: only the second spinor component (2) is supported, got {self.component}"
+            )
+
+    def packet(self, ell: float) -> GaussianPacket:
+        """The packet in Compton wavelengths; its widths and kick are bounded
+        in magnetic lengths first, the units of the overlap recurrence."""
+        in_l = self.unit == "magnetic_length"
+        scale = ell if in_l else 1.0
+        unit = "L" if in_l else "lambda_c"
+        lo, hi = PACKET_RANGE_L
+        for key in ("d_x", "d_y", "d_z"):
+            value = getattr(self, key)
+            if value is not None and not lo <= (value if in_l else value / ell) <= hi:
+                raise ValueError(
+                    f"width {key} must be finite and within [{lo:g}, {hi:g}] "
+                    f"magnetic lengths, got {key} = {value!r} {unit} (L = {ell:.6g} lambda_c)"
+                )
+        if not abs(self.k0x if in_l else self.k0x * ell) <= hi:
+            raise ValueError(
+                f"kick k0x must be within +-{hi:g} per magnetic length, "
+                f"got k0x = {self.k0x!r} per {unit} (L = {ell:.6g} lambda_c)"
+            )
+        return GaussianPacket(d_x=self.d_x * scale, d_y=self.d_y * scale,
+                              d_z=None if self.d_z is None else self.d_z * scale,
+                              k0x=self.k0x / scale, component=self.component)
+
+
+@dataclass(frozen=True)
+class TimeOptions:
+    t_max: float = 0.0  # required, as is samples
+    samples: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.t_max > 0.0 or self.samples < MIN_SAMPLES:
+            raise ValueError(
+                f"t_max > 0 and samples >= {MIN_SAMPLES} (the spectrum's floor) are required"
+            )
 
 
 @dataclass(frozen=True)
@@ -86,89 +206,52 @@ class OracleOptions:
 
 
 @dataclass(frozen=True)
+class OutputOptions:
+    position_unit: str = "lambda_c"
+
+    def __post_init__(self) -> None:
+        if self.position_unit not in ("lambda_c", "L"):
+            raise ValueError(f"position_unit must be lambda_c or L, got {self.position_unit!r}")
+
+
+# every section of a config: a frozen dataclass whose fields are its keys and
+# whose __post_init__ holds the checks within the section
+_SECTIONS = dict(run=RunOptions, field=FieldOptions, trap=TrapOptions, packet=PacketOptions,
+                 time=TimeOptions, numerics=Numerics, spectral=SpectralOptions,
+                 oracle=OracleOptions, output=OutputOptions)
+# the schema: every section and key a config may hold; [numerics] threads is
+# applied by the CLI before numpy loads
+_KEYS = {name: tuple(f.name for f in fields(options)) for name, options in _SECTIONS.items()}
+_KEYS["numerics"] += ("threads",)
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration plus the raw text it was parsed from."""
+    """A validated run: its sections, the field parameters, trap and packet
+    built from them, and the raw text they were parsed from."""
 
     scenario: str
     mode: Dimensionality
-    packet_unit: str  # "lambda_c" or "magnetic_length"
-    d_x: float
-    d_y: float
-    d_z: float | None
-    k0x: float
-    component: int
-    field_b: float | None
-    field_tesla: float | None
+    params: SimParams
     trap: TrapConfig | None
-    t_max: float
-    samples: int
+    packet: GaussianPacket  # in Compton wavelengths
+    time: TimeOptions
     numerics: Numerics
     spectral: SpectralOptions
     oracle: OracleOptions
-    position_unit: str  # "lambda_c" or "L"
+    output: OutputOptions
     raw_text: str
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
 
-    def build_params(self) -> tuple[SimParams, TrapConfig | None]:
-        try:
-            if self.trap is not None:
-                params, _ = trap_to_dirac(self.trap)
-                return params.with_dimensionality(self.mode), self.trap
-            if self.field_b is not None:
-                return make_params_dimensionless(self.field_b, self.mode), None
-            return make_params(self.field_tesla, dimensionality=self.mode), None
-        except ValueError as exc:
-            if self.trap is not None:
-                hz = 2.0 * math.pi
-                source = (f"[trap] eta = {self.trap.eta!r}, omega_tilde_hz = "
-                          f"{self.trap.omega_tilde / hz:g}, omega_carrier_hz = "
-                          f"{self.trap.omega_carrier / hz:g}")
-            elif self.field_b is not None:
-                source = f"[field] b = {self.field_b!r}"
-            else:
-                source = f"[field] tesla = {self.field_tesla!r}"
-            raise ConfigError(f"{source}: {exc}") from exc
-
-    def build_packet(self, params: SimParams) -> GaussianPacket:
-        """The packet in Compton wavelengths; its widths and kick are bounded
-        in magnetic lengths first, the units of the overlap recurrence."""
-        ell = params.magnetic_length
-        in_l = self.packet_unit == "magnetic_length"
-        scale = ell if in_l else 1.0
-        unit = "L" if in_l else "lambda_c"
-        lo, hi = PACKET_RANGE_L
-        for key in ("d_x", "d_y", "d_z"):
-            value = getattr(self, key)
-            if value is not None and not lo <= (value if in_l else value / ell) <= hi:
-                raise ConfigError(
-                    f"[packet] width {key} must be finite and within [{lo:g}, {hi:g}] "
-                    f"magnetic lengths, got {key} = {value!r} {unit} (L = {ell:.6g} lambda_c)"
-                )
-        if not abs(self.k0x if in_l else self.k0x * ell) <= hi:
-            raise ConfigError(
-                f"[packet] kick k0x must be within +-{hi:g} per magnetic length, "
-                f"got k0x = {self.k0x!r} per {unit} (L = {ell:.6g} lambda_c)"
-            )
-        try:
-            return GaussianPacket(
-                d_x=self.d_x * scale,
-                d_y=self.d_y * scale,
-                d_z=None if self.d_z is None else self.d_z * scale,
-                k0x=self.k0x / scale,
-                component=self.component,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[packet] {exc}") from exc
-
     def time_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.samples)
+        return np.linspace(0.0, self.time.t_max, self.time.samples)
 
 
-def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default=None):
+def _get(cp: configparser.ConfigParser, section: str, key: str, cast):
     if not cp.has_option(section, key):
-        return default
+        return None
     raw = cp.get(section, key)
     try:
         if cast is bool:
@@ -181,105 +264,68 @@ def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default=No
     return value
 
 
-def _section(cp: configparser.ConfigParser, section: str, options):
-    """The options dataclass of a section, every field read with its default's type."""
-    values = {f.name: _get(cp, section, f.name, type(f.default), f.default) for f in fields(options)}
+def _checked(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs), a ValueError it raises turned into a ConfigError
+    that names the section."""
     try:
-        return options(**values)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 
 
-def _check_keys(cp: configparser.ConfigParser) -> None:
-    """ConfigError naming the first section or key outside the schema."""
-    for section in cp.sections():
-        if section not in _KEYS:
+def _section(cp: configparser.ConfigParser, section: str):
+    """The options dataclass of a section, every key given read with its
+    field's default's type (a None default marks an optional float); a key
+    outside the schema is an error."""
+    for key in cp[section] if cp.has_section(section) else ():
+        if key not in _KEYS[section]:
             raise ConfigError(
-                f"unknown section [{section}]; known sections: {', '.join(_KEYS)}"
+                f"[{section}] unknown key {key!r}; known keys: {', '.join(_KEYS[section])}"
             )
-        unknown = [key for key in cp[section] if key not in _KEYS[section]]
-        if unknown:
-            raise ConfigError(
-                f"[{section}] unknown key {unknown[0]!r}; known keys: {', '.join(_KEYS[section])}"
-            )
-
-
-# the numbers of a [trap] section, in the order _parse_trap unpacks them
-_TRAP_NUMBERS = ("eta", "omega_tilde_hz", "omega_carrier_hz", "ion_mass_kg", "delta_m",
-                 "trap_freq_hz")
-# the schema: every section and key a config may hold
-_KEYS = {
-    "run": ("mode",),
-    "field": ("b", "tesla"),
-    "trap": (*_TRAP_NUMBERS, "ion"),
-    "packet": ("unit", "d_x", "d_y", "d_z", "k0x", "component"),
-    "time": ("t_max", "samples"),
-    "numerics": (*(f.name for f in fields(Numerics)), "threads"),
-    "spectral": tuple(f.name for f in fields(SpectralOptions)),
-    "oracle": tuple(f.name for f in fields(OracleOptions)),
-    "output": ("position_unit",),
-}
+    options = _SECTIONS[section]
+    values = {f.name: _get(cp, section, f.name, float if f.default is None else type(f.default))
+              for f in fields(options) if cp.has_option(section, f.name)}
+    return _checked(section, options, **values)
 
 
 def parse_config(text: str, scenario: str = "inline") -> RunConfig:
-    """Parse and validate an INI configuration; raises ConfigError on problems."""
+    """Parse and validate an INI configuration; raises ConfigError on problems.
+
+    Each section is read into its options dataclass, which checks its own
+    values; the rules that span sections are checked here, and the field
+    parameters, trap and packet are built once.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-    _check_keys(cp)
+    for name in cp.sections():
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{name}]; known sections: {', '.join(_SECTIONS)}")
 
-    mode_text = _get(cp, "run", "mode", str, "2+1")
-    try:
-        mode = Dimensionality(mode_text)
-    except ValueError:
-        raise ConfigError(f"[run] mode must be '2+1' or '3+1', got {mode_text!r}")
+    # the sections left after [run], [field], [trap] and [packet] are kept as read
+    sections = {name: _section(cp, name) for name in _SECTIONS
+                if name != "trap" or cp.has_section("trap")}
+    mode = Dimensionality(sections.pop("run").mode)
+    field, trap, packet = sections.pop("field"), sections.pop("trap", None), sections.pop("packet")
+    time, numerics, spectral = sections["time"], sections["numerics"], sections["spectral"]
+    threads = _get(cp, "numerics", "threads", int)
+    if threads is not None and threads < 1:
+        raise ConfigError(f"[numerics] threads must be >= 1, got {threads}")
 
-    if not cp.has_section("packet"):
-        raise ConfigError("missing [packet] section")
-    packet_unit = _get(cp, "packet", "unit", str, "lambda_c")
-    if packet_unit not in ("lambda_c", "magnetic_length"):
-        raise ConfigError(f"[packet] unit must be lambda_c or magnetic_length, got {packet_unit!r}")
-    d_x = _get(cp, "packet", "d_x", float)
-    d_y = _get(cp, "packet", "d_y", float)
-    if d_x is None or d_y is None:
-        raise ConfigError("[packet] d_x and d_y are required")
-    d_z = _get(cp, "packet", "d_z", float)
-    if mode is Dimensionality.THREE_PLUS_ONE and d_z is None:
-        raise ConfigError("[packet] d_z is required in 3+1 mode")
-    k0x = _get(cp, "packet", "k0x", float, 0.0)
-    component = _get(cp, "packet", "component", int, 2)
-    if component != 2:
-        raise ConfigError(
-            f"[packet] component: only the second spinor component (2) is supported, got {component}"
-        )
-
-    field_b = _get(cp, "field", "b", float)
-    field_tesla = _get(cp, "field", "tesla", float)
-    trap = _parse_trap(cp) if cp.has_section("trap") else None
-    supplied = sum(x is not None for x in (field_b, field_tesla, trap))
-    if supplied != 1:
+    if sum(x is not None for x in (field.b, field.tesla, trap)) != 1:
         raise ConfigError(
             "exactly one of [field] b, [field] tesla or a [trap] section must be given"
         )
-
-    t_max = _get(cp, "time", "t_max", float)
-    samples = _get(cp, "time", "samples", int)
-    if t_max is None or samples is None or t_max <= 0.0 or samples < MIN_SAMPLES:
+    if mode is Dimensionality.THREE_PLUS_ONE and packet.d_z is None:
+        raise ConfigError("[packet] d_z is required in 3+1 mode")
+    # the largest arrays a run allocates past the Numerics bounds: the padded
+    # spectrum and, in 3+1, the (level pair x kz node) line tables
+    if time.samples * spectral.pad_factor > MAX_ARRAY:
         raise ConfigError(
-            f"[time] t_max > 0 and samples >= {MIN_SAMPLES} (the spectrum's floor) are required"
-        )
-
-    numerics = _section(cp, "numerics", Numerics)
-    spectral_opts = _section(cp, "spectral", SpectralOptions)
-    oracle_opts = _section(cp, "oracle", OracleOptions)
-    # the largest arrays a run allocates past those Numerics bounds: the
-    # padded spectrum and, in 3+1, the (level pair x kz node) line tables
-    if samples * spectral_opts.pad_factor > MAX_ARRAY:
-        raise ConfigError(
-            f"[time] samples = {samples} and [spectral] pad_factor = {spectral_opts.pad_factor} "
-            f"need a {samples * spectral_opts.pad_factor}-point spectrum, above {MAX_ARRAY} elements"
+            f"[time] samples = {time.samples} and [spectral] pad_factor = {spectral.pad_factor} "
+            f"need a {time.samples * spectral.pad_factor}-point spectrum, above {MAX_ARRAY} elements"
         )
     lines = numerics.n_max_cap * numerics.kz_nodes
     if mode is Dimensionality.THREE_PLUS_ONE and lines > MAX_ARRAY:
@@ -288,63 +334,17 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
             f"need {lines}-row line tables, above {MAX_ARRAY} elements"
         )
 
-    position_unit = _get(cp, "output", "position_unit", str, "lambda_c")
-    if position_unit not in ("lambda_c", "L"):
-        raise ConfigError(f"[output] position_unit must be lambda_c or L, got {position_unit!r}")
-    _get(cp, "numerics", "threads", int)  # applied by the CLI before numpy loads
-
-    config = RunConfig(
+    section, source = ("trap", trap) if trap is not None else ("field", field)
+    trap_config, params = _checked(section, source.build, mode)
+    return RunConfig(
         scenario=scenario,
         mode=mode,
-        packet_unit=packet_unit,
-        d_x=d_x,
-        d_y=d_y,
-        d_z=d_z,
-        k0x=k0x,
-        component=component,
-        field_b=field_b,
-        field_tesla=field_tesla,
-        trap=trap,
-        t_max=t_max,
-        samples=samples,
-        numerics=numerics,
-        spectral=spectral_opts,
-        oracle=oracle_opts,
-        position_unit=position_unit,
+        params=params,
+        trap=trap_config,
+        packet=_checked("packet", packet.packet, params.magnetic_length),
         raw_text=text,
+        **sections,
     )
-    config.build_packet(config.build_params()[0])  # bounds the field and the packet
-    return config
-
-
-def _parse_trap(cp: configparser.ConfigParser) -> TrapConfig:
-    values = {key: _get(cp, "trap", key, float) for key in _TRAP_NUMBERS}
-    lo, hi = TRAP_RANGE
-    for key, value in values.items():
-        if value is not None and not lo <= value <= hi:
-            raise ConfigError(f"[trap] {key} = {value!r} must be within [{lo:g}, {hi:g}]")
-    eta, omega_tilde_hz, omega_carrier_hz, mass, delta_m, trap_freq_hz = values.values()
-    if eta is None or omega_tilde_hz is None or omega_carrier_hz is None:
-        raise ConfigError("[trap] eta, omega_tilde_hz and omega_carrier_hz are required")
-    ion = _get(cp, "trap", "ion", str, "ca40")
-    if mass is None:
-        if ion not in ION_MASSES_KG:
-            raise ConfigError(f"[trap] unknown ion {ion!r}; use ca40, mg25 or ion_mass_kg")
-        mass = ION_MASSES_KG[ion]
-    if (delta_m is None) == (trap_freq_hz is None):
-        raise ConfigError("[trap] give exactly one of delta_m and trap_freq_hz")
-    try:
-        if delta_m is not None:
-            return TrapConfig.from_spread(
-                eta, 2.0 * math.pi * omega_carrier_hz, 2.0 * math.pi * omega_tilde_hz,
-                delta_m, mass,
-            )
-        return TrapConfig.from_trap_frequency(
-            eta, 2.0 * math.pi * omega_carrier_hz, 2.0 * math.pi * omega_tilde_hz,
-            2.0 * math.pi * trap_freq_hz, mass,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[trap] {exc}") from exc
 
 
 def preset_text(name: str) -> str:
@@ -447,25 +447,17 @@ def run(
     """Execute one configured run and write all artifacts into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params, trap = config.build_params()
-    packet = config.build_packet(params)
-    t_grid = config.time_grid()
+    params, packet, t_grid = config.params, config.packet, config.time_grid()
 
     decomp = decompose(packet, params, config.numerics, config.mode)
     traj = trajectory(packet, params, t_grid, config.mode, decomp=decomp)
-    if config.position_unit == "L":
-        traj_out = traj.in_magnetic_length_units()
-    else:
-        traj_out = traj
+    traj_out = traj.in_magnetic_length_units() if config.output.position_unit == "L" else traj
 
-    report = spectrum(
-        traj_out,
-        window=config.spectral.window,
-        pad_factor=config.spectral.pad_factor,
-        detection_floor=config.spectral.detection_floor,
-    )
+    opts = config.spectral
+    report = spectrum(traj_out, window=opts.window, pad_factor=opts.pad_factor,
+                      detection_floor=opts.detection_floor)
     report = classify_peaks(report, params, decomp.occupied_levels())
-    n_rich = richness(report, config.spectral.significant_rel_power)
+    n_rich = richness(report, opts.significant_rel_power)
 
     oracle_dev = None
     files: list[Path] = []
@@ -504,8 +496,7 @@ def run(
 
     report_path = out / "report.txt"
     report_path.write_text(
-        _render_report(config, params, trap, packet, decomp, traj_out, report,
-                       n_rich, oracle_dev)
+        _render_report(config, decomp, traj_out, report, n_rich, oracle_dev)
     )
     files.append(report_path)
 
@@ -566,15 +557,13 @@ def _write_svgs(out: Path, traj: Trajectory, report: SpectrumReport, config: Run
 
 def _render_report(
     config: RunConfig,
-    params: SimParams,
-    trap: TrapConfig | None,
-    packet: GaussianPacket,
     decomp: PacketDecomposition,
     traj: Trajectory,
     report: SpectrumReport,
     n_rich: int,
     oracle_dev: float | None,
 ) -> str:
+    params, packet, trap = config.params, config.packet, config.trap
     omega_c, radius = cyclotron_reference(packet, params)
     lines = [
         f"zbsim {__version__} run report",

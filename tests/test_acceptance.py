@@ -32,9 +32,7 @@ def _report(criterion: str, detail: str) -> None:
 
 def _fig2_setup(name: str):
     config = load_preset(name)
-    params, _ = config.build_params()
-    packet = config.build_packet(params)
-    return config, params, packet
+    return config, config.params, config.packet
 
 
 def test_criterion_1_spectrum_closed_form():
@@ -171,8 +169,7 @@ def test_criterion_8_numerical_hygiene():
     details = []
     for name in ("fig1", "fig2a", "fig2b", "fig2c"):
         config = load_preset(name)
-        params, _ = config.build_params()
-        packet = config.build_packet(params)
+        params, packet = config.params, config.packet
         dec = decompose(packet, params, config.numerics, config.mode)
         assert float(np.sum(dec.u_diag)) == pytest.approx(1.0, abs=1e-8), name
 

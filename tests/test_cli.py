@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ import zbsim.errors
 from zbsim.cli import EXIT_CODES, main
 from zbsim.errors import ConfigError, TruncationError
 from zbsim.reference import oracle_trajectory
-from zbsim.runner import PRESET_NAMES, load_preset, parse_config
+from zbsim.runner import _KEYS, PRESET_NAMES, load_preset, parse_config
 
 SMALL_CONFIG = """
 [run]
@@ -55,6 +56,8 @@ BAD_INPUTS = (
     ("samples = 512", "samples = 10", "256"),
     ("d_x = 0.9", "d_x = nan", "finite"),
     ("kx_nodes = 64", "kx_nodes = 64\nthreads = two", "threads"),
+    ("kx_nodes = 64", "kx_nodes = 64\nthreads = 0", "threads must be >= 1, got 0"),
+    ("kx_nodes = 64", "kx_nodes = 64\nthreads = -5", "threads must be >= 1, got -5"),
     ("kx_nodes = 64", "kx_nodes = 64\nkz_cutoff_sigmas = -1", "kz_cutoff_sigmas"),
     ("kx_nodes = 64", "kx_nodes = 64\nkz_cutoff_sigmas = 0", "kz_cutoff_sigmas"),
     ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = 0", "pad_factor"),
@@ -95,6 +98,9 @@ BAD_INPUTS = (
     _trap_row("delta_m = 9.6e-9", "delta_m = 1e-300", "delta_m = 1e-300 must be within"),
     _trap_row("delta_m = 9.6e-9", "delta_m = 9.6e-9\nion_mass_kg = 0", "ion_mass_kg = 0.0 must be within"),
     _trap_row("delta_m = 9.6e-9", "trap_freq_hz = 0", "trap_freq_hz = 0.0 must be within"),
+    # each within its bounds, but the trap frequency hbar / (2 M delta^2) underflows
+    _trap_row("delta_m = 9.6e-9", "delta_m = 1e100\nion_mass_kg = 1e100",
+              "derived from delta_m and ion_mass_kg"),
     # within their own bounds, but b = 2 eta Omega_tilde / Omega is not
     _trap_row("eta = 0.06", "eta = 1e90", "field ratio b must be in"),
     # sections and keys outside the schema
@@ -216,6 +222,24 @@ def test_threads_override_environment(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_below_one_exit_code(tmp_path, capsys, value):
+    config = _write(tmp_path, SMALL_CONFIG)
+    assert main(["run", str(config), "--threads", value, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"configuration error: --threads must be >= 1, got {value}\n"
+
+
+def test_docs_list_every_config_key():
+    # the key column of each "## [section]" table of docs/config.md, against the parser's schema
+    text = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
+    documented = {}
+    for block in re.split(r"^## ", text, flags=re.M)[1:]:
+        rows = [line.split("|")[1] for line in block.splitlines() if line.startswith("|")][2:]
+        keys = {key.strip(" `") for cell in rows for key in cell.split(",")}
+        documented[re.match(r"\[(\w+)\]", block).group(1)] = keys
+    assert documented == {section: set(keys) for section, keys in _KEYS.items()}
+
+
 def test_cli_list_scenarios(capsys):
     assert main(["run", "--list-scenarios"]) == 0
     out = capsys.readouterr().out.split()
@@ -290,6 +314,16 @@ def test_convergence_failure_exit_code(tmp_path, capsys):
     config = _write(tmp_path, text)
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
     assert "convergence" in capsys.readouterr().err
+
+
+def test_packet_far_from_one_magnetic_length_exit_code(tmp_path, capsys):
+    # no level cap covers d_y = 1e5 L; the message gives the packet in L
+    text = SMALL_CONFIG.replace("d_y = 1.0", "d_y = 1e5").replace(
+        "kx_nodes = 64", "kx_nodes = 64\nn_max_cap = 40")
+    config = _write(tmp_path, text)
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "at the cap n_max_cap=40" in err and "d_y = 1e+05 L" in err
 
 
 def test_weak_field_overflow_exit_code(tmp_path, capsys):

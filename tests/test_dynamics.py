@@ -215,9 +215,9 @@ def test_line_sum_is_bitwise_the_complex_kernel_on_fig1():
     # real C and S give the BLAS products the values, in the order, that the
     # complex kernel gave them with C + 0i and 0 + iS
     config = load_preset("fig1")
-    params, _ = config.build_params()
+    params = config.params
     t = config.time_grid()
-    dec = decompose(config.build_packet(params), params, config.numerics, config.mode)
+    dec = decompose(config.packet, params, config.numerics, config.mode)
     bands = _line_tables(dec, params)
     assert bands[0][0].size == 10560
     for freqs, c, s in bands:

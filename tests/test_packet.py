@@ -225,8 +225,7 @@ def _overlap_table(packet, params, kx, n_top, y_nodes):
 def _preset_grids(name):
     """Packet, field and both kx grids (with their y node counts) of a preset."""
     config = load_preset(name)
-    params, _ = config.build_params()
-    packet = config.build_packet(params)
+    params, packet = config.params, config.packet
     grids = []
     for num in (config.numerics, config.numerics.doubled()):
         u, w = gauss_hermite(num.kx_nodes)

@@ -168,8 +168,7 @@ def test_gigantic_field_run_shows_both_line_kinds():
     from zbsim.runner import load_preset
 
     config = load_preset("fig1")
-    params, _ = config.build_params()
-    packet = config.build_packet(params)
+    params, packet = config.params, config.packet
     dec = decompose(packet, params, config.numerics, config.mode)
     traj = trajectory(packet, params, config.time_grid(), config.mode, decomp=dec)
     rep = classify_peaks(spectrum(traj), params, dec.occupied_levels())
