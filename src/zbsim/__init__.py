@@ -32,9 +32,9 @@ _EXPORTS = {
     "position": "dynamics",
     "ladder_expectations": "dynamics",
     "cyclotron_reference": "dynamics",
-    "TruncatedHamiltonian": "reference",
     "build_matrix": "reference",
-    "evolve": "reference",
+    "fibre_eigenvalues": "reference",
+    "expected_eigenvalues": "reference",
     "oracle_trajectory": "reference",
     "check_transform": "reference",
     "TransformReport": "reference",

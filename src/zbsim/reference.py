@@ -11,8 +11,11 @@ matrix is real symmetric and is assembled, solved and collapsed in real
 arithmetic.  It is independent of kx; kx enters only through the packet
 coefficients, so one eigensystem per kz node serves every kx quadrature
 fibre.  The matrix falls apart into small connected blocks (4 x 4 at
-kz != 0, 2 x 2 at kz = 0), read off its nonzero pattern; each block gets its
-own symmetric solve, so eigenvectors are exactly zero off their block.
+kz != 0, 2 x 2 at kz = 0), read off its nonzero pattern into a block plan;
+one solve, _solve_blocks, diagonalises every block of a plan (one batched
+symmetric eigh per block size), so eigenvectors are exactly zero off their
+block.  The oracle and fibre_eigenvalues (the eigenvalues.csv table and the
+transform check) both go through it.
 
 The oracle evolves the weighted kx ensemble at once.  With the packet's
 level overlaps phi_f (spinor component 1) and fibre weights w_f, a kz node
@@ -24,8 +27,8 @@ The check's independent part is the assembled matrix and its solve.
 
 Truncating the ladder at level N leaves, besides the exact eigenstates with
 n <= N, a two-dimensional remnant on the top oscillator level whose
-eigenvalues coincide with +-E_0(kz); the expected-spectrum helper accounts
-for it.
+eigenvalues coincide with +-E_0(kz); expected_eigenvalues accounts for it.
+The oracle's default truncation is the decomposition level n_max + 12.
 
 Basis ordering: index = component*(N+1) + n with spinor components 0..3.
 """
@@ -33,11 +36,12 @@ Basis ordering: index = component*(N+1) + n with spinor components 0..3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Trajectory, _banded_trajectory, band_sums
+from .errors import ConfigError
 from .landau import energies
 from .packet import (
     MAX_ARRAY,
@@ -77,42 +81,16 @@ def lowering_matrix(n_trunc: int) -> np.ndarray:
     return a
 
 
-@dataclass
-class TruncatedHamiltonian:
-    """Dense real symmetric Dirac Hamiltonian on the truncated oscillator basis."""
+def expected_eigenvalues(kz: float, n_trunc: int, params: SimParams) -> np.ndarray:
+    """Closed-form spectrum of the fibre matrix at kz on levels 0..n_trunc, ascending.
 
-    matrix: np.ndarray
-    n_trunc: int
-    kz: float
-    params: SimParams
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (ascending eigenvalues, real eigenvectors), one symmetric
-        solve per connected block of the matrix (see _block_eigh)."""
-        if self._eig is None:
-            self._eig = _block_eigh(self.matrix)
-        return self._eig
-
-    def eigenvalues(self) -> np.ndarray:
-        return self.eigensystem()[0]
-
-    def expected_eigenvalues(self) -> np.ndarray:
-        """Closed-form spectrum of the truncated matrix, sorted ascending.
-
-        +-E_n appears once for n = 0 and twice for n >= 1 (two spin states),
-        plus the +-E_0 truncation-remnant pair.
-        """
-        n = np.arange(self.n_trunc + 1)
-        e = energies(n, self.kz, self.params)
-        mult = np.where(n == 0, 1, 2)
-        vals = np.repeat(e, mult)
-        vals = np.concatenate([vals, [e[0]]])  # remnant pair at +-E_0
-        return np.sort(np.concatenate([vals, -vals]))
+    +-E_n appears once for n = 0 and twice for n >= 1 (two spin states),
+    plus the +-E_0 truncation-remnant pair.
+    """
+    n = np.arange(n_trunc + 1)
+    e = energies(n, kz, params)
+    vals = np.concatenate([np.repeat(e, np.where(n == 0, 1, 2)), e[:1]])  # remnant at +-E_0
+    return np.sort(np.concatenate([vals, -vals]))
 
 
 def _components(matrix: np.ndarray) -> np.ndarray:
@@ -140,25 +118,6 @@ def _blocks(matrix: np.ndarray) -> list[np.ndarray]:
     return [order[first[size == s][:, None] + np.arange(s)] for s in sorted(set(size.tolist()))]
 
 
-def _block_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of a real symmetric matrix, solved block by block.
-
-    The blocks are the connected components of the nonzero pattern, so a
-    stray coupling merges two blocks rather than being dropped.  Blocks of
-    one size go through one batched eigh; each block's eigenvectors fill the
-    columns of its own indices, exactly zero off the block.  The eigenvalues
-    are sorted ascending by a stable sort.
-    """
-    vals = np.empty(matrix.shape[0])
-    vecs = np.zeros(matrix.shape)
-    for idx in _blocks(matrix):
-        vals[idx], vecs[idx[:, :, None], idx[:, None, :]] = np.linalg.eigh(
-            matrix[idx[:, :, None], idx[:, None, :]]
-        )
-    ascending = np.argsort(vals, kind="stable")
-    return vals[ascending], vecs[:, ascending]
-
-
 def _fibre_terms(n_trunc: int, params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     """(h0, hz): the fibre Hamiltonian on levels 0..n_trunc is h0 + kz hz (any kx)."""
     if not 0 <= n_trunc <= MAX_N_TRUNC:
@@ -177,52 +136,62 @@ def _fibre_terms(n_trunc: int, params: SimParams) -> tuple[np.ndarray, np.ndarra
     return h0, hz
 
 
-def build_matrix(kz: float, n_trunc: int, params: SimParams) -> TruncatedHamiltonian:
-    """Assemble the real symmetric fibre Hamiltonian at kz on levels 0..n_trunc (any kx)."""
+def build_matrix(kz: float, n_trunc: int, params: SimParams) -> np.ndarray:
+    """The real symmetric fibre Hamiltonian at kz on levels 0..n_trunc (any kx)."""
     h0, hz = _fibre_terms(n_trunc, params)
     # alpha_z is nonzero only where the other terms vanish: the four-term sum bit for bit
-    return TruncatedHamiltonian(matrix=h0 + kz * hz, n_trunc=n_trunc, kz=kz, params=params)
+    return h0 + kz * hz
 
 
-def evolve(ham: TruncatedHamiltonian, initial_coeffs: np.ndarray, t) -> np.ndarray:
-    """Evolve a normalised coefficient vector: c(t) = V e^{-i E t} V+ c(0).
+def _block_plan(kz: float, h0: np.ndarray, hz: np.ndarray):
+    """(sizes, idx, h0 blocks, hz blocks) for the connected blocks of h0 + kz hz.
 
-    Returns shape (dim,) for scalar t, (dim, nt) for an array.  Norm is
-    preserved to machine precision; a non-normalised input is rejected.
+    idx holds each block's indices, padded to the widest by repeating its
+    last index; sizes holds (slice of blocks, size) per block size, ascending.
     """
-    c0 = np.asarray(initial_coeffs, dtype=complex)
-    if c0.shape != (ham.dimension,):
-        raise ValueError(f"coefficient vector must have shape ({ham.dimension},)")
-    norm = float(np.linalg.norm(c0))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"initial coefficients must be normalised, |c| = {norm}")
-    vals, vecs = ham.eigensystem()
-    proj = vecs.T @ c0
-    scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-    tarr = np.atleast_1d(np.asarray(t, dtype=float))
-    phases = np.exp(-1j * np.outer(vals, tarr)) * proj[:, None]
-    out = vecs @ phases
-    return out[:, 0] if scalar else out
-
-
-def _pair_plan(pattern: np.ndarray, h0: np.ndarray, hz: np.ndarray, ops: tuple):
-    """(sizes, h0 blocks, hz blocks, p, q, ops on the block pairs p <= q that
-    ops[0] or its transpose joins) for the blocks of `pattern`, padded to the
-    widest by repeating their last index; sizes: (slice of blocks, size)."""
-    blocks = _blocks(pattern)
+    # the nonzero pattern of h0 + kz hz is that of h0 or of h0 + hz
+    blocks = _blocks(h0 if kz == 0.0 else h0 + hz)
     width = blocks[-1].shape[1]
     idx = np.concatenate([i[:, np.minimum(np.arange(width), i.shape[1] - 1)] for i in blocks])
-    label = np.empty(pattern.shape[0], dtype=int)
+    ends = np.cumsum([i.shape[0] for i in blocks]).tolist()
+    sizes = [(slice(end - i.shape[0], end), i.shape[1]) for i, end in zip(blocks, ends)]
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    return sizes, idx, h0[rows, cols], hz[rows, cols]
+
+
+def _solve_blocks(plan, kz: float) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of h0 + kz hz on each block of a _block_plan,
+    one batched eigh per block size; zero on the padding."""
+    sizes, _, h0_blk, hz_blk = plan
+    vals, vecs = np.zeros(h0_blk.shape[:2]), np.zeros(h0_blk.shape)
+    for blk, s in sizes:
+        block = h0_blk[blk, :s, :s] + kz * hz_blk[blk, :s, :s]
+        vals[blk, :s], vecs[blk, :s, :s] = np.linalg.eigh(block)
+    return vals, vecs
+
+
+def fibre_eigenvalues(kz: float, n_trunc: int, params: SimParams) -> np.ndarray:
+    """Ascending eigenvalues of the fibre matrix at kz on levels 0..n_trunc,
+    solved block by block as the oracle solves it."""
+    h0, hz = _fibre_terms(n_trunc, params)
+    plan = _block_plan(kz, h0, hz)
+    vals, _ = _solve_blocks(plan, kz)
+    vals = np.concatenate([vals[blk, :s].ravel() for blk, s in plan[0]])
+    # a stable argsort, as in _blocks: np.sort pages in more numpy code (up to 0.2 MB of RSS)
+    return vals[np.argsort(vals, kind="stable")]
+
+
+def _pair_plan(idx: np.ndarray, ops: tuple):
+    """(p, q, ops on the block pairs p <= q that ops[0] or its transpose
+    joins) for the padded block indices idx of a _block_plan."""
+    label = np.empty(ops[0].shape[0], dtype=int)
     label[idx] = np.arange(idx.shape[0])[:, None]
     coupled = np.zeros((idx.shape[0], idx.shape[0]), dtype=bool)
     rows, cols = np.nonzero(ops[0])
     coupled[label[rows], label[cols]] = True
     p, q = np.nonzero(np.triu(coupled | coupled.T))
-    ends = np.cumsum([i.shape[0] for i in blocks]).tolist()
-    sizes = [(slice(end - i.shape[0], end), i.shape[1]) for i, end in zip(blocks, ends)]
     rows, cols = idx[:, :, None], idx[:, None, :]
-    pair_ops = np.stack([op[rows[p], cols[q]] for op in ops])
-    return sizes, h0[rows, cols], hz[rows, cols], p, q, pair_ops
+    return p, q, np.stack([op[rows[p], cols[q]] for op in ops])
 
 
 def oracle_trajectory(
@@ -246,6 +215,11 @@ def oracle_trajectory(
     if decomp is None:
         decomp = decompose(packet, params, numerics, run_mode)
     trunc = n_trunc if n_trunc is not None else decomp.n_max + 12
+    if n_trunc is None and trunc > MAX_N_TRUNC:  # an explicit n_trunc: _fibre_terms checks it
+        raise ConfigError(
+            f"[oracle] the reference matrices need the truncation n_max + 12 = "
+            f"{trunc}, above {MAX_N_TRUNC}; run without the oracle check"
+        )
     phi = oscillator_overlaps(packet, params, decomp.kx_nodes, trunc, max(48, trunc // 2 + 8))
     check_finite_overlaps(phi, decomp.kx_nodes, packet, params)
 
@@ -253,16 +227,14 @@ def oracle_trajectory(
     lower = np.kron(np.eye(4), lowering_matrix(trunc))
     gram = np.kron(np.diag([0.0, 1.0, 0.0, 0.0]), (phi * decomp.kx_weights) @ phi.T)
     ops = (lower, lower.T, gram)  # 1 x a, its transpose, G on spinor component 1
-    plans = {}  # the nonzero pattern of h0 + kz hz is that of h0 or of h0 + hz
+    plans = {}  # one block plan at kz = 0 and one for every other kz
     bands = np.zeros((2, t.size), dtype=complex)  # intraband, interband <A>
     for kz, w_kz in zip(decomp.kz_nodes.tolist(), decomp.kz_weights.tolist()):
         if (kz == 0.0) not in plans:
-            plans[kz == 0.0] = _pair_plan(h0 if kz == 0.0 else h0 + hz, h0, hz, ops)
-        sizes, h0_blk, hz_blk, p, q, pair_ops = plans[kz == 0.0]
-        vals, vecs = np.zeros(h0_blk.shape[:2]), np.zeros(h0_blk.shape)  # zero on the padding
-        for blk, s in sizes:
-            block = h0_blk[blk, :s, :s] + kz * hz_blk[blk, :s, :s]
-            vals[blk, :s], vecs[blk, :s, :s] = np.linalg.eigh(block)
+            plan = _block_plan(kz, h0, hz)
+            plans[kz == 0.0] = plan, _pair_plan(plan[1], ops)
+        plan, (p, q, pair_ops) = plans[kz == 0.0]
+        vals, vecs = _solve_blocks(plan, kz)
         a_jk, a_kj, s_jk = np.swapaxes(vecs[p], 1, 2) @ pair_ops @ vecs[q]
         k_jk, k_kj = a_jk * s_jk, a_kj * s_jk
         mag = np.maximum(np.abs(k_jk), np.abs(k_kj))
@@ -294,9 +266,12 @@ class TransformReport:
     n_trunc: int
 
     def passed(self, tol_unitary: float = 1e-14, tol_spectrum: float = 1e-10) -> bool:
+        """Whether P is unitary and delta an involution within tol_unitary, and
+        P H P+ has the off-diagonal form and spectrum within tol_spectrum."""
         return (
             self.unitarity_dev <= tol_unitary
             and self.involution_dev <= tol_unitary
+            and self.block_form_dev <= tol_spectrum
             and self.spectrum_dev <= tol_spectrum
         )
 
@@ -319,10 +294,9 @@ def check_transform(params: SimParams, n_trunc: int = 20, kz: float = 0.0) -> Tr
     unitarity = float(np.max(np.abs(p @ p.conj().T - np.eye(4))))
     involution = float(np.max(np.abs(delta @ delta - np.eye(4))))
 
-    ham = build_matrix(kz, n_trunc, params)
     dim_osc = n_trunc + 1
     p_full = np.kron(p, np.eye(dim_osc))
-    transformed = p_full @ ham.matrix @ p_full.conj().T
+    transformed = p_full @ build_matrix(kz, n_trunc, params) @ p_full.conj().T
 
     b = params.field_ratio_b
     m = params.mass_energy
@@ -333,7 +307,8 @@ def check_transform(params: SimParams, n_trunc: int = 20, kz: float = 0.0) -> Tr
     h_prime = np.block([[zero, upper], [upper.conj().T, zero]])
 
     block_dev = float(np.max(np.abs(transformed - h_prime)))
-    spectrum_dev = float(np.max(np.abs(np.linalg.eigvalsh(h_prime) - ham.eigenvalues())))
+    solved = fibre_eigenvalues(kz, n_trunc, params)
+    spectrum_dev = float(np.max(np.abs(np.linalg.eigvalsh(h_prime) - solved)))
     return TransformReport(
         unitarity_dev=unitarity,
         involution_dev=involution,

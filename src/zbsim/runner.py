@@ -9,7 +9,8 @@ output directory:
     trajectory_xt.svg, trajectory_xy.svg, spectrum.svg
     report.txt       parameters, kappa, truncation, peaks, plan, oracle summary
     decomposition_f.csv / decomposition_u.csv        (on request)
-    eigenvalues.csv                                  (with the oracle check)
+    eigenvalues.csv  (with the oracle check) the spectrum of the oracle's own
+                     matrix at kz = 0, at its truncation n_trunc
 
 Every file carries the artifact version and a hash of the configuration
 text, and identical configurations produce byte-identical CSV output at a
@@ -35,7 +36,7 @@ from .errors import ConfigError, OracleMismatchError
 from .ionmap import ION_MASSES_KG, TrapConfig, excitation_plan, kappa_of, trap_to_dirac
 from .packet import MAX_ARRAY, GaussianPacket, Numerics, PacketDecomposition, decompose, u_overlap
 from .params import Dimensionality, SimParams, make_params, make_params_dimensionless
-from .reference import MAX_N_TRUNC, build_matrix, oracle_trajectory
+from .reference import MAX_N_TRUNC, fibre_eigenvalues, oracle_trajectory
 from .spectral import MIN_SAMPLES, WINDOWS, SpectrumReport, classify_peaks, richness, spectrum
 from .svg import Series, line_plot
 
@@ -462,11 +463,6 @@ def run(
     oracle_dev = None
     files: list[Path] = []
     if check_oracle or config.oracle.enabled:
-        if decomp.n_max + 12 > MAX_N_TRUNC:  # the eigenvalue table's truncation
-            raise ConfigError(
-                f"[oracle] the reference matrices need the truncation n_max + 12 = "
-                f"{decomp.n_max + 12}, above {MAX_N_TRUNC}; run without the oracle check"
-            )
         n_trunc = config.oracle.n_trunc if config.oracle.n_trunc > 0 else None
         oracle = oracle_trajectory(
             packet, params, t_grid, config.mode, n_trunc=n_trunc, decomp=decomp
@@ -475,11 +471,10 @@ def run(
         dev = float(np.max(np.abs([traj.x - oracle.x, traj.y - oracle.y])))
         oracle_dev = dev / params.magnetic_length
         eig_path = out / "eigenvalues.csv"
-        ham = build_matrix(0.0, decomp.n_max + 12, params)
         buf = io.StringIO()
         buf.write(_csv_header(config, "truncated-matrix eigenvalues at kx=kz=0"))
         buf.write("index,energy\n")
-        energies = ham.eigenvalues()
+        energies = fibre_eigenvalues(0.0, oracle.provenance["n_trunc"], params)
         buf.write(_csv_rows("%d,%.17g\n", np.arange(energies.size), energies))
         eig_path.write_text(buf.getvalue())
         files.append(eig_path)

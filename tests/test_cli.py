@@ -14,7 +14,7 @@ import zbsim.dynamics
 import zbsim.errors
 from zbsim.cli import EXIT_CODES, main
 from zbsim.errors import ConfigError, TruncationError
-from zbsim.reference import oracle_trajectory
+from zbsim.reference import expected_eigenvalues, oracle_trajectory
 from zbsim.runner import _KEYS, PRESET_NAMES, load_preset, parse_config
 
 SMALL_CONFIG = """
@@ -199,7 +199,7 @@ def test_every_error_type_has_an_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_oracle_truncation_beyond_the_bound_exit_code(tmp_path, capsys, monkeypatch):
     # SMALL_CONFIG converges at n_max = 31; the reference would need n_trunc = 43
-    monkeypatch.setattr("zbsim.runner.MAX_N_TRUNC", 42)
+    monkeypatch.setattr("zbsim.reference.MAX_N_TRUNC", 42)
     config = _write(tmp_path, SMALL_CONFIG)
     assert main(["run", str(config), "--out", str(tmp_path / "out"), "--check-oracle"]) == 2
     assert "n_max + 12 = 43, above 42" in capsys.readouterr().err
@@ -272,11 +272,15 @@ def test_small_run_artifacts(tmp_path, capsys):
 
 def test_runs_are_byte_identical(tmp_path, capsys):
     config = _write(tmp_path, SMALL_CONFIG)
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert main(["run", str(config), "--out", str(out1)]) == 0
-    assert main(["run", str(config), "--out", str(out2)]) == 0
-    for name in ("trajectory.csv", "spectrum.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    for flags in ([], ["--check-oracle"]):  # every CSV, eigenvalues.csv with the oracle
+        out1, out2 = tmp_path / f"r1{flags}", tmp_path / f"r2{flags}"
+        assert main(["run", str(config), "--out", str(out1), *flags]) == 0
+        assert main(["run", str(config), "--out", str(out2), *flags]) == 0
+        names = sorted(path.name for path in out1.glob("*.csv"))
+        assert ("eigenvalues.csv" in names) == bool(flags)
+        assert sorted(path.name for path in out2.glob("*.csv")) == names
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     capsys.readouterr()
 
 
@@ -304,6 +308,22 @@ def test_check_oracle_reports_deviation(tmp_path, capsys):
     assert (out / "eigenvalues.csv").exists()
     stdout = capsys.readouterr().out
     assert "reference deviation" in stdout
+
+
+def test_eigenvalues_follow_the_oracle_truncation(tmp_path, capsys):
+    # SMALL_CONFIG converges at n_max = 31; the table is the spectrum of the
+    # checked matrix at n_trunc = 60, 4 (60 + 1) rows, not one at n_max + 12
+    text = SMALL_CONFIG + "\n[oracle]\nn_trunc = 60\n"
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, text)), "--out", str(out), "--check-oracle"]) == 0
+    lines = (out / "eigenvalues.csv").read_text().splitlines()
+    assert lines[4] == "index,energy"
+    rows = np.array([line.split(",") for line in lines[5:]], dtype=float)
+    assert rows.shape == (4 * 61, 2)
+    assert np.array_equal(rows[:, 0], np.arange(4 * 61))
+    expected = expected_eigenvalues(0.0, 60, parse_config(text).params)
+    assert np.max(np.abs(rows[:, 1] - expected)) < 1e-12
+    capsys.readouterr()
 
 
 def test_convergence_failure_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +14,15 @@ from zbsim.reference import (
     ALPHA_Z,
     BETA,
     I_ALPHA_Y,
-    _block_eigh,
+    _block_plan,
     _components,
     _fibre_terms,
     _pair_plan,
+    _solve_blocks,
     build_matrix,
     check_transform,
-    evolve,
+    expected_eigenvalues,
+    fibre_eigenvalues,
     lowering_matrix,
     oracle_trajectory,
 )
@@ -28,24 +31,38 @@ B_ONE = make_params_dimensionless(1.0, Dimensionality.TWO_PLUS_ONE)
 FIG1_PARAMS = make_params(2e9)  # the fig1 preset's field
 
 
+def _scattered_solve(kz, h0, hz):
+    """The shared block solve of h0 + kz hz scattered back to the full index
+    space: ascending eigenvalues and their eigenvector columns."""
+    plan = _block_plan(kz, h0, hz)
+    sizes, idx = plan[:2]
+    vals, vecs = _solve_blocks(plan, kz)
+    full_vals, full_vecs = np.empty(h0.shape[0]), np.zeros(h0.shape)
+    for blk, s in sizes:
+        i = idx[blk, :s]
+        full_vals[i] = vals[blk, :s]
+        full_vecs[i[:, :, None], i[:, None, :]] = vecs[blk, :s, :s]
+    ascending = np.argsort(full_vals, kind="stable")
+    return full_vals[ascending], full_vecs[:, ascending]
+
+
 def test_matrix_is_hermitian_and_minimal_case():
-    ham = build_matrix(0.0, 0, B_ONE)
-    assert ham.dimension == 4
-    assert np.max(np.abs(ham.matrix - ham.matrix.conj().T)) < 1e-14
-    vals = np.sort(ham.eigenvalues())
+    matrix = build_matrix(0.0, 0, B_ONE)
+    assert matrix.shape == (4, 4)
+    assert np.max(np.abs(matrix - matrix.conj().T)) < 1e-14
+    vals = np.sort(fibre_eigenvalues(0.0, 0, B_ONE))
     assert vals == pytest.approx([-1.0, -1.0, 1.0, 1.0], abs=1e-14)
 
 
 def test_matrix_is_real_symmetric():
-    matrix = build_matrix(0.7, 12, B_ONE).matrix
+    matrix = build_matrix(0.7, 12, B_ONE)
     assert matrix.dtype == np.float64
     assert np.array_equal(matrix, matrix.T)
 
 
 def test_smallest_positive_eigenvalue_is_rest_energy():
     for n_trunc in (1, 5, 40):
-        ham = build_matrix(0.0, n_trunc, B_ONE)
-        vals = ham.eigenvalues()
+        vals = fibre_eigenvalues(0.0, n_trunc, B_ONE)
         assert np.min(vals[vals > 0]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -53,74 +70,34 @@ def test_smallest_positive_eigenvalue_is_rest_energy():
 @pytest.mark.parametrize("kz", [0.0, 0.5])
 def test_spectrum_matches_closed_form(b, kz):
     params = make_params_dimensionless(b)
-    ham = build_matrix(kz, 40, params)
-    computed = np.sort(ham.eigenvalues())
-    expected = ham.expected_eigenvalues()
+    matrix = build_matrix(kz, 40, params)
+    computed = fibre_eigenvalues(kz, 40, params)
+    expected = expected_eigenvalues(kz, 40, params)
     assert computed.shape == expected.shape
     # all levels, including the accounted-for truncation remnant at +-E_0
     assert np.max(np.abs(computed - expected) / np.abs(expected)) < 1e-10
     # the block solve against a dense one, and as an eigensystem
-    vals, vecs = ham.eigensystem()
-    assert np.array_equal(vals, computed)
-    assert np.max(np.abs(vals - np.linalg.eigvalsh(ham.matrix))) < 1e-13
+    vals, vecs = _scattered_solve(kz, *_fibre_terms(40, params))
+    assert np.array_equal(vals, computed)  # ascending
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(matrix))) < 1e-13
     assert np.max(np.abs(vals - expected)) < 1e-13
-    assert np.max(np.abs(vecs.T @ vecs - np.eye(ham.dimension))) < 1e-13
-    assert np.max(np.abs(ham.matrix @ vecs - vecs * vals)) < 1e-13
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(matrix.shape[0]))) < 1e-13
+    assert np.max(np.abs(matrix @ vecs - vecs * vals)) < 1e-13
 
 
 def test_eigenvalues_pair_up():
-    ham = build_matrix(0.7, 24, B_ONE)
-    vals = np.sort(ham.eigenvalues())
+    vals = np.sort(fibre_eigenvalues(0.7, 24, B_ONE))
     assert vals == pytest.approx(-vals[::-1], abs=1e-11)
 
 
-def test_evolve_identity_phase_and_norm():
-    ham = build_matrix(0.2, 12, B_ONE)
-    rng = np.random.default_rng(7)
-    c0 = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
-    c0 /= np.linalg.norm(c0)
-
-    assert evolve(ham, c0, 0.0) == pytest.approx(c0, abs=1e-13)
-
-    t = np.linspace(0.0, 12.0, 25)
-    ct = evolve(ham, c0, t)
-    norms = np.linalg.norm(ct, axis=0)
-    assert np.max(np.abs(norms - 1.0)) < 1e-12
-
-    # eigenstate picks up only a phase
-    vals, vecs = ham.eigensystem()
-    state = vecs[:, 3]
-    out = evolve(ham, state, 2.5)
-    phase = np.exp(-1j * vals[3] * 2.5)
-    assert out == pytest.approx(phase * state, abs=1e-12)
-
-
-def test_evolve_half_step_composition():
-    ham = build_matrix(0.0, 10, B_ONE)
-    rng = np.random.default_rng(11)
-    c0 = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
-    c0 /= np.linalg.norm(c0)
-    half = evolve(ham, c0, 3.0)
-    half = evolve(ham, half / np.linalg.norm(half), 3.0)
-    full = evolve(ham, c0, 6.0)
-    assert half == pytest.approx(full, abs=1e-12)
-
-
-def test_evolve_rejects_unnormalised_input():
-    ham = build_matrix(0.0, 4, B_ONE)
-    with pytest.raises(ValueError):
-        evolve(ham, np.ones(ham.dimension), 1.0)
-
-
 def test_single_eigenstate_shows_no_ladder_motion():
-    ham = build_matrix(0.0, 16, B_ONE)
-    vals, vecs = ham.eigensystem()
+    vals, vecs = np.linalg.eigh(build_matrix(0.0, 16, B_ONE))
     # a positive-energy eigenstate in the interior of the spectrum
     idx = int(np.argmin(np.abs(vals - energy(2, 0.0, B_ONE))))
     state = vecs[:, idx]
     a_full = np.kron(np.eye(4), lowering_matrix(16))
     t = np.linspace(0.0, 10.0, 21)
-    ct = evolve(ham, state, t)
+    ct = vecs @ (np.exp(-1j * np.outer(vals, t)) * (vecs.T @ state)[:, None])
     a_t = np.einsum("it,ij,jt->t", ct.conj(), a_full, ct)
     assert np.max(np.abs(a_t)) < 1e-12
 
@@ -134,10 +111,9 @@ def _literal_oracle(packet, params, dec, n_trunc, t):
     a_full = np.kron(np.eye(4), lowering_matrix(n_trunc))
     a_t, adag_t = np.zeros(t.size, dtype=complex), np.zeros(t.size, dtype=complex)
     for kz, w_kz in zip(dec.kz_nodes, dec.kz_weights):
-        ham = build_matrix(float(kz), n_trunc, params)
-        vals, vecs = np.linalg.eigh(ham.matrix)
+        vals, vecs = np.linalg.eigh(build_matrix(float(kz), n_trunc, params))
         for i, w in enumerate(dec.kx_weights):
-            c0 = np.zeros(ham.dimension, dtype=complex)
+            c0 = np.zeros(vals.size, dtype=complex)
             c0[n_trunc + 1 : 2 * (n_trunc + 1)] = phi[:, i]
             ct = vecs @ (np.exp(-1j * np.outer(vals, t)) * (vecs.T @ c0)[:, None])
             a_t += w_kz * w * np.sum(ct.conj() * (a_full @ ct), axis=0)
@@ -202,7 +178,8 @@ def test_pair_plan_keeps_every_coupling():
     matrix, _ = _hidden_blocks(rng, [1, 2, 3, 3, 5, 2, 4])
     lower = np.where(rng.random(matrix.shape) < 0.05, 1.0 + rng.random(matrix.shape), 0.0)
     ops = (lower, lower.T, np.zeros_like(lower))
-    sizes, h0_blk, _, p, q, pair_ops = _pair_plan(matrix, matrix, np.zeros_like(matrix), ops)
+    sizes, idx, h0_blk, _ = _block_plan(0.0, matrix, np.zeros_like(matrix))
+    p, q, pair_ops = _pair_plan(idx, ops)
     assert np.all(p <= q) and len(set(zip(p.tolist(), q.tolist()))) == p.size
     # every entry of `lower` is on some pair, in one orientation or the other,
     # and every pair holds one
@@ -223,7 +200,7 @@ def test_build_matrix_is_bitwise_the_dirac_sum(kz):
         + FIG1_PARAMS.mass_energy * np.kron(BETA, eye)
     )
     h0, hz = _fibre_terms(n_trunc, FIG1_PARAMS)
-    matrix = build_matrix(kz, n_trunc, FIG1_PARAMS).matrix
+    matrix = build_matrix(kz, n_trunc, FIG1_PARAMS)
     for other in (h0 + kz * hz, matrix):  # signed zeros included
         assert np.array_equal(other.view(np.uint64), dirac.view(np.uint64))
 
@@ -261,6 +238,20 @@ def test_transform_check():
     assert report.passed()
 
 
+@pytest.mark.parametrize("b", [0.1, 1.0, 5.0])
+@pytest.mark.parametrize("kz", [0.0, 0.7])
+def test_transform_check_passes_across_fields(b, kz):
+    report = check_transform(make_params_dimensionless(b), n_trunc=40, kz=kz)
+    assert report.block_form_dev < 1e-13 and report.passed()
+
+
+def test_transform_report_fails_on_the_block_form():
+    # P H P+ off the paper's off-diagonal form fails, whatever the spectrum
+    report = replace(check_transform(B_ONE, n_trunc=20), block_form_dev=1.0)
+    assert not report.passed()
+    assert not replace(report, block_form_dev=float("nan")).passed()
+
+
 def test_build_matrix_rejects_negative_truncation():
     with pytest.raises(ValueError):
         build_matrix(0.0, -1, B_ONE)
@@ -268,11 +259,15 @@ def test_build_matrix_rejects_negative_truncation():
 
 @pytest.mark.parametrize("kz, blocks", [(0.37, {4: 45, 2: 2}), (0.0, {2: 90, 1: 4})])
 def test_fig1_fibre_falls_into_small_blocks(kz, blocks):
-    ham = build_matrix(kz, 45, FIG1_PARAMS)  # fig1's oracle truncation, n_max + 12
-    _, size = np.unique(_components(ham.matrix), return_counts=True)
+    h0, hz = _fibre_terms(45, FIG1_PARAMS)  # fig1's oracle truncation, n_max + 12
+    _, size = np.unique(_components(h0 + kz * hz), return_counts=True)
     assert dict(zip(*np.unique(size, return_counts=True))) == blocks
+    # the plan holds the same blocks, by size ascending
+    sizes = _block_plan(kz, h0, hz)[0]
+    assert [(s, blk.stop - blk.start) for blk, s in sizes] == sorted(blocks.items())
     # each eigenvector is exactly zero off its block
-    assert np.count_nonzero(ham.eigensystem()[1]) <= sum(s * s * n for s, n in blocks.items())
+    vecs = _scattered_solve(kz, h0, hz)[1]
+    assert np.count_nonzero(vecs) <= sum(s * s * n for s, n in blocks.items())
 
 
 def _hidden_blocks(rng, sizes):
@@ -299,7 +294,7 @@ def test_block_solve_of_hidden_blocks_matches_dense_eigh(couple):
         i, j = np.flatnonzero(block == 1)[0], np.flatnonzero(block == 4)[-1]
         matrix[i, j] = matrix[j, i] = 0.3
         sizes = [1, 3, 3, 7, 7, 4, 1]
-    vals, vecs = _block_eigh(matrix)
+    vals, vecs = _scattered_solve(0.0, matrix, np.zeros_like(matrix))
     dense_vals, dense_vecs = np.linalg.eigh(matrix)
     assert np.min(np.diff(dense_vals)) > 1e-3  # so eigenvectors are unique up to sign
     assert np.max(np.abs(vals - dense_vals)) < 1e-13
