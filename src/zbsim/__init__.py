@@ -29,7 +29,6 @@ _EXPORTS = {
     "u_overlap": "packet",
     "Trajectory": "dynamics",
     "trajectory": "dynamics",
-    "position": "dynamics",
     "ladder_expectations": "dynamics",
     "cyclotron_reference": "dynamics",
     "build_matrix": "reference",

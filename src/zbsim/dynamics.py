@@ -29,6 +29,11 @@ interband (trembling) lines at the sums E_{n+1} + E_n, each band a
 band_sums evaluates the pair of tables into a (2, samples) array through the
 one kernel line_sum; the oracle (zbsim.reference) feeds it one kz node's
 lines at a time.
+
+The engine's one input is the packet's PacketDecomposition (packet.decompose):
+it holds the packet, the field parameters, the mode, the overlap tables and
+the kz quadrature, so a trajectory cannot mix the tables of one packet or
+field with the parameters of another.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .landau import energies, energy
-from .packet import GaussianPacket, Numerics, PacketDecomposition, decompose
+from .packet import GaussianPacket, PacketDecomposition
 from .params import Dimensionality, SimParams
 
 _IMAG_RESIDUE_TOL = 1e-10
@@ -76,7 +81,7 @@ class Trajectory:
         return replace(self, position_unit="L", **scaled)
 
 
-def _line_tables(decomp: PacketDecomposition, params: SimParams):
+def _line_tables(decomp: PacketDecomposition):
     """The packet's (intraband, interband) line tables, one line per level
     pair and kz node, with w = 1/2 sqrt(n+1) U_{n,n+1} times the kz weight:
 
@@ -87,8 +92,8 @@ def _line_tables(decomp: PacketDecomposition, params: SimParams):
     """
     n_idx = np.arange(decomp.n_max)[:, None]  # pairs (n, n+1) with n+1 <= n_max
     base = 0.5 * np.sqrt(n_idx + 1.0) * decomp.u_band[: decomp.n_max, None]
-    e_lo = energies(n_idx, decomp.kz_nodes, params)
-    e_hi = energies(n_idx + 1, decomp.kz_nodes, params)
+    e_lo = energies(n_idx, decomp.kz_nodes, decomp.params)
+    e_hi = energies(n_idx + 1, decomp.kz_nodes, decomp.params)
     bw = base * decomp.kz_weights
     intra = (e_hi - e_lo, bw * (1.0 + e_lo / e_hi), -(bw * (1.0 / e_lo + 1.0 / e_hi)))
     inter = (e_hi + e_lo, bw * (1.0 - e_lo / e_hi), bw * (1.0 / e_lo - 1.0 / e_hi))
@@ -158,12 +163,10 @@ def band_sums(t: np.ndarray, bands) -> np.ndarray:
     return np.array([line_sum(t, *lines) for lines in bands])
 
 
-def ladder_expectations(
-    t, decomp: PacketDecomposition, params: SimParams
-) -> tuple[np.ndarray, np.ndarray]:
+def ladder_expectations(t, decomp: PacketDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """(<A(t)>, <A+(t)>); the latter is the conjugate for real overlap tables."""
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
-    intra, inter = band_sums(tarr, _line_tables(decomp, params))
+    intra, inter = band_sums(tarr, _line_tables(decomp))
     a_mean = intra + inter
     adag_mean = np.conj(a_mean)  # U_{n+1,n} = U_{n,n+1}* and real tables
     if np.ndim(t) == 0:
@@ -206,24 +209,9 @@ def _banded_trajectory(t, bands: np.ndarray, mode: Dimensionality, provenance: d
     )
 
 
-def position(t, decomp: PacketDecomposition, params: SimParams):
-    """Centre-of-mass (x, y) in Compton wavelengths at time(s) t."""
-    a_mean, _ = ladder_expectations(np.atleast_1d(t), decomp, params)
-    x, y, _ = _positions_from_ladder(a_mean, params.magnetic_length)
-    if np.ndim(t) == 0:
-        return float(x[0]), float(y[0])
-    return x, y
-
-
-def trajectory(
-    packet: GaussianPacket,
-    params: SimParams,
-    t_grid: np.ndarray,
-    mode: Dimensionality | None = None,
-    numerics: Numerics | None = None,
-    decomp: PacketDecomposition | None = None,
-) -> Trajectory:
-    """Batch trajectory over a uniform time grid, with the band split.
+def trajectory(decomp: PacketDecomposition, t_grid: np.ndarray) -> Trajectory:
+    """Batch trajectory of the decomposed packet over a uniform time grid,
+    with the band split.
 
     Deterministic for a fixed configuration and BLAS thread count: the line
     sums are BLAS products, whose summation order can change with the number
@@ -236,25 +224,21 @@ def trajectory(
         dt = np.diff(t)
         if np.max(np.abs(dt - dt[0])) > 1e-9 * max(abs(dt[0]), 1e-30):
             raise ValueError("t_grid must be uniform")
-    run_mode = mode if mode is not None else params.dimensionality
-    if decomp is None:
-        decomp = decompose(packet, params, numerics, run_mode)
-    elif decomp.mode is not run_mode:
-        raise ValueError("decomposition mode does not match the requested mode")
 
-    bands = band_sums(t, _line_tables(decomp, params))
+    params = decomp.params
+    bands = band_sums(t, _line_tables(decomp))
     provenance = {
         "field_ratio_b": params.field_ratio_b,
         "kappa": params.kappa,
         "magnetic_length": params.magnetic_length,
-        "mode": run_mode.value,
-        "packet": asdict(packet),
+        "mode": decomp.mode.value,
+        "packet": asdict(decomp.packet),
         "n_max": decomp.n_max,
         "tail_mass": decomp.tail_mass,
         "kx_nodes": int(decomp.kx_nodes.size),
         "kz_nodes": int(decomp.kz_nodes.size),
     }
-    return _banded_trajectory(t, bands, run_mode, provenance)
+    return _banded_trajectory(t, bands, decomp.mode, provenance)
 
 
 def cyclotron_reference(packet: GaussianPacket, params: SimParams) -> tuple[float, float]:

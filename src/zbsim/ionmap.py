@@ -106,7 +106,7 @@ def trap_to_dirac(trap: TrapConfig) -> tuple[SimParams, SimulatedScales]:
     c_sim = 2.0 * trap.eta * trap.delta * trap.omega_tilde
     rest = HBAR_SI * trap.omega_carrier
     b = 2.0 * trap.eta * trap.omega_tilde / trap.omega_carrier
-    params = make_params_dimensionless(b, Dimensionality.TWO_PLUS_ONE)
+    params = make_params_dimensionless(b)
     scales = SimulatedScales(
         speed=c_sim,
         rest_energy=rest,

@@ -154,15 +154,12 @@ class GaussianPacket:
     d_y: float
     d_z: float | None = None
     k0x: float = 0.0
-    component: int = 2
 
     def __post_init__(self) -> None:
         widths = {"d_x": self.d_x, "d_y": self.d_y, "d_z": self.d_z}
         for name, value in widths.items():
             if value is not None and not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"width {name} must be finite and positive, got {value!r}")
-        if self.component not in (1, 2, 3, 4):
-            raise ValueError(f"spinor component must be 1..4, got {self.component}")
         if not math.isfinite(self.k0x):
             raise ValueError("k0x must be finite")
 
@@ -401,10 +398,15 @@ def _kz_grid(packet: GaussianPacket, numerics: Numerics) -> tuple[np.ndarray, np
 def decompose(
     packet: GaussianPacket,
     params: SimParams,
+    mode: Dimensionality,
     numerics: Numerics | None = None,
-    mode: Dimensionality | None = None,
 ) -> PacketDecomposition:
     """Expand the packet over the Landau basis and build the overlap tables.
+
+    The run's mode enters here and only here: a 3+1 decomposition carries a
+    kz quadrature of the packet's longitudinal profile, a 2+1 one the single
+    node kz = 0.  The engines and the peak labels read the packet, the field
+    parameters and the mode from the decomposition.
 
     The truncation n_max is the smallest level, at least
     min(n_max_floor, n_max_cap), with tail mass below numerics.tail_tol
@@ -414,12 +416,8 @@ def decompose(
     0..n_max and must agree to numerics.convergence_tol.  An overlap
     overflow at or below n_max is a ConvergenceError.
     """
-    if packet.component != 2:
-        raise NotImplementedError(
-            "only packets in the second spinor component are supported"
-        )
+    mode = Dimensionality(mode)  # "2+1" or "3+1" as well; anything else is a ValueError
     num = numerics if numerics is not None else Numerics()
-    run_mode = mode if mode is not None else params.dimensionality
 
     def grid(n: Numerics):
         """kx nodes and weights, the level generator and a zero table of
@@ -472,7 +470,7 @@ def decompose(
     phi = np.array(rows)
     u_band = (phi[:-1] * phi[1:]) @ weights if n_max >= 1 else np.zeros(0)
 
-    if run_mode is Dimensionality.THREE_PLUS_ONE:
+    if mode is Dimensionality.THREE_PLUS_ONE:
         kz_nodes, kz_weights = _kz_grid(packet, num)
     else:
         kz_nodes = np.array([0.0])
@@ -481,7 +479,7 @@ def decompose(
     return PacketDecomposition(
         packet=packet,
         params=params,
-        mode=run_mode,
+        mode=mode,
         n_max=n_max,
         kx_nodes=kx,
         kx_weights=weights,

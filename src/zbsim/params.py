@@ -11,6 +11,10 @@ The single dimensionless knob is
 
 so that in internal units L = sqrt(2)/b and the (non-relativistic) cyclotron
 quantum is hbar*omega_c = b^2/2, i.e. kappa = hbar*omega_c / (2 mc^2) = b^2/4.
+
+SimParams holds the field alone.  The dimensionality of a run is not a
+field property: it enters once, as the mode argument of packet.decompose,
+and the decomposition carries it to the engines and the peak labels.
 """
 
 from __future__ import annotations
@@ -65,24 +69,18 @@ class SimParams:
     ----------
     mass_energy : float
         Rest energy mc^2; always 1 internally.
-    speed : float
-        Speed of light c; always 1 internally.
     field_ratio_b : float
         b = hbar*omega/mc^2 with omega = sqrt(2) c/L.
     magnetic_length : float
         L in Compton wavelengths; equals sqrt(2)/b.
     kappa : float
         hbar*omega_c/(2 mc^2) = b^2/4.
-    dimensionality : Dimensionality
-        Default dimensionality for runs built from these parameters.
     """
 
     mass_energy: float
-    speed: float
     field_ratio_b: float
     magnetic_length: float
     kappa: float
-    dimensionality: Dimensionality = Dimensionality.THREE_PLUS_ONE
 
     def __post_init__(self) -> None:
         if self.field_ratio_b <= 0.0 or self.magnetic_length <= 0.0:
@@ -98,38 +96,20 @@ class SimParams:
         """Ladder (oscillator) angular frequency in 1/t_c; equals b."""
         return self.field_ratio_b  # hbar = mc^2 = 1
 
-    def with_dimensionality(self, dim: Dimensionality) -> "SimParams":
-        return SimParams(
-            mass_energy=self.mass_energy,
-            speed=self.speed,
-            field_ratio_b=self.field_ratio_b,
-            magnetic_length=self.magnetic_length,
-            kappa=self.kappa,
-            dimensionality=dim,
-        )
 
-
-def make_params_dimensionless(
-    b: float, dimensionality: Dimensionality = Dimensionality.THREE_PLUS_ONE
-) -> SimParams:
+def make_params_dimensionless(b: float) -> SimParams:
     """Build parameters directly from the dimensionless field ratio b."""
     if not B_RANGE[0] <= b <= B_RANGE[1]:  # a NaN fails
         raise ValueError(f"field ratio b must be in [{B_RANGE[0]:g}, {B_RANGE[1]:g}], got {b!r}")
     return SimParams(
         mass_energy=1.0,
-        speed=1.0,
         field_ratio_b=b,
         magnetic_length=math.sqrt(2.0) / b,
         kappa=b * b / 4.0,
-        dimensionality=dimensionality,
     )
 
 
-def make_params(
-    field_tesla: float,
-    particle: ParticleConstants = ELECTRON,
-    dimensionality: Dimensionality = Dimensionality.THREE_PLUS_ONE,
-) -> SimParams:
+def make_params(field_tesla: float, particle: ParticleConstants = ELECTRON) -> SimParams:
     """Build parameters from a magnetic field in tesla.
 
     L = sqrt(hbar/eB) is converted to Compton wavelengths and b = sqrt(2)
@@ -142,7 +122,7 @@ def make_params(
         )
     length_si = math.sqrt(HBAR_SI / (particle.charge_c * field_tesla))
     b = math.sqrt(2.0) * particle.compton_m / length_si
-    return make_params_dimensionless(b, dimensionality)
+    return make_params_dimensionless(b)
 
 
 def magnetic_length_si(field_tesla: float, particle: ParticleConstants = ELECTRON) -> float:

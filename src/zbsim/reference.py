@@ -28,7 +28,13 @@ The check's independent part is the assembled matrix and its solve.
 Truncating the ladder at level N leaves, besides the exact eigenstates with
 n <= N, a two-dimensional remnant on the top oscillator level whose
 eigenvalues coincide with +-E_0(kz); expected_eigenvalues accounts for it.
-The oracle's default truncation is the decomposition level n_max + 12.
+The oracle's default truncation is the decomposition level n_max + 12; an
+explicit one must lie above n_max, since at or below it the matrix drops
+levels the packet occupies or truncates exactly as the analytic engine does.
+
+Like the analytic engine, the oracle takes the packet's PacketDecomposition
+as its one input: the packet, the field parameters, the mode, the kx
+quadrature and the kz nodes all come from it.
 
 Basis ordering: index = component*(N+1) + n with spinor components 0..3.
 """
@@ -43,16 +49,8 @@ import numpy as np
 from .dynamics import Trajectory, _banded_trajectory, band_sums
 from .errors import ConfigError
 from .landau import energies
-from .packet import (
-    MAX_ARRAY,
-    GaussianPacket,
-    Numerics,
-    PacketDecomposition,
-    check_finite_overlaps,
-    decompose,
-    oscillator_overlaps,
-)
-from .params import Dimensionality, SimParams
+from .packet import MAX_ARRAY, PacketDecomposition, check_finite_overlaps, oscillator_overlaps
+from .params import SimParams
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 I_SIGMA_Y = np.array([[0.0, 1.0], [-1.0, 0.0]])  # i sigma_y
@@ -195,13 +193,7 @@ def _pair_plan(idx: np.ndarray, ops: tuple):
 
 
 def oracle_trajectory(
-    packet: GaussianPacket,
-    params: SimParams,
-    t_grid: np.ndarray,
-    mode: Dimensionality | None = None,
-    numerics: Numerics | None = None,
-    n_trunc: int | None = None,
-    decomp: PacketDecomposition | None = None,
+    decomp: PacketDecomposition, t_grid: np.ndarray, n_trunc: int | None = None
 ) -> Trajectory:
     """Trajectory from truncated-matrix evolution, bin-compatible with the
     analytic engine (same time grid, same position units, same band split).
@@ -211,14 +203,17 @@ def oracle_trajectory(
     pair is one line, intraband when both energies have the same sign.
     """
     t = np.asarray(t_grid, dtype=float)
-    run_mode = mode if mode is not None else params.dimensionality
-    if decomp is None:
-        decomp = decompose(packet, params, numerics, run_mode)
+    packet, params = decomp.packet, decomp.params
     trunc = n_trunc if n_trunc is not None else decomp.n_max + 12
     if n_trunc is None and trunc > MAX_N_TRUNC:  # an explicit n_trunc: _fibre_terms checks it
         raise ConfigError(
             f"[oracle] the reference matrices need the truncation n_max + 12 = "
             f"{trunc}, above {MAX_N_TRUNC}; run without the oracle check"
+        )
+    if trunc <= decomp.n_max:
+        raise ConfigError(
+            f"[oracle] n_trunc = {trunc} must be above the decomposition level "
+            f"n_max = {decomp.n_max}, or 0 for the automatic n_max + 12"
         )
     phi = oscillator_overlaps(packet, params, decomp.kx_nodes, trunc, max(48, trunc // 2 + 8))
     check_finite_overlaps(phi, decomp.kx_nodes, packet, params)
@@ -250,7 +245,7 @@ def oracle_trajectory(
         intra = ((e_j > 0.0) == (e_k > 0.0))[keep]
         bands += band_sums(t, ((freqs[sel], cos_coef[sel], sin_coef[sel]) for sel in (intra, ~intra)))
 
-    return _banded_trajectory(t, bands, run_mode, {
+    return _banded_trajectory(t, bands, decomp.mode, {
         "engine": "matrix-reference", "n_trunc": trunc, "magnetic_length": params.magnetic_length,
     })
 

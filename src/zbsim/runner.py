@@ -21,7 +21,6 @@ order can change with the number of threads).
 from __future__ import annotations
 
 import configparser
-import hashlib
 import io
 import math
 from dataclasses import dataclass, field as dc_field, fields
@@ -39,6 +38,11 @@ from .params import Dimensionality, SimParams, make_params, make_params_dimensio
 from .reference import MAX_N_TRUNC, fibre_eigenvalues, oracle_trajectory
 from .spectral import MIN_SAMPLES, WINDOWS, SpectrumReport, classify_peaks, richness, spectrum
 from .svg import Series, line_plot
+
+try:  # the interpreter's own SHA-256: hashlib loads OpenSSL, about 3.7 MB of resident memory
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 and later, or a build without the built-in hashes
+    from hashlib import sha256
 
 PRESET_NAMES = ("fig1", "fig2a", "fig2b", "fig2c")
 # packet widths and |kick| in magnetic lengths (inverse for the kick); no
@@ -62,11 +66,11 @@ class FieldOptions:
     b: float | None = None
     tesla: float | None = None
 
-    def build(self, mode: Dimensionality) -> tuple[None, SimParams]:
+    def build(self) -> tuple[None, SimParams]:
         """No trap, and the field parameters."""
         key, make = ("b", make_params_dimensionless) if self.b is not None else ("tesla", make_params)
         try:
-            return None, make(getattr(self, key), dimensionality=mode)
+            return None, make(getattr(self, key))
         except ValueError as exc:
             raise ValueError(f"{key} = {getattr(self, key)!r}: {exc}") from exc
 
@@ -94,7 +98,7 @@ class TrapOptions:
         if (self.delta_m is None) == (self.trap_freq_hz is None):
             raise ValueError("give exactly one of delta_m and trap_freq_hz")
 
-    def build(self, mode: Dimensionality) -> tuple[TrapConfig, SimParams]:
+    def build(self) -> tuple[TrapConfig, SimParams]:
         """The drive and motion in SI units, and the simulated field parameters;
         an error names the keys that the failing value was derived from."""
         mass_key = "ion_mass_kg" if self.ion_mass_kg is not None else "ion"
@@ -112,7 +116,7 @@ class TrapOptions:
                 f"{getattr(self, source)!r}, {mass_key} = {getattr(self, mass_key)!r})"
             ) from exc
         try:
-            return trap, trap_to_dirac(trap)[0].with_dimensionality(mode)
+            return trap, trap_to_dirac(trap)[0]
         except ValueError as exc:
             raise ValueError(
                 f"eta = {self.eta!r}, omega_tilde_hz = {self.omega_tilde_hz:g}, "
@@ -127,17 +131,12 @@ class PacketOptions:
     d_y: float | None = None
     d_z: float | None = None
     k0x: float = 0.0
-    component: int = 2
 
     def __post_init__(self) -> None:
         if self.unit not in ("lambda_c", "magnetic_length"):
             raise ValueError(f"unit must be lambda_c or magnetic_length, got {self.unit!r}")
         if self.d_x is None or self.d_y is None:
             raise ValueError("d_x and d_y are required")
-        if self.component != 2:
-            raise ValueError(
-                f"component: only the second spinor component (2) is supported, got {self.component}"
-            )
 
     def packet(self, ell: float) -> GaussianPacket:
         """The packet in Compton wavelengths; its widths and kick are bounded
@@ -160,7 +159,7 @@ class PacketOptions:
             )
         return GaussianPacket(d_x=self.d_x * scale, d_y=self.d_y * scale,
                               d_z=None if self.d_z is None else self.d_z * scale,
-                              k0x=self.k0x / scale, component=self.component)
+                              k0x=self.k0x / scale)
 
 
 @dataclass(frozen=True)
@@ -244,7 +243,7 @@ class RunConfig:
     raw_text: str
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
+        return sha256(self.raw_text.encode()).hexdigest()[:16]
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.time.t_max, self.time.samples)
@@ -336,7 +335,7 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
         )
 
     section, source = ("trap", trap) if trap is not None else ("field", field)
-    trap_config, params = _checked(section, source.build, mode)
+    trap_config, params = _checked(section, source.build)
     return RunConfig(
         scenario=scenario,
         mode=mode,
@@ -448,25 +447,23 @@ def run(
     """Execute one configured run and write all artifacts into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params, packet, t_grid = config.params, config.packet, config.time_grid()
+    params, t_grid = config.params, config.time_grid()
 
-    decomp = decompose(packet, params, config.numerics, config.mode)
-    traj = trajectory(packet, params, t_grid, config.mode, decomp=decomp)
+    decomp = decompose(config.packet, params, config.mode, config.numerics)
+    traj = trajectory(decomp, t_grid)
     traj_out = traj.in_magnetic_length_units() if config.output.position_unit == "L" else traj
 
     opts = config.spectral
     report = spectrum(traj_out, window=opts.window, pad_factor=opts.pad_factor,
                       detection_floor=opts.detection_floor)
-    report = classify_peaks(report, params, decomp.occupied_levels())
+    report = classify_peaks(report, decomp)
     n_rich = richness(report, opts.significant_rel_power)
 
     oracle_dev = None
     files: list[Path] = []
     if check_oracle or config.oracle.enabled:
         n_trunc = config.oracle.n_trunc if config.oracle.n_trunc > 0 else None
-        oracle = oracle_trajectory(
-            packet, params, t_grid, config.mode, n_trunc=n_trunc, decomp=decomp
-        )
+        oracle = oracle_trajectory(decomp, t_grid, n_trunc)
         # np.max keeps a NaN of either axis, where the builtin max would drop one
         dev = float(np.max(np.abs([traj.x - oracle.x, traj.y - oracle.y])))
         oracle_dev = dev / params.magnetic_length

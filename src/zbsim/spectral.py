@@ -15,6 +15,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .landau import TransitionKind, transition_frequency
+from .packet import PacketDecomposition
 from .params import SimParams
 
 MIN_SAMPLES = 256  # fewest trajectory samples the spectrum accepts
@@ -163,18 +164,16 @@ def allowed_lines(
 
 
 def classify_peaks(
-    report: SpectrumReport,
-    params: SimParams,
-    occupied_levels: list[int],
-    tolerance: float | None = None,
+    report: SpectrumReport, decomp: PacketDecomposition, tolerance: float | None = None
 ) -> SpectrumReport:
-    """Label every peak with the nearest allowed transition within tolerance.
+    """Label every peak with the nearest allowed transition between the
+    levels the decomposed packet occupies, within tolerance.
 
     The default tolerance is one raw frequency bin.  Peaks with no
     transition in range stay unassigned.
     """
     tol = tolerance if tolerance is not None else report.bin_width
-    lines = allowed_lines(params, occupied_levels)
+    lines = allowed_lines(decomp.params, decomp.occupied_levels())
     labelled = []
     for peak in report.peaks:
         best: PeakLabel | None = None

@@ -62,9 +62,9 @@ def test_criterion_2_oracle_equivalence(name):
     assert config.mode is Dimensionality.TWO_PLUS_ONE
     t = config.time_grid()
     assert t[-1] == pytest.approx(100.0)
-    dec = decompose(packet, params, config.numerics, config.mode)
-    analytic = trajectory(packet, params, t, config.mode, decomp=dec)
-    reference = oracle_trajectory(packet, params, t, config.mode, decomp=dec)
+    dec = decompose(packet, params, config.mode, config.numerics)
+    analytic = trajectory(dec, t)
+    reference = oracle_trajectory(dec, t)
     dev = max(
         float(np.max(np.abs(analytic.x - reference.x))),
         float(np.max(np.abs(analytic.y - reference.y))),
@@ -77,13 +77,13 @@ def test_criterion_2_oracle_equivalence(name):
 
 
 def test_criterion_3_cyclotron_limit():
-    params = make_params_dimensionless(1e-2, Dimensionality.TWO_PLUS_ONE)
+    params = make_params_dimensionless(1e-2)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=ell, d_y=ell, k0x=1.0 / ell)  # k0x L = 1
     omega_c, radius = cyclotron_reference(packet, params)
     period = TWO_PI / omega_c
     t = np.linspace(0.0, 50.0 * period, 8192)
-    traj = trajectory(packet, params, t)
+    traj = trajectory(decompose(packet, params, Dimensionality.TWO_PLUS_ONE), t)
     rep = spectrum(traj)
     peak = max(rep.peaks, key=lambda p: p.power)
     freq_err = abs(peak.freq - omega_c) / omega_c
@@ -115,9 +115,9 @@ def test_criterion_5_richness_monotonicity():
     counts = {}
     for name in ("fig2a", "fig2b", "fig2c"):
         config, params, packet = _fig2_setup(name)
-        dec = decompose(packet, params, config.numerics, config.mode)
-        traj = trajectory(packet, params, config.time_grid(), config.mode, decomp=dec)
-        rep = classify_peaks(spectrum(traj), params, dec.occupied_levels())
+        dec = decompose(packet, params, config.mode, config.numerics)
+        traj = trajectory(dec, config.time_grid())
+        rep = classify_peaks(spectrum(traj), dec)
         counts[name] = richness(rep, config.spectral.significant_rel_power)
         interband = [p for p in rep.peaks
                      if p.label is not None and p.label.kind is TransitionKind.INTERBAND]
@@ -136,18 +136,18 @@ def test_criterion_6_persistence_and_transience():
     omega_c, _ = cyclotron_reference(packet, params)
     period = TWO_PI / omega_c
     t = np.arange(0.0, 100.0 * period, 0.02)
-    traj = trajectory(packet, params, t, config.mode)
+    traj = trajectory(decompose(packet, params, config.mode), t)
     env = interband_envelope(traj, period)
     assert env.ratio >= 0.10
     persistent = env.ratio
 
-    params31 = make_params(2e9, dimensionality=Dimensionality.THREE_PLUS_ONE)
+    params31 = make_params(2e9)
     packet31 = GaussianPacket(d_x=2.0, d_y=2.0, d_z=2.0, k0x=1.0)
     omega_c31, _ = cyclotron_reference(packet31, params31)
     period31 = TWO_PI / omega_c31
     t31 = np.arange(0.0, 100.0 * period31, 0.4)
     num = Numerics(kz_rule="legendre", kz_nodes=2048)
-    traj31 = trajectory(packet31, params31, t31, numerics=num)
+    traj31 = trajectory(decompose(packet31, params31, Dimensionality.THREE_PLUS_ONE, num), t31)
     env31 = interband_envelope(traj31, period31)
     assert env31.ratio <= 0.20
     _report("criterion 6 (persistence/transience)",
@@ -170,19 +170,19 @@ def test_criterion_8_numerical_hygiene():
     for name in ("fig1", "fig2a", "fig2b", "fig2c"):
         config = load_preset(name)
         params, packet = config.params, config.packet
-        dec = decompose(packet, params, config.numerics, config.mode)
+        dec = decompose(packet, params, config.mode, config.numerics)
         assert float(np.sum(dec.u_diag)) == pytest.approx(1.0, abs=1e-8), name
 
         t = config.time_grid()
-        base = trajectory(packet, params, t, config.mode, decomp=dec)
+        base = trajectory(dec, t)
         assert base.provenance["imag_residue"] < 1e-10, name
 
         doubled = replace(
             config.numerics.doubled(),
             n_max_floor=min(2 * dec.n_max, config.numerics.n_max_cap),
         )
-        dec2 = decompose(packet, params, doubled, config.mode)
-        refined = trajectory(packet, params, t, config.mode, decomp=dec2)
+        dec2 = decompose(packet, params, config.mode, doubled)
+        refined = trajectory(dec2, t)
         shift = max(
             float(np.max(np.abs(base.x - refined.x))),
             float(np.max(np.abs(base.y - refined.y))),

@@ -205,6 +205,20 @@ def test_oracle_truncation_beyond_the_bound_exit_code(tmp_path, capsys, monkeypa
     assert "n_max + 12 = 43, above 42" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_trunc, code", [(5, 2), (31, 2), (32, 0)])
+def test_oracle_truncation_must_exceed_the_decomposition_level(tmp_path, capsys, n_trunc, code):
+    # SMALL_CONFIG converges at n_max = 31; at or below it the reference matrix
+    # drops occupied levels (5 missed the tolerance, exit 4) or truncates as
+    # the analytic engine does (31 agreed to 1.6e-15 L and checked nothing)
+    text = SMALL_CONFIG + f"\n[oracle]\nn_trunc = {n_trunc}\n"
+    args = ["run", str(_write(tmp_path, text)), "--out", str(tmp_path / "out"), "--check-oracle"]
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert f"[oracle] n_trunc = {n_trunc} must be above the decomposition level n_max = 31" in err
+
+
 def test_overflowing_packet_width_exit_code(tmp_path, capsys):
     # finite in the config, but d_x L overflows to inf in lambda_c
     config = _write(tmp_path, SMALL_CONFIG.replace("d_x = 0.9", "d_x = 1.3e308"))
@@ -488,6 +502,15 @@ def test_a_run_imports_no_scipy(tmp_path):
     pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
     assert not any(dep.startswith("scipy") for dep in pyproject["project"]["dependencies"])
     assert any(dep.startswith("scipy") for dep in pyproject["project"]["optional-dependencies"]["test"])
+
+
+def test_a_run_loads_no_openssl(tmp_path):
+    # the config hash is the interpreter's own SHA-256: hashlib's OpenSSL
+    # bindings cost about 3.7 MB of peak memory
+    pytest.importorskip("_sha256")
+    config = _write(tmp_path, SMALL_CONFIG)
+    args = ["run", str(config), "--out", str(tmp_path / "out"), "--check-oracle"]
+    assert _modules_after_run(args, "_hashlib") == "0 []"
 
 
 def test_an_oracle_run_imports_no_numpy_ma(tmp_path):

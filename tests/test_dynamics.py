@@ -18,7 +18,6 @@ from zbsim.dynamics import (
     cyclotron_reference,
     ladder_expectations,
     line_sum,
-    position,
     trajectory,
 )
 from zbsim.packet import (
@@ -32,7 +31,8 @@ from zbsim.params import Dimensionality, make_params, make_params_dimensionless
 from zbsim.reference import oracle_trajectory
 from zbsim.runner import load_preset
 
-B_ONE = make_params_dimensionless(1.0, Dimensionality.TWO_PLUS_ONE)
+TWO_PLUS_ONE, THREE_PLUS_ONE = Dimensionality.TWO_PLUS_ONE, Dimensionality.THREE_PLUS_ONE
+B_ONE = make_params_dimensionless(1.0)
 FIG1_PARAMS = make_params(2e9)  # b = 0.951948764143658
 FIG1_PACKET = GaussianPacket(d_x=2.0, d_y=2.0, d_z=2.0, k0x=1.0)
 
@@ -69,13 +69,13 @@ def _integral_oracle(params, dz, n, t):
     return ic(1), ic(-1), isn(1), isn(-1)
 
 
-def _pair_integrals(n, t, decomp, params):
+def _pair_integrals(n, t, decomp):
     """(Ic+, Ic-, Is+, Is-) for the pair (n, n+1) at scalar t, read off the
     engine's line tables: the rows of pair n, divided by the pair's
     prefactor 1/2 sqrt(n+1) U_{n,n+1}, summed by line_sum (the cos sums in
     the real part, the sin sums in the imaginary part; the intraband sin
     coefficients carry the sign of -i Is+)."""
-    (f_minus, c_minus, s_minus), (f_plus, c_plus, s_plus) = _line_tables(decomp, params)
+    (f_minus, c_minus, s_minus), (f_plus, c_plus, s_plus) = _line_tables(decomp)
     rows = slice(n * decomp.kz_nodes.size, (n + 1) * decomp.kz_nodes.size)
     base = 0.5 * math.sqrt(n + 1.0) * decomp.u_band[n]
     tt = np.array([float(t)])
@@ -98,23 +98,23 @@ def _fig2_packet(params):
 
 
 def test_time_integrals_at_zero():
-    dec = decompose(_fig2_packet(B_ONE), B_ONE)
-    ic_p, ic_m, is_p, is_m = _pair_integrals(3, 0.0, dec, B_ONE)
+    dec = decompose(_fig2_packet(B_ONE), B_ONE, TWO_PLUS_ONE)
+    ic_p, ic_m, is_p, is_m = _pair_integrals(3, 0.0, dec)
     assert is_p == 0.0 and is_m == 0.0
     assert ic_p + ic_m == pytest.approx(2.0, abs=1e-12)
 
-    dec31 = decompose(FIG1_PACKET, FIG1_PARAMS)
-    ic_p, ic_m, is_p, is_m = _pair_integrals(0, 0.0, dec31, FIG1_PARAMS)
+    dec31 = decompose(FIG1_PACKET, FIG1_PARAMS, THREE_PLUS_ONE)
+    ic_p, ic_m, is_p, is_m = _pair_integrals(0, 0.0, dec31)
     assert is_p == 0.0 and is_m == 0.0
     assert ic_p + ic_m == pytest.approx(2.0, abs=1e-10)
 
 
 def test_time_integrals_flat_reduction_closed_form():
     # 2+1: the kz weight collapses to the kz = 0 integrand
-    dec = decompose(_fig2_packet(B_ONE), B_ONE)
+    dec = decompose(_fig2_packet(B_ONE), B_ONE, TWO_PLUS_ONE)
     e0, e1 = 1.0, math.sqrt(2.0)
     for t in (0.3, 1.7, 9.2):
-        ic_p, ic_m, is_p, is_m = _pair_integrals(0, t, dec, B_ONE)
+        ic_p, ic_m, is_p, is_m = _pair_integrals(0, t, dec)
         assert ic_m == pytest.approx((1.0 - e0 / e1) * math.cos((e1 + e0) * t), rel=1e-13)
         assert is_m == pytest.approx((1.0 / e0 - 1.0 / e1) * math.sin((e1 + e0) * t), rel=1e-13)
         assert ic_p == pytest.approx((1.0 + e0 / e1) * math.cos((e1 - e0) * t), rel=1e-13)
@@ -124,8 +124,8 @@ def test_time_integrals_flat_reduction_closed_form():
 def test_time_integrals_3plus1_frozen_oracle():
     regenerated = _integral_oracle(FIG1_PARAMS, 2.0, 0, 5.0)
     assert regenerated == pytest.approx(FROZEN_INTEGRALS_T5, abs=1e-12)
-    dec = decompose(FIG1_PACKET, FIG1_PARAMS)
-    produced = _pair_integrals(0, 5.0, dec, FIG1_PARAMS)
+    dec = decompose(FIG1_PACKET, FIG1_PARAMS, THREE_PLUS_ONE)
+    produced = _pair_integrals(0, 5.0, dec)
     assert produced == pytest.approx(FROZEN_INTEGRALS_T5, abs=1e-10)
 
 
@@ -215,10 +215,9 @@ def test_line_sum_is_bitwise_the_complex_kernel_on_fig1():
     # real C and S give the BLAS products the values, in the order, that the
     # complex kernel gave them with C + 0i and 0 + iS
     config = load_preset("fig1")
-    params = config.params
     t = config.time_grid()
-    dec = decompose(config.packet, params, config.numerics, config.mode)
-    bands = _line_tables(dec, params)
+    dec = decompose(config.packet, config.params, config.mode, config.numerics)
+    bands = _line_tables(dec)
     assert bands[0][0].size == 10560
     for freqs, c, s in bands:
         got = line_sum(t, freqs, c, s)
@@ -235,8 +234,8 @@ def test_line_sum_rejects_complex_coefficients():
 def test_ladder_expectation_static_value():
     params = B_ONE
     packet = _fig2_packet(params)
-    dec = decompose(packet, params)
-    a0, ad0 = ladder_expectations(0.0, dec, params)
+    dec = decompose(packet, params, TWO_PLUS_ONE)
+    a0, ad0 = ladder_expectations(0.0, dec)
     ell = params.magnetic_length
     # operator identity: <a> = <xi>/sqrt(2) = -k0x L / sqrt(2)
     assert a0.real == pytest.approx(-packet.k0x * ell / math.sqrt(2.0), abs=1e-8)
@@ -258,7 +257,7 @@ def test_single_level_occupancy_gives_no_motion():
     dec = PacketDecomposition(
         packet=GaussianPacket(d_x=1.0, d_y=1.0),
         params=B_ONE,
-        mode=Dimensionality.TWO_PLUS_ONE,
+        mode=TWO_PLUS_ONE,
         n_max=0,
         kx_nodes=np.array([0.0]),
         kx_weights=np.array([1.0]),
@@ -270,16 +269,16 @@ def test_single_level_occupancy_gives_no_motion():
         kz_weights=np.array([1.0]),
     )
     for t in (0.0, 1.0, 17.3):
-        a, adag = ladder_expectations(t, dec, B_ONE)
+        a, adag = ladder_expectations(t, dec)
         assert a == 0.0 and adag == 0.0
 
 
 def test_centred_unkicked_packet_stays_put():
     packet = GaussianPacket(d_x=1.3, d_y=0.8, k0x=0.0)
-    dec = decompose(packet, B_ONE)
+    dec = decompose(packet, B_ONE, TWO_PLUS_ONE)
     assert np.max(np.abs(dec.u_band)) < 1e-14  # odd in kx, integrates away
     t = np.linspace(0.0, 10.0, 64)
-    tr = trajectory(packet, B_ONE, t, decomp=dec)
+    tr = trajectory(dec, t)
     assert np.max(np.abs(tr.x)) < 1e-12
     assert np.max(np.abs(tr.y)) < 1e-12
 
@@ -287,41 +286,41 @@ def test_centred_unkicked_packet_stays_put():
 def test_position_start_and_reality():
     params = B_ONE
     packet = _fig2_packet(params)
-    dec = decompose(packet, params)
-    x0, y0 = position(0.0, dec, params)
-    assert x0 == pytest.approx(0.0, abs=1e-12)
-    assert y0 == pytest.approx(-packet.k0x * params.magnetic_length**2, abs=1e-8)
+    dec = decompose(packet, params, TWO_PLUS_ONE)
+    start = trajectory(dec, np.array([0.0]))
+    assert start.x[0] == pytest.approx(0.0, abs=1e-12)
+    assert start.y[0] == pytest.approx(-packet.k0x * params.magnetic_length**2, abs=1e-8)
     t = np.linspace(0.0, 30.0, 301)
-    tr = trajectory(packet, params, t, decomp=dec)
+    tr = trajectory(dec, t)
     assert tr.provenance["imag_residue"] < 1e-10
 
 
 def test_trajectory_grid_refinement_consistency():
     packet = _fig2_packet(B_ONE)
-    dec = decompose(packet, B_ONE)
-    coarse = trajectory(packet, B_ONE, np.linspace(0.0, 10.0, 11), decomp=dec)
-    fine = trajectory(packet, B_ONE, np.linspace(0.0, 10.0, 21), decomp=dec)
+    dec = decompose(packet, B_ONE, TWO_PLUS_ONE)
+    coarse = trajectory(dec, np.linspace(0.0, 10.0, 11))
+    fine = trajectory(dec, np.linspace(0.0, 10.0, 21))
     assert np.max(np.abs(coarse.x - fine.x[::2])) < 1e-12
     assert np.max(np.abs(coarse.y - fine.y[::2])) < 1e-12
 
-    single = trajectory(packet, B_ONE, np.array([0.0]), decomp=dec)
-    x0, y0 = position(0.0, dec, B_ONE)
-    assert single.x[0] == pytest.approx(x0, abs=1e-14)
-    assert single.y[0] == pytest.approx(y0, abs=1e-14)
+    # one sample is evaluated directly, the 11-sample grid in blocks
+    single = trajectory(dec, np.array([0.0]))
+    assert single.x[0] == pytest.approx(coarse.x[0], abs=1e-14)
+    assert single.y[0] == pytest.approx(coarse.y[0], abs=1e-14)
 
 
 def test_trajectory_validates_grid():
-    packet = _fig2_packet(B_ONE)
+    dec = decompose(_fig2_packet(B_ONE), B_ONE, TWO_PLUS_ONE)
     with pytest.raises(ValueError):
-        trajectory(packet, B_ONE, np.array([]))
+        trajectory(dec, np.array([]))
     with pytest.raises(ValueError):
-        trajectory(packet, B_ONE, np.array([0.0, 0.1, 0.3]))
+        trajectory(dec, np.array([0.0, 0.1, 0.3]))
 
 
 def test_band_split_sums_to_total_and_anisotropy():
-    packet = _fig2_packet(B_ONE)
+    dec = decompose(_fig2_packet(B_ONE), B_ONE, TWO_PLUS_ONE)
     t = np.linspace(0.0, 40.0, 801)
-    tr = trajectory(packet, B_ONE, t)
+    tr = trajectory(dec, t)
     assert np.allclose(tr.x, tr.x_intraband + tr.x_interband, atol=0.0)
     assert np.allclose(tr.y, tr.y_intraband + tr.y_interband, atol=0.0)
     # kick along x only: the two traces differ
@@ -329,7 +328,7 @@ def test_band_split_sums_to_total_and_anisotropy():
 
 
 def test_cyclotron_reference_values():
-    p = make_params_dimensionless(0.01, Dimensionality.TWO_PLUS_ONE)
+    p = make_params_dimensionless(0.01)
     packet = GaussianPacket(d_x=1.0, d_y=1.0, k0x=0.1)
     omega_c, radius = cyclotron_reference(packet, p)
     assert abs(omega_c - p.field_ratio_b**2 / 2.0) < p.field_ratio_b**4
@@ -340,12 +339,11 @@ def test_cyclotron_reference_values():
 
 
 def test_matches_matrix_reference_2plus1():
-    params = make_params_dimensionless(2.0503, Dimensionality.TWO_PLUS_ONE)
-    packet = _fig2_packet(params)
-    dec = decompose(packet, params)
+    params = make_params_dimensionless(2.0503)
+    dec = decompose(_fig2_packet(params), params, TWO_PLUS_ONE)
     t = np.linspace(0.0, 20.0, 256)
-    analytic = trajectory(packet, params, t, decomp=dec)
-    reference = oracle_trajectory(packet, params, t, decomp=dec)
+    analytic = trajectory(dec, t)
+    reference = oracle_trajectory(dec, t)
     tol = 1e-6 * params.magnetic_length
     assert np.max(np.abs(analytic.x - reference.x)) < tol
     assert np.max(np.abs(analytic.y - reference.y)) < tol
@@ -356,18 +354,18 @@ def test_matches_matrix_reference_2plus1():
 
 def test_matches_matrix_reference_3plus1():
     num = Numerics(kz_nodes=32, kx_nodes=64)
-    dec = decompose(FIG1_PACKET, FIG1_PARAMS, num)
+    dec = decompose(FIG1_PACKET, FIG1_PARAMS, THREE_PLUS_ONE, num)
     t = np.linspace(0.0, 5.0, 51)
-    analytic = trajectory(FIG1_PACKET, FIG1_PARAMS, t, decomp=dec)
-    reference = oracle_trajectory(FIG1_PACKET, FIG1_PARAMS, t, decomp=dec)
+    analytic = trajectory(dec, t)
+    reference = oracle_trajectory(dec, t)
     tol = 1e-6 * FIG1_PARAMS.magnetic_length
     assert np.max(np.abs(analytic.x - reference.x)) < tol
     assert np.max(np.abs(analytic.y - reference.y)) < tol
 
 
 def test_unit_conversion_to_magnetic_lengths():
-    packet = _fig2_packet(B_ONE)
-    tr = trajectory(packet, B_ONE, np.linspace(0.0, 5.0, 16))
+    dec = decompose(_fig2_packet(B_ONE), B_ONE, TWO_PLUS_ONE)
+    tr = trajectory(dec, np.linspace(0.0, 5.0, 16))
     in_l = tr.in_magnetic_length_units()
     assert in_l.position_unit == "L"
     assert np.allclose(in_l.x * B_ONE.magnetic_length, tr.x, rtol=1e-14, atol=1e-16)
@@ -382,14 +380,14 @@ def test_unit_conversion_to_magnetic_lengths():
 )
 def test_matrix_reference_equivalence_property(b, width_ratio, kick):
     """Engines agree over random field strengths, widths and kicks."""
-    params = make_params_dimensionless(b, Dimensionality.TWO_PLUS_ONE)
+    params = make_params_dimensionless(b)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * width_ratio * ell, d_y=width_ratio * ell,
                             k0x=kick / ell)
-    dec = decompose(packet, params, Numerics(convergence_check=False))
+    dec = decompose(packet, params, TWO_PLUS_ONE, Numerics(convergence_check=False))
     t = np.linspace(0.0, 12.0, 49)
-    analytic = trajectory(packet, params, t, decomp=dec)
-    reference = oracle_trajectory(packet, params, t, decomp=dec)
+    analytic = trajectory(dec, t)
+    reference = oracle_trajectory(dec, t)
     tol = 1e-6 * ell
     assert np.max(np.abs(analytic.x - reference.x)) < tol
     assert np.max(np.abs(analytic.y - reference.y)) < tol
@@ -399,10 +397,10 @@ def test_regression_anchor_values():
     """Absolute anchors (cross-validated against the matrix reference when
     frozen) guard conventions that a simultaneous sign drift in both engines
     would hide."""
-    params = make_params_dimensionless(2.0503, Dimensionality.TWO_PLUS_ONE)
+    params = make_params_dimensionless(2.0503)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
-    tr = trajectory(packet, params, np.linspace(0.0, 2.5, 3))
+    tr = trajectory(decompose(packet, params, TWO_PLUS_ONE), np.linspace(0.0, 2.5, 3))
     assert tr.x == pytest.approx([0.0, 0.3875080774401247, 0.11599928852255866], abs=1e-8)
     assert tr.y == pytest.approx(
         [-0.9754670041372855, -0.43761904827448384, 0.16267383337473681], abs=1e-8

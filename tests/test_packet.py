@@ -37,7 +37,8 @@ from zbsim.packet import (
 from zbsim.params import Dimensionality, make_params_dimensionless
 from zbsim.runner import OracleOptions, load_preset
 
-B_ONE = make_params_dimensionless(1.0, Dimensionality.TWO_PLUS_ONE)
+TWO_PLUS_ONE, THREE_PLUS_ONE = Dimensionality.TWO_PLUS_ONE, Dimensionality.THREE_PLUS_ONE
+B_ONE = make_params_dimensionless(1.0)
 
 # fig2-style packet in units of the motional spread: L = sqrt(2), d_y = L,
 # d_x = 0.9 d_y, kick k0x = 1 so that k0x L = sqrt(2)
@@ -135,7 +136,7 @@ def test_g_z_requires_longitudinal_width():
 
 
 def test_u_band_against_frozen_2d_oracle():
-    dec = decompose(TRAP_PACKET, B_ONE)
+    dec = decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE)
     for n, expected in enumerate(U_BAND):
         assert dec.u_band[n] == pytest.approx(expected, abs=1e-9)
         assert u_overlap(dec, n, n + 1) == pytest.approx(expected, abs=1e-9)
@@ -147,14 +148,14 @@ def test_u_completeness_and_symmetry():
         GaussianPacket(d_x=0.6, d_y=2.3, k0x=0.8),
         GaussianPacket(d_x=2.0, d_y=0.7, k0x=0.0),
     ):
-        dec = decompose(packet, B_ONE)
+        dec = decompose(packet, B_ONE, TWO_PLUS_ONE)
         assert float(np.sum(dec.u_diag)) == pytest.approx(1.0, abs=1e-8)
         assert u_overlap(dec, 2, 5) == pytest.approx(u_overlap(dec, 5, 2), abs=0.0)
 
 
 def test_parseval_at_every_stage():
     packet = TRAP_PACKET
-    dec = decompose(packet, B_ONE)
+    dec = decompose(packet, B_ONE, TWO_PLUS_ONE)
     # position-space norm is 1 by construction; momentum-space x norm:
     kx = np.linspace(-14, 16, 40001)
     norm_kx = np.trapezoid(np.abs(momentum_profile_x(packet, kx)) ** 2, kx)
@@ -165,15 +166,15 @@ def test_parseval_at_every_stage():
 
 
 def test_truncation_behaviour():
-    dec = decompose(TRAP_PACKET, B_ONE)
+    dec = decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE)
     with pytest.raises(TruncationError):
         u_overlap(dec, 0, dec.n_max + 1)
     # tighter tail tolerance cannot lower the chosen truncation
-    dec_tight = decompose(TRAP_PACKET, B_ONE, Numerics(tail_tol=1e-13))
+    dec_tight = decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, Numerics(tail_tol=1e-13))
     assert dec_tight.n_max >= dec.n_max
     assert dec_tight.tail_mass <= dec.tail_mass
     with pytest.raises(ConvergenceError):
-        decompose(TRAP_PACKET, B_ONE, Numerics(n_max_cap=4, convergence_check=False))
+        decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, Numerics(n_max_cap=4, convergence_check=False))
 
 
 # a narrow x profile (L/d_x = 3) with a raised cap: the tail mass converges
@@ -186,16 +187,16 @@ RAISED_CAP = Numerics(n_max_cap=512, kx_nodes=256)
 def test_overlap_overflow_above_truncation_is_unused():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dec = decompose(NARROW_PACKET, B_ONE, RAISED_CAP)
+        dec = decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, RAISED_CAP)
         assert dec.n_max == 106
         assert np.all(np.isfinite(dec.phi)) and np.all(np.isfinite(dec.u_band))
         # a floor that forces the truncation past the overflow names it, on the
         # doubled grid of the convergence check and on a 512-node grid without it
         with pytest.raises(ConvergenceError, match=r"overflowed at level \d+ on 512 kx nodes"):
-            decompose(NARROW_PACKET, B_ONE, replace(RAISED_CAP, n_max_floor=450))
+            decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, replace(RAISED_CAP, n_max_floor=450))
         unchecked = Numerics(n_max_cap=512, n_max_floor=450, kx_nodes=512, convergence_check=False)
         with pytest.raises(ConvergenceError, match=r"overflowed at level \d+ on 512 kx nodes"):
-            decompose(NARROW_PACKET, B_ONE, unchecked)
+            decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, unchecked)
         with pytest.raises(ConvergenceError, match="overflowed at level 268 on 1 kx nodes"):
             f_coeff(NARROW_PACKET, 300, 200.0 / math.sqrt(2.0), B_ONE)
 
@@ -263,7 +264,7 @@ def _counting_levels(monkeypatch):
 def test_decompose_draws_only_the_kept_levels(name, monkeypatch):
     config, params, packet, grids = _preset_grids(name)
     counts = _counting_levels(monkeypatch)
-    dec = decompose(packet, params, config.numerics, config.mode)
+    dec = decompose(packet, params, config.mode, config.numerics)
     assert counts == [dec.n_max + 1, dec.n_max + 1]
     # the diagonal and the tail are those of the full n_max_cap table
     kx, weights, y_nodes = grids[0]
@@ -275,7 +276,7 @@ def test_decompose_draws_only_the_kept_levels(name, monkeypatch):
     # a floor above the natural truncation draws floor + 1 levels on each grid
     counts.clear()
     floor = dec.n_max + 7
-    raised = decompose(packet, params, replace(config.numerics, n_max_floor=floor), config.mode)
+    raised = decompose(packet, params, config.mode, replace(config.numerics, n_max_floor=floor))
     assert raised.n_max == floor and raised.phi.shape[0] == floor + 1
     assert counts == [floor + 1, floor + 1]
     assert np.array_equal(raised.u_diag, diag[: floor + 1])
@@ -283,7 +284,7 @@ def test_decompose_draws_only_the_kept_levels(name, monkeypatch):
     # reaching the cap draws every level up to it once
     counts.clear()
     with pytest.raises(ConvergenceError, match="at the cap n_max_cap=4"):
-        decompose(packet, params, replace(config.numerics, n_max_cap=4), config.mode)
+        decompose(packet, params, config.mode, replace(config.numerics, n_max_cap=4))
     assert counts == [5]
 
 
@@ -310,8 +311,8 @@ def test_node_counts_and_caps_are_bounded():
 
 def test_quadrature_doubling_is_converged():
     num = Numerics(convergence_check=False)
-    dec = decompose(TRAP_PACKET, B_ONE, num)
-    dec2 = decompose(TRAP_PACKET, B_ONE, num.doubled())
+    dec = decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, num)
+    dec2 = decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, num.doubled())
     n = min(dec.n_max, dec2.n_max)
     assert np.max(np.abs(dec.u_diag[: n + 1] - dec2.u_diag[: n + 1])) < 1e-9
     assert np.max(np.abs(dec.u_band[:n] - dec2.u_band[:n])) < 1e-9
@@ -324,10 +325,6 @@ def test_packet_validation():
         GaussianPacket(d_x=1.0, d_y=-1.0)
     with pytest.raises(ValueError):
         GaussianPacket(d_x=1.0, d_y=1.0, d_z=0.0)
-    with pytest.raises(ValueError):
-        GaussianPacket(d_x=1.0, d_y=1.0, component=5)
-    with pytest.raises(NotImplementedError):
-        decompose(GaussianPacket(d_x=1.0, d_y=1.0, component=1), B_ONE)
 
 
 @pytest.mark.parametrize(
@@ -348,12 +345,21 @@ def test_non_finite_fields_rejected(options, key, kwargs):
 
 
 def test_three_plus_one_needs_dz():
-    p31 = make_params_dimensionless(1.0, Dimensionality.THREE_PLUS_ONE)
+    p31 = make_params_dimensionless(1.0)
     with pytest.raises(ValueError):
-        decompose(GaussianPacket(d_x=1.0, d_y=1.0), p31)
-    dec = decompose(GaussianPacket(d_x=1.0, d_y=1.0, d_z=1.5), p31)
+        decompose(GaussianPacket(d_x=1.0, d_y=1.0), p31, THREE_PLUS_ONE)
+    dec = decompose(GaussianPacket(d_x=1.0, d_y=1.0, d_z=1.5), p31, THREE_PLUS_ONE)
     assert dec.kz_nodes.size > 1
     assert float(np.sum(dec.kz_weights)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_decompose_takes_the_mode_explicitly():
+    packet = GaussianPacket(d_x=1.0, d_y=1.0, d_z=1.5)
+    assert decompose(packet, B_ONE, "3+1").mode is THREE_PLUS_ONE
+    with pytest.raises(ValueError):
+        decompose(packet, B_ONE, "4+1")
+    with pytest.raises(TypeError):
+        decompose(packet, B_ONE)
 
 
 @settings(max_examples=25, deadline=None)
@@ -364,11 +370,11 @@ def test_three_plus_one_needs_dz():
     st.floats(min_value=0.3, max_value=3.0),
 )
 def test_completeness_property(d_x, d_y, k0x, b):
-    params = make_params_dimensionless(b, Dimensionality.TWO_PLUS_ONE)
+    params = make_params_dimensionless(b)
     packet = GaussianPacket(d_x=d_x * params.magnetic_length,
                             d_y=d_y * params.magnetic_length,
                             k0x=k0x / params.magnetic_length)
-    dec = decompose(packet, params, Numerics(convergence_check=False))
+    dec = decompose(packet, params, TWO_PLUS_ONE, Numerics(convergence_check=False))
     assert float(np.sum(dec.u_diag)) == pytest.approx(1.0, abs=1e-8)
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from zbsim.params import (
     ELECTRON,
-    Dimensionality,
     cyclotron_quantum_ev,
     magnetic_length_si,
     make_params,
@@ -66,14 +65,6 @@ def test_domain_errors(bad):
         make_params_dimensionless(bad)
     with pytest.raises(ValueError):
         make_params(bad)
-
-
-def test_dimensionality_override():
-    p = make_params_dimensionless(1.0, Dimensionality.TWO_PLUS_ONE)
-    assert p.dimensionality is Dimensionality.TWO_PLUS_ONE
-    q = p.with_dimensionality(Dimensionality.THREE_PLUS_ONE)
-    assert q.dimensionality is Dimensionality.THREE_PLUS_ONE
-    assert q.kappa == p.kappa
 
 
 @given(st.floats(min_value=1e-6, max_value=1e3))

@@ -27,7 +27,8 @@ from zbsim.reference import (
     oracle_trajectory,
 )
 
-B_ONE = make_params_dimensionless(1.0, Dimensionality.TWO_PLUS_ONE)
+TWO_PLUS_ONE = Dimensionality.TWO_PLUS_ONE
+B_ONE = make_params_dimensionless(1.0)
 FIG1_PARAMS = make_params(2e9)  # the fig1 preset's field
 
 
@@ -128,10 +129,10 @@ def test_oracle_equals_explicit_fibre_evolution():
     params = B_ONE
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
-    dec = decompose(packet, params)
+    dec = decompose(packet, params, TWO_PLUS_ONE)
     n_trunc = dec.n_max + 12
     t = np.linspace(0.0, 8.0, 33)
-    fast = oracle_trajectory(packet, params, t, decomp=dec, n_trunc=n_trunc)
+    fast = oracle_trajectory(dec, t, n_trunc)
     x, y = _literal_oracle(packet, params, dec, n_trunc, t)
     assert np.max(np.abs(x - fast.x)) < 1e-10
     assert np.max(np.abs(y - fast.y)) < 1e-10
@@ -139,14 +140,15 @@ def test_oracle_equals_explicit_fibre_evolution():
 
 def _check_oracle_3plus1():
     # an odd Hermite kz rule: 4- and 2-blocks at kz != 0, 2- and 1-blocks at kz = 0
-    params = make_params_dimensionless(1.0, Dimensionality.THREE_PLUS_ONE)
+    params = make_params_dimensionless(1.0)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, d_z=ell, k0x=math.sqrt(2.0) / ell)
-    dec = decompose(packet, params, Numerics(kx_nodes=32, kz_nodes=5, kz_rule="hermite"))
+    num = Numerics(kx_nodes=32, kz_nodes=5, kz_rule="hermite")
+    dec = decompose(packet, params, Dimensionality.THREE_PLUS_ONE, num)
     assert dec.kz_nodes.size == 5 and 0.0 in dec.kz_nodes.tolist()
     n_trunc = dec.n_max + 12
     t = np.linspace(0.0, 8.0, 33)
-    fast = oracle_trajectory(packet, params, t, decomp=dec, n_trunc=n_trunc)
+    fast = oracle_trajectory(dec, t, n_trunc)
     x, y = _literal_oracle(packet, params, dec, n_trunc, t)
     assert np.max(np.abs(x - fast.x)) < 1e-10 * ell
     assert np.max(np.abs(y - fast.y)) < 1e-10 * ell
@@ -209,22 +211,22 @@ def test_oracle_band_split_matches_analytic():
     params = B_ONE
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
-    dec = decompose(packet, params)
+    dec = decompose(packet, params, TWO_PLUS_ONE)
     t = np.linspace(0.0, 8.0, 33)
-    analytic = trajectory(packet, params, t, decomp=dec)
-    oracle = oracle_trajectory(packet, params, t, decomp=dec)
+    analytic = trajectory(dec, t)
+    oracle = oracle_trajectory(dec, t)
     for name in ("x_interband", "y_interband", "x_intraband", "y_intraband"):
         assert np.max(np.abs(getattr(analytic, name) - getattr(oracle, name))) < 1e-8 * ell, name
 
 
 def test_truncation_doubling_changes_little():
-    params = make_params_dimensionless(2.05, Dimensionality.TWO_PLUS_ONE)
+    params = make_params_dimensionless(2.05)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
-    dec = decompose(packet, params)
+    dec = decompose(packet, params, TWO_PLUS_ONE)
     t = np.linspace(0.0, 15.0, 64)
-    base = oracle_trajectory(packet, params, t, decomp=dec, n_trunc=dec.n_max + 12)
-    double = oracle_trajectory(packet, params, t, decomp=dec, n_trunc=2 * (dec.n_max + 12))
+    base = oracle_trajectory(dec, t, dec.n_max + 12)
+    double = oracle_trajectory(dec, t, 2 * (dec.n_max + 12))
     assert np.max(np.abs(base.x - double.x)) < 1e-8 * ell
     assert np.max(np.abs(base.y - double.y)) < 1e-8 * ell
 

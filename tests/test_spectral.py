@@ -14,7 +14,7 @@ from zbsim.spectral import (
     spectrum,
 )
 
-B_ONE = make_params_dimensionless(1.0, Dimensionality.TWO_PLUS_ONE)
+B_ONE = make_params_dimensionless(1.0)
 
 
 def _synthetic(t, x, y=None):
@@ -86,10 +86,10 @@ def test_richness_counts_relative_power():
 def test_classify_lowest_lines():
     ell = B_ONE.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
-    dec = decompose(packet, B_ONE)
+    dec = decompose(packet, B_ONE, Dimensionality.TWO_PLUS_ONE)
     t = np.linspace(0.0, 150.0, 4096)
-    tr = trajectory(packet, B_ONE, t, decomp=dec)
-    rep = classify_peaks(spectrum(tr), B_ONE, dec.occupied_levels())
+    tr = trajectory(dec, t)
+    rep = classify_peaks(spectrum(tr), dec)
 
     def label_at(target):
         peak = min(rep.peaks, key=lambda p: abs(p.freq - target))
@@ -105,11 +105,11 @@ def test_classify_lowest_lines():
 def test_interband_only_trajectory_classifies_interband():
     ell = B_ONE.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
-    dec = decompose(packet, B_ONE)
+    dec = decompose(packet, B_ONE, Dimensionality.TWO_PLUS_ONE)
     t = np.linspace(0.0, 150.0, 4096)
-    tr = trajectory(packet, B_ONE, t, decomp=dec)
+    tr = trajectory(dec, t)
     only_inter = _synthetic(t, tr.x_interband, tr.y_interband)
-    rep = classify_peaks(spectrum(only_inter), B_ONE, dec.occupied_levels())
+    rep = classify_peaks(spectrum(only_inter), dec)
     significant = [p for p in rep.peaks if p.power >= 0.01 * rep.peaks[0].power]
     assert significant
     for peak in significant:
@@ -117,7 +117,7 @@ def test_interband_only_trajectory_classifies_interband():
         assert peak.label.kind is TransitionKind.INTERBAND
 
     only_intra = _synthetic(t, tr.x_intraband, tr.y_intraband)
-    rep = classify_peaks(spectrum(only_intra), B_ONE, dec.occupied_levels())
+    rep = classify_peaks(spectrum(only_intra), dec)
     for peak in (p for p in rep.peaks if p.power >= 0.01 * rep.peaks[0].power):
         assert peak.label is not None and peak.label.kind is TransitionKind.INTRABAND
 
@@ -125,10 +125,10 @@ def test_interband_only_trajectory_classifies_interband():
 def test_every_significant_peak_classifiable():
     ell = B_ONE.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
-    dec = decompose(packet, B_ONE)
+    dec = decompose(packet, B_ONE, Dimensionality.TWO_PLUS_ONE)
     t = np.linspace(0.0, 150.0, 4096)
-    tr = trajectory(packet, B_ONE, t, decomp=dec)
-    rep = classify_peaks(spectrum(tr), B_ONE, dec.occupied_levels())
+    tr = trajectory(dec, t)
+    rep = classify_peaks(spectrum(tr), dec)
     top = rep.peaks[0].power
     for peak in rep.peaks:
         if peak.power >= 0.01 * top:
@@ -168,10 +168,9 @@ def test_gigantic_field_run_shows_both_line_kinds():
     from zbsim.runner import load_preset
 
     config = load_preset("fig1")
-    params, packet = config.params, config.packet
-    dec = decompose(packet, params, config.numerics, config.mode)
-    traj = trajectory(packet, params, config.time_grid(), config.mode, decomp=dec)
-    rep = classify_peaks(spectrum(traj), params, dec.occupied_levels())
+    dec = decompose(config.packet, config.params, config.mode, config.numerics)
+    traj = trajectory(dec, config.time_grid())
+    rep = classify_peaks(spectrum(traj), dec)
     top = rep.peaks[0].power
     kinds = {p.label.kind for p in rep.peaks if p.label is not None and p.power > 1e-3 * top}
     assert TransitionKind.INTRABAND in kinds
