@@ -15,11 +15,8 @@ _EXPORTS = {
     "make_params": "params",
     "make_params_dimensionless": "params",
     "LandauLabel": "landau",
-    "SpectrumPoint": "landau",
     "TransitionKind": "landau",
-    "energy": "landau",
     "norm_and_chi": "landau",
-    "transition_frequency": "landau",
     "GaussianPacket": "packet",
     "Numerics": "packet",
     "PacketDecomposition": "packet",

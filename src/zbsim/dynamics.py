@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError
-from .landau import energies, energy
+from .landau import energies
 from .packet import GaussianPacket, PacketDecomposition
 from .params import Dimensionality, SimParams
 
@@ -134,17 +134,22 @@ def line_sum(t: np.ndarray, freqs: np.ndarray, cos_coef: np.ndarray, sin_coef: n
     acc = np.zeros((starts.size, offsets.size * 2))
     step = max(1, _CHUNK // (starts.size + acc.shape[1]))
     lines = min(step, freqs.size)
-    # reused: fresh tables would be paged in again for every block; the
-    # bracket buffer holds p until its product is taken, then q, and the
-    # start table is formed again for the sin pass rather than kept
+    # reused: fresh tables would be paged in again for every block, and a
+    # block's new offset tables would be allocated while the last block's
+    # are still bound; the bracket buffer holds p until its product is
+    # taken, then q, and the start table is formed again for the sin pass
+    # rather than kept
     start_buf = np.empty(starts.size * lines)
     pq_buf = np.empty(lines * acc.shape[1])
+    phase_buf = np.empty(lines * offsets.size)
+    cos_buf = np.empty(lines * offsets.size)
     for lo in range(0, freqs.size, step):
         f = freqs[lo : lo + step]
         c = cos_coef[lo : lo + step, None]
         s = sin_coef[lo : lo + step, None]
-        phase = np.outer(f, offsets)
-        cos_offset = np.cos(phase)
+        shape = (f.size, offsets.size)
+        phase = np.multiply.outer(f, offsets, out=phase_buf[: f.size * offsets.size].reshape(shape))
+        cos_offset = np.cos(phase, out=cos_buf[: f.size * offsets.size].reshape(shape))
         sin_offset = np.sin(phase, out=phase)
         pq = pq_buf[: f.size * acc.shape[1]].reshape(f.size, offsets.size, 2)
         trig = start_buf[: starts.size * f.size].reshape(starts.size, f.size)
@@ -248,6 +253,7 @@ def cyclotron_reference(packet: GaussianPacket, params: SimParams) -> tuple[floa
     packet; in the non-relativistic limit the frequency tends to
     hbar*eB/m = b^2/2 in natural units.
     """
-    omega_c = energy(1, 0.0, params) - energy(0, 0.0, params)
+    e0, e1 = energies([0, 1], 0.0, params)
+    omega_c = float(e1 - e0)
     radius = packet.k0x * params.magnetic_length**2
     return omega_c, radius

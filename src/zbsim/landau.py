@@ -1,7 +1,7 @@
 """Closed-form Landau-level spectrum of the Dirac equation in a uniform field.
 
-Energies, state norms, spin/branch weight factors and allowed transition
-frequencies.  All quantities are in natural units (see :mod:`zbsim.params`):
+Level energies, state norms and spin/branch weight factors.  All
+quantities are in natural units (see :mod:`zbsim.params`):
 
     E(n, kz) = sqrt(1 + n b^2 + kz^2),
 
@@ -23,10 +23,6 @@ from .params import SimParams
 
 class NonexistentStateError(ValueError):
     """Raised for quantum-number combinations that label a vanishing state."""
-
-
-class ForbiddenTransitionError(ValueError):
-    """Raised for transitions violating the |n - n'| = 1 selection rule."""
 
 
 class TransitionKind(enum.Enum):
@@ -65,28 +61,13 @@ class LandauLabel:
             )
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
-    """Energy, ladder frequency, norm and branch weight of one level."""
-
-    energy: float
-    omega_n: float
-    norm: float
-    chi: float
-
-
-def energy(n: int, kz: float, params: SimParams) -> float:
-    """Level energy sqrt((mc^2)^2 + n (hbar omega)^2 + (hbar kz c)^2) in mc^2."""
-    if n < 0:
-        raise ValueError(f"Landau index must be non-negative, got {n}")
-    b = params.field_ratio_b
-    # hypot is overflow-safe for large n and |kz|
-    return math.hypot(params.mass_energy, math.sqrt(n) * b, kz)
-
-
 def energies(n, kz, params: SimParams) -> np.ndarray:
-    """Vectorised :func:`energy`, broadcast over arrays of levels n and kz:
-    sqrt(m^2 + (n omega^2 + kz^2)), the rounding of the line tables."""
+    """Level energy E(n, kz) = sqrt(m^2 + (n omega^2 + kz^2)) in mc^2.
+
+    Broadcasts over arrays of levels n and wavenumbers kz.  This is the one
+    implementation of the spectrum: the line tables, the oracle's expected
+    eigenvalues, the peak labels and the cyclotron reference all call it.
+    """
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError(f"Landau index must be non-negative, got {n.min()}")
@@ -101,7 +82,7 @@ def norm_and_chi(n: int, eps: int, kz: float, params: SimParams) -> tuple[float,
     """
     if eps not in (-1, 1):
         raise ValueError(f"energy branch eps must be +-1, got {eps}")
-    e = energy(n, kz, params)
+    e = float(energies(n, kz, params))
     m = params.mass_energy
     if eps == 1:
         nsq = 2.0 * e * (e + m)
@@ -115,47 +96,3 @@ def norm_and_chi(n: int, eps: int, kz: float, params: SimParams) -> tuple[float,
             "(n=0, kz=0, eps=-1) has zero norm and is not a state"
         )
     return p * math.sqrt(2.0 * e / (e + m)), -p / math.sqrt(2.0 * e * (e + m))
-
-
-def spectrum_point(n: int, eps: int, kz: float, params: SimParams) -> SpectrumPoint:
-    """Bundle energy, omega_n, norm and chi for one (n, eps, kz)."""
-    norm, chi = norm_and_chi(n, eps, kz, params)
-    return SpectrumPoint(
-        energy=energy(n, kz, params),
-        omega_n=params.omega * math.sqrt(n),
-        norm=norm,
-        chi=chi,
-    )
-
-
-def transition_frequency(
-    n: int,
-    n_prime: int,
-    eps: int,
-    eps_prime: int,
-    kz: float,
-    params: SimParams,
-) -> tuple[float, TransitionKind]:
-    """Frequency |eps' E_{n'} - eps E_n| of an allowed line and its kind.
-
-    Only |n - n'| = 1 is allowed; anything else raises
-    ForbiddenTransitionError.  Same-branch lines are intraband (cyclotron),
-    opposite-branch lines interband (trembling motion).
-    """
-    if abs(n - n_prime) != 1:
-        raise ForbiddenTransitionError(
-            f"transition n={n} -> n'={n_prime} violates the n' = n +- 1 rule"
-        )
-    for e in (eps, eps_prime):
-        if e not in (-1, 1):
-            raise ValueError(f"energy branch must be +-1, got {e}")
-    lo, hi = min(n, n_prime), max(n, n_prime)
-    e_lo = energy(lo, kz, params)
-    e_hi = energy(hi, kz, params)
-    if eps == eps_prime:
-        freq = e_hi - e_lo  # positive; difference of adjacent levels
-        kind = TransitionKind.INTRABAND
-    else:
-        freq = e_hi + e_lo
-        kind = TransitionKind.INTERBAND
-    return freq, kind

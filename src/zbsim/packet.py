@@ -361,10 +361,6 @@ class PacketDecomposition:
         """F[n, i] = x-Gaussian(kx_i) * phi[n, i] on the kx grid."""
         return np.asarray(momentum_profile_x(self.packet, self.kx_nodes))[None, :] * self.phi
 
-    def occupied_levels(self, threshold: float = 1e-6) -> list[int]:
-        """Indices n whose diagonal occupation exceeds `threshold`."""
-        return [int(n) for n in np.nonzero(self.u_diag > threshold)[0]]
-
 
 def u_overlap(decomp: PacketDecomposition, m: int, n: int) -> float:
     """Overlap matrix entry U_{m,n}; symmetric and real for these packets."""

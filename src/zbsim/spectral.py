@@ -2,8 +2,12 @@
 
 Windowed DFT with amplitude normalisation (a unit cosine gives unit peak
 power), zero-padding for peak interpolation, parabolic peak refinement, and
-classification of each line against the allowed |n - n'| = 1 transitions of
-the occupied Landau levels.  Frequencies are angular, in 1/t_c.
+labelling of each peak with a level transition.  The labels come from the
+kz = 0 lines of each consecutive pair n, n + 1 of occupied levels (U_nn above
+OCCUPIED_U): intraband E_{n+1} - E_n and interband E_{n+1} + E_n.  A peak
+takes the nearest such line within one raw frequency bin; of equally near
+lines the last in the table (ascending n, intraband first) wins.
+Frequencies are angular, in 1/t_c.
 """
 
 from __future__ import annotations
@@ -14,11 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import Trajectory
-from .landau import TransitionKind, transition_frequency
+from .landau import TransitionKind, energies
 from .packet import PacketDecomposition
-from .params import SimParams
 
 MIN_SAMPLES = 256  # fewest trajectory samples the spectrum accepts
+OCCUPIED_U = 1e-6  # levels with U_nn above this carry the lines peaks are labelled by
 
 
 @dataclass(frozen=True)
@@ -148,43 +152,32 @@ def spectrum(
     )
 
 
-def allowed_lines(
-    params: SimParams, occupied_levels: list[int], kz: float = 0.0
-) -> list[tuple[float, PeakLabel]]:
-    """Intraband and interband line positions of consecutive occupied levels."""
-    lines = []
-    occ = set(occupied_levels)
-    for n in sorted(occ):
-        if n + 1 not in occ:
-            continue
-        for eps_prime, kind in ((1, TransitionKind.INTRABAND), (-1, TransitionKind.INTERBAND)):
-            freq, _ = transition_frequency(n, n + 1, 1, eps_prime, kz, params)
-            lines.append((freq, PeakLabel(kind=kind, n=n, n_prime=n + 1)))
-    return lines
+def classify_peaks(report: SpectrumReport, decomp: PacketDecomposition) -> SpectrumReport:
+    """Label every peak with the nearest line of the occupied levels.
 
-
-def classify_peaks(
-    report: SpectrumReport, decomp: PacketDecomposition, tolerance: float | None = None
-) -> SpectrumReport:
-    """Label every peak with the nearest allowed transition between the
-    levels the decomposed packet occupies, within tolerance.
-
-    The default tolerance is one raw frequency bin.  Peaks with no
-    transition in range stay unassigned.
+    The lines are the kz = 0 intraband E_{n+1} - E_n and interband
+    E_{n+1} + E_n frequencies of each pair n, n + 1 whose diagonal
+    occupations U_nn both exceed OCCUPIED_U, in ascending n, intraband
+    first.  A peak takes the nearest line at most one raw bin
+    (report.bin_width) away, the last of equally near lines; a peak with
+    no line in range stays unassigned.
     """
-    tol = tolerance if tolerance is not None else report.bin_width
-    lines = allowed_lines(decomp.params, decomp.occupied_levels())
-    labelled = []
-    for peak in report.peaks:
-        best: PeakLabel | None = None
-        best_dist = tol
-        for freq, label in lines:
-            dist = abs(peak.freq - freq)
-            if dist <= best_dist:
-                best = label
-                best_dist = dist
-        labelled.append(replace(peak, label=best))
-    return replace(report, peaks=tuple(labelled))
+    occupied = decomp.u_diag > OCCUPIED_U
+    lower = np.nonzero(occupied[:-1] & occupied[1:])[0]
+    e_lo = energies(lower, 0.0, decomp.params)
+    e_hi = energies(lower + 1, 0.0, decomp.params)
+    freqs = np.column_stack((e_hi - e_lo, e_hi + e_lo)).ravel()
+    kinds = (TransitionKind.INTRABAND, TransitionKind.INTERBAND)  # the column order of freqs
+    labels = [PeakLabel(kind, int(n), int(n) + 1) for n in lower for kind in kinds]
+    if not labels:
+        return replace(report, peaks=tuple(replace(p, label=None) for p in report.peaks))
+    # reversed table: argmin returns the first minimum, i.e. the last equally near line
+    dist = np.abs(np.array([p.freq for p in report.peaks])[:, None] - freqs[None, ::-1])
+    best = freqs.size - 1 - np.argmin(dist, axis=1)
+    in_range = np.min(dist, axis=1) <= report.bin_width
+    peaks = (replace(p, label=labels[k] if ok else None)
+             for p, k, ok in zip(report.peaks, best, in_range))
+    return replace(report, peaks=tuple(peaks))
 
 
 def richness(report: SpectrumReport, rel_threshold: float = 0.01) -> int:

@@ -1,20 +1,14 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zbsim.landau import (
-    ForbiddenTransitionError,
     LandauLabel,
     NonexistentStateError,
-    TransitionKind,
     energies,
-    energy,
     norm_and_chi,
-    spectrum_point,
-    transition_frequency,
 )
 from zbsim.params import make_params_dimensionless
 
@@ -26,16 +20,16 @@ levels = st.integers(min_value=0, max_value=400)
 
 
 def test_energy_examples():
-    assert energy(0, 0.0, B_ONE) == 1.0
-    assert energy(1, 0.0, B_ONE) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert energies(0, 0.0, B_ONE) == 1.0
+    assert energies(1, 0.0, B_ONE) == pytest.approx(math.sqrt(2.0), rel=1e-15)
     p = make_params_dimensionless(0.952)
-    assert energy(2, 1.0, p) == pytest.approx(math.sqrt(1.0 + 2 * 0.952**2 + 1.0), rel=1e-14)
-    assert energy(2, 1.0, p) == pytest.approx(1.9527, abs=2e-4)
+    assert energies(2, 1.0, p) == pytest.approx(math.sqrt(1.0 + 2 * 0.952**2 + 1.0), rel=1e-14)
+    assert energies(2, 1.0, p) == pytest.approx(1.9527, abs=2e-4)
 
 
 def test_energy_rejects_negative_level():
     with pytest.raises(ValueError):
-        energy(-1, 0.0, B_ONE)
+        energies(-1, 0.0, B_ONE)
 
 
 def test_norm_and_chi_examples():
@@ -60,30 +54,14 @@ def test_branch_weights_complete():
         assert total == pytest.approx(1.0, abs=1e-13)
 
 
-def test_transition_examples():
-    freq, kind = transition_frequency(0, 1, 1, 1, 0.0, B_ONE)
-    assert kind is TransitionKind.INTRABAND
-    assert freq == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-14)
-
-    freq, kind = transition_frequency(0, 1, 1, -1, 0.0, B_ONE)
-    assert kind is TransitionKind.INTERBAND
-    assert freq == pytest.approx(math.sqrt(2.0) + 1.0, rel=1e-14)
-
-    with pytest.raises(ForbiddenTransitionError):
-        transition_frequency(0, 2, 1, 1, 0.0, B_ONE)
-    with pytest.raises(ForbiddenTransitionError):
-        transition_frequency(3, 3, 1, -1, 0.0, B_ONE)
-
-
 def test_cyclotron_limit_of_lowest_line():
-    # for b -> 0 the 0->1 line tends to hbar eB/m = b^2/2, deviation O(b^4)
+    # for b -> 0 the 0->1 line E_1 - E_0 tends to hbar eB/m = b^2/2, deviation O(b^4)
     for b in (1e-2, 1e-3):
-        p = make_params_dimensionless(b)
-        freq, _ = transition_frequency(0, 1, 1, 1, 0.0, p)
-        assert abs(freq - b * b / 2.0) < b**4
+        e0, e1 = energies([0, 1], 0.0, make_params_dimensionless(b))
+        assert abs((e1 - e0) - b * b / 2.0) < b**4
     # relativistic value is not eB/m
-    freq, _ = transition_frequency(0, 1, 1, 1, 0.0, B_ONE)
-    assert freq == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-14)
+    e0, e1 = energies([0, 1], 0.0, B_ONE)
+    assert e1 - e0 == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-14)
 
 
 def test_label_validation():
@@ -99,25 +77,18 @@ def test_label_validation():
         LandauLabel(n=0, kx=0.0, kz=0.0, eps=-1, s=-1)  # zero norm
 
 
-def test_spectrum_point_bundles_consistently():
-    pt = spectrum_point(3, -1, 0.7, B_ONE)
-    assert pt.energy == pytest.approx(energy(3, 0.7, B_ONE))
-    assert pt.omega_n == pytest.approx(B_ONE.omega * math.sqrt(3.0))
-    assert pt.norm > 0.0 and math.isfinite(pt.chi)
-
-
 @given(levels, wavenumbers, fields)
 def test_energy_even_in_kz_and_above_rest(n, kz, b):
     p = make_params_dimensionless(b)
-    e = energy(n, kz, p)
+    e = energies(n, kz, p)
     assert e >= p.mass_energy
-    assert e == pytest.approx(energy(n, -kz, p), rel=1e-15)
+    assert e == pytest.approx(energies(n, -kz, p), rel=1e-15)
 
 
 @given(levels, wavenumbers, fields)
 def test_energy_monotone_in_level(n, kz, b):
     p = make_params_dimensionless(b)
-    assert energy(n + 1, kz, p) > energy(n, kz, p)
+    assert energies(n + 1, kz, p) > energies(n, kz, p)
 
 
 @given(levels, wavenumbers, fields)
@@ -131,9 +102,3 @@ def test_norm_positive_for_existing_states(n, kz, b):
         assert norm > 0.0
         assert math.isfinite(chi)
 
-
-def test_vectorised_energies_match_scalar():
-    kz = np.linspace(-3.0, 3.0, 11)
-    vec = energies(4, kz, B_ONE)
-    for k, v in zip(kz, vec):
-        assert v == pytest.approx(energy(4, float(k), B_ONE), rel=1e-15)

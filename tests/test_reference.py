@@ -6,7 +6,7 @@ import pytest
 
 from zbsim import reference
 from zbsim.dynamics import trajectory
-from zbsim.landau import energy
+from zbsim.landau import energies
 from zbsim.packet import GaussianPacket, Numerics, decompose, oscillator_overlaps
 from zbsim.params import Dimensionality, make_params, make_params_dimensionless
 from zbsim.reference import (
@@ -94,7 +94,7 @@ def test_eigenvalues_pair_up():
 def test_single_eigenstate_shows_no_ladder_motion():
     vals, vecs = np.linalg.eigh(build_matrix(0.0, 16, B_ONE))
     # a positive-energy eigenstate in the interior of the spectrum
-    idx = int(np.argmin(np.abs(vals - energy(2, 0.0, B_ONE))))
+    idx = int(np.argmin(np.abs(vals - energies(2, 0.0, B_ONE))))
     state = vecs[:, idx]
     a_full = np.kron(np.eye(4), lowering_matrix(16))
     t = np.linspace(0.0, 10.0, 21)

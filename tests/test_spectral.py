@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from zbsim.dynamics import Trajectory, trajectory
-from zbsim.landau import TransitionKind
+from zbsim.landau import TransitionKind, energies
 from zbsim.packet import GaussianPacket, decompose
 from zbsim.params import Dimensionality, make_params_dimensionless
+from zbsim.runner import load_preset, parse_config, preset_text, run
 from zbsim.spectral import (
+    Peak,
+    PeakLabel,
     classify_peaks,
     interband_envelope,
     richness,
@@ -135,6 +139,64 @@ def test_every_significant_peak_classifiable():
             assert peak.label is not None, f"unassigned significant peak at {peak.freq}"
 
 
+def test_classify_window_edge_and_occupation_cut():
+    ell = B_ONE.magnetic_length
+    packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
+    dec = decompose(packet, B_ONE, Dimensionality.TWO_PLUS_ONE)
+    report = spectrum(trajectory(dec, np.linspace(0.0, 150.0, 4096)))
+    width = report.bin_width
+    e0, e1 = energies([0, 1], 0.0, B_ONE)
+    # first level above the occupation cut; its pair with the level below
+    # has lines that must not label anything
+    top = int(np.argmax(dec.u_diag <= 1e-6))  # spectral.OCCUPIED_U
+    assert top >= 2 and dec.u_diag[top - 1] > 1e-6
+    e_below, e_top = energies([top - 1, top], 0.0, B_ONE)
+    peaks = (
+        Peak(freq=(e1 - e0) + 0.999 * width, power=1.0),
+        Peak(freq=(e1 - e0) + 1.001 * width, power=1.0),
+        Peak(freq=e_top + e_below, power=1.0),  # nearest occupied interband line 0.22 away
+        Peak(freq=e_top - e_below, power=1.0),  # the occupied pair below lies within one bin
+    )
+    labels = [p.label for p in classify_peaks(replace(report, peaks=peaks), dec).peaks]
+    assert labels[0] == PeakLabel(TransitionKind.INTRABAND, 0, 1)
+    assert labels[1] is None
+    assert labels[2] is None
+    assert labels[3] == PeakLabel(TransitionKind.INTRABAND, top - 2, top - 1)
+
+    # a peak exactly midway between the 0->1 and 1->2 intraband lines takes
+    # the later line of the table
+    e2 = energies(2, 0.0, B_ONE)
+    mid = ((e1 - e0) + (e2 - e1)) / 2.0
+    assert (e1 - e0) - mid == mid - (e2 - e1)
+    tie = replace(report, peaks=(Peak(freq=mid, power=1.0),), bin_width=0.05)
+    assert classify_peaks(tie, dec).peaks[0].label == PeakLabel(TransitionKind.INTRABAND, 1, 2)
+
+
+def _config(name):
+    if name == "fig1-48-kz-nodes":  # fig1 with the kz quadrature cut as in perfbench's fig1-oracle
+        text = preset_text("fig1")
+        assert "kz_nodes = 320" in text
+        return parse_config(text.replace("kz_nodes = 320", "kz_nodes = 48"))
+    return load_preset(name)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2a", "fig2b", "fig2c", "fig1-48-kz-nodes"])
+def test_preset_labels_the_lowest_lines(name, tmp_path):
+    # a row of spectrum.csv labelled intraband(0->1) within one raw bin of
+    # E1 - E0 at kz = 0, and one labelled interband(0<->1) of E1 + E0
+    config = _config(name)
+    run(config, tmp_path)
+    rows = [ln.split(",") for ln in (tmp_path / "spectrum.csv").read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    samples, t_max = config.time.samples, config.time.t_max
+    raw_bin = 2.0 * math.pi * (samples - 1) / (samples * t_max)
+    b = config.params.field_ratio_b
+    e0, e1 = 1.0, math.sqrt(1.0 + b * b)
+    for label, target in (("intraband(0->1)", e1 - e0), ("interband(0<->1)", e1 + e0)):
+        freqs = [float(row[0]) for row in rows if row[3] == label]
+        assert any(abs(f - target) <= raw_bin for f in freqs), (label, target, freqs)
+
+
 def test_envelope_windows():
     period = 2.0 * math.pi
     t = np.linspace(0.0, 100.0 * period, 20000)
@@ -165,8 +227,6 @@ def test_envelope_windows():
 
 def test_gigantic_field_run_shows_both_line_kinds():
     # relativistic 3+1 regime: cyclotron and trembling lines both present
-    from zbsim.runner import load_preset
-
     config = load_preset("fig1")
     dec = decompose(config.packet, config.params, config.mode, config.numerics)
     traj = trajectory(dec, config.time_grid())
