@@ -27,13 +27,16 @@ Both engines write <A(t)> in one line form, per band: the intraband
 interband (trembling) lines at the sums E_{n+1} + E_n, each band a
 (freqs, cos, sin) table with <A> = sum cos cos(f t) + i sin sin(f t).
 band_sums evaluates the pair of tables into a (2, samples) array through the
-one kernel line_sum; the oracle (zbsim.reference) feeds it one kz node's
-lines at a time.
+one kernel line_sum.  The matrix oracle (zbsim.reference) builds the same
+tables per kz node and is checked against these tables line by line, not
+sample by sample.
 
 The engine's one input is the packet's PacketDecomposition (packet.decompose):
 it holds the packet, the field parameters, the mode, the overlap tables and
 the kz quadrature, so a trajectory cannot mix the tables of one packet or
-field with the parameters of another.
+field with the parameters of another.  The lines depend on kz only through
+kz^2, and the 3+1 quadrature comes folded onto its distinct |kz|, so each
+line at kz != 0 is evaluated once at twice its weight.
 """
 
 from __future__ import annotations
@@ -241,7 +244,8 @@ def trajectory(decomp: PacketDecomposition, t_grid: np.ndarray) -> Trajectory:
         "n_max": decomp.n_max,
         "tail_mass": decomp.tail_mass,
         "kx_nodes": int(decomp.kx_nodes.size),
-        "kz_nodes": int(decomp.kz_nodes.size),
+        "kz_nodes": int(decomp.kz_nodes.size),  # the distinct |kz| summed
+        "kz_rule_nodes": decomp.numerics.kz_nodes if decomp.mode is Dimensionality.THREE_PLUS_ONE else 1,
     }
     return _banded_trajectory(t, bands, decomp.mode, provenance)
 

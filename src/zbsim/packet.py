@@ -391,6 +391,17 @@ def _kz_grid(packet: GaussianPacket, numerics: Numerics) -> tuple[np.ndarray, np
     return kz, weights
 
 
+def _folded(kz: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kz >= 0 nodes of a mirrored rule, ascending, each kz > 0 node at
+    twice its weight; an odd rule's kz = 0 node keeps its own.  Every
+    integrand of the engines depends on kz only through kz^2, so the folded
+    rule integrates it as the full one does."""
+    k = kz.size // 2
+    if not (np.array_equal(kz[:k], -kz[::-1][:k]) and np.array_equal(weights[:k], weights[::-1][:k])):
+        raise AssertionError("the kz rule does not mirror its nodes and weights")
+    return kz[k:], np.where(kz[k:] > 0.0, 2.0, 1.0) * weights[k:]
+
+
 def decompose(
     packet: GaussianPacket,
     params: SimParams,
@@ -402,7 +413,11 @@ def decompose(
     The run's mode enters here and only here: a 3+1 decomposition carries a
     kz quadrature of the packet's longitudinal profile, a 2+1 one the single
     node kz = 0.  The engines and the peak labels read the packet, the field
-    parameters and the mode from the decomposition.
+    parameters and the mode from the decomposition.  The 3+1 rule is folded
+    onto its distinct |kz| (_folded): it must mirror its nodes and weights
+    exactly, and the engines and the oracle read only its kz >= 0 half, so
+    numerics.kz_nodes counts the rule's nodes and kz_nodes.size the nodes
+    evaluated.
 
     The truncation n_max is the smallest level, at least
     min(n_max_floor, n_max_cap), with tail mass below numerics.tail_tol
@@ -467,7 +482,7 @@ def decompose(
     u_band = (phi[:-1] * phi[1:]) @ weights if n_max >= 1 else np.zeros(0)
 
     if mode is Dimensionality.THREE_PLUS_ONE:
-        kz_nodes, kz_weights = _kz_grid(packet, num)
+        kz_nodes, kz_weights = _folded(*_kz_grid(packet, num))
     else:
         kz_nodes = np.array([0.0])
         kz_weights = np.array([1.0])

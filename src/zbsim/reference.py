@@ -21,9 +21,23 @@ The oracle evolves the weighted kx ensemble at once.  With the packet's
 level overlaps phi_f (spinor component 1) and fibre weights w_f, a kz node
 adds <A(t)> = sum_jk A_jk S_jk e^{i (E_j - E_k) t} over its real eigenpairs,
 A_jk = v_j . (1 x a) v_k, S_jk = v_j . G v_k, G = sum_f w_f phi_f phi_f^T;
-the eigenvectors are real, so <A+(t)> = conj <A(t)>.  Each node's lines
-take the per-band line form of zbsim.dynamics and go through its band_sums.
+the eigenvectors are real, so <A+(t)> = conj <A(t)>.  oracle_lines writes
+each node's lines in the per-band line form of zbsim.dynamics, frequencies
+made non-negative; oracle_trajectory evaluates them through its band_sums.
 The check's independent part is the assembled matrix and its solve.
+
+The run's check, oracle_check, compares line tables instead of samples.  At
+each kz node every oracle line joins the analytic line of its band within
+_MATCH_RTOL of its frequency; the summed |dC| + |dS| of the joined lines,
+their frequency drift |df| t_max (|C| + |S|), and |C| + |S| of every line
+that joins none (the levels above n_max) bound |<A>_analytic - <A>_oracle|
+at every 0 <= t <= t_max, and sqrt(2) times that bounds the position
+difference in L.  Analytic lines closer than _MATCH_RTOL (weak fields,
+where E_{n+1} - E_n rounds alike for neighbouring n) join one group, whose
+drift term covers their spread.  Both engines read the folded kz grid of
+packet.decompose, so the check also solves the rule's most negative kz
+node, which the fold leaves out, and requires its per-frequency line sums
+to match its mirror's.
 
 Truncating the ladder at level N leaves, besides the exact eigenstates with
 n <= N, a two-dimensional remnant on the top oscillator level whose
@@ -41,16 +55,17 @@ Basis ordering: index = component*(N+1) + n with spinor components 0..3.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, _banded_trajectory, band_sums
-from .errors import ConfigError
+from .dynamics import Trajectory, _banded_trajectory, _line_tables, band_sums
+from .errors import ConfigError, OracleMismatchError
 from .landau import energies
 from .packet import MAX_ARRAY, PacketDecomposition, check_finite_overlaps, oscillator_overlaps
-from .params import SimParams
+from .params import Dimensionality, SimParams
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 I_SIGMA_Y = np.array([[0.0, 1.0], [-1.0, 0.0]])  # i sigma_y
@@ -66,6 +81,13 @@ BETA = np.block([[_EYE2, _ZERO2], [_ZERO2, -_EYE2]])
 # Line amplitudes at or below this fraction of a kz node's largest entry
 # are roundoff and are not evaluated.
 _LINE_CUTOFF = 1e-15
+
+# Lines of one band whose frequencies lie within this fraction of each
+# other are compared as one group (_groups).
+_MATCH_RTOL = 1e-9
+# The line sums at the rule's most negative kz node must match its mirror's
+# within this fraction of the largest amplitude there.
+_MIRROR_TOL = 1e-12
 
 # the largest truncation whose 4(n_trunc + 1)-square fibre matrix fits MAX_ARRAY
 MAX_N_TRUNC = math.isqrt(MAX_ARRAY) // 4 - 1
@@ -192,18 +214,9 @@ def _pair_plan(idx: np.ndarray, ops: tuple):
     return p, q, np.stack([op[rows[p], cols[q]] for op in ops])
 
 
-def oracle_trajectory(
-    decomp: PacketDecomposition, t_grid: np.ndarray, n_trunc: int | None = None
-) -> Trajectory:
-    """Trajectory from truncated-matrix evolution, bin-compatible with the
-    analytic engine (same time grid, same position units, same band split).
-
-    Per kz node, A_jk, A_kj and S_jk (module docstring) come from small
-    products on the block pairs the ladder couples; each unordered eigenpair
-    pair is one line, intraband when both energies have the same sign.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    packet, params = decomp.packet, decomp.params
+def _truncation(decomp: PacketDecomposition, n_trunc: int | None) -> int:
+    """The oracle's truncation: n_trunc, or n_max + 12; ConfigError unless it
+    lies above n_max and within MAX_N_TRUNC."""
     trunc = n_trunc if n_trunc is not None else decomp.n_max + 12
     if n_trunc is None and trunc > MAX_N_TRUNC:  # an explicit n_trunc: _fibre_terms checks it
         raise ConfigError(
@@ -215,6 +228,20 @@ def oracle_trajectory(
             f"[oracle] n_trunc = {trunc} must be above the decomposition level "
             f"n_max = {decomp.n_max}, or 0 for the automatic n_max + 12"
         )
+    return trunc
+
+
+def oracle_lines(decomp: PacketDecomposition, trunc: int, nodes=None):
+    """Per kz node, the (intraband, interband) (freqs, cos, sin) line tables of
+    the truncated-matrix evolution, weighted as the node is, each frequency
+    made non-negative by carrying its sign into the sin coefficient.
+
+    nodes holds (kz, weight) pairs, by default the decomposition's kz grid.
+    Per node, A_jk, A_kj and S_jk (module docstring) come from small
+    products on the block pairs the ladder couples; each unordered eigenpair
+    pair is one line, intraband when both energies have the same sign.
+    """
+    packet, params = decomp.packet, decomp.params
     phi = oscillator_overlaps(packet, params, decomp.kx_nodes, trunc, max(48, trunc // 2 + 8))
     check_finite_overlaps(phi, decomp.kx_nodes, packet, params)
 
@@ -223,8 +250,9 @@ def oracle_trajectory(
     gram = np.kron(np.diag([0.0, 1.0, 0.0, 0.0]), (phi * decomp.kx_weights) @ phi.T)
     ops = (lower, lower.T, gram)  # 1 x a, its transpose, G on spinor component 1
     plans = {}  # one block plan at kz = 0 and one for every other kz
-    bands = np.zeros((2, t.size), dtype=complex)  # intraband, interband <A>
-    for kz, w_kz in zip(decomp.kz_nodes.tolist(), decomp.kz_weights.tolist()):
+    if nodes is None:
+        nodes = zip(decomp.kz_nodes.tolist(), decomp.kz_weights.tolist())
+    for kz, w_kz in nodes:
         if (kz == 0.0) not in plans:
             plan = _block_plan(kz, h0, hz)
             plans[kz == 0.0] = plan, _pair_plan(plan[1], ops)
@@ -241,13 +269,155 @@ def oracle_trajectory(
         e_j, e_k = vals[p][:, :, None], vals[q][:, None, :]
         amps, mirror = w_kz * k_jk[keep], w_kz * k_kj[keep]
         cos_coef = np.where(diag, amps, amps + mirror)
-        freqs, sin_coef = (e_j - e_k)[keep], amps - mirror
+        freqs = (e_j - e_k)[keep]
+        sin_coef = np.copysign(1.0, freqs) * (amps - mirror)  # sin(-wt) = -sin wt
         intra = ((e_j > 0.0) == (e_k > 0.0))[keep]
-        bands += band_sums(t, ((freqs[sel], cos_coef[sel], sin_coef[sel]) for sel in (intra, ~intra)))
+        yield kz, tuple((np.abs(freqs[sel]), cos_coef[sel], sin_coef[sel]) for sel in (intra, ~intra))
 
+
+def oracle_trajectory(
+    decomp: PacketDecomposition, t_grid: np.ndarray, n_trunc: int | None = None
+) -> Trajectory:
+    """Trajectory from truncated-matrix evolution, bin-compatible with the
+    analytic engine (same time grid, same position units, same band split):
+    band_sums over the oracle_lines of every kz node."""
+    t = np.asarray(t_grid, dtype=float)
+    trunc = _truncation(decomp, n_trunc)
+    bands = np.zeros((2, t.size), dtype=complex)  # intraband, interband <A>
+    for _, lines in oracle_lines(decomp, trunc):
+        bands += band_sums(t, lines)
     return _banded_trajectory(t, bands, decomp.mode, {
-        "engine": "matrix-reference", "n_trunc": trunc, "magnetic_length": params.magnetic_length,
+        "engine": "matrix-reference", "n_trunc": trunc, "magnetic_length": decomp.params.magnetic_length,
     })
+
+
+def _groups(freqs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per frequency, the label 0, 1, ... of its group, and the group count:
+    the frequencies ascending, a group ends where the next one is more than
+    _MATCH_RTOL of itself above the last."""
+    order = np.argsort(freqs, kind="stable")
+    f = freqs[order]
+    starts = np.ones(f.size, dtype=bool)
+    starts[1:] = f[1:] - f[:-1] > _MATCH_RTOL * f[1:]
+    label = np.empty(f.size, dtype=int)
+    label[order] = np.cumsum(starts) - 1
+    return label, int(np.count_nonzero(starts))
+
+
+def _line_distance(analytic, oracle, t_max: float, where: str):
+    """The terms of the line-table distance of one band at one kz node, each
+    with its frequency.  The analytic and the oracle lines fall into
+    frequency groups (_groups).  Per group that holds an analytic line, at
+    frequency f: |dC| + |dS| of its summed coefficients plus t_max |f' - f|
+    (|C| + |S|) over its lines at other frequencies f'.  Per oracle line in a
+    group without one (a level above n_max): its |C| + |S|.
+
+    |cos f't - cos ft| <= |f' - f| t, so at every t in [0, t_max] the two
+    tables' sums differ by at most the sum of the terms.  Analytic lines
+    that round to one group are compared as one.
+    """
+    fa, ca, sa = analytic
+    fo, co, so = oracle
+    f = np.concatenate((fa, fo))
+    if not np.isfinite(f).all():
+        raise OracleMismatchError(f"a line frequency of {where} is {f[~np.isfinite(f)][0]}: deviation nan")
+    label, count = _groups(f)
+    owner = np.full(count, fa.size)  # the first analytic line of each group that has one
+    np.minimum.at(owner, label[: fa.size], np.arange(fa.size))
+    line = owner[label]
+    shared = line < fa.size
+    c, s = np.concatenate((-ca, co)), np.concatenate((-sa, so))
+    amp = np.abs(c) + np.abs(s)
+    at = label[shared]
+    drift = np.abs(f[shared] - fa[line[shared]]) * t_max * amp[shared]
+    groups = (np.abs(np.bincount(at, c[shared], count)) + np.abs(np.bincount(at, s[shared], count))
+              + np.bincount(at, drift, count))
+    has, alone = owner < fa.size, ~shared[fa.size :]
+    return (groups[has], fa[owner[has]]), (amp[fa.size :][alone], fo[alone])
+
+
+@dataclass(frozen=True)
+class OracleCheck:
+    """The line-table comparison of the analytic engine with the oracle.
+
+    bound is sqrt(2) times the summed line-table distance (_line_distance)
+    over the kz nodes and both bands, so it bounds max |r_analytic - r_oracle|
+    / L on 0 <= t <= t_max: y = sqrt(2) L Re<A> and x = sqrt(2) L Im<A>.
+    matched and truncated split it per band (intraband, interband) into the
+    lines that both tables hold and the oracle's lines of levels above n_max;
+    worst names the largest term, and mirror_dev is the relative disagreement
+    of the most negative kz node of the rule with its mirror (3+1 only).
+    """
+
+    bound: float
+    matched: tuple[float, float]
+    truncated: tuple[float, float]
+    worst: str
+    mirror_dev: float | None
+    n_trunc: int
+
+
+def _mirror_deviation(minus, plus) -> float:
+    """The largest difference of the per-frequency line sums of the oracle at
+    the rule's most negative kz node and at its mirror, two oracle_lines
+    items at equal weight, relative to the mirror's largest amplitude;
+    OracleMismatchError above _MIRROR_TOL."""
+    diffs, amps = [], []
+    for neg, pos in zip(minus[1], plus[1]):
+        label, count = _groups(np.concatenate((neg[0], pos[0])))
+        sign = np.repeat([1.0, -1.0], (neg[0].size, pos[0].size))
+        for k in (1, 2):
+            diffs.append(np.bincount(label, sign * np.concatenate((neg[k], pos[k])), count))
+            amps.append(pos[k])
+    scale = float(np.max(np.abs(np.concatenate(amps)), initial=0.0))
+    diff = float(np.max(np.abs(np.concatenate(diffs)), initial=0.0))
+    dev = diff / scale if diff else 0.0  # a NaN stays NaN
+    if not dev <= _MIRROR_TOL:  # a NaN fails
+        raise OracleMismatchError(
+            f"the oracle's line sums at kz = {minus[0]:.6g} differ from those at its mirror "
+            f"kz = {plus[0]:.6g} by {dev:.3e} of the largest amplitude {scale:.3e}, above {_MIRROR_TOL:.0e}"
+        )
+    return dev
+
+
+def oracle_check(decomp: PacketDecomposition, t_max: float, n_trunc: int | None = None) -> OracleCheck:
+    """Compare the analytic engine's line tables with the oracle's, node by
+    node and band by band (OracleCheck); in 3+1 the rule's most negative kz
+    node, which the folded grid leaves out, is solved as well and must agree
+    with its mirror.  A NaN frequency is an OracleMismatchError, and a NaN
+    amplitude makes the bound NaN."""
+    trunc = _truncation(decomp, n_trunc)
+    n_kz = decomp.kz_nodes.size
+    analytic = [[x.reshape(-1, n_kz) for x in band] for band in _line_tables(decomp)]
+    three_d = decomp.mode is Dimensionality.THREE_PLUS_ONE
+    nodes = list(zip(decomp.kz_nodes.tolist(), decomp.kz_weights.tolist()))
+    if three_d:  # the mirror pair at unit weight: an outer weight may underflow to 0
+        nodes += [(-nodes[-1][0], 1.0), (nodes[-1][0], 1.0)]
+    solved = oracle_lines(decomp, trunc, nodes)
+    parts = np.zeros((2, 2))  # (matched, truncated) x (intraband, interband)
+    worst = []
+    for i, (kz, bands) in enumerate(itertools.islice(solved, n_kz)):
+        node = f"kz = {kz:.6g} (node {i + 1} of {n_kz})"
+        for b, (name, ref, lines) in enumerate(zip(("intraband", "interband"), analytic, bands)):
+            terms = _line_distance([x[:, i] for x in ref], lines, t_max, f"{name} lines at {node}")
+            for part, (values, freqs) in enumerate(terms):
+                parts[part, b] += np.sum(values)
+                if values.size:
+                    k = int(np.argmax(values))  # the first NaN, if any
+                    worst.append((float(values[k]), name, float(freqs[k]), node))
+    bound, parts = math.sqrt(2.0) * float(np.sum(parts)), math.sqrt(2.0) * parts
+    # the largest term, a NaN first
+    value, name, freq, node = max(worst, key=lambda w: math.inf if math.isnan(w[0]) else w[0],
+                                  default=(0.0, "no", math.nan, "no node"))
+    mirror = _mirror_deviation(*solved) if three_d else None  # the last two nodes
+    return OracleCheck(
+        bound=bound,
+        matched=tuple(parts[0].tolist()),
+        truncated=tuple(parts[1].tolist()),
+        worst=f"{name} line at f = {freq:.9g}, {node}: {math.sqrt(2.0) * value:.3e} L",
+        mirror_dev=mirror,
+        n_trunc=trunc,
+    )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .errors import ConfigError, OracleMismatchError
 from .ionmap import ION_MASSES_KG, TrapConfig, excitation_plan, kappa_of, trap_to_dirac
 from .packet import MAX_ARRAY, GaussianPacket, Numerics, PacketDecomposition, decompose, u_overlap
 from .params import Dimensionality, SimParams, make_params, make_params_dimensionless
-from .reference import MAX_N_TRUNC, fibre_eigenvalues, oracle_trajectory
+from .reference import MAX_N_TRUNC, OracleCheck, fibre_eigenvalues, oracle_check
 from .spectral import MIN_SAMPLES, WINDOWS, SpectrumReport, classify_peaks, richness, spectrum
 from .svg import Series, line_plot
 
@@ -459,19 +459,16 @@ def run(
     report = classify_peaks(report, decomp)
     n_rich = richness(report, opts.significant_rel_power)
 
-    oracle_dev = None
+    check = None
     files: list[Path] = []
     if check_oracle or config.oracle.enabled:
         n_trunc = config.oracle.n_trunc if config.oracle.n_trunc > 0 else None
-        oracle = oracle_trajectory(decomp, t_grid, n_trunc)
-        # np.max keeps a NaN of either axis, where the builtin max would drop one
-        dev = float(np.max(np.abs([traj.x - oracle.x, traj.y - oracle.y])))
-        oracle_dev = dev / params.magnetic_length
+        check = oracle_check(decomp, config.time.t_max, n_trunc)
         eig_path = out / "eigenvalues.csv"
         buf = io.StringIO()
         buf.write(_csv_header(config, "truncated-matrix eigenvalues at kx=kz=0"))
         buf.write("index,energy\n")
-        energies = fibre_eigenvalues(0.0, oracle.provenance["n_trunc"], params)
+        energies = fibre_eigenvalues(0.0, check.n_trunc, params)
         buf.write(_csv_rows("%d,%.17g\n", np.arange(energies.size), energies))
         eig_path.write_text(buf.getvalue())
         files.append(eig_path)
@@ -488,14 +485,14 @@ def run(
 
     report_path = out / "report.txt"
     report_path.write_text(
-        _render_report(config, decomp, traj_out, report, n_rich, oracle_dev)
+        _render_report(config, decomp, traj_out, report, n_rich, check)
     )
     files.append(report_path)
 
-    if oracle_dev is not None and not oracle_dev <= config.oracle.tol_in_l:  # NaN fails
+    if check is not None and not check.bound <= config.oracle.tol_in_l:  # NaN fails
         raise OracleMismatchError(
-            f"analytic vs reference deviation {oracle_dev:.3e} L exceeds "
-            f"{config.oracle.tol_in_l:.1e} L"
+            f"analytic vs reference deviation {check.bound:.3e} L exceeds "
+            f"{config.oracle.tol_in_l:.1e} L; largest term: {check.worst}"
         )
     return RunResult(
         out_dir=out,
@@ -504,7 +501,7 @@ def run(
         n_max=decomp.n_max,
         tail_mass=decomp.tail_mass,
         richness=n_rich,
-        oracle_deviation=oracle_dev,
+        oracle_deviation=None if check is None else check.bound,
         files=files,
     )
 
@@ -553,10 +550,13 @@ def _render_report(
     traj: Trajectory,
     report: SpectrumReport,
     n_rich: int,
-    oracle_dev: float | None,
+    check: OracleCheck | None,
 ) -> str:
     params, packet, trap = config.params, config.packet, config.trap
     omega_c, radius = cyclotron_reference(packet, params)
+    kz_nodes = traj.provenance["kz_nodes"]
+    if config.mode is Dimensionality.THREE_PLUS_ONE:
+        kz_nodes = f"{kz_nodes} distinct |kz| of a {traj.provenance['kz_rule_nodes']}-node rule"
     lines = [
         f"zbsim {__version__} run report",
         f"config-sha256: {config.config_hash()}",
@@ -578,7 +578,7 @@ def _render_report(
         f"  n_max = {decomp.n_max}",
         f"  tail mass = {decomp.tail_mass:.3e}",
         f"  sum U_nn = {float(np.sum(decomp.u_diag)):.12f}",
-        f"  kx nodes = {decomp.kx_nodes.size}, kz nodes = {decomp.kz_nodes.size}",
+        f"  kx nodes = {decomp.kx_nodes.size}, kz nodes = {kz_nodes}",
         f"  imaginary residue of positions = {traj.provenance['imag_residue']:.3e}",
         "",
         f"spectrum: {len(report.peaks)} peaks detected, "
@@ -604,12 +604,17 @@ def _render_report(
         plan = excitation_plan(config.mode)
         lines += [f"  {row}" for row in plan.table()]
         lines.append(f"  total laser-excitation pairs: {plan.pair_count}")
-    if oracle_dev is not None:
+    if check is not None:
         lines += [
             "",
-            "reference check:",
-            f"  max |analytic - matrix reference| = {oracle_dev:.3e} L "
-            f"(tolerance {config.oracle.tol_in_l:.1e} L)",
+            f"reference check (n_trunc = {check.n_trunc}):",
+            f"  max |analytic - matrix reference| = {check.bound:.3e} L "
+            f"(line-table bound for 0 <= t <= {config.time.t_max:.6g}, tolerance {config.oracle.tol_in_l:.1e} L)",
+            "  matched lines {:.3e} + {:.3e} L, unmatched (levels above n_max) {:.3e} + {:.3e} L "
+            "(intraband + interband)".format(*check.matched, *check.truncated),
+            f"  largest term: {check.worst}",
         ]
+        if check.mirror_dev is not None:
+            lines.append(f"  mirror kz node: line sums agree within {check.mirror_dev:.1e} of its largest amplitude")
     lines.append("")
     return "\n".join(lines)

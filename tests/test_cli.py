@@ -12,9 +12,10 @@ import pytest
 import zbsim
 import zbsim.dynamics
 import zbsim.errors
+import zbsim.reference
 from zbsim.cli import EXIT_CODES, main
 from zbsim.errors import ConfigError, TruncationError
-from zbsim.reference import expected_eigenvalues, oracle_trajectory
+from zbsim.reference import expected_eigenvalues
 from zbsim.runner import _KEYS, PRESET_NAMES, load_preset, parse_config
 
 SMALL_CONFIG = """
@@ -525,17 +526,72 @@ def test_an_oracle_run_imports_no_numpy_ma(tmp_path):
 
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_nan_oracle_sample_fails_the_deviation_gate(tmp_path, capsys, monkeypatch, axis):
-    # a NaN compares false with any tolerance; the gate must still fail
-    def broken(*args, **kwargs):
-        traj = oracle_trajectory(*args, **kwargs)
-        values = getattr(traj, axis).copy()
-        values[7] = np.nan
-        return replace(traj, **{axis: values})
+    # a NaN compares false with any tolerance; the gate must still fail.  The
+    # NaN goes into one oracle line's sin coefficient, which reaches
+    # x = sqrt(2) L Im<A>, or into its cos coefficient, which reaches y
+    oracle_lines = zbsim.reference.oracle_lines
 
-    monkeypatch.setattr("zbsim.runner.oracle_trajectory", broken)
+    def broken(*args):
+        for kz, bands in oracle_lines(*args):
+            bands[0][{"x": 2, "y": 1}[axis]][7] = np.nan
+            yield kz, bands
+
+    monkeypatch.setattr("zbsim.reference.oracle_lines", broken)
     config = _write(tmp_path, SMALL_CONFIG)
     assert main(["run", str(config), "--out", str(tmp_path / "out"), "--check-oracle"]) == 4
     assert "deviation nan L" in capsys.readouterr().err
+
+
+def test_a_shifted_oracle_line_fails_the_bound_and_is_named(tmp_path, capsys, monkeypatch):
+    # 1e-5 on the cos coefficient of the strongest intraband oracle line puts
+    # sqrt(2) 1e-5 L into its group's |dC|, above the 1e-6 L tolerance
+    oracle_lines, shifted = zbsim.reference.oracle_lines, []
+
+    def shift(*args):
+        for kz, bands in oracle_lines(*args):
+            freqs, cos_coef, _ = bands[0]
+            k = int(np.argmax(np.abs(cos_coef)))
+            cos_coef[k] += 1e-5
+            shifted.append(freqs[k])
+            yield kz, bands
+
+    monkeypatch.setattr("zbsim.reference.oracle_lines", shift)
+    config = _write(tmp_path, SMALL_CONFIG)
+    assert main(["run", str(config), "--out", str(tmp_path / "out"), "--check-oracle"]) == 4
+    err = capsys.readouterr().err
+    assert "reference mismatch: analytic vs reference deviation 1.4" in err
+    assert f"largest term: intraband line at f = {shifted[0]:.9g}, kz = 0 (node 1 of 1): 1.41" in err
+
+
+SMALL_3PLUS1 = SMALL_CONFIG.replace("mode = 2+1", "mode = 3+1").replace(
+    "d_y = 1.0", "d_y = 1.0\nd_z = 1.0").replace("kx_nodes = 64", "kx_nodes = 64\nkz_nodes = 6")
+
+
+def test_check_oracle_3plus1_reports_the_folded_grid(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, SMALL_3PLUS1)), "--out", str(out), "--check-oracle"]) == 0
+    report = (out / "report.txt").read_text()
+    assert "kz nodes = 3 distinct |kz| of a 6-node rule" in report
+    assert re.search(r"max \|analytic - matrix reference\| = [0-9.e+-]+ L \(line-table bound", report)
+    assert "mirror kz node: line sums agree within" in report
+    capsys.readouterr()
+
+
+def test_a_perturbed_mirror_node_fails_the_mirror_check(tmp_path, capsys, monkeypatch):
+    # eigenvectors scaled by 1 + 1e-9 at kz < 0 change that node's line
+    # amplitudes by about 4e-9 of themselves; only the mirror check solves a
+    # negative kz, so only it can see this
+    solve = zbsim.reference._solve_blocks
+
+    def perturbed(plan, kz):
+        vals, vecs = solve(plan, kz)
+        return vals, vecs * (1.0 + 1e-9) if kz < 0.0 else vecs
+
+    monkeypatch.setattr("zbsim.reference._solve_blocks", perturbed)
+    config = _write(tmp_path, SMALL_3PLUS1)
+    assert main(["run", str(config), "--out", str(tmp_path / "out"), "--check-oracle"]) == 4
+    err = capsys.readouterr().err
+    assert "the oracle's line sums at kz = -" in err and "differ from those at its mirror" in err
 
 
 @pytest.mark.parametrize("old, new, message", [

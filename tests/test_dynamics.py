@@ -218,7 +218,7 @@ def test_line_sum_is_bitwise_the_complex_kernel_on_fig1():
     t = config.time_grid()
     dec = decompose(config.packet, config.params, config.mode, config.numerics)
     bands = _line_tables(dec)
-    assert bands[0][0].size == 10560
+    assert bands[0][0].size == 5280  # 33 level pairs x 160 distinct |kz| of the 320-node rule
     for freqs, c, s in bands:
         got = line_sum(t, freqs, c, s)
         frozen = _complex_line_sum(t, freqs, c[:, None], 1j * s[:, None])[:, 0]
@@ -357,6 +357,8 @@ def test_matches_matrix_reference_3plus1():
     dec = decompose(FIG1_PACKET, FIG1_PARAMS, THREE_PLUS_ONE, num)
     t = np.linspace(0.0, 5.0, 51)
     analytic = trajectory(dec, t)
+    # the 32-node rule is summed over its 16 distinct |kz|
+    assert (analytic.provenance["kz_nodes"], analytic.provenance["kz_rule_nodes"]) == (16, 32)
     reference = oracle_trajectory(dec, t)
     tol = 1e-6 * FIG1_PARAMS.magnetic_length
     assert np.max(np.abs(analytic.x - reference.x)) < tol

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from zbsim import reference
-from zbsim.dynamics import trajectory
+from zbsim.dynamics import _line_tables, trajectory
+from zbsim.errors import OracleMismatchError
 from zbsim.landau import energies
-from zbsim.packet import GaussianPacket, Numerics, decompose, oscillator_overlaps
+from zbsim.packet import GaussianPacket, Numerics, _kz_grid, decompose, oscillator_overlaps
 from zbsim.params import Dimensionality, make_params, make_params_dimensionless
+from zbsim.runner import load_preset
 from zbsim.reference import (
     ALPHA_X,
     ALPHA_Z,
@@ -19,15 +21,18 @@ from zbsim.reference import (
     _fibre_terms,
     _pair_plan,
     _solve_blocks,
+    _line_distance,
     build_matrix,
     check_transform,
     expected_eigenvalues,
     fibre_eigenvalues,
     lowering_matrix,
+    oracle_check,
     oracle_trajectory,
 )
 
 TWO_PLUS_ONE = Dimensionality.TWO_PLUS_ONE
+THREE_PLUS_ONE = Dimensionality.THREE_PLUS_ONE
 B_ONE = make_params_dimensionless(1.0)
 FIG1_PARAMS = make_params(2e9)  # the fig1 preset's field
 
@@ -104,14 +109,16 @@ def test_single_eigenstate_shows_no_ladder_motion():
 
 
 def _literal_oracle(packet, params, dec, n_trunc, t):
-    """Positions from a literal loop: per kz node a dense solve that shares
-    no code with the oracle's block solve, each kx fibre evolved separately,
-    and <A+> taken from its own operator, not as conj <A>."""
+    """Positions from a literal loop: per kz node of the full, unfolded rule
+    a dense solve that shares no code with the oracle's block solve, each kx
+    fibre evolved separately, and <A+> taken from its own operator, not as
+    conj <A>."""
     ell = params.magnetic_length
     phi = oscillator_overlaps(packet, params, dec.kx_nodes, n_trunc, 64)
     a_full = np.kron(np.eye(4), lowering_matrix(n_trunc))
     a_t, adag_t = np.zeros(t.size, dtype=complex), np.zeros(t.size, dtype=complex)
-    for kz, w_kz in zip(dec.kz_nodes, dec.kz_weights):
+    rule = _kz_grid(packet, dec.numerics) if dec.mode is THREE_PLUS_ONE else ([0.0], [1.0])
+    for kz, w_kz in zip(*rule):
         vals, vecs = np.linalg.eigh(build_matrix(float(kz), n_trunc, params))
         for i, w in enumerate(dec.kx_weights):
             c0 = np.zeros(vals.size, dtype=complex)
@@ -138,14 +145,26 @@ def test_oracle_equals_explicit_fibre_evolution():
     assert np.max(np.abs(y - fast.y)) < 1e-10
 
 
-def _check_oracle_3plus1():
-    # an odd Hermite kz rule: 4- and 2-blocks at kz != 0, 2- and 1-blocks at kz = 0
+def _odd_hermite_3plus1():
+    """An odd Hermite kz rule: 4- and 2-blocks at kz != 0, 2- and 1-blocks at
+    kz = 0.  The packet, the field and the decomposition."""
     params = make_params_dimensionless(1.0)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, d_z=ell, k0x=math.sqrt(2.0) / ell)
     num = Numerics(kx_nodes=32, kz_nodes=5, kz_rule="hermite")
-    dec = decompose(packet, params, Dimensionality.THREE_PLUS_ONE, num)
-    assert dec.kz_nodes.size == 5 and 0.0 in dec.kz_nodes.tolist()
+    return packet, params, decompose(packet, params, THREE_PLUS_ONE, num)
+
+
+def _check_oracle_3plus1():
+    packet, params, dec = _odd_hermite_3plus1()
+    ell = params.magnetic_length
+    # the 5-node rule folds onto its 3 distinct |kz|: kz = 0 at its own
+    # weight, the others at twice theirs, the weight sum unchanged
+    kz, w = _kz_grid(packet, dec.numerics)
+    assert kz.size == 5 and dec.kz_nodes.size == 3
+    assert np.array_equal(dec.kz_nodes, kz[2:]) and dec.kz_nodes[0] == 0.0
+    assert dec.kz_weights[0] == w[2] and np.array_equal(dec.kz_weights[1:], 2.0 * w[3:])
+    assert math.fsum(dec.kz_weights) == math.fsum(w)
     n_trunc = dec.n_max + 12
     t = np.linspace(0.0, 8.0, 33)
     fast = oracle_trajectory(dec, t, n_trunc)
@@ -157,6 +176,71 @@ def _check_oracle_3plus1():
 
 def test_oracle_equals_explicit_fibre_evolution_3plus1():
     _check_oracle_3plus1()
+
+
+def _bound_and_sampled(dec, t):
+    """The oracle check over t and the sampled max |analytic - oracle| / L."""
+    check = oracle_check(dec, float(t[-1]))
+    analytic, oracle = trajectory(dec, t), oracle_trajectory(dec, t)
+    sampled = float(np.max(np.abs([analytic.x - oracle.x, analytic.y - oracle.y])))
+    return check, sampled / dec.params.magnetic_length
+
+
+@pytest.mark.parametrize("name", ["small", "fig2a", "odd-hermite-3+1"])
+def test_line_table_bound_covers_the_sampled_deviation(name):
+    if name == "small":  # test_cli's SMALL_CONFIG
+        ell = B_ONE.magnetic_length
+        packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
+        dec = decompose(packet, B_ONE, TWO_PLUS_ONE, Numerics(kx_nodes=64))
+        t = np.linspace(0.0, 30.0, 512)
+    elif name == "fig2a":
+        config = load_preset("fig2a")
+        dec = decompose(config.packet, config.params, config.mode, config.numerics)
+        t = config.time_grid()
+    else:
+        dec = _odd_hermite_3plus1()[2]
+        t = np.linspace(0.0, 8.0, 33)
+    check, sampled = _bound_and_sampled(dec, t)
+    assert 0.0 < sampled <= check.bound <= 1e-6
+    assert check.bound == pytest.approx(math.fsum(check.matched + check.truncated), rel=1e-12)
+    assert check.n_trunc == dec.n_max + 12
+    assert (check.mirror_dev is None) == (dec.mode is TWO_PLUS_ONE)
+    assert check.mirror_dev is None or check.mirror_dev <= 1e-12
+
+
+def test_weak_field_lines_that_round_alike_are_compared_as_one():
+    # at b = 1e-4 neighbouring intraband lines E_{n+1} - E_n round to the same
+    # double; they join one group and the check still passes
+    params = make_params_dimensionless(1e-4)
+    ell = params.magnetic_length
+    packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
+    dec = decompose(packet, params, TWO_PLUS_ONE, Numerics(kx_nodes=64))
+    freqs = _line_tables(dec)[0][0]
+    assert len(set(freqs.tolist())) < freqs.size
+    t = np.linspace(0.0, 5 * 2.0 * math.pi / freqs[0], 512)
+    check, sampled = _bound_and_sampled(dec, t)
+    assert sampled <= check.bound <= 1e-6
+
+
+def test_line_distance_terms_and_failures():
+    one = np.ones(1)
+    # analytic lines at 1 and 2; oracle lines at 1 + 1e-12 and 1 (one group),
+    # and at 3 (a level the analytic table does not hold)
+    analytic = (np.array([1.0, 2.0]), np.array([0.5, 0.25]), np.array([0.1, 0.0]))
+    oracle = (np.array([1.0 + 1e-12, 1.0, 3.0]), np.array([0.2, 0.3, 0.01]), np.array([0.1, -0.02, 0.0]))
+    (matched, f_matched), (truncated, f_truncated) = _line_distance(analytic, oracle, 10.0, "lines")
+    drift = 1e-12 * 10.0 * 0.3  # |df| t_max (|C| + |S|) of the shifted line
+    assert matched == pytest.approx([0.02 + drift, 0.25], abs=1e-15)
+    assert np.array_equal(f_matched, analytic[0])
+    assert truncated.tolist() == [0.01] and f_truncated.tolist() == [3.0]
+    # analytic lines within the matching tolerance form one group: the sums
+    # agree, and the drift of the line off the group's frequency remains
+    close = (np.array([1.0, 1.0 + 1e-10]), np.ones(2), np.zeros(2))
+    (matched, f_matched), (truncated, _) = _line_distance(close, (one, 2.0 * one, 0.0 * one), 10.0, "lines")
+    assert f_matched.size == 1 and truncated.size == 0
+    assert matched == pytest.approx([1e-10 * 10.0], rel=1e-5)
+    with pytest.raises(OracleMismatchError, match="is nan: deviation nan"):
+        _line_distance((one, one, one), (np.array([np.nan]), one, one), 1.0, "lines")
 
 
 def test_oracle_keeps_a_stray_coupling(monkeypatch):
