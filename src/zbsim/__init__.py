@@ -22,7 +22,6 @@ _EXPORTS = {
     "PacketDecomposition": "packet",
     "decompose": "packet",
     "g_z": "packet",
-    "f_coeff": "packet",
     "u_overlap": "packet",
     "Trajectory": "dynamics",
     "trajectory": "dynamics",

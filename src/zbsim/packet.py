@@ -17,20 +17,28 @@ into a Gaussian in kx times an oscillator overlap:
 
 with psi_n the unit-normalised oscillator function
 psi_n(xi) = exp(-xi^2/2) H_n(xi) / C_n, C_n = (2^n n! sqrt(pi))^(1/2).
-The xi-integral is a combined Gaussian times a degree-n polynomial, so a
-Gauss-Hermite rule in the completed-square variable is exact once the node
-count exceeds (n+1)/2.  Overlap matrix entries are then
+The xi-integral has a closed form, the Fock-state expansion of a squeezed,
+displaced state (H. P. Yuen, Phys. Rev. A 13, 2226 (1976)): with c = kx L,
+beta = -a c / (a + 1/2) and gamma = (1/2 - a) / (a + 1/2), the Hermite
+generating function turns it into
+
+    Phi_n(kx) = sqrt(L) (pi dy^2)^(-1/4) sqrt(pi / (a + 1/2)) pi^(-1/4)
+                * exp(-a c^2 / (2a + 1)) d_n,
+    d_0 = 1,  d_{n+1} = beta sqrt(2/(n+1)) d_n + gamma sqrt(n/(n+1)) d_{n-1},
+
+a scalar three-term recurrence on each kx node.  Overlap matrix entries are then
 
     U_{m,n} = Integral F_m(kx)* F_n(kx) dkx = sum_i w_i Phi_m(kx_i) Phi_n(kx_i)
 
 on a Gauss-Hermite kx grid scaled to the packet momentum width, with
 probability-normalised weights w_i (sum_i w_i = 1).
 
-The overlaps are evaluated level by level: overlap_levels runs the Hermite
+The overlaps are evaluated level by level: overlap_levels runs the
 recurrence one step per level, and decompose draws levels only until the
 tail mass 1 - sum_{n<=N} U_{n,n} falls below the tolerance, so no level
 above the truncation n_max is computed, on the kx grid or on the doubled
-grid of the convergence check.
+kx grid of the convergence check.  The overlaps are exact, so only the kx
+rule is doubled.
 
 The Gauss rules are computed here with numpy alone.  Both refine their
 non-negative nodes by Newton's method on the three-term recurrence of the
@@ -166,12 +174,15 @@ class GaussianPacket:
 
 @dataclass(frozen=True)
 class Numerics:
-    """Quadrature and truncation knobs shared by decomposition and dynamics."""
+    """Quadrature and truncation knobs shared by decomposition and dynamics.
+
+    The kx and kz rules are the only quadratures; the oscillator overlaps are
+    evaluated in closed form and have no node count.
+    """
 
     n_max_cap: int = 256
     n_max_floor: int = 0  # force at least this many levels (capped)
     kx_nodes: int = 96
-    y_nodes: int = 0  # 0 = automatic (exact for the oscillator family)
     kz_nodes: int = 160
     kz_rule: str = "hermite"  # "hermite" (default) or "legendre" for long runs
     kz_cutoff_sigmas: float = 6.0
@@ -180,7 +191,7 @@ class Numerics:
     convergence_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name, least in (("n_max_cap", 1), ("kx_nodes", 4), ("y_nodes", 0), ("kz_nodes", 2)):
+        for name, least in (("n_max_cap", 1), ("kx_nodes", 4), ("kz_nodes", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.kz_rule not in ("hermite", "legendre"):
@@ -189,41 +200,27 @@ class Numerics:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        # the largest arrays are the Jacobi matrix of each Gauss rule, the
-        # (y x kx) arrays of the overlap recurrence and the (levels x kx)
-        # overlap table, on the doubled grids when the convergence check is on
-        grid = 2 if self.convergence_check else 1
-        kx, y = grid * self.kx_nodes, grid * self.resolved_y_nodes()
-        y_key = "y_nodes" if self.y_nodes else "n_max_cap (through the automatic y_nodes)"
+        # the largest arrays are the Jacobi matrix of each Gauss rule and the
+        # (levels x kx) overlap table, on the doubled kx grid when the
+        # convergence check is on
+        kx = (2 if self.convergence_check else 1) * self.kx_nodes
         for key, value, nodes in (
             ("kx_nodes", self.kx_nodes, kx),
-            (y_key, self.y_nodes or self.n_max_cap, y),
             ("kz_nodes", self.kz_nodes, self.kz_nodes),
         ):
             if nodes > MAX_NODES:
                 raise ValueError(
                     f"{key} = {value} needs a Gauss rule of {nodes} nodes, above {MAX_NODES}"
                 )
-        for keys, rows in ((f"kx_nodes and {y_key}", y),
-                           ("kx_nodes and n_max_cap", self.n_max_cap + 1)):
-            if rows * kx > MAX_ARRAY:
-                raise ValueError(
-                    f"{keys} need a {rows} x {kx} overlap array, above {MAX_ARRAY} elements"
-                )
-
-    def resolved_y_nodes(self) -> int:
-        if self.y_nodes > 0:
-            return self.y_nodes
-        return max(48, self.n_max_cap // 2 + 8)
+        if (self.n_max_cap + 1) * kx > MAX_ARRAY:
+            raise ValueError(
+                f"kx_nodes and n_max_cap need a {self.n_max_cap + 1} x {kx} overlap array, "
+                f"above {MAX_ARRAY} elements"
+            )
 
     def doubled(self) -> "Numerics":
-        """The kx and y quadratures at twice the nodes, for the convergence check."""
-        return replace(
-            self,
-            kx_nodes=2 * self.kx_nodes,
-            y_nodes=2 * self.resolved_y_nodes(),
-            convergence_check=False,
-        )
+        """The kx quadrature at twice the nodes, for the convergence check."""
+        return replace(self, kx_nodes=2 * self.kx_nodes, convergence_check=False)
 
 
 def g_z(packet: GaussianPacket, kz) -> np.ndarray | float:
@@ -246,52 +243,40 @@ def momentum_profile_x(packet: GaussianPacket, kx) -> np.ndarray | float:
 
 
 def overlap_levels(
-    packet: GaussianPacket, params: SimParams, kx: np.ndarray, y_nodes: int
+    packet: GaussianPacket, params: SimParams, kx: np.ndarray
 ) -> Iterator[np.ndarray]:
     """Phi_n(kx_i), the overlap of the y profile with oscillator level n, for n = 0, 1, 2, ...
 
-    Each level costs one step of the Hermite recurrence on the (y_nodes, kx)
-    grid, so a caller draws only the levels it keeps.  The recurrence is
-    seeded with the quadrature weights, so intermediate products stay
-    representable even where a weight underflows and h_n overflows
-    separately; past an overflow the levels are not finite, and the caller
-    silences the overflow warnings (np.errstate) around its draws.
+    Each level costs one step of the closed-form recurrence (module
+    docstring) on the kx nodes, so a caller draws only the levels it keeps.
+    Where d_n overflows the levels are not finite (inf, or NaN where the
+    Gaussian factor underflowed to 0); the caller silences the overflow
+    warnings (np.errstate) around its draws.
     """
     ell = params.magnetic_length
     a = ell * ell / (2.0 * packet.d_y**2)
-    s = math.sqrt(2.0 / (2.0 * a + 1.0))
     c = np.asarray(kx) * ell
-    xi_star = -2.0 * a * c / (2.0 * a + 1.0)
-    q_star = a * (xi_star + c) ** 2 + 0.5 * xi_star**2
-    pref = math.sqrt(ell) * (math.pi * packet.d_y**2) ** -0.25 * s
-    factor = pref * np.exp(-q_star)
-    # sum_j w_j h_n(xi_star_i + s u_j) on Gauss-Hermite nodes (u_j, w_j), with
-    # h_n = H_n / C_n the normalised Hermite polynomial
-    u, w = gauss_hermite(y_nodes)
-    xi = xi_star[None, :] + s * u[:, None]  # (y_nodes, n_kx)
-    t_prev = np.zeros(xi.shape)  # h_{-1} = 0 starts the recurrence
-    t_cur = np.broadcast_to((w / _PI_QUARTER)[:, None], xi.shape).copy()
+    beta = -a * c / (a + 0.5)
+    gamma = (0.5 - a) / (a + 0.5)
+    pref = math.sqrt(ell) * (math.pi * packet.d_y**2) ** -0.25 * math.sqrt(math.pi / (a + 0.5))
+    factor = pref / _PI_QUARTER * np.exp(-a * c * c / (2.0 * a + 1.0))
+    d_prev, d = np.zeros(c.shape), np.ones(c.shape)  # d_{-1} = 0 starts the recurrence
     for n in itertools.count():
-        yield factor * t_cur.sum(axis=0)
-        t_next = math.sqrt(2.0 / (n + 1)) * xi * t_cur - math.sqrt(n / (n + 1.0)) * t_prev
-        t_prev, t_cur = t_cur, t_next
+        yield factor * d
+        d_next = math.sqrt(2.0 / (n + 1)) * beta * d + gamma * math.sqrt(n / (n + 1.0)) * d_prev
+        d_prev, d = d, d_next
 
 
 def oscillator_overlaps(
-    packet: GaussianPacket,
-    params: SimParams,
-    kx: np.ndarray,
-    n_top: int,
-    y_nodes: int,
+    packet: GaussianPacket, params: SimParams, kx: np.ndarray, n_top: int
 ) -> np.ndarray:
     """Phi[n, i] for n = 0..n_top: the first n_top + 1 rows of overlap_levels.
 
-    Exact (up to roundoff) for y_nodes >= (n_top + 1)/2 since the integrand
-    is a single Gaussian times a polynomial of degree n.  Levels where the
-    recurrence overflowed are not finite (see check_finite_overlaps).
+    Exact up to roundoff.  Levels where the recurrence overflowed are not
+    finite (see check_finite_overlaps).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        levels = overlap_levels(packet, params, kx, y_nodes)
+        levels = overlap_levels(packet, params, kx)
         return np.array(list(itertools.islice(levels, n_top + 1)))
 
 
@@ -305,33 +290,6 @@ def check_finite_overlaps(values: np.ndarray, kx: np.ndarray, packet: GaussianPa
             f"{kx.size} kx nodes (L/d_y = {ell / packet.d_y:.3g}, max |kx| L = "
             f"{np.max(np.abs(kx)) * ell:.3g}); the field is too weak for this packet"
         )
-
-
-def f_coeff(
-    packet: GaussianPacket,
-    n: int,
-    kx: float,
-    params: SimParams,
-    y_nodes: int = 0,
-) -> float:
-    """Single expansion coefficient F_n(kx) of the transverse profile.
-
-    Real for packets without a y kick.  Checks its own quadrature by
-    doubling the node count and raises QuadratureError on disagreement.
-    """
-    if n < 0:
-        raise ValueError(f"Landau index must be non-negative, got {n}")
-    nodes = y_nodes if y_nodes > 0 else max(32, n // 2 + 8)
-    karr = np.asarray([float(kx)])
-    phi = oscillator_overlaps(packet, params, karr, n, nodes)[n, 0]
-    phi2 = oscillator_overlaps(packet, params, karr, n, 2 * nodes)[:, 0]
-    check_finite_overlaps(phi2, karr, packet, params)
-    phi2 = phi2[n]
-    if not abs(phi - phi2) <= 1e-10 * max(1.0, abs(phi2)):
-        raise QuadratureError(
-            f"F_{n}({kx}) not converged: {phi} vs {phi2} at {nodes}/{2*nodes} nodes"
-        )
-    return float(momentum_profile_x(packet, kx)) * phi2
 
 
 @dataclass(frozen=True)
@@ -423,7 +381,7 @@ def decompose(
     min(n_max_floor, n_max_cap), with tail mass below numerics.tail_tol
     (ConvergenceError if the cap is too small).  Levels are drawn one at a
     time until then; none above n_max is evaluated.  With convergence_check
-    on, the kx/y quadratures are re-run at doubled node counts for levels
+    on, the kx quadrature is re-run at doubled node count for levels
     0..n_max and must agree to numerics.convergence_tol.  An overlap
     overflow at or below n_max is a ConvergenceError.
     """
@@ -437,7 +395,7 @@ def decompose(
         over all n_max_cap + 1 levels, whichever of them have been drawn."""
         u, w = gauss_hermite(n.kx_nodes)
         kx = packet.k0x + u / packet.d_x
-        levels = overlap_levels(packet, params, kx, n.resolved_y_nodes())
+        levels = overlap_levels(packet, params, kx)
         return kx, w / math.sqrt(math.pi), levels, np.zeros((n.n_max_cap + 1, kx.size))
 
     kx, weights, levels, squares = grid(num)

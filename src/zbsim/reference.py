@@ -242,7 +242,7 @@ def oracle_lines(decomp: PacketDecomposition, trunc: int, nodes=None):
     pair is one line, intraband when both energies have the same sign.
     """
     packet, params = decomp.packet, decomp.params
-    phi = oscillator_overlaps(packet, params, decomp.kx_nodes, trunc, max(48, trunc // 2 + 8))
+    phi = oscillator_overlaps(packet, params, decomp.kx_nodes, trunc)
     check_finite_overlaps(phi, decomp.kx_nodes, packet, params)
 
     h0, hz = _fibre_terms(trunc, params)

@@ -321,17 +321,19 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
     if mode is Dimensionality.THREE_PLUS_ONE and packet.d_z is None:
         raise ConfigError("[packet] d_z is required in 3+1 mode")
     # the largest arrays a run allocates past the Numerics bounds: the padded
-    # spectrum and, in 3+1, the (level pair x kz node) line tables
+    # spectrum and, in 3+1, the (level pair x kz node) line tables, which
+    # hold the ceil(kz_nodes / 2) nodes of the folded rule
     if time.samples * spectral.pad_factor > MAX_ARRAY:
         raise ConfigError(
             f"[time] samples = {time.samples} and [spectral] pad_factor = {spectral.pad_factor} "
             f"need a {time.samples * spectral.pad_factor}-point spectrum, above {MAX_ARRAY} elements"
         )
-    lines = numerics.n_max_cap * numerics.kz_nodes
+    folded = (numerics.kz_nodes + 1) // 2
+    lines = numerics.n_max_cap * folded
     if mode is Dimensionality.THREE_PLUS_ONE and lines > MAX_ARRAY:
         raise ConfigError(
             f"[numerics] n_max_cap = {numerics.n_max_cap} and kz_nodes = {numerics.kz_nodes} "
-            f"need {lines}-row line tables, above {MAX_ARRAY} elements"
+            f"need {lines}-row line tables ({folded} folded kz nodes), above {MAX_ARRAY} elements"
         )
 
     section, source = ("trap", trap) if trap is not None else ("field", field)

@@ -65,14 +65,12 @@ BAD_INPUTS = (
     ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = -2", "pad_factor"),
     ("position_unit = L", "position_unit = L\n[spectral]\nwindow = foo", "window"),
     ("position_unit = L", "position_unit = L\n[oracle]\nn_trunc = -3", "n_trunc"),
-    ("kx_nodes = 64", "kx_nodes = 64\ny_nodes = -1", "y_nodes"),
+    ("kx_nodes = 64", "kx_nodes = 64\ny_nodes = 40", "unknown key 'y_nodes'"),
     ("k0x = 1.4142135623730951", "k0x = 1.4142135623730951\ncomponent = 3", "component"),
     # sizes whose arrays would pass 32 MiB, rejected before anything is allocated
     ("kx_nodes = 64", "kx_nodes = 4096", "kx_nodes"),
-    ("kx_nodes = 64", "kx_nodes = 64\ny_nodes = 3000", "y_nodes"),
     ("kx_nodes = 64", "kx_nodes = 64\nkz_nodes = 8192", "kz_nodes"),
     ("kx_nodes = 64", "kx_nodes = 64\nn_max_cap = 100000", "n_max_cap"),
-    ("kx_nodes = 64", "kx_nodes = 1500\ny_nodes = 1500", "kx_nodes and y_nodes"),
     ("position_unit = L", "position_unit = L\n[oracle]\nn_trunc = 512", "n_trunc"),
     # the padded spectrum has samples x pad_factor points
     ("samples = 512", "samples = 10000000000000", "samples = 10000000000000 and"),
@@ -149,17 +147,22 @@ def test_config_validation_errors():
 def test_line_tables_are_bounded_in_3plus1(tmp_path, capsys):
     text_3d = SMALL_CONFIG.replace("mode = 2+1", "mode = 3+1").replace(
         "k0x = 1.4142135623730951", "k0x = 1.4142135623730951\nd_z = 1.0")
-    # acceptance criterion 6's quadrature, and the largest product allowed
-    for numerics in ("kz_nodes = 2048", "kz_nodes = 4096\nn_max_cap = 1024"):
+    # acceptance criterion 6's quadrature, and the largest products allowed:
+    # the folded tables hold n_max_cap x ceil(kz_nodes / 2) rows
+    for numerics in ("kz_nodes = 2048", "kz_nodes = 4096\nn_max_cap = 1025",
+                     "kz_nodes = 4096\nn_max_cap = 2048", "kz_nodes = 4095\nn_max_cap = 2048"):
         parse_config(text_3d.replace("kx_nodes = 64", f"kx_nodes = 64\n{numerics}"))
-    too_many = "kx_nodes = 64\nkz_nodes = 4096\nn_max_cap = 1025"
+    too_many = "kx_nodes = 64\nkz_nodes = 4096\nn_max_cap = 2049"
     parse_config(SMALL_CONFIG.replace("kx_nodes = 64", too_many))  # 2+1 has one kz node
-    with pytest.raises(ConfigError, match="n_max_cap = 1025 and kz_nodes = 4096 need 4198400-row"):
+    with pytest.raises(ConfigError, match="n_max_cap = 2049 and kz_nodes = 4096 need 4196352-row"):
         parse_config(text_3d.replace("kx_nodes = 64", too_many))
+    # an odd rule keeps its kz = 0 node: 2048 rows per level, not 2047
+    with pytest.raises(ConfigError, match="n_max_cap = 2049 and kz_nodes = 4095 need 4196352-row"):
+        parse_config(text_3d.replace("kx_nodes = 64", too_many.replace("4096", "4095")))
     path = _write(tmp_path, text_3d.replace("kx_nodes = 64", too_many))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "n_max_cap = 1025 and kz_nodes = 4096" in err and "Traceback" not in err
+    assert "n_max_cap = 2049 and kz_nodes = 4096" in err and "Traceback" not in err
 
 
 def test_spectrum_bound_admits_its_largest_size():

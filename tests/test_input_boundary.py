@@ -27,7 +27,8 @@ IN_BOUNDS = {
     ("numerics", "kx_nodes"): ("16", "48"),
     ("numerics", "n_max_cap"): ("8", "40"),
     ("numerics", "n_max_floor"): ("0", "12"),
-    ("numerics", "y_nodes"): ("0", "40"),
+    # a removed key, now unknown: any config that holds it exits 2
+    ("numerics", "y_nodes"): ("40",),
     ("numerics", "kz_nodes"): ("4", "12"),
     ("numerics", "kz_rule"): ("hermite", "legendre"),
     ("numerics", "kz_cutoff_sigmas"): ("2.0", "6.0"),

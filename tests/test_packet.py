@@ -24,8 +24,8 @@ from zbsim.packet import (
     MAX_NODES,
     GaussianPacket,
     Numerics,
+    check_finite_overlaps,
     decompose,
-    f_coeff,
     g_z,
     gauss_hermite,
     gauss_legendre,
@@ -80,7 +80,8 @@ def _psi(n, xi):
     return p1
 
 
-def _f_coeff_oracle(packet, n, kx, params):
+def _phi_oracle(packet, n, kx, params):
+    """Phi_n(kx), the y-profile overlap with oscillator level n, by quad."""
     ell = params.magnetic_length
 
     def integrand(y):
@@ -89,13 +90,37 @@ def _f_coeff_oracle(packet, n, kx, params):
         return prof * _psi(n, xi) / math.sqrt(ell)
 
     val, _ = quad(integrand, -60, 60, limit=400, epsabs=1e-14, epsrel=1e-13)
-    return float(momentum_profile_x(packet, kx)) * val
+    return val
+
+
+def _f_coeff_oracle(packet, n, kx, params):
+    return float(momentum_profile_x(packet, kx)) * _phi_oracle(packet, n, kx, params)
+
+
+def _f_coeffs(packet, n_top, kx):
+    """F_n(kx) at b = 1 for n = 0..n_top: the closed-form overlaps times the x profile."""
+    phi = oscillator_overlaps(packet, B_ONE, np.array([float(kx)]), n_top)[:, 0]
+    return float(momentum_profile_x(packet, kx)) * phi
 
 
 def test_f_coeff_against_frozen_oracle_values():
+    f = _f_coeffs(TRAP_PACKET, len(F_AT_KICK) - 1, 1.0)
     for n, expected in enumerate(F_AT_KICK):
         assert _f_coeff_oracle(TRAP_PACKET, n, 1.0, B_ONE) == pytest.approx(expected, abs=1e-12)
-        assert f_coeff(TRAP_PACKET, n, 1.0, B_ONE) == pytest.approx(expected, abs=1e-12)
+        assert f[n] == pytest.approx(expected, abs=1e-12)
+
+
+# d_y / L away from 1, where the recurrence's gamma term is non-zero: a
+# narrow profile, fig1's 1.346 and a wide one
+@pytest.mark.parametrize("width", [0.5, 1.3462588529362678, 2.0])
+def test_overlaps_match_quad_oracle_off_the_magnetic_length(width):
+    ell = B_ONE.magnetic_length
+    packet = GaussianPacket(d_x=ell, d_y=width * ell)
+    kx = np.array([0.0, 0.7, -1.5, 3.0]) / ell
+    phi = oscillator_overlaps(packet, B_ONE, kx, 12)
+    for i, k in enumerate(kx):
+        for n in range(13):
+            assert phi[n, i] == pytest.approx(_phi_oracle(packet, n, k, B_ONE), abs=1e-12), (n, k)
 
 
 def test_f_coeff_closed_form_displaced_ground_state():
@@ -103,17 +128,19 @@ def test_f_coeff_closed_form_displaced_ground_state():
     for kx in (0.0, 0.5, 1.0, 2.5):
         c = kx * B_ONE.magnetic_length
         xg = float(momentum_profile_x(TRAP_PACKET, kx))
+        f = _f_coeffs(TRAP_PACKET, 9, kx)
         for n in range(10):
             expected = xg * math.exp(-c * c / 4.0) * (-c / math.sqrt(2.0)) ** n
             expected /= math.sqrt(math.factorial(n))
-            assert f_coeff(TRAP_PACKET, n, kx, B_ONE) == pytest.approx(expected, abs=1e-13)
+            assert f[n] == pytest.approx(expected, abs=1e-13)
 
 
 def test_ground_state_packet_is_orthogonal_to_excited_levels():
     packet = GaussianPacket(d_x=1.0, d_y=B_ONE.magnetic_length, k0x=0.0)
-    assert f_coeff(packet, 0, 0.0, B_ONE) > 0.5
+    f = _f_coeffs(packet, 8, 0.0)
+    assert f[0] > 0.5
     for n in range(1, 9):
-        assert abs(f_coeff(packet, n, 0.0, B_ONE)) < 1e-13
+        assert abs(f[n]) < 1e-13
 
 
 def test_g_z_norm_symmetry_and_value():
@@ -197,12 +224,21 @@ def test_overlap_overflow_above_truncation_is_unused():
         unchecked = Numerics(n_max_cap=512, n_max_floor=450, kx_nodes=512, convergence_check=False)
         with pytest.raises(ConvergenceError, match=r"overflowed at level \d+ on 512 kx nodes"):
             decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, unchecked)
+        far = np.array([200.0 / math.sqrt(2.0)])
+        phi = oscillator_overlaps(NARROW_PACKET, B_ONE, far, 300)
         with pytest.raises(ConvergenceError, match="overflowed at level 268 on 1 kx nodes"):
-            f_coeff(NARROW_PACKET, 300, 200.0 / math.sqrt(2.0), B_ONE)
+            check_finite_overlaps(phi, far, NARROW_PACKET, B_ONE)
 
 
-def _overlap_table(packet, params, kx, n_top, y_nodes):
-    """All levels 0..n_top at once: the recurrence over a preallocated table."""
+# Gauss-Hermite y nodes of the test-side overlap table: the integrand is a
+# Gaussian times a polynomial of degree n, so 136 nodes integrate every
+# level up to 2 x 136 - 1 exactly
+Y_NODES = 136
+
+
+def _overlap_table(packet, params, kx, n_top, y_nodes=Y_NODES):
+    """All levels 0..n_top at once, by quadrature: the Hermite recurrence on a
+    (y_nodes x kx) Gauss-Hermite grid in the completed-square variable."""
     ell = params.magnetic_length
     a = ell * ell / (2.0 * packet.d_y**2)
     s = math.sqrt(2.0 / (2.0 * a + 1.0))
@@ -224,26 +260,26 @@ def _overlap_table(packet, params, kx, n_top, y_nodes):
 
 
 def _preset_grids(name):
-    """Packet, field and both kx grids (with their y node counts) of a preset."""
+    """Packet, field and both kx grids (nodes and weights) of a preset."""
     config = load_preset(name)
     params, packet = config.params, config.packet
     grids = []
     for num in (config.numerics, config.numerics.doubled()):
         u, w = gauss_hermite(num.kx_nodes)
-        grids.append((packet.k0x + u / packet.d_x, w / math.sqrt(math.pi), num.resolved_y_nodes()))
+        grids.append((packet.k0x + u / packet.d_x, w / math.sqrt(math.pi)))
     return config, params, packet, grids
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2a"])
 def test_overlap_levels_match_the_full_table(name):
     _, params, packet, grids = _preset_grids(name)
-    for kx, _, y_nodes in grids:
-        table = _overlap_table(packet, params, kx, 256, y_nodes)
-        levels = overlap_levels(packet, params, kx, y_nodes)
+    for kx, _ in grids:
+        table = _overlap_table(packet, params, kx, 256)
+        levels = overlap_levels(packet, params, kx)
         assert np.all(np.isfinite(table))
-        for n in range(257):
-            assert np.array_equal(next(levels), table[n]), n
-        assert np.array_equal(oscillator_overlaps(packet, params, kx, 256, y_nodes), table)
+        rows = np.array([next(levels) for _ in range(257)])
+        assert np.max(np.abs(rows - table)) <= 1e-13
+        assert np.array_equal(oscillator_overlaps(packet, params, kx, 256), rows)
 
 
 def _counting_levels(monkeypatch):
@@ -267,8 +303,8 @@ def test_decompose_draws_only_the_kept_levels(name, monkeypatch):
     dec = decompose(packet, params, config.mode, config.numerics)
     assert counts == [dec.n_max + 1, dec.n_max + 1]
     # the diagonal and the tail are those of the full n_max_cap table
-    kx, weights, y_nodes = grids[0]
-    diag = _overlap_table(packet, params, kx, config.numerics.n_max_cap, y_nodes) ** 2 @ weights
+    kx, weights = grids[0]
+    diag = oscillator_overlaps(packet, params, kx, config.numerics.n_max_cap) ** 2 @ weights
     cum = np.cumsum(diag)
     assert dec.n_max == np.flatnonzero(1.0 - cum < config.numerics.tail_tol)[0]
     assert np.array_equal(dec.u_diag, diag[: dec.n_max + 1])
@@ -297,11 +333,9 @@ def test_node_counts_and_caps_are_bounded():
     OracleOptions(n_trunc=511)
     for kwargs, key in (
         ({"kx_nodes": MAX_NODES // 2 + 1}, "kx_nodes"),
-        ({"y_nodes": MAX_NODES // 2 + 1}, "y_nodes"),
         ({"kz_nodes": MAX_NODES + 1}, "kz_nodes"),
         ({"n_max_cap": 100000}, "n_max_cap"),
-        ({"kx_nodes": 1500, "y_nodes": 1500}, "kx_nodes and y_nodes"),
-        ({"kx_nodes": 2048, "y_nodes": 64, "n_max_cap": 4000}, "kx_nodes and n_max_cap"),
+        ({"kx_nodes": 2048, "n_max_cap": 4000}, "kx_nodes and n_max_cap"),
     ):
         with pytest.raises(ValueError, match=key):
             Numerics(**kwargs)
@@ -378,15 +412,9 @@ def test_completeness_property(d_x, d_y, k0x, b):
     assert float(np.sum(dec.u_diag)) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_f_coeff_flags_unconverged_quadrature():
-    from zbsim.errors import QuadratureError
-
-    with pytest.raises(QuadratureError):
-        f_coeff(TRAP_PACKET, 40, 0.3, B_ONE, y_nodes=4)
-
-
-# preset counts (kx 96/192, y 136/272, kz 160/320) and the largest a test
-# reaches (kx_nodes = 512, doubled), plus 2048 where weights underflow
+# preset counts (kx 96/192, kz 160/320), the test-side overlap table's 136
+# y nodes and the largest a test reaches (kx_nodes = 512, doubled), plus
+# 2048 where weights underflow
 RULE_COUNTS = (1, 2, 3, 24, 96, 136, 160, 272, 320, 1024, 2048)
 
 

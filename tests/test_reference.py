@@ -114,7 +114,7 @@ def _literal_oracle(packet, params, dec, n_trunc, t):
     fibre evolved separately, and <A+> taken from its own operator, not as
     conj <A>."""
     ell = params.magnetic_length
-    phi = oscillator_overlaps(packet, params, dec.kx_nodes, n_trunc, 64)
+    phi = oscillator_overlaps(packet, params, dec.kx_nodes, n_trunc)
     a_full = np.kron(np.eye(4), lowering_matrix(n_trunc))
     a_t, adag_t = np.zeros(t.size, dtype=complex), np.zeros(t.size, dtype=complex)
     rule = _kz_grid(packet, dec.numerics) if dec.mode is THREE_PLUS_ONE else ([0.0], [1.0])
