@@ -71,7 +71,7 @@ def _config_thread_hint(path: str | None) -> int | None:
 
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        cp.read_string(Path(path).read_text())
+        cp.read_string(Path(path).read_text(encoding="utf-8"))
         return cp.getint("numerics", "threads")
     except Exception:
         return None
@@ -102,6 +102,10 @@ def main(argv: list[str] | None = None) -> int:
             config = load_config_file(args.config)
         else:
             raise ConfigError("a config file or --scenario is required")
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: cannot create the directory: {exc.strerror}") from exc
         result = run(
             config,
             args.out,

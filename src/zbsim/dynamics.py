@@ -42,10 +42,10 @@ line at kz != 0 is evaluated once at twice its weight.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from ._record import Record, asdict, replace
 from .errors import ConvergenceError
 from .landau import energies
 from .packet import GaussianPacket, PacketDecomposition
@@ -56,8 +56,7 @@ _CHUNK = 1 << 18  # element budget of one line block's tables
 _POSITION_FIELDS = ("x", "y", "x_interband", "y_interband", "x_intraband", "y_intraband")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Uniformly sampled expectation-value trajectory with band split.
 
     Positions are in the unit named by position_unit ("lambda_c" or "L");

@@ -22,8 +22,8 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import ConfigError
 from .params import (
     ELECTRON_MASS_SI,
@@ -41,8 +41,7 @@ MG25_ION_MASS_KG = (24.985836976 * ATOMIC_MASS_KG) - ELECTRON_MASS_SI
 ION_MASSES_KG = {"ca40": CA40_ION_MASS_KG, "mg25": MG25_ION_MASS_KG}
 
 
-@dataclass(frozen=True)
-class TrapConfig:
+class TrapConfig(Record):
     """Trapped-ion drive and motional parameters (SI units, angular frequencies)."""
 
     eta: float
@@ -83,8 +82,7 @@ class TrapConfig:
         return TrapConfig(eta, omega_carrier, omega_tilde, delta, ion_mass, trap_freq)
 
 
-@dataclass(frozen=True)
-class SimulatedScales:
+class SimulatedScales(Record):
     """SI values taken by the simulated wave-equation constants."""
 
     speed: float  # c_sim [m/s]
@@ -148,8 +146,7 @@ class InteractionKind(enum.Enum):
     SIGMA_X_MOMENTUM = "sigma_x momentum"
 
 
-@dataclass(frozen=True)
-class ExcitationTerm:
+class ExcitationTerm(Record):
     """One interaction term of the plan.
 
     momentum_axis is set only for sigma_x momentum terms; `phase` is the
@@ -180,8 +177,7 @@ class ExcitationTerm:
         return [(self.kind.value, self.level_pair, float(self.phase))]
 
 
-@dataclass(frozen=True)
-class ExcitationPlan:
+class ExcitationPlan(Record):
     """Ordered interaction terms realising the simulated wave equation."""
 
     dimensionality: Dimensionality

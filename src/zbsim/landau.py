@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .params import SimParams
 
 
@@ -30,8 +30,7 @@ class TransitionKind(enum.Enum):
     INTERBAND = "interband"  # opposite branches: trembling-motion lines
 
 
-@dataclass(frozen=True)
-class LandauLabel:
+class LandauLabel(Record):
     """The five quantum numbers (n, kx, kz, eps, s) of one eigenstate.
 
     Construction rejects labels of states that do not exist: the lowest

@@ -56,10 +56,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._record import Record, replace
 from .errors import ConvergenceError, QuadratureError, TruncationError
 from .params import Dimensionality, SimParams
 
@@ -71,6 +71,8 @@ _RESCALE_EVERY = 16  # recurrence steps between rescalings; |p| grows < (1.5|x| 
 # matrix truncation may imply; larger settings are rejected before anything
 # is allocated.
 MAX_ARRAY = 1 << 22
+# the largest oracle truncation whose 4(n_trunc + 1)-square fibre matrix fits MAX_ARRAY
+MAX_N_TRUNC = math.isqrt(MAX_ARRAY) // 4 - 1
 # An n-node Gauss-Hermite rule solves an (n/2) x (n/2) Jacobi matrix.
 MAX_NODES = 2 * math.isqrt(MAX_ARRAY)
 
@@ -149,8 +151,7 @@ def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _gauss_rule(start, n, a, 1.0 / _PI_QUARTER, lambda x, p, p_prev: root * p_prev)
 
 
-@dataclass(frozen=True)
-class GaussianPacket:
+class GaussianPacket(Record):
     """Ellipsoidal Gaussian packet with an x-direction momentum kick.
 
     Widths are in Compton wavelengths, k0x in 1/lambda_c.  d_z may be None
@@ -172,8 +173,7 @@ class GaussianPacket:
             raise ValueError("k0x must be finite")
 
 
-@dataclass(frozen=True)
-class Numerics:
+class Numerics(Record):
     """Quadrature and truncation knobs shared by decomposition and dynamics.
 
     The kx and kz rules are the only quadratures; the oscillator overlaps are
@@ -292,8 +292,7 @@ def check_finite_overlaps(values: np.ndarray, kx: np.ndarray, packet: GaussianPa
         )
 
 
-@dataclass(frozen=True)
-class PacketDecomposition:
+class PacketDecomposition(Record):
     """Eigenbasis expansion tables of one packet at fixed field parameters.
 
     phi[n, i] are the oscillator overlaps on the kx grid and kx_weights the
@@ -313,7 +312,7 @@ class PacketDecomposition:
     tail_mass: float
     kz_nodes: np.ndarray
     kz_weights: np.ndarray
-    numerics: Numerics = field(default_factory=Numerics)
+    numerics: Numerics = Numerics()
 
     def f_table(self) -> np.ndarray:
         """F[n, i] = x-Gaussian(kx_i) * phi[n, i] on the kx grid."""

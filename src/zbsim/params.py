@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 
 class Dimensionality(enum.Enum):
@@ -31,8 +32,7 @@ class Dimensionality(enum.Enum):
     THREE_PLUS_ONE = "3+1"
 
 
-@dataclass(frozen=True)
-class ParticleConstants:
+class ParticleConstants(Record):
     """SI constants of the particle used at the unit boundary (CODATA 2018)."""
 
     mass_kg: float
@@ -61,8 +61,7 @@ B_RANGE = (1e-8, 1e8)
 TESLA_RANGE = (1e-6, 1e25)
 
 
-@dataclass(frozen=True)
-class SimParams:
+class SimParams(Record):
     """Field-strength parameters of the problem in natural units.
 
     Attributes

@@ -57,14 +57,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .dynamics import Trajectory, _banded_trajectory, _line_tables, band_sums
 from .errors import ConfigError, OracleMismatchError
 from .landau import energies
-from .packet import MAX_ARRAY, PacketDecomposition, check_finite_overlaps, oscillator_overlaps
+from .packet import MAX_N_TRUNC, PacketDecomposition, check_finite_overlaps, oscillator_overlaps
 from .params import Dimensionality, SimParams
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -88,9 +88,6 @@ _MATCH_RTOL = 1e-9
 # The line sums at the rule's most negative kz node must match its mirror's
 # within this fraction of the largest amplitude there.
 _MIRROR_TOL = 1e-12
-
-# the largest truncation whose 4(n_trunc + 1)-square fibre matrix fits MAX_ARRAY
-MAX_N_TRUNC = math.isqrt(MAX_ARRAY) // 4 - 1
 
 
 def lowering_matrix(n_trunc: int) -> np.ndarray:
@@ -336,8 +333,7 @@ def _line_distance(analytic, oracle, t_max: float, where: str):
     return (groups[has], fa[owner[has]]), (amp[fa.size :][alone], fo[alone])
 
 
-@dataclass(frozen=True)
-class OracleCheck:
+class OracleCheck(Record):
     """The line-table comparison of the analytic engine with the oracle.
 
     bound is sqrt(2) times the summed line-table distance (_line_distance)
@@ -420,8 +416,7 @@ def oracle_check(decomp: PacketDecomposition, t_max: float, n_trunc: int | None 
     )
 
 
-@dataclass(frozen=True)
-class TransformReport:
+class TransformReport(Record):
     """Deviations measured by the unitary-equivalence check."""
 
     unitarity_dev: float

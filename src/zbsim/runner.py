@@ -23,21 +23,24 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field as dc_field, fields
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
+from ._record import Record, fields
 from .dynamics import Trajectory, cyclotron_reference, trajectory
 from .errors import ConfigError, OracleMismatchError
-from .ionmap import ION_MASSES_KG, TrapConfig, excitation_plan, kappa_of, trap_to_dirac
-from .packet import MAX_ARRAY, GaussianPacket, Numerics, PacketDecomposition, decompose, u_overlap
+from .packet import MAX_ARRAY, MAX_N_TRUNC, GaussianPacket, Numerics, PacketDecomposition, decompose, u_overlap
 from .params import Dimensionality, SimParams, make_params, make_params_dimensionless
-from .reference import MAX_N_TRUNC, OracleCheck, fibre_eigenvalues, oracle_check
 from .spectral import MIN_SAMPLES, WINDOWS, SpectrumReport, classify_peaks, richness, spectrum
 from .svg import Series, line_plot
+
+if TYPE_CHECKING:  # the trap mapping and the oracle load only for the runs that use them
+    from .ionmap import TrapConfig
+    from .reference import OracleCheck
 
 try:  # the interpreter's own SHA-256: hashlib loads OpenSSL, about 3.7 MB of resident memory
     from _sha256 import sha256
@@ -52,8 +55,7 @@ PACKET_RANGE_L = (1e-6, 1e6)
 TRAP_RANGE = (1e-100, 1e100)
 
 
-@dataclass(frozen=True)
-class RunOptions:
+class RunOptions(Record):
     mode: str = "2+1"
 
     def __post_init__(self) -> None:
@@ -61,8 +63,7 @@ class RunOptions:
             raise ValueError(f"mode must be '2+1' or '3+1', got {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class FieldOptions:
+class FieldOptions(Record):
     b: float | None = None
     tesla: float | None = None
 
@@ -75,8 +76,7 @@ class FieldOptions:
             raise ValueError(f"{key} = {getattr(self, key)!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class TrapOptions:
+class TrapOptions(Record):
     eta: float | None = None
     omega_tilde_hz: float | None = None
     omega_carrier_hz: float | None = None
@@ -86,11 +86,13 @@ class TrapOptions:
     ion: str = "ca40"
 
     def __post_init__(self) -> None:
+        from .ionmap import ION_MASSES_KG
+
         lo, hi = TRAP_RANGE
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in fields(self):
+            value = getattr(self, name)
             if isinstance(value, float) and not lo <= value <= hi:
-                raise ValueError(f"{f.name} = {value!r} must be within [{lo:g}, {hi:g}]")
+                raise ValueError(f"{name} = {value!r} must be within [{lo:g}, {hi:g}]")
         if None in (self.eta, self.omega_tilde_hz, self.omega_carrier_hz):
             raise ValueError("eta, omega_tilde_hz and omega_carrier_hz are required")
         if self.ion_mass_kg is None and self.ion not in ION_MASSES_KG:
@@ -101,6 +103,8 @@ class TrapOptions:
     def build(self) -> tuple[TrapConfig, SimParams]:
         """The drive and motion in SI units, and the simulated field parameters;
         an error names the keys that the failing value was derived from."""
+        from .ionmap import ION_MASSES_KG, TrapConfig, trap_to_dirac
+
         mass_key = "ion_mass_kg" if self.ion_mass_kg is not None else "ion"
         mass = self.ion_mass_kg if self.ion_mass_kg is not None else ION_MASSES_KG[self.ion]
         source = "delta_m" if self.delta_m is not None else "trap_freq_hz"
@@ -124,8 +128,7 @@ class TrapOptions:
             ) from exc
 
 
-@dataclass(frozen=True)
-class PacketOptions:
+class PacketOptions(Record):
     unit: str = "lambda_c"  # of the widths; the kick is in the inverse unit
     d_x: float | None = None
     d_y: float | None = None
@@ -162,8 +165,7 @@ class PacketOptions:
                               k0x=self.k0x / scale)
 
 
-@dataclass(frozen=True)
-class TimeOptions:
+class TimeOptions(Record):
     t_max: float = 0.0  # required, as is samples
     samples: int = 0
 
@@ -174,8 +176,7 @@ class TimeOptions:
             )
 
 
-@dataclass(frozen=True)
-class SpectralOptions:
+class SpectralOptions(Record):
     window: str = "hann"
     pad_factor: int = 4
     detection_floor: float = 1e-3
@@ -190,8 +191,7 @@ class SpectralOptions:
             raise ValueError("thresholds must be positive")
 
 
-@dataclass(frozen=True)
-class OracleOptions:
+class OracleOptions(Record):
     enabled: bool = False
     n_trunc: int = 0  # 0 = automatic margin above the decomposition truncation
     tol_in_l: float = 1e-6  # in magnetic lengths
@@ -205,8 +205,7 @@ class OracleOptions:
             raise ValueError("tol_in_l must be positive")
 
 
-@dataclass(frozen=True)
-class OutputOptions:
+class OutputOptions(Record):
     position_unit: str = "lambda_c"
 
     def __post_init__(self) -> None:
@@ -214,19 +213,18 @@ class OutputOptions:
             raise ValueError(f"position_unit must be lambda_c or L, got {self.position_unit!r}")
 
 
-# every section of a config: a frozen dataclass whose fields are its keys and
+# every section of a config: a frozen record whose fields are its keys and
 # whose __post_init__ holds the checks within the section
 _SECTIONS = dict(run=RunOptions, field=FieldOptions, trap=TrapOptions, packet=PacketOptions,
                  time=TimeOptions, numerics=Numerics, spectral=SpectralOptions,
                  oracle=OracleOptions, output=OutputOptions)
 # the schema: every section and key a config may hold; [numerics] threads is
 # applied by the CLI before numpy loads
-_KEYS = {name: tuple(f.name for f in fields(options)) for name, options in _SECTIONS.items()}
+_KEYS = {name: fields(options) for name, options in _SECTIONS.items()}
 _KEYS["numerics"] += ("threads",)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """A validated run: its sections, the field parameters, trap and packet
     built from them, and the raw text they were parsed from."""
 
@@ -274,7 +272,7 @@ def _checked(section: str, build, *args, **kwargs):
 
 
 def _section(cp: configparser.ConfigParser, section: str):
-    """The options dataclass of a section, every key given read with its
+    """The options record of a section, every key given read with its
     field's default's type (a None default marks an optional float); a key
     outside the schema is an error."""
     for key in cp[section] if cp.has_section(section) else ():
@@ -283,15 +281,16 @@ def _section(cp: configparser.ConfigParser, section: str):
                 f"[{section}] unknown key {key!r}; known keys: {', '.join(_KEYS[section])}"
             )
     options = _SECTIONS[section]
-    values = {f.name: _get(cp, section, f.name, float if f.default is None else type(f.default))
-              for f in fields(options) if cp.has_option(section, f.name)}
+    defaults = {name: getattr(options, name) for name in fields(options)}
+    values = {name: _get(cp, section, name, float if default is None else type(default))
+              for name, default in defaults.items() if cp.has_option(section, name)}
     return _checked(section, options, **values)
 
 
 def parse_config(text: str, scenario: str = "inline") -> RunConfig:
     """Parse and validate an INI configuration; raises ConfigError on problems.
 
-    Each section is read into its options dataclass, which checks its own
+    Each section is read into its options record, which checks its own
     values; the rules that span sections are checked here, and the field
     parameters, trap and packet are built once.
     """
@@ -361,21 +360,26 @@ def load_preset(name: str) -> RunConfig:
 
 def load_config_file(path: str | Path) -> RunConfig:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text(), scenario=p.stem)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {p}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {p} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse_config(text, scenario=p.stem)
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     out_dir: Path
     report_path: Path
     kappa: float
     n_max: int
     tail_mass: float
     richness: int
-    oracle_deviation: float | None = None
-    files: list[Path] = dc_field(default_factory=list)
+    oracle_deviation: float | None
+    files: list[Path]
 
 
 def _csv_rows(fmt: str, *columns) -> str:
@@ -450,6 +454,9 @@ def run(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params, t_grid = config.params, config.time_grid()
+    with_oracle = check_oracle or config.oracle.enabled
+    if with_oracle:  # before decompose: imported after the trajectory, it raised the peak RSS
+        from .reference import fibre_eigenvalues, oracle_check
 
     decomp = decompose(config.packet, params, config.mode, config.numerics)
     traj = trajectory(decomp, t_grid)
@@ -463,7 +470,7 @@ def run(
 
     check = None
     files: list[Path] = []
-    if check_oracle or config.oracle.enabled:
+    if with_oracle:
         n_trunc = config.oracle.n_trunc if config.oracle.n_trunc > 0 else None
         check = oracle_check(decomp, config.time.t_max, n_trunc)
         eig_path = out / "eigenvalues.csv"
@@ -591,6 +598,8 @@ def _render_report(
         rel = p.power / top if top > 0 else 0.0
         lines.append(f"  freq = {p.freq:10.6g}  rel power = {rel:9.3e}  {p.label_text()}")
     if trap is not None:
+        from .ionmap import excitation_plan, kappa_of
+
         k = kappa_of(trap)
         lines += [
             "",

@@ -13,10 +13,10 @@ Frequencies are angular, in 1/t_c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._record import Record, replace
 from .dynamics import Trajectory
 from .landau import TransitionKind, energies
 from .packet import PacketDecomposition
@@ -25,8 +25,7 @@ MIN_SAMPLES = 256  # fewest trajectory samples the spectrum accepts
 OCCUPIED_U = 1e-6  # levels with U_nn above this carry the lines peaks are labelled by
 
 
-@dataclass(frozen=True)
-class PeakLabel:
+class PeakLabel(Record):
     """Assignment of one spectral line to a level transition."""
 
     kind: TransitionKind
@@ -38,8 +37,7 @@ class PeakLabel:
         return f"{self.kind.value}({self.n}{arrow}{self.n_prime})"
 
 
-@dataclass(frozen=True)
-class Peak:
+class Peak(Record):
     freq: float
     power: float
     label: PeakLabel | None = None  # None = unassigned
@@ -48,8 +46,7 @@ class Peak:
         return str(self.label) if self.label is not None else "unassigned"
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     """Per-axis power spectra plus the detected (and labelled) peaks."""
 
     freqs: np.ndarray
@@ -190,8 +187,7 @@ def richness(report: SpectrumReport, rel_threshold: float = 0.01) -> int:
     return sum(1 for p in report.peaks if p.power >= rel_threshold * top)
 
 
-@dataclass(frozen=True)
-class EnvelopeSummary:
+class EnvelopeSummary(Record):
     """Interband (trembling) envelope size in an early and a late time window."""
 
     early_max: float

@@ -8,17 +8,17 @@ supplied by the caller (config hash, artifact version).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._record import Record
 
 WIDTH, HEIGHT = 880, 560
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 30, 50, 60
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Record):
     x: np.ndarray
     y: np.ndarray
     label: str

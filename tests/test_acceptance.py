@@ -7,11 +7,11 @@ choices rather than externally fixed numbers are marked as such inline.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from zbsim._record import replace
 from zbsim.dynamics import cyclotron_reference, trajectory
 from zbsim.ionmap import TrapConfig, dirac_to_trap, excitation_plan, kappa_of
 from zbsim.landau import TransitionKind

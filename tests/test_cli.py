@@ -1,9 +1,9 @@
+import json
 import os
 import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,7 @@ import zbsim
 import zbsim.dynamics
 import zbsim.errors
 import zbsim.reference
+from zbsim._record import replace
 from zbsim.cli import EXIT_CODES, main
 from zbsim.errors import ConfigError, TruncationError
 from zbsim.reference import expected_eigenvalues
@@ -183,6 +184,26 @@ def test_cli_exit_codes_for_bad_invocations(tmp_path, capsys):
         path = _write(tmp_path, SMALL_CONFIG.replace(old, new), f"bad{i}.ini")
         assert main(["run", str(path), "--out", str(tmp_path / f"out{i}")]) == 2
         assert cause in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["directory", "latin-1", "out-below-a-file", "out-is-a-file"])
+def test_unreadable_config_or_output_path_exits_2(tmp_path, capsys, case):
+    config = _write(tmp_path, SMALL_CONFIG)
+    latin = tmp_path / "latin.ini"
+    latin.write_bytes(SMALL_CONFIG.replace("d_x = 0.9", "d_x = 0.9 ; \u00b5m").encode("latin-1"))
+    a_file = _write(tmp_path, "", "a-file")
+    args, message = {  # the arguments, and text the one-line message must contain
+        "directory": ([str(tmp_path)], f"cannot read config file {tmp_path}: Is a directory"),
+        "latin-1": ([str(latin)], f"config file {latin} is not UTF-8 text"),
+        "out-below-a-file": ([str(config), "--out", str(a_file / "out")],
+                             f"--out {a_file / 'out'}: cannot create the directory"),
+        "out-is-a-file": ([str(config), "--out", str(a_file)],
+                          f"--out {a_file}: cannot create the directory: File exists"),
+    }[case]
+    assert main(["run", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_every_error_type_has_an_exit_code(tmp_path, capsys, monkeypatch):
@@ -481,14 +502,8 @@ def test_svg_outputs_are_well_formed_xml(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _modules_after_run(args: list[str], package: str) -> str:
-    """Exit code of zbsim.cli.main(args) in a fresh interpreter and the
-    sorted modules of `package` it left in sys.modules, as one line."""
-    script = (
-        "import sys, zbsim.cli, zbsim.runner\n"
-        f"code = zbsim.cli.main({args!r})\n"
-        f"print(code, sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))\n"
-    )
+def _last_line(script: str) -> str:
+    """The last stdout line of a script run in a fresh interpreter on this zbsim."""
     env = dict(os.environ)
     src = str(Path(zbsim.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -496,6 +511,50 @@ def _modules_after_run(args: list[str], package: str) -> str:
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
+
+
+def _modules_after_run(args: list[str], package: str) -> str:
+    """Exit code of zbsim.cli.main(args) in a fresh interpreter and the
+    sorted modules of `package` it left in sys.modules, as one line."""
+    return _last_line(
+        "import sys, zbsim.cli, zbsim.runner\n"
+        f"code = zbsim.cli.main({args!r})\n"
+        f"print(code, sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))\n"
+    )
+
+
+# which of the oracle and trap modules are loaded after the imports a run
+# starts with, when decompose is called, and when zbsim.cli.main(args) returns
+_FOOTPRINT = """\
+import json, sys, zbsim.cli, zbsim.runner
+def loaded():
+    return [m for m in ("zbsim.ionmap", "zbsim.reference") if m in sys.modules]
+seen = {"import": loaded()}
+decompose = zbsim.runner.decompose
+def watched(*args, **kwargs):
+    seen["decompose"] = loaded()
+    return decompose(*args, **kwargs)
+zbsim.runner.decompose = watched
+seen["exit"] = zbsim.cli.main(%r)
+seen["end"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_the_oracle_and_the_trap_mapping_load_only_for_the_runs_that_use_them(tmp_path):
+    text_3d = SMALL_CONFIG.replace("mode = 2+1", "mode = 3+1").replace(
+        "k0x = 1.4142135623730951", "k0x = 1.4142135623730951\nd_z = 1.0").replace(
+        "kx_nodes = 64", "kx_nodes = 64\nkz_nodes = 8")
+    trap = SMALL_CONFIG.replace("[field]\nb = 1.0", TRAP)
+    runs = (  # (config, extra flag, modules loaded from decompose on)
+        (text_3d, [], []),
+        (trap, [], ["zbsim.ionmap"]),
+        (SMALL_CONFIG, ["--check-oracle"], ["zbsim.reference"]),
+    )
+    for i, (text, flags, modules) in enumerate(runs):
+        args = ["run", str(_write(tmp_path, text, f"run{i}.ini")), "--out", str(tmp_path / f"out{i}"), *flags]
+        seen = json.loads(_last_line(_FOOTPRINT % (args,)))
+        assert seen == {"import": [], "decompose": modules, "exit": 0, "end": modules}
 
 
 def test_a_run_imports_no_scipy(tmp_path):

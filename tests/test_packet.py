@@ -9,7 +9,6 @@ against scipy.special's and against the exact moments they must integrate.
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from scipy.integrate import quad
 from scipy.special import roots_hermite, roots_legendre
 
 import zbsim.packet
+from zbsim._record import replace
 from zbsim.errors import ConvergenceError, TruncationError
 from zbsim.packet import (
     MAX_NODES,

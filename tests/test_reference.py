@@ -1,10 +1,10 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from zbsim import reference
+from zbsim._record import replace
 from zbsim.dynamics import _line_tables, trajectory
 from zbsim.errors import OracleMismatchError
 from zbsim.landau import energies

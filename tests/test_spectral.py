@@ -1,9 +1,9 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from zbsim._record import replace
 from zbsim.dynamics import Trajectory, trajectory
 from zbsim.landau import TransitionKind, energies
 from zbsim.packet import GaussianPacket, decompose
