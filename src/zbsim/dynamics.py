@@ -51,7 +51,6 @@ from .landau import energies
 from .packet import GaussianPacket, PacketDecomposition
 from .params import Dimensionality, SimParams
 
-_IMAG_RESIDUE_TOL = 1e-10
 _CHUNK = 1 << 18  # element budget of one line block's tables
 _POSITION_FIELDS = ("x", "y", "x_interband", "y_interband", "x_intraband", "y_intraband")
 
@@ -181,38 +180,32 @@ def ladder_expectations(t, decomp: PacketDecomposition) -> tuple[np.ndarray, np.
     return a_mean, adag_mean
 
 
-def _positions_from_ladder(a_mean: np.ndarray, ell: float):
-    """(x, y, imaginary residue) from <A>, with <A+> = conj <A>."""
-    adag_mean = np.conj(a_mean)
-    y = ell * (a_mean + adag_mean) / math.sqrt(2.0)
-    x = ell * (a_mean - adag_mean) / (1j * math.sqrt(2.0))
-    residue = float(np.max(np.abs([x.imag, y.imag]), initial=0.0))
-    if not residue <= _IMAG_RESIDUE_TOL:  # a NaN fails
-        raise ConvergenceError(
-            f"imaginary residue {residue:.3e} of the position sums exceeds "
-            f"{_IMAG_RESIDUE_TOL:.1e}"
-        )
-    return x.real, y.real, residue
-
-
 def _banded_trajectory(t, bands: np.ndarray, mode: Dimensionality, provenance: dict):
     """Trajectory in Compton wavelengths from the (2, samples) <A> of the
-    intraband and the interband lines (band_sums); the larger imaginary
-    residue of the two joins the provenance."""
-    (x_intra, y_intra, res_intra), (x_inter, y_inter, res_inter) = (
-        _positions_from_ladder(a_mean, provenance["magnetic_length"]) for a_mean in bands
-    )
+    intraband and the interband lines (band_sums); positions that are not
+    finite are a ConvergenceError.  With <A+> = conj <A>, the positions
+    y = L (<A> + <A+>)/sqrt(2) and x = L (<A> - <A+>)/(i sqrt(2)) are real."""
+    ell, root_half = provenance["magnetic_length"], 1.0 / math.sqrt(2.0)
+    x_intra, x_inter = ell * (2.0 * bands.imag) * root_half
+    y_intra, y_inter = ell * (2.0 * bands.real) * root_half
+    x, y = x_intra + x_inter, y_intra + y_inter
+    bad = ~(np.isfinite(x) & np.isfinite(y))
+    if bad.any():
+        raise ConvergenceError(
+            f"the position sums are not finite at {int(bad.sum())} of {t.size} samples, "
+            f"first at t = {t[np.argmax(bad)]:.6g}"
+        )
     return Trajectory(
         times=t,
-        x=x_intra + x_inter,
-        y=y_intra + y_inter,
+        x=x,
+        y=y,
         x_interband=x_inter,
         y_interband=y_inter,
         x_intraband=x_intra,
         y_intraband=y_intra,
         mode=mode,
         position_unit="lambda_c",
-        provenance={**provenance, "imag_residue": max(res_intra, res_inter)},
+        provenance=provenance,
     )
 
 

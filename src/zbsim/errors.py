@@ -2,7 +2,8 @@
 
 
 class QuadratureError(RuntimeError):
-    """A quadrature failed its convergence self-check."""
+    """A quadrature rule failed one of its checks: Newton did not converge,
+    or the kz weights lose the packet's kz mass."""
 
 
 class ConvergenceError(RuntimeError):

@@ -26,19 +26,23 @@ generating function turns it into
                 * exp(-a c^2 / (2a + 1)) d_n,
     d_0 = 1,  d_{n+1} = beta sqrt(2/(n+1)) d_n + gamma sqrt(n/(n+1)) d_{n-1},
 
-a scalar three-term recurrence on each kx node.  Overlap matrix entries are then
+a scalar three-term recurrence on each kx node.  beta is linear in kx and
+gamma constant, so d_n is a polynomial of degree n in kx, and each overlap
 
-    U_{m,n} = Integral F_m(kx)* F_n(kx) dkx = sum_i w_i Phi_m(kx_i) Phi_n(kx_i)
+    U_{m,n} = Integral F_m(kx)* F_n(kx) dkx = Integral |g_x|^2 Phi_m Phi_n dkx
+            = C Integral exp(-s^2 (kx - k*)^2) d_m d_n dkx,
+    s^2 = dx^2 + 2 a L^2 / (2a + 1),  k* = dx^2 k0x / s^2,
 
-on a Gauss-Hermite kx grid scaled to the packet momentum width, with
-probability-normalised weights w_i (sum_i w_i = 1).
+integrates a Gaussian times a polynomial of degree m + n.  The N-node
+Gauss-Hermite rule on kx = k* + u/s, with weights
+w_i dx/(s sqrt(pi)) exp(u_i^2 - dx^2 (kx_i - k0x)^2), is exact for it
+whenever m + n <= 2N - 1: for every pair of levels below N.
 
 The overlaps are evaluated level by level: overlap_levels runs the
 recurrence one step per level, and decompose draws levels only until the
-tail mass 1 - sum_{n<=N} U_{n,n} falls below the tolerance, so no level
-above the truncation n_max is computed, on the kx grid or on the doubled
-kx grid of the convergence check.  The overlaps are exact, so only the kx
-rule is doubled.
+tail mass 1 - sum_{n<=n_max} U_{n,n} falls below the tolerance, so no level
+above the truncation n_max is computed.  It draws levels while its rule is
+exact for them, and starts again on twice the nodes if it needs more.
 
 The Gauss rules are computed here with numpy alone.  Both refine their
 non-negative nodes by Newton's method on the three-term recurrence of the
@@ -59,7 +63,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from ._record import Record, replace
+from ._record import Record
 from .errors import ConvergenceError, QuadratureError, TruncationError
 from .params import Dimensionality, SimParams
 
@@ -75,6 +79,12 @@ MAX_ARRAY = 1 << 22
 MAX_N_TRUNC = math.isqrt(MAX_ARRAY) // 4 - 1
 # An n-node Gauss-Hermite rule solves an (n/2) x (n/2) Jacobi matrix.
 MAX_NODES = 2 * math.isqrt(MAX_ARRAY)
+# the Legendre kz cutoff, in packet widths, past which |g_z|^2 at the
+# interval's ends is below the smallest normal double
+MAX_CUTOFF_SIGMAS = math.sqrt(-2.0 * math.log(np.finfo(float).tiny))
+# the largest share of the packet's kz mass a kz rule may lose; the
+# truncated Legendre rule drops erfc(c / sqrt(2)), 1.97e-9 at c = 6
+KZ_MASS_TOL = 1e-8
 
 
 def _recurrence(x: np.ndarray, n: int, a: np.ndarray, p0: float):
@@ -100,7 +110,7 @@ def _recurrence(x: np.ndarray, n: int, a: np.ndarray, p0: float):
 
 
 def _gauss_rule(start: np.ndarray, n: int, a: np.ndarray, p0: float, derivative):
-    """Ascending nodes and weights of the symmetric n-point Gauss rule.
+    """Ascending nodes and log weights of the symmetric n-point Gauss rule.
 
     start holds the ceil(n/2) non-negative nodes, ascending (exactly 0 first
     for odd n); derivative(x, p_n, p_{n-1}) gives p_n'(x) on the same scale.
@@ -114,9 +124,9 @@ def _gauss_rule(start: np.ndarray, n: int, a: np.ndarray, p0: float, derivative)
         x = x - step
     else:
         raise QuadratureError(f"the {n}-point Gauss rule did not converge")
-    w = np.exp(-np.log(squares) - 2.0 * scale)
+    log_w = -np.log(squares) - 2.0 * scale
     k = n // 2
-    return np.concatenate((-x[::-1][:k], x)), np.concatenate((w[::-1][:k], w))
+    return np.concatenate((-x[::-1][:k], x)), np.concatenate((log_w[::-1][:k], log_w))
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -132,11 +142,13 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     def derivative(x, p, p_prev):  # (1 - x^2) P_n' = n (P_{n-1} - x P_n), orthonormal
         return ((2 * n + 1) * a[n] * p_prev - n * x * p) / ((1.0 - x) * (1.0 + x))
 
-    return _gauss_rule(start, n, a, 1.0 / math.sqrt(2.0), derivative)
+    x, log_w = _gauss_rule(start, n, a, 1.0 / math.sqrt(2.0), derivative)
+    return x, np.exp(log_w)
 
 
-def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Hermite nodes and weights for the weight exp(-x^2) (sum sqrt(pi))."""
+def _hermite_log_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Hermite nodes and log weights; a weight too small for a
+    double keeps its log."""
     if n < 1:
         raise ValueError(f"a Gauss rule needs at least one node, got {n}")
     a = np.sqrt(np.arange(n + 1) / 2.0)
@@ -149,6 +161,12 @@ def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
         start = np.concatenate(([0.0], start))
     root = math.sqrt(2.0 * n)  # p_n' = sqrt(2n) p_{n-1}
     return _gauss_rule(start, n, a, 1.0 / _PI_QUARTER, lambda x, p, p_prev: root * p_prev)
+
+
+def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Hermite nodes and weights for the weight exp(-x^2) (sum sqrt(pi))."""
+    x, log_w = _hermite_log_rule(n)
+    return x, np.exp(log_w)
 
 
 class GaussianPacket(Record):
@@ -182,13 +200,11 @@ class Numerics(Record):
 
     n_max_cap: int = 256
     n_max_floor: int = 0  # force at least this many levels (capped)
-    kx_nodes: int = 96
+    kx_nodes: int = 96  # the kx rule's first node count; decompose doubles it as its levels need
     kz_nodes: int = 160
     kz_rule: str = "hermite"  # "hermite" (default) or "legendre" for long runs
     kz_cutoff_sigmas: float = 6.0
     tail_tol: float = 1e-10
-    convergence_check: bool = True
-    convergence_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         for name, least in (("n_max_cap", 1), ("kx_nodes", 4), ("kz_nodes", 2)):
@@ -196,31 +212,25 @@ class Numerics(Record):
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.kz_rule not in ("hermite", "legendre"):
             raise ValueError(f"unknown kz rule {self.kz_rule!r}")
-        for name in ("kz_cutoff_sigmas", "tail_tol", "convergence_tol"):
+        for name in ("kz_cutoff_sigmas", "tail_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        # the largest arrays are the Jacobi matrix of each Gauss rule and the
-        # (levels x kx) overlap table, on the doubled kx grid when the
-        # convergence check is on
-        kx = (2 if self.convergence_check else 1) * self.kx_nodes
-        for key, value, nodes in (
-            ("kx_nodes", self.kx_nodes, kx),
-            ("kz_nodes", self.kz_nodes, self.kz_nodes),
-        ):
-            if nodes > MAX_NODES:
-                raise ValueError(
-                    f"{key} = {value} needs a Gauss rule of {nodes} nodes, above {MAX_NODES}"
-                )
-        if (self.n_max_cap + 1) * kx > MAX_ARRAY:
+        if self.kz_cutoff_sigmas > MAX_CUTOFF_SIGMAS:
             raise ValueError(
-                f"kx_nodes and n_max_cap need a {self.n_max_cap + 1} x {kx} overlap array, "
+                f"kz_cutoff_sigmas = {self.kz_cutoff_sigmas!r} is above {MAX_CUTOFF_SIGMAS:g}, "
+                f"where |g_z|^2 underflows"
+            )
+        # the largest arrays are the Jacobi matrix of each Gauss rule and the
+        # (levels x kx) overlap table
+        for key, value in (("kx_nodes", self.kx_nodes), ("kz_nodes", self.kz_nodes)):
+            if value > MAX_NODES:
+                raise ValueError(f"{key} = {value} needs a Gauss rule of {value} nodes, above {MAX_NODES}")
+        if (self.n_max_cap + 1) * self.kx_nodes > MAX_ARRAY:
+            raise ValueError(
+                f"kx_nodes and n_max_cap need a {self.n_max_cap + 1} x {self.kx_nodes} overlap array, "
                 f"above {MAX_ARRAY} elements"
             )
-
-    def doubled(self) -> "Numerics":
-        """The kx quadrature at twice the nodes, for the convergence check."""
-        return replace(self, kx_nodes=2 * self.kx_nodes, convergence_check=False)
 
 
 def g_z(packet: GaussianPacket, kz) -> np.ndarray | float:
@@ -295,9 +305,9 @@ def check_finite_overlaps(values: np.ndarray, kx: np.ndarray, packet: GaussianPa
 class PacketDecomposition(Record):
     """Eigenbasis expansion tables of one packet at fixed field parameters.
 
-    phi[n, i] are the oscillator overlaps on the kx grid and kx_weights the
-    probability-normalised quadrature weights, so that
-    U_{m,n} = sum_i kx_weights[i] phi[m, i] phi[n, i].
+    phi[n, i] are the oscillator overlaps on the kx nodes and kx_weights the
+    weights of _kx_rule, so that U_{m,n} = sum_i kx_weights[i] phi[m, i] phi[n, i]
+    exactly for m + n < 2 kx_nodes.size.
     """
 
     packet: GaussianPacket
@@ -359,6 +369,21 @@ def _folded(kz: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return kz[k:], np.where(kz[k:] > 0.0, 2.0, 1.0) * weights[k:]
 
 
+def _kx_rule(packet: GaussianPacket, params: SimParams, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes-node Gauss-Hermite rule for Integral |g_x(kx)|^2 h(kx) dkx
+    placed on the Gaussian of |g_x|^2 Phi_m Phi_n, so that it is exact for
+    h = Phi_m Phi_n with m + n <= 2 nodes - 1 (module docstring).  Each weight
+    is one exponential of its summed logs, so no factor of it overflows."""
+    ell = params.magnetic_length
+    a = ell * ell / (2.0 * packet.d_y**2)
+    dx2 = packet.d_x**2
+    s = math.sqrt(dx2 + 2.0 * a * ell * ell / (2.0 * a + 1.0))
+    u, log_w = _hermite_log_rule(nodes)
+    kx = dx2 * packet.k0x / (s * s) + u / s
+    log_scale = math.log(packet.d_x / (s * math.sqrt(math.pi)))
+    return kx, np.exp(log_w + u * u - dx2 * (kx - packet.k0x) ** 2 + log_scale)
+
+
 def decompose(
     packet: GaussianPacket,
     params: SimParams,
@@ -374,76 +399,63 @@ def decompose(
     onto its distinct |kz| (_folded): it must mirror its nodes and weights
     exactly, and the engines and the oracle read only its kz >= 0 half, so
     numerics.kz_nodes counts the rule's nodes and kz_nodes.size the nodes
-    evaluated.
+    evaluated.  A kz rule whose weights miss more than KZ_MASS_TOL of the
+    packet's kz mass is a QuadratureError.
 
     The truncation n_max is the smallest level, at least
     min(n_max_floor, n_max_cap), with tail mass below numerics.tail_tol
     (ConvergenceError if the cap is too small).  Levels are drawn one at a
-    time until then; none above n_max is evaluated.  With convergence_check
-    on, the kx quadrature is re-run at doubled node count for levels
-    0..n_max and must agree to numerics.convergence_tol.  An overlap
-    overflow at or below n_max is a ConvergenceError.
+    time until then; none above n_max is evaluated.  The N-node kx rule
+    (_kx_rule) is exact for the levels below N, so a truncation that needs
+    more runs again on 2N nodes (ConvergenceError past the node and array
+    bounds).  An overlap overflow at or below n_max is a ConvergenceError.
     """
     mode = Dimensionality(mode)  # "2+1" or "3+1" as well; anything else is a ValueError
     num = numerics if numerics is not None else Numerics()
-
-    def grid(n: Numerics):
-        """kx nodes and weights, the level generator and a zero table of
-        squared overlaps for levels 0..n_max_cap.  The diagonal is one
-        product over the whole table, so each level rounds as in a product
-        over all n_max_cap + 1 levels, whichever of them have been drawn."""
-        u, w = gauss_hermite(n.kx_nodes)
-        kx = packet.k0x + u / packet.d_x
-        levels = overlap_levels(packet, params, kx)
-        return kx, w / math.sqrt(math.pi), levels, np.zeros((n.n_max_cap + 1, kx.size))
-
-    kx, weights, levels, squares = grid(num)
-    rows = []
-    cum = 0.0
-    least = min(num.n_max_floor, num.n_max_cap)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n_max, row in zip(range(num.n_max_cap + 1), levels):
-            rows.append(row)
-            squares[n_max] = row**2
-            u_diag = squares @ weights
-            check_finite_overlaps(u_diag[: n_max + 1], kx, packet, params)
-            cum += u_diag[n_max]
-            if n_max >= least and 1.0 - cum < num.tail_tol:
-                break
-        else:
-            ell = params.magnetic_length
-            raise ConvergenceError(
-                f"tail mass {1.0 - cum:.3e} above {num.tail_tol:.1e} at the "
-                f"cap n_max_cap={num.n_max_cap}; raise the cap, or bring the packet "
-                f"(d_x = {packet.d_x / ell:.3g} L, d_y = {packet.d_y / ell:.3g} L, "
-                f"k0x = {packet.k0x * ell:.3g} / L) nearer one magnetic length"
-            )
-    tail = float(1.0 - cum)
-    u_diag = u_diag[: n_max + 1]
-
-    if num.convergence_check:
-        kx2, weights2, levels2, squares2 = grid(num.doubled())
-        with np.errstate(over="ignore", invalid="ignore"):
-            for n, row in zip(range(n_max + 1), levels2):
-                squares2[n] = row**2
-            diag2 = (squares2 @ weights2)[: n_max + 1]
-        check_finite_overlaps(diag2, kx2, packet, params)
-        dev = float(np.max(np.abs(diag2 - u_diag)))
-        if dev > num.convergence_tol:
-            raise QuadratureError(
-                f"decomposition quadrature not converged: diagonal shift {dev:.3e} "
-                f"on doubling (tolerance {num.convergence_tol:.1e})"
-            )
-
-    phi = np.array(rows)
-    u_band = (phi[:-1] * phi[1:]) @ weights if n_max >= 1 else np.zeros(0)
-
+    kz_nodes, kz_weights = np.array([0.0]), np.array([1.0])
     if mode is Dimensionality.THREE_PLUS_ONE:
         kz_nodes, kz_weights = _folded(*_kz_grid(packet, num))
-    else:
-        kz_nodes = np.array([0.0])
-        kz_weights = np.array([1.0])
+        lost = 1.0 - math.fsum(kz_weights)
+        if not abs(lost) <= KZ_MASS_TOL:  # a NaN fails
+            raise QuadratureError(
+                f"the kz rule ([numerics] kz_rule = {num.kz_rule}, kz_nodes = {num.kz_nodes}, "
+                f"kz_cutoff_sigmas = {num.kz_cutoff_sigmas:g}) has weights summing to "
+                f"{1.0 - lost:.6g}, more than {KZ_MASS_TOL:.0e} from the packet's kz mass 1"
+            )
 
+    least = min(num.n_max_floor, num.n_max_cap)
+    ell = params.magnetic_length
+    for nodes in (num.kx_nodes << k for k in itertools.count()):  # kx_nodes, twice it, ...
+        kx, weights = _kx_rule(packet, params, nodes)
+        rows, diag = [], []
+        cum = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            levels = zip(range(min(num.n_max_cap, nodes - 1) + 1), overlap_levels(packet, params, kx))
+            for n_max, row in levels:
+                rows.append(row)
+                diag.append(row**2 @ weights)
+                check_finite_overlaps(np.array(diag), kx, packet, params)
+                cum += diag[-1]
+                if n_max >= least and 1.0 - cum < num.tail_tol:
+                    break
+            else:
+                if n_max == num.n_max_cap:
+                    raise ConvergenceError(
+                        f"tail mass {1.0 - cum:.3e} above {num.tail_tol:.1e} at the "
+                        f"cap n_max_cap={num.n_max_cap}; raise the cap, or bring the packet "
+                        f"(d_x = {packet.d_x / ell:.3g} L, d_y = {packet.d_y / ell:.3g} L, "
+                        f"k0x = {packet.k0x * ell:.3g} / L) nearer one magnetic length"
+                    )
+                if 2 * nodes > MAX_NODES or (num.n_max_cap + 1) * 2 * nodes > MAX_ARRAY:
+                    raise ConvergenceError(
+                        f"levels past {n_max} (tail mass {1.0 - cum:.3e}, n_max_floor {num.n_max_floor}) need "
+                        f"more than {nodes} kx nodes, and {2 * nodes} pass {MAX_NODES} nodes or the "
+                        f"{MAX_ARRAY}-element bound of a {num.n_max_cap + 1} x {2 * nodes} overlap array"
+                    )
+                continue
+        break
+
+    phi = np.array(rows)
     return PacketDecomposition(
         packet=packet,
         params=params,
@@ -452,9 +464,9 @@ def decompose(
         kx_nodes=kx,
         kx_weights=weights,
         phi=phi,
-        u_diag=u_diag,
-        u_band=np.asarray(u_band),
-        tail_mass=tail,
+        u_diag=np.array(diag),
+        u_band=(phi[:-1] * phi[1:]) @ weights if n_max >= 1 else np.zeros(0),
+        tail_mass=float(1.0 - cum),
         kz_nodes=kz_nodes,
         kz_weights=kz_weights,
         numerics=num,

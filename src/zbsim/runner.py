@@ -588,7 +588,6 @@ def _render_report(
         f"  tail mass = {decomp.tail_mass:.3e}",
         f"  sum U_nn = {float(np.sum(decomp.u_diag)):.12f}",
         f"  kx nodes = {decomp.kx_nodes.size}, kz nodes = {kz_nodes}",
-        f"  imaginary residue of positions = {traj.provenance['imag_residue']:.3e}",
         "",
         f"spectrum: {len(report.peaks)} peaks detected, "
         f"{n_rich} significant at {config.spectral.significant_rel_power:.0%} of max",

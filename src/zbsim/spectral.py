@@ -52,11 +52,8 @@ class SpectrumReport(Record):
     freqs: np.ndarray
     power_x: np.ndarray
     power_y: np.ndarray
-    power_total: np.ndarray
     peaks: tuple[Peak, ...]
     bin_width: float  # raw (unpadded) angular resolution, the match tolerance
-    window: str
-    pad_factor: int
 
 
 WINDOWS = {"hann": np.hanning, "rect": np.ones, "rectangular": np.ones, "boxcar": np.ones}
@@ -141,11 +138,8 @@ def spectrum(
         freqs=freqs,
         power_x=power_x,
         power_y=power_y,
-        power_total=total,
         peaks=tuple(peaks),
         bin_width=raw_bin,
-        window=window,
-        pad_factor=int(pad_factor),
     )
 
 

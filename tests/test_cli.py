@@ -17,7 +17,7 @@ from zbsim._record import replace
 from zbsim.cli import EXIT_CODES, main
 from zbsim.errors import ConfigError, TruncationError
 from zbsim.reference import expected_eigenvalues
-from zbsim.runner import _KEYS, PRESET_NAMES, load_preset, parse_config
+from zbsim.runner import _KEYS, PRESET_NAMES, load_preset, parse_config, preset_text
 
 SMALL_CONFIG = """
 [run]
@@ -67,9 +67,14 @@ BAD_INPUTS = (
     ("position_unit = L", "position_unit = L\n[spectral]\nwindow = foo", "window"),
     ("position_unit = L", "position_unit = L\n[oracle]\nn_trunc = -3", "n_trunc"),
     ("kx_nodes = 64", "kx_nodes = 64\ny_nodes = 40", "unknown key 'y_nodes'"),
+    # the kx rule is exact, so its doubling check and the check's knobs are gone
+    ("kx_nodes = 64", "kx_nodes = 64\nconvergence_check = false", "unknown key 'convergence_check'"),
+    ("kx_nodes = 64", "kx_nodes = 64\nconvergence_tol = 1e-9", "unknown key 'convergence_tol'"),
+    # past the cutoff where |g_z|^2 underflows, before any arithmetic on it
+    ("kx_nodes = 64", "kx_nodes = 64\nkz_cutoff_sigmas = 38", "kz_cutoff_sigmas = 38.0 is above 37.64"),
     ("k0x = 1.4142135623730951", "k0x = 1.4142135623730951\ncomponent = 3", "component"),
     # sizes whose arrays would pass 32 MiB, rejected before anything is allocated
-    ("kx_nodes = 64", "kx_nodes = 4096", "kx_nodes"),
+    ("kx_nodes = 64", "kx_nodes = 4097", "kx_nodes = 4097 needs a Gauss rule of 4097 nodes"),
     ("kx_nodes = 64", "kx_nodes = 64\nkz_nodes = 8192", "kz_nodes"),
     ("kx_nodes = 64", "kx_nodes = 64\nn_max_cap = 100000", "n_max_cap"),
     ("position_unit = L", "position_unit = L\n[oracle]\nn_trunc = 512", "n_trunc"),
@@ -368,11 +373,22 @@ def test_eigenvalues_follow_the_oracle_truncation(tmp_path, capsys):
 def test_convergence_failure_exit_code(tmp_path, capsys):
     text = SMALL_CONFIG.replace(
         "[numerics]\nkx_nodes = 64",
-        "[numerics]\nkx_nodes = 64\nn_max_cap = 4\nconvergence_check = false",
+        "[numerics]\nkx_nodes = 64\nn_max_cap = 4",
     )
     config = _write(tmp_path, text)
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
     assert "convergence" in capsys.readouterr().err
+
+
+def test_kx_rerun_past_the_array_bound_exit_code(tmp_path, capsys):
+    # the floor needs a 2048-node rerun, whose overlap array passes MAX_ARRAY
+    text = SMALL_CONFIG.replace(
+        "kx_nodes = 64", "kx_nodes = 1024\nn_max_cap = 2048\nn_max_floor = 1024")
+    config = _write(tmp_path, text)
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "need more than 1024 kx nodes, and 2048 pass 4096 nodes" in err
 
 
 def test_packet_far_from_one_magnetic_length_exit_code(tmp_path, capsys):
@@ -386,11 +402,12 @@ def test_packet_far_from_one_magnetic_length_exit_code(tmp_path, capsys):
 
 
 def test_weak_field_overflow_exit_code(tmp_path, capsys):
-    # b = 1e-4 puts the packet's kx grid at |kx| L ~ 1e5, where the
-    # oscillator overlaps overflow long before the tail mass converges
+    # b = 1e-4 and a kick of 0.1 / lambda_c, about 1400 / L: the kx rule sits
+    # at |kx| L ~ 1e3, where the oscillator overlaps overflow long before
+    # the tail mass converges
     text = SMALL_CONFIG.replace("b = 1.0", "b = 1e-4").replace(
         "unit = magnetic_length\nd_x = 0.9\nd_y = 1.0\nk0x = 1.4142135623730951",
-        "unit = lambda_c\nd_x = 1.0\nd_y = 1.0\nk0x = 0.1",
+        "unit = lambda_c\nd_x = 2e4\nd_y = 2e4\nk0x = 0.1",
     )
     config = _write(tmp_path, text)
     with warnings.catch_warnings(record=True) as caught:
@@ -399,29 +416,43 @@ def test_weak_field_overflow_exit_code(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "Hermite recurrence" in err and "overflowed at level" in err
-    assert "L/d_y = 1.41e+04" in err
+    assert "L/d_y = 0.707" in err
     assert "nan" not in err
 
 
+# fig1 on 32 Legendre kz nodes: a cutoff past the underflow of |g_z|^2 is
+# rejected before any arithmetic, and one within it whose weights lose the
+# packet's kz mass stops the run; neither writes a trajectory
+@pytest.mark.parametrize("cutoff, code, message", [
+    ("1e20", 2, "configuration error: [numerics] kz_cutoff_sigmas = 1e+20 is above 37.64"),
+    ("60", 2, "configuration error: [numerics] kz_cutoff_sigmas = 60.0 is above 37.64"),
+    ("1e200", 2, "configuration error: [numerics] kz_cutoff_sigmas = 1e+200 is above 37.64"),
+    ("20", 3, "kz rule ([numerics] kz_rule = legendre, kz_nodes = 32, kz_cutoff_sigmas = 20) "
+            "has weights summing to 0.989504"),
+])
+def test_kz_rule_that_loses_the_packet_mass_fails(tmp_path, capsys, cutoff, code, message):
+    text = preset_text("fig1").replace("kz_nodes = 320", f"kz_nodes = 32\nkz_cutoff_sigmas = {cutoff}")
+    config = _write(tmp_path, text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
 def test_overflow_above_truncation_exit_code(tmp_path, capsys):
-    # with a raised cap the overlaps of both kx grids overflow above the
-    # converged truncation n_max = 106; those levels are never used
+    # with a raised cap the overlaps of the 2048-node rule overflow at level
+    # 489, above the converged truncation n_max = 106; those levels are never used
     text = SMALL_CONFIG.replace("d_x = 0.9", "d_x = 0.33").replace(
         "k0x = 1.4142135623730951", "k0x = 0.0"
-    ).replace("kx_nodes = 64", "kx_nodes = 512\nn_max_cap = 512")
+    ).replace("kx_nodes = 64", "kx_nodes = 2048\nn_max_cap = 512")
     config = _write(tmp_path, text)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
     assert "n_max = 106" in capsys.readouterr().out
-
-
-def test_imaginary_residue_failure_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("zbsim.dynamics._IMAG_RESIDUE_TOL", -1.0)
-    config = _write(tmp_path, SMALL_CONFIG)
-    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
-    err = capsys.readouterr().err
-    assert "imaginary residue" in err and "Traceback" not in err
 
 
 def _run_in_subprocess(config, out, threads):
@@ -657,8 +688,12 @@ def test_a_perturbed_mirror_node_fails_the_mirror_check(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize("old, new, message", [
+    # the removed doubling check's switch is now an unknown [numerics] key
     ("kx_nodes = 64", "kx_nodes = 64\nconvergence_check = maybe",
-     "[numerics] convergence_check: cannot parse 'maybe'"),
+     "[numerics] unknown key 'convergence_check'; known keys: n_max_cap, n_max_floor, "
+     "kx_nodes, kz_nodes, kz_rule, kz_cutoff_sigmas, tail_tol, threads"),
+    ("position_unit = L", "position_unit = L\n[oracle]\nenabled = maybe",
+     "[oracle] enabled: cannot parse 'maybe'"),
     ("position_unit = L", "position_unit = L\n[oracle]\ntol_in_l = nan",
      "[oracle] tol_in_l: must be finite, got 'nan'"),
 ])
@@ -668,7 +703,7 @@ def test_section_errors_carry_one_prefix(tmp_path, capsys, old, new, message):
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
-def test_nan_position_sum_fails_the_residue_gate(tmp_path, capsys, monkeypatch):
+def test_nan_position_sum_exits_3(tmp_path, capsys, monkeypatch):
     band_sums = zbsim.dynamics.band_sums
 
     def broken(*args):
@@ -679,4 +714,6 @@ def test_nan_position_sum_fails_the_residue_gate(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("zbsim.dynamics.band_sums", broken)
     config = _write(tmp_path, SMALL_CONFIG)
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
-    assert "imaginary residue nan" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "position sums are not finite at 1 of 512 samples" in err

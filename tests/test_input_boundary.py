@@ -5,7 +5,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from zbsim.cli import main
@@ -27,13 +27,14 @@ IN_BOUNDS = {
     ("numerics", "kx_nodes"): ("16", "48"),
     ("numerics", "n_max_cap"): ("8", "40"),
     ("numerics", "n_max_floor"): ("0", "12"),
-    # a removed key, now unknown: any config that holds it exits 2
+    # removed keys, now unknown: any config that holds one exits 2
     ("numerics", "y_nodes"): ("40",),
+    ("numerics", "convergence_check"): ("false",),
+    ("numerics", "convergence_tol"): ("1e-9",),
     ("numerics", "kz_nodes"): ("4", "12"),
     ("numerics", "kz_rule"): ("hermite", "legendre"),
     ("numerics", "kz_cutoff_sigmas"): ("2.0", "6.0"),
     ("numerics", "tail_tol"): ("1e-10", "1e-3"),
-    ("numerics", "convergence_tol"): ("1e-9", "1e-3"),
     ("spectral", "pad_factor"): ("1", "4"),
     ("spectral", "detection_floor"): ("1e-3", "0.5"),
     ("spectral", "significant_rel_power"): ("0.01", "0.9"),
@@ -104,6 +105,9 @@ def _csv_values(path):
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(configs)
+# a Legendre kz cutoff far past the underflow of |g_z|^2
+@example(("3+1", "b", "magnetic_length",
+          [(("numerics", "kz_rule"), "legendre"), (("numerics", "kz_cutoff_sigmas"), "1e300")], False))
 def test_every_config_ends_in_a_documented_exit(drawn):
     mode, field, unit, overrides, oracle = drawn
     config = _base(mode, field, unit)

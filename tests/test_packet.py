@@ -24,6 +24,7 @@ from zbsim.packet import (
     MAX_NODES,
     GaussianPacket,
     Numerics,
+    _kx_rule,
     check_finite_overlaps,
     decompose,
     g_z,
@@ -170,14 +171,17 @@ def test_u_band_against_frozen_2d_oracle():
 
 
 def test_u_completeness_and_symmetry():
-    for packet in (
+    decs = [decompose(packet, B_ONE, TWO_PLUS_ONE) for packet in (
         TRAP_PACKET,
         GaussianPacket(d_x=0.6, d_y=2.3, k0x=0.8),
         GaussianPacket(d_x=2.0, d_y=0.7, k0x=0.0),
-    ):
-        dec = decompose(packet, B_ONE, TWO_PLUS_ONE)
+    )]
+    for dec in decs:
         assert float(np.sum(dec.u_diag)) == pytest.approx(1.0, abs=1e-8)
         assert u_overlap(dec, 2, 5) == pytest.approx(u_overlap(dec, 5, 2), abs=0.0)
+    # the second packet needs levels 0..97, past the 0..95 that the default
+    # 96-node rule integrates exactly, so it runs again on 192 nodes
+    assert (decs[1].n_max, decs[1].kx_nodes.size) == (97, 192)
 
 
 def test_parseval_at_every_stage():
@@ -201,29 +205,29 @@ def test_truncation_behaviour():
     assert dec_tight.n_max >= dec.n_max
     assert dec_tight.tail_mass <= dec.tail_mass
     with pytest.raises(ConvergenceError):
-        decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, Numerics(n_max_cap=4, convergence_check=False))
+        decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, Numerics(n_max_cap=4))
 
 
 # a narrow x profile (L/d_x = 3) with a raised cap: the tail mass converges
-# at level 106, and the overlaps on 512 kx nodes (the doubled grid of the
-# convergence check) overflow near level 420
+# at level 106, and the overlaps on 2048 kx nodes overflow at level 489
 NARROW_PACKET = GaussianPacket(d_x=0.33 * math.sqrt(2.0), d_y=math.sqrt(2.0))
-RAISED_CAP = Numerics(n_max_cap=512, kx_nodes=256)
+RAISED_CAP = Numerics(n_max_cap=512, kx_nodes=2048)
 
 
 def test_overlap_overflow_above_truncation_is_unused():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dec = decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, RAISED_CAP)
-        assert dec.n_max == 106
+        assert dec.n_max == 106 and dec.kx_nodes.size == 2048
         assert np.all(np.isfinite(dec.phi)) and np.all(np.isfinite(dec.u_band))
-        # a floor that forces the truncation past the overflow names it, on the
-        # doubled grid of the convergence check and on a 512-node grid without it
-        with pytest.raises(ConvergenceError, match=r"overflowed at level \d+ on 512 kx nodes"):
-            decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, replace(RAISED_CAP, n_max_floor=450))
-        unchecked = Numerics(n_max_cap=512, n_max_floor=450, kx_nodes=512, convergence_check=False)
-        with pytest.raises(ConvergenceError, match=r"overflowed at level \d+ on 512 kx nodes"):
-            decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, unchecked)
+        # a floor that forces the truncation past the overflow names it, on
+        # the rule asked for and on the doubled rule of a rerun: 512 nodes
+        # hold levels up to 511, and 1024 nodes overflow at level 871
+        with pytest.raises(ConvergenceError, match=r"overflowed at level 489 on 2048 kx nodes"):
+            decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, replace(RAISED_CAP, n_max_floor=500))
+        rerun = Numerics(n_max_cap=1023, n_max_floor=1000, kx_nodes=512)
+        with pytest.raises(ConvergenceError, match=r"overflowed at level 871 on 1024 kx nodes"):
+            decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, rerun)
         far = np.array([200.0 / math.sqrt(2.0)])
         phi = oscillator_overlaps(NARROW_PACKET, B_ONE, far, 300)
         with pytest.raises(ConvergenceError, match="overflowed at level 268 on 1 kx nodes"):
@@ -260,13 +264,11 @@ def _overlap_table(packet, params, kx, n_top, y_nodes=Y_NODES):
 
 
 def _preset_grids(name):
-    """Packet, field and both kx grids (nodes and weights) of a preset."""
+    """Packet, field and the preset's kx rule (nodes and weights) at its
+    node count and at twice it."""
     config = load_preset(name)
     params, packet = config.params, config.packet
-    grids = []
-    for num in (config.numerics, config.numerics.doubled()):
-        u, w = gauss_hermite(num.kx_nodes)
-        grids.append((packet.k0x + u / packet.d_x, w / math.sqrt(math.pi)))
+    grids = [_kx_rule(packet, params, n) for n in (config.numerics.kx_nodes, 2 * config.numerics.kx_nodes)]
     return config, params, packet, grids
 
 
@@ -296,27 +298,36 @@ def _counting_levels(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("name", ["fig1", "fig2a"])
+@pytest.mark.parametrize("name", ["fig1", "fig2a", "fig2b", "fig2c"])
 def test_decompose_draws_only_the_kept_levels(name, monkeypatch):
     config, params, packet, grids = _preset_grids(name)
     counts = _counting_levels(monkeypatch)
     dec = decompose(packet, params, config.mode, config.numerics)
-    assert counts == [dec.n_max + 1, dec.n_max + 1]
+    assert counts == [dec.n_max + 1]
     # the diagonal and the tail are those of the full n_max_cap table
     kx, weights = grids[0]
-    diag = oscillator_overlaps(packet, params, kx, config.numerics.n_max_cap) ** 2 @ weights
+    assert np.array_equal(dec.kx_nodes, kx) and np.array_equal(dec.kx_weights, weights)
+    cap = config.numerics.n_max_cap
+    diag = np.array([row @ weights for row in oscillator_overlaps(packet, params, kx, cap) ** 2])
     cum = np.cumsum(diag)
     assert dec.n_max == np.flatnonzero(1.0 - cum < config.numerics.tail_tol)[0]
     assert np.array_equal(dec.u_diag, diag[: dec.n_max + 1])
     assert dec.tail_mass == 1.0 - cum[dec.n_max]
-    # a floor above the natural truncation draws floor + 1 levels on each grid
+    # a floor above the natural truncation draws floor + 1 levels
     counts.clear()
     floor = dec.n_max + 7
     raised = decompose(packet, params, config.mode, replace(config.numerics, n_max_floor=floor))
     assert raised.n_max == floor and raised.phi.shape[0] == floor + 1
-    assert counts == [floor + 1, floor + 1]
+    assert counts == [floor + 1]
     assert np.array_equal(raised.u_diag, diag[: floor + 1])
     assert np.array_equal(raised.phi[: dec.n_max + 1], dec.phi)
+    # a floor at the node count draws every level the rule holds, then runs
+    # again on twice the nodes
+    counts.clear()
+    nodes = config.numerics.kx_nodes
+    doubled = decompose(packet, params, config.mode, replace(config.numerics, n_max_floor=nodes))
+    assert counts == [nodes, nodes + 1]
+    assert doubled.n_max == nodes and np.array_equal(doubled.kx_nodes, grids[1][0])
     # reaching the cap draws every level up to it once
     counts.clear()
     with pytest.raises(ConvergenceError, match="at the cap n_max_cap=4"):
@@ -328,11 +339,10 @@ def test_node_counts_and_caps_are_bounded():
     # the largest values the tests and the acceptance criteria use
     Numerics(kx_nodes=512, n_max_cap=512)
     Numerics(kz_rule="legendre", kz_nodes=2048)
-    Numerics(kx_nodes=MAX_NODES // 2)
-    Numerics(kx_nodes=MAX_NODES, convergence_check=False)
+    Numerics(kx_nodes=MAX_NODES)
     OracleOptions(n_trunc=511)
     for kwargs, key in (
-        ({"kx_nodes": MAX_NODES // 2 + 1}, "kx_nodes"),
+        ({"kx_nodes": MAX_NODES + 1}, "kx_nodes"),
         ({"kz_nodes": MAX_NODES + 1}, "kz_nodes"),
         ({"n_max_cap": 100000}, "n_max_cap"),
         ({"kx_nodes": 2048, "n_max_cap": 4000}, "kx_nodes and n_max_cap"),
@@ -343,13 +353,36 @@ def test_node_counts_and_caps_are_bounded():
         OracleOptions(n_trunc=512)
 
 
-def test_quadrature_doubling_is_converged():
-    num = Numerics(convergence_check=False)
-    dec = decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, num)
-    dec2 = decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, num.doubled())
-    n = min(dec.n_max, dec2.n_max)
-    assert np.max(np.abs(dec.u_diag[: n + 1] - dec2.u_diag[: n + 1])) < 1e-9
-    assert np.max(np.abs(dec.u_band[:n] - dec2.u_band[:n])) < 1e-9
+def test_rerun_past_the_node_bounds_is_a_convergence_error():
+    # 1024 nodes hold levels up to 1023; the floor needs 1024, and the
+    # 2049 x 2048 overlap array of the rerun is above MAX_ARRAY
+    num = Numerics(kx_nodes=1024, n_max_cap=2048, n_max_floor=1024)
+    with pytest.raises(ConvergenceError, match=r"levels past 1023 \(tail mass .*, n_max_floor 1024\) need "
+                       r"more than 1024 kx nodes, and 2048 pass 4096 nodes or the 4194304-element "
+                       r"bound of a 2049 x 2048 overlap array"):
+        decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, num)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.floats(min_value=0.4, max_value=2.5),
+    st.floats(min_value=0.4, max_value=2.5),
+    st.floats(min_value=0.0, max_value=1.5),
+    st.floats(min_value=0.3, max_value=3.0),
+)
+def test_quadrature_doubling_is_converged(d_x, d_y, k0x, b):
+    # the rule of n_max + 1 nodes is exact for every U_mn it is used for, so
+    # a rule of 2 n_max + 3 nodes changes them only by roundoff
+    params = make_params_dimensionless(b)
+    ell = params.magnetic_length
+    packet = GaussianPacket(d_x=d_x * ell, d_y=d_y * ell, k0x=k0x / ell)
+    n_max = decompose(packet, params, TWO_PLUS_ONE).n_max
+    u = []
+    for nodes in (n_max + 1, 2 * n_max + 3):
+        kx, w = _kx_rule(packet, params, nodes)
+        phi = oscillator_overlaps(packet, params, kx, n_max)
+        u.append((phi * w) @ phi.T)
+    assert np.max(np.abs(u[0] - u[1])) <= 1e-14
 
 
 def test_packet_validation():
@@ -368,10 +401,9 @@ def test_packet_validation():
         (GaussianPacket, "d_y", {"d_x": 1.0, "d_y": math.inf}),
         (GaussianPacket, "d_z", {"d_x": 1.0, "d_y": 1.0, "d_z": math.nan}),
         (Numerics, "tail_tol", {"tail_tol": math.nan}),
-        (Numerics, "convergence_tol", {"convergence_tol": math.nan}),
         (Numerics, "kz_cutoff_sigmas", {"kz_cutoff_sigmas": math.inf}),
     ],
-    ids=["d_x-nan", "d_y-inf", "d_z-nan", "tail_tol-nan", "convergence_tol-nan", "kz_cutoff_sigmas-inf"],
+    ids=["d_x-nan", "d_y-inf", "d_z-nan", "tail_tol-nan", "kz_cutoff_sigmas-inf"],
 )
 def test_non_finite_fields_rejected(options, key, kwargs):
     with pytest.raises(ValueError, match=f"{key} must be finite"):
@@ -408,7 +440,7 @@ def test_completeness_property(d_x, d_y, k0x, b):
     packet = GaussianPacket(d_x=d_x * params.magnetic_length,
                             d_y=d_y * params.magnetic_length,
                             k0x=k0x / params.magnetic_length)
-    dec = decompose(packet, params, TWO_PLUS_ONE, Numerics(convergence_check=False))
+    dec = decompose(packet, params, TWO_PLUS_ONE)
     assert float(np.sum(dec.u_diag)) == pytest.approx(1.0, abs=1e-8)
 
 

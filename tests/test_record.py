@@ -33,7 +33,7 @@ class Pair(Record):  # the same fields and values as Point, another class
 def test_fields_keep_declaration_order_and_defaults():
     assert fields(Point) == ("x", "y", "tag") == fields(Point(1.0))
     assert fields(Numerics)[:3] == ("n_max_cap", "n_max_floor", "kx_nodes")
-    assert fields(Numerics)[-1] == "convergence_tol"
+    assert fields(Numerics)[-1] == "tail_tol"
     # a default stays the class attribute, which the config schema reads
     assert (Point.y, Point.tag, Numerics.kx_nodes) == (0.0, None, 96)
     assert asdict(Point(1.0)) == {"x": 1.0, "y": 0.0, "tag": None}
