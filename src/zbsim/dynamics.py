@@ -169,17 +169,6 @@ def band_sums(t: np.ndarray, bands) -> np.ndarray:
     return np.array([line_sum(t, *lines) for lines in bands])
 
 
-def ladder_expectations(t, decomp: PacketDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """(<A(t)>, <A+(t)>); the latter is the conjugate for real overlap tables."""
-    tarr = np.atleast_1d(np.asarray(t, dtype=float))
-    intra, inter = band_sums(tarr, _line_tables(decomp))
-    a_mean = intra + inter
-    adag_mean = np.conj(a_mean)  # U_{n+1,n} = U_{n,n+1}* and real tables
-    if np.ndim(t) == 0:
-        return a_mean[0], adag_mean[0]
-    return a_mean, adag_mean
-
-
 def _banded_trajectory(t, bands: np.ndarray, mode: Dimensionality, provenance: dict):
     """Trajectory in Compton wavelengths from the (2, samples) <A> of the
     intraband and the interband lines (band_sums); positions that are not

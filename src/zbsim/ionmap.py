@@ -12,9 +12,11 @@ strength is the single dimensionless ratio
 
     kappa = hbar eB / (m 2 mc^2) = (eta Omega_tilde / Omega)^2,
 
-equivalently b = 2 eta Omega_tilde / Omega.  The excitation plan lists the
-interaction terms needed to realise the coupled equation; the transverse
-(2+1) plan takes 8 laser-excitation pairs and the full 3+1 plan 12.
+equivalently b = 2 eta Omega_tilde / Omega.  trap_to_dirac maps a trap onto
+the field parameters of the simulated equation, b alone.  The excitation
+plan lists the interaction terms needed to realise the coupled equation;
+the transverse (2+1) plan takes 8 laser-excitation pairs and the full 3+1
+plan 12.
 """
 
 from __future__ import annotations
@@ -24,14 +26,7 @@ import math
 import sys
 
 from ._record import Record
-from .errors import ConfigError
-from .params import (
-    ELECTRON_MASS_SI,
-    HBAR_SI,
-    Dimensionality,
-    SimParams,
-    make_params_dimensionless,
-)
+from .params import ELECTRON_MASS_SI, HBAR_SI, Dimensionality, SimParams, make_params_dimensionless
 
 ATOMIC_MASS_KG = 1.66053906660e-27  # CODATA 2018
 # singly charged ions: atomic mass minus one electron
@@ -82,16 +77,6 @@ class TrapConfig(Record):
         return TrapConfig(eta, omega_carrier, omega_tilde, delta, ion_mass, trap_freq)
 
 
-class SimulatedScales(Record):
-    """SI values taken by the simulated wave-equation constants."""
-
-    speed: float  # c_sim [m/s]
-    rest_energy: float  # (mc^2)_sim [J]
-    compton_length: float  # lambda_c_sim [m]
-    time_unit: float  # t_c_sim [s]
-    magnetic_length: float  # L_sim [m]
-
-
 def kappa_of(trap: TrapConfig) -> float:
     """Simulated field ratio kappa = (eta Omega_tilde / Omega)^2."""
     if trap.omega_carrier == 0.0:
@@ -99,44 +84,9 @@ def kappa_of(trap: TrapConfig) -> float:
     return (trap.eta * trap.omega_tilde / trap.omega_carrier) ** 2
 
 
-def trap_to_dirac(trap: TrapConfig) -> tuple[SimParams, SimulatedScales]:
-    """Simulated-equation parameters plus the SI scales they correspond to."""
-    c_sim = 2.0 * trap.eta * trap.delta * trap.omega_tilde
-    rest = HBAR_SI * trap.omega_carrier
-    b = 2.0 * trap.eta * trap.omega_tilde / trap.omega_carrier
-    params = make_params_dimensionless(b)
-    scales = SimulatedScales(
-        speed=c_sim,
-        rest_energy=rest,
-        compton_length=c_sim / trap.omega_carrier,
-        time_unit=1.0 / trap.omega_carrier,
-        magnetic_length=math.sqrt(2.0) * trap.delta,
-    )
-    return params, scales
-
-
-def dirac_to_trap(
-    params: SimParams,
-    *,
-    eta: float,
-    omega_tilde: float,
-    ion_mass: float = CA40_ION_MASS_KG,
-    delta: float | None = None,
-    trap_freq: float | None = None,
-) -> TrapConfig:
-    """Invert the mapping: solve the carrier coupling for a target kappa.
-
-    Exactly one of delta / trap_freq must be given to fix the motional scale;
-    anything else is under- or over-determined.
-    """
-    if (delta is None) == (trap_freq is None):
-        raise ConfigError("specify exactly one of delta and trap_freq")
-    if eta <= 0.0 or omega_tilde <= 0.0:
-        raise ConfigError("eta and omega_tilde must be positive")
-    omega_carrier = eta * omega_tilde / math.sqrt(params.kappa)
-    if delta is not None:
-        return TrapConfig.from_spread(eta, omega_carrier, omega_tilde, delta, ion_mass)
-    return TrapConfig.from_trap_frequency(eta, omega_carrier, omega_tilde, trap_freq, ion_mass)
+def trap_to_dirac(trap: TrapConfig) -> SimParams:
+    """The simulated equation's field parameters, b = 2 eta Omega_tilde / Omega."""
+    return make_params_dimensionless(2.0 * trap.eta * trap.omega_tilde / trap.omega_carrier)
 
 
 class InteractionKind(enum.Enum):

@@ -7,9 +7,11 @@ The packet is an ellipsoidal Gaussian in the second spinor component,
            * exp(-x^2/(2 dx^2) + i k0x x) * exp(-y^2/(2 dy^2)),
     f_z  = (pi dz^2)^(-1/4) exp(-z^2/(2 dz^2)),
 
-all L2-normalised.  Expanded over plane waves in x (wavenumber kx) and the
-oscillator functions of xi = y/L - kx L, the transverse coefficients factor
-into a Gaussian in kx times an oscillator overlap:
+all L2-normalised.  The kz rules of _kz_grid integrate against the
+longitudinal momentum density |g_z(kz)|^2 = (dz/sqrt(pi)) exp(-kz^2 dz^2).
+Expanded over plane waves in x (wavenumber kx) and the oscillator functions
+of xi = y/L - kx L, the transverse coefficients factor into a Gaussian in kx
+times an oscillator overlap:
 
     F_n(kx) = (dx^2/pi)^(1/4) exp(-(kx-k0x)^2 dx^2 / 2) * Phi_n(kx),
     Phi_n(kx) = sqrt(L) (pi dy^2)^(-1/4)
@@ -207,7 +209,7 @@ class Numerics(Record):
     tail_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name, least in (("n_max_cap", 1), ("kx_nodes", 4), ("kz_nodes", 2)):
+        for name, least in (("n_max_cap", 1), ("n_max_floor", 0), ("kx_nodes", 4), ("kz_nodes", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.kz_rule not in ("hermite", "legendre"):
@@ -231,17 +233,6 @@ class Numerics(Record):
                 f"kx_nodes and n_max_cap need a {self.n_max_cap + 1} x {self.kx_nodes} overlap array, "
                 f"above {MAX_ARRAY} elements"
             )
-
-
-def g_z(packet: GaussianPacket, kz) -> np.ndarray | float:
-    """Fourier amplitude of the longitudinal profile, (dz^2/pi)^(1/4) e^(-kz^2 dz^2/2).
-
-    |g_z|^2 integrates to one over kz.  Requires a packet with d_z set.
-    """
-    if packet.d_z is None:
-        raise ValueError("g_z requires a longitudinal width (3+1 packet)")
-    dz = packet.d_z
-    return (dz * dz / math.pi) ** 0.25 * np.exp(-0.5 * (np.asarray(kz) * dz) ** 2)
 
 
 def momentum_profile_x(packet: GaussianPacket, kx) -> np.ndarray | float:
@@ -290,15 +281,35 @@ def oscillator_overlaps(
         return np.array(list(itertools.islice(levels, n_top + 1)))
 
 
+def _mean_level(packet: GaussianPacket, ell: float) -> float:
+    """The packet's mean oscillator level <a+a> = (<xi^2> + <p_xi^2> - 1)/2
+    with xi = y/L - kx L, in closed form: (d_y^2/L^2 + L^2/d_y^2 + L^2/d_x^2
+    + 2 (k0x L)^2 - 2)/4."""
+    dx, dy, kick = packet.d_x / ell, packet.d_y / ell, packet.k0x * ell
+    return (dy * dy + 1.0 / (dy * dy) + 1.0 / (dx * dx) + 2.0 * kick * kick - 2.0) / 4.0
+
+
 def check_finite_overlaps(values: np.ndarray, kx: np.ndarray, packet: GaussianPacket, params: SimParams):
-    """ConvergenceError naming the first level (axis 0) whose overlaps overflowed."""
+    """ConvergenceError naming the first level (axis 0) whose overlaps
+    overflowed, and the packet in magnetic lengths with its mean level: at or
+    past the overflow no level cap can hold the packet, below it only a
+    truncation forced past the packet's tail reaches the overflow."""
     bad = np.flatnonzero(~np.isfinite(values).reshape(len(values), -1).all(axis=1))
     if bad.size:
         ell = params.magnetic_length
+        mean = _mean_level(packet, ell)
+        if mean < bad[0]:
+            cause = ("below it, so only a truncation forced past the packet's tail "
+                     "(n_max_floor, or the oracle's n_trunc) draws levels this high")
+        else:
+            cause = ("and a truncation needs more levels than that, so no level cap can hold it; "
+                     "bring the widths nearer one magnetic length and the kick nearer 0")
         raise ConvergenceError(
             f"the Hermite recurrence of the oscillator overlaps overflowed at level {bad[0]} on "
             f"{kx.size} kx nodes (L/d_y = {ell / packet.d_y:.3g}, max |kx| L = "
-            f"{np.max(np.abs(kx)) * ell:.3g}); the field is too weak for this packet"
+            f"{np.max(np.abs(kx)) * ell:.3g}); the packet (d_x = {packet.d_x / ell:.3g} L, "
+            f"d_y = {packet.d_y / ell:.3g} L, k0x = {packet.k0x * ell:.3g} / L) has its mean "
+            f"level at {mean:.3g}, {cause}"
         )
 
 

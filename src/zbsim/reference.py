@@ -14,8 +14,8 @@ fibre.  The matrix falls apart into small connected blocks (4 x 4 at
 kz != 0, 2 x 2 at kz = 0), read off its nonzero pattern into a block plan;
 one solve, _solve_blocks, diagonalises every block of a plan (one batched
 symmetric eigh per block size), so eigenvectors are exactly zero off their
-block.  The oracle and fibre_eigenvalues (the eigenvalues.csv table and the
-transform check) both go through it.
+block.  The oracle and fibre_eigenvalues (the eigenvalues.csv table) both go
+through it.
 
 The oracle evolves the weighted kx ensemble at once.  With the packet's
 level overlaps phi_f (spinor component 1) and fibre weights w_f, a kz node
@@ -23,8 +23,8 @@ adds <A(t)> = sum_jk A_jk S_jk e^{i (E_j - E_k) t} over its real eigenpairs,
 A_jk = v_j . (1 x a) v_k, S_jk = v_j . G v_k, G = sum_f w_f phi_f phi_f^T;
 the eigenvectors are real, so <A+(t)> = conj <A(t)>.  oracle_lines writes
 each node's lines in the per-band line form of zbsim.dynamics, frequencies
-made non-negative; oracle_trajectory evaluates them through its band_sums.
-The check's independent part is the assembled matrix and its solve.
+made non-negative.  The check's independent part is the assembled matrix
+and its solve.
 
 The run's check, oracle_check, compares line tables instead of samples.  At
 each kz node every oracle line joins the analytic line of its band within
@@ -41,7 +41,8 @@ to match its mirror's.
 
 Truncating the ladder at level N leaves, besides the exact eigenstates with
 n <= N, a two-dimensional remnant on the top oscillator level whose
-eigenvalues coincide with +-E_0(kz); expected_eigenvalues accounts for it.
+eigenvalues coincide with +-E_0(kz), so the solved spectrum holds +-E_0 once
+more than the closed-form levels.
 The oracle's default truncation is the decomposition level n_max + 12; an
 explicit one must lie above n_max, since at or below it the matrix drops
 levels the packet occupies or truncates exactly as the analytic engine does.
@@ -61,9 +62,8 @@ import math
 import numpy as np
 
 from ._record import Record
-from .dynamics import Trajectory, _banded_trajectory, _line_tables, band_sums
+from .dynamics import _line_tables
 from .errors import ConfigError, OracleMismatchError
-from .landau import energies
 from .packet import MAX_N_TRUNC, PacketDecomposition, check_finite_overlaps, oscillator_overlaps
 from .params import Dimensionality, SimParams
 
@@ -96,18 +96,6 @@ def lowering_matrix(n_trunc: int) -> np.ndarray:
     idx = np.arange(1, n_trunc + 1)
     a[idx - 1, idx] = np.sqrt(idx)
     return a
-
-
-def expected_eigenvalues(kz: float, n_trunc: int, params: SimParams) -> np.ndarray:
-    """Closed-form spectrum of the fibre matrix at kz on levels 0..n_trunc, ascending.
-
-    +-E_n appears once for n = 0 and twice for n >= 1 (two spin states),
-    plus the +-E_0 truncation-remnant pair.
-    """
-    n = np.arange(n_trunc + 1)
-    e = energies(n, kz, params)
-    vals = np.concatenate([np.repeat(e, np.where(n == 0, 1, 2)), e[:1]])  # remnant at +-E_0
-    return np.sort(np.concatenate([vals, -vals]))
 
 
 def _components(matrix: np.ndarray) -> np.ndarray:
@@ -151,13 +139,6 @@ def _fibre_terms(n_trunc: int, params: SimParams) -> tuple[np.ndarray, np.ndarra
     if not (np.array_equal(h0, h0.T) and np.array_equal(hz, hz.T)):
         raise AssertionError("assembled Hamiltonian not symmetric")
     return h0, hz
-
-
-def build_matrix(kz: float, n_trunc: int, params: SimParams) -> np.ndarray:
-    """The real symmetric fibre Hamiltonian at kz on levels 0..n_trunc (any kx)."""
-    h0, hz = _fibre_terms(n_trunc, params)
-    # alpha_z is nonzero only where the other terms vanish: the four-term sum bit for bit
-    return h0 + kz * hz
 
 
 def _block_plan(kz: float, h0: np.ndarray, hz: np.ndarray):
@@ -270,22 +251,6 @@ def oracle_lines(decomp: PacketDecomposition, trunc: int, nodes=None):
         sin_coef = np.copysign(1.0, freqs) * (amps - mirror)  # sin(-wt) = -sin wt
         intra = ((e_j > 0.0) == (e_k > 0.0))[keep]
         yield kz, tuple((np.abs(freqs[sel]), cos_coef[sel], sin_coef[sel]) for sel in (intra, ~intra))
-
-
-def oracle_trajectory(
-    decomp: PacketDecomposition, t_grid: np.ndarray, n_trunc: int | None = None
-) -> Trajectory:
-    """Trajectory from truncated-matrix evolution, bin-compatible with the
-    analytic engine (same time grid, same position units, same band split):
-    band_sums over the oracle_lines of every kz node."""
-    t = np.asarray(t_grid, dtype=float)
-    trunc = _truncation(decomp, n_trunc)
-    bands = np.zeros((2, t.size), dtype=complex)  # intraband, interband <A>
-    for _, lines in oracle_lines(decomp, trunc):
-        bands += band_sums(t, lines)
-    return _banded_trajectory(t, bands, decomp.mode, {
-        "engine": "matrix-reference", "n_trunc": trunc, "magnetic_length": decomp.params.magnetic_length,
-    })
 
 
 def _groups(freqs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -413,66 +378,4 @@ def oracle_check(decomp: PacketDecomposition, t_max: float, n_trunc: int | None 
         worst=f"{name} line at f = {freq:.9g}, {node}: {math.sqrt(2.0) * value:.3e} L",
         mirror_dev=mirror,
         n_trunc=trunc,
-    )
-
-
-class TransformReport(Record):
-    """Deviations measured by the unitary-equivalence check."""
-
-    unitarity_dev: float
-    involution_dev: float
-    block_form_dev: float
-    spectrum_dev: float
-    n_trunc: int
-
-    def passed(self, tol_unitary: float = 1e-14, tol_spectrum: float = 1e-10) -> bool:
-        """Whether P is unitary and delta an involution within tol_unitary, and
-        P H P+ has the off-diagonal form and spectrum within tol_spectrum."""
-        return (
-            self.unitarity_dev <= tol_unitary
-            and self.involution_dev <= tol_unitary
-            and self.block_form_dev <= tol_spectrum
-            and self.spectrum_dev <= tol_spectrum
-        )
-
-
-def check_transform(params: SimParams, n_trunc: int = 20, kz: float = 0.0) -> TransformReport:
-    """Verify the off-diagonalising unitary and the transformed block form.
-
-    With delta = alpha_x alpha_y alpha_z beta and P = delta(delta + beta)/sqrt(2):
-    P is unitary, delta^2 = 1, and P H P+ equals the purely off-diagonal
-    Hamiltonian whose upper block is
-
-        [[kz - i, -b a], [-b a+, -kz - i]]
-
-    (natural units, fibre momentum term absorbed at kx = 0).  The spectrum is
-    compared eigenvalue by eigenvalue.
-    """
-    alpha_y = -1j * I_ALPHA_Y
-    delta = ALPHA_X @ alpha_y @ ALPHA_Z @ BETA
-    p = delta @ (delta + BETA) / math.sqrt(2.0)
-    unitarity = float(np.max(np.abs(p @ p.conj().T - np.eye(4))))
-    involution = float(np.max(np.abs(delta @ delta - np.eye(4))))
-
-    dim_osc = n_trunc + 1
-    p_full = np.kron(p, np.eye(dim_osc))
-    transformed = p_full @ build_matrix(kz, n_trunc, params) @ p_full.conj().T
-
-    b = params.field_ratio_b
-    m = params.mass_energy
-    a = lowering_matrix(n_trunc)
-    eye = np.eye(dim_osc)
-    upper = np.block([[(kz - 1j * m) * eye, -b * a], [-b * a.T, (-kz - 1j * m) * eye]])
-    zero = np.zeros_like(upper)
-    h_prime = np.block([[zero, upper], [upper.conj().T, zero]])
-
-    block_dev = float(np.max(np.abs(transformed - h_prime)))
-    solved = fibre_eigenvalues(kz, n_trunc, params)
-    spectrum_dev = float(np.max(np.abs(np.linalg.eigvalsh(h_prime) - solved)))
-    return TransformReport(
-        unitarity_dev=unitarity,
-        involution_dev=involution,
-        block_form_dev=block_dev,
-        spectrum_dev=spectrum_dev,
-        n_trunc=n_trunc,
     )

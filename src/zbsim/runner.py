@@ -120,7 +120,7 @@ class TrapOptions(Record):
                 f"{getattr(self, source)!r}, {mass_key} = {getattr(self, mass_key)!r})"
             ) from exc
         try:
-            return trap, trap_to_dirac(trap)[0]
+            return trap, trap_to_dirac(trap)
         except ValueError as exc:
             raise ValueError(
                 f"eta = {self.eta!r}, omega_tilde_hz = {self.omega_tilde_hz:g}, "

@@ -179,40 +179,3 @@ def richness(report: SpectrumReport, rel_threshold: float = 0.01) -> int:
     if top <= 0.0:
         return 0
     return sum(1 for p in report.peaks if p.power >= rel_threshold * top)
-
-
-class EnvelopeSummary(Record):
-    """Interband (trembling) envelope size in an early and a late time window."""
-
-    early_max: float
-    late_max: float
-
-    @property
-    def ratio(self) -> float:
-        return self.late_max / self.early_max if self.early_max > 0.0 else math.inf
-
-
-def interband_envelope(
-    trajectory: Trajectory,
-    period: float,
-    early: tuple[float, float] = (0.0, 50.0),
-    late: tuple[float, float] = (50.0, 100.0),
-) -> EnvelopeSummary:
-    """Max interband displacement |r| in two windows given in units of `period`.
-
-    Used to quantify decay (3+1) versus persistence through decays and
-    revivals (2+1) of the trembling motion.
-    """
-    r = np.hypot(trajectory.x_interband, trajectory.y_interband)
-    t = trajectory.times
-
-    def window_max(lo: float, hi: float) -> float:
-        mask = (t >= lo * period) & (t <= hi * period)
-        if not np.any(mask):
-            raise ValueError(f"trajectory does not cover window [{lo}, {hi}] periods")
-        return float(np.max(r[mask]))
-
-    return EnvelopeSummary(
-        early_max=window_max(*early),
-        late_max=window_max(*late),
-    )

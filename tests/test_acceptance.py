@@ -11,15 +11,22 @@ import time
 import numpy as np
 import pytest
 
+from physics_checks import (
+    check_transform,
+    dirac_to_trap,
+    expected_eigenvalues,
+    interband_envelope,
+    oracle_trajectory,
+)
 from zbsim._record import replace
 from zbsim.dynamics import cyclotron_reference, trajectory
-from zbsim.ionmap import TrapConfig, dirac_to_trap, excitation_plan, kappa_of
+from zbsim.ionmap import TrapConfig, excitation_plan, kappa_of
 from zbsim.landau import TransitionKind
 from zbsim.packet import GaussianPacket, Numerics, decompose
 from zbsim.params import Dimensionality, make_params, make_params_dimensionless
-from zbsim.reference import check_transform, expected_eigenvalues, fibre_eigenvalues, oracle_trajectory
+from zbsim.reference import fibre_eigenvalues
 from zbsim.runner import load_preset
-from zbsim.spectral import classify_peaks, interband_envelope, richness, spectrum
+from zbsim.spectral import classify_peaks, richness, spectrum
 
 TWO_PI = 2.0 * math.pi
 FIG2_CARRIERS_HZ = {"fig2a": 1.00e3, "fig2b": 3.98e3, "fig2c": 11.98e3}

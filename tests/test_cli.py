@@ -8,15 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from physics_checks import expected_eigenvalues
 
 import zbsim
 import zbsim.dynamics
 import zbsim.errors
 import zbsim.reference
-from zbsim._record import replace
 from zbsim.cli import EXIT_CODES, main
 from zbsim.errors import ConfigError, TruncationError
-from zbsim.reference import expected_eigenvalues
 from zbsim.runner import _KEYS, PRESET_NAMES, load_preset, parse_config, preset_text
 
 SMALL_CONFIG = """
@@ -60,6 +59,7 @@ BAD_INPUTS = (
     ("kx_nodes = 64", "kx_nodes = 64\nthreads = two", "threads"),
     ("kx_nodes = 64", "kx_nodes = 64\nthreads = 0", "threads must be >= 1, got 0"),
     ("kx_nodes = 64", "kx_nodes = 64\nthreads = -5", "threads must be >= 1, got -5"),
+    ("kx_nodes = 64", "kx_nodes = 64\nn_max_floor = -7", "n_max_floor must be >= 0, got -7"),
     ("kx_nodes = 64", "kx_nodes = 64\nkz_cutoff_sigmas = -1", "kz_cutoff_sigmas"),
     ("kx_nodes = 64", "kx_nodes = 64\nkz_cutoff_sigmas = 0", "kz_cutoff_sigmas"),
     ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = 0", "pad_factor"),
@@ -418,6 +418,23 @@ def test_weak_field_overflow_exit_code(tmp_path, capsys):
     assert "Hermite recurrence" in err and "overflowed at level" in err
     assert "L/d_y = 0.707" in err
     assert "nan" not in err
+
+
+@pytest.mark.parametrize("kick", ["1000", "-1000"])
+def test_kick_too_strong_for_any_cap_names_the_packet(tmp_path, capsys, kick):
+    # k0x L = 1000 needs about (k0x L)^2 / 2 = 5e5 levels at any field: the
+    # overlaps overflow long before, and the message blames the packet
+    text = SMALL_CONFIG.replace("k0x = 1.4142135623730951", f"k0x = {kick}")
+    config = _write(tmp_path, text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and "too weak" not in err
+    assert "overflowed at level" in err
+    assert f"(d_x = 0.9 L, d_y = 1 L, k0x = {float(kick):.3g} / L) has its mean level at 5e+05" in err
+    assert "no level cap can hold it" in err
 
 
 # fig1 on 32 Legendre kz nodes: a cutoff past the underflow of |g_z|^2 is

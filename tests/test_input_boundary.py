@@ -26,7 +26,7 @@ IN_BOUNDS = {
     ("time", "samples"): ("256", "300"),
     ("numerics", "kx_nodes"): ("16", "48"),
     ("numerics", "n_max_cap"): ("8", "40"),
-    ("numerics", "n_max_floor"): ("0", "12"),
+    ("numerics", "n_max_floor"): ("0", "12", "-1"),  # -1 is below the least value 0
     # removed keys, now unknown: any config that holds one exits 2
     ("numerics", "y_nodes"): ("40",),
     ("numerics", "convergence_check"): ("false",),

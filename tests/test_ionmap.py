@@ -4,17 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zbsim.errors import ConfigError
-from zbsim.ionmap import (
-    CA40_ION_MASS_KG,
-    InteractionKind,
-    TrapConfig,
-    dirac_to_trap,
-    excitation_plan,
-    kappa_of,
-    trap_to_dirac,
-)
+from physics_checks import dirac_to_trap
+from zbsim.ionmap import CA40_ION_MASS_KG, InteractionKind, TrapConfig, excitation_plan, kappa_of, trap_to_dirac
 from zbsim.params import Dimensionality, make_params_dimensionless
+from zbsim.runner import TrapOptions
 
 TWO_PI = 2.0 * math.pi
 DELTA_M = 9.6e-9  # 96 angstrom ground-state spread
@@ -58,13 +51,16 @@ def test_spread_to_trap_frequency():
 
 def test_trap_to_dirac_scales():
     trap = _trap(1.00e3)
-    params, scales = trap_to_dirac(trap)
+    params = trap_to_dirac(trap)
     # c_sim = 2 eta Delta Omega_tilde ~ 0.49 mm/s
-    assert scales.speed == pytest.approx(0.49e-3, rel=1e-2)
+    c_sim = 2.0 * trap.eta * trap.delta * trap.omega_tilde
+    assert c_sim == pytest.approx(0.49e-3, rel=1e-2)
     # lambda_c_sim = c_sim / Omega ~ 78 nm ~ 8.2 Delta
-    assert scales.compton_length == pytest.approx(78e-9, rel=1e-2)
-    assert scales.compton_length / trap.delta == pytest.approx(8.16, rel=1e-2)
-    assert scales.magnetic_length == pytest.approx(math.sqrt(2.0) * trap.delta, rel=1e-15)
+    compton = c_sim / trap.omega_carrier
+    assert compton == pytest.approx(78e-9, rel=1e-2)
+    assert compton / trap.delta == pytest.approx(8.16, rel=1e-2)
+    # L_sim = sqrt(2) Delta is L = sqrt(2)/b Compton wavelengths
+    assert params.magnetic_length * compton == pytest.approx(math.sqrt(2.0) * trap.delta, rel=1e-14)
     # the algebraic identity kappa = b^2/4 ties both routes together exactly
     assert params.kappa == pytest.approx(kappa_of(trap), rel=1e-14)
 
@@ -79,20 +75,21 @@ def test_dirac_to_trap_inversion():
 def test_round_trip_identity(kappa):
     params = make_params_dimensionless(2.0 * math.sqrt(kappa))
     trap = dirac_to_trap(params, eta=0.06, omega_tilde=TWO_PI * 68e3, delta=DELTA_M)
-    back, _ = trap_to_dirac(trap)
+    back = trap_to_dirac(trap)
     assert back.kappa == pytest.approx(params.kappa, rel=1e-10)
     assert back.field_ratio_b == pytest.approx(params.field_ratio_b, rel=1e-10)
 
 
-def test_dirac_to_trap_constraint_errors():
-    params = make_params_dimensionless(1.0)
-    with pytest.raises(ConfigError):
-        dirac_to_trap(params, eta=0.06, omega_tilde=TWO_PI * 68e3)
-    with pytest.raises(ConfigError):
-        dirac_to_trap(
-            params, eta=0.06, omega_tilde=TWO_PI * 68e3,
-            delta=DELTA_M, trap_freq=TWO_PI * 1e6,
-        )
+def test_trap_section_needs_exactly_one_motional_scale():
+    # a run's [trap] fixes the motional scale by the spread or by the trap
+    # frequency, never by both or neither
+    drive = dict(eta=0.06, omega_tilde_hz=68e3, omega_carrier_hz=1e3)
+    for scales in ({}, dict(delta_m=DELTA_M, trap_freq_hz=1e6)):
+        with pytest.raises(ValueError, match="exactly one of delta_m and trap_freq_hz"):
+            TrapOptions(**drive, **scales)
+    by_spread = TrapOptions(**drive, delta_m=DELTA_M).build()[0]
+    by_freq = TrapOptions(**drive, trap_freq_hz=by_spread.trap_freq / TWO_PI).build()[0]
+    assert by_freq.delta == pytest.approx(DELTA_M, rel=1e-14)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))

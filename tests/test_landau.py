@@ -1,15 +1,10 @@
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
-from zbsim.landau import (
-    LandauLabel,
-    NonexistentStateError,
-    energies,
-    norm_and_chi,
-)
+from zbsim.landau import energies
 from zbsim.params import make_params_dimensionless
 
 B_ONE = make_params_dimensionless(1.0)
@@ -32,28 +27,6 @@ def test_energy_rejects_negative_level():
         energies(-1, 0.0, B_ONE)
 
 
-def test_norm_and_chi_examples():
-    n, chi = norm_and_chi(0, 1, 0.0, B_ONE)
-    assert n == pytest.approx(2.0, rel=1e-15)
-    assert chi == pytest.approx(1.0, rel=1e-15)
-
-    with pytest.raises(NonexistentStateError):
-        norm_and_chi(0, -1, 0.0, B_ONE)
-
-    n, chi = norm_and_chi(1, -1, 0.0, B_ONE)
-    assert n == pytest.approx(math.sqrt(4.0 - 2.0 * math.sqrt(2.0)), rel=1e-14)
-    assert chi == pytest.approx((1.0 - math.sqrt(2.0)) / n, rel=1e-14)
-    assert chi == pytest.approx(-0.38268, abs=1e-5)
-
-
-def test_branch_weights_complete():
-    # sum over both branches of chi^2 is exactly one for any level
-    for n, kz, b in [(0, 0.3, 1.0), (3, -1.2, 0.4), (40, 2.0, 8.0), (1, 0.0, 1e-3)]:
-        p = make_params_dimensionless(b)
-        total = sum(norm_and_chi(n, eps, kz, p)[1] ** 2 for eps in (1, -1))
-        assert total == pytest.approx(1.0, abs=1e-13)
-
-
 def test_cyclotron_limit_of_lowest_line():
     # for b -> 0 the 0->1 line E_1 - E_0 tends to hbar eB/m = b^2/2, deviation O(b^4)
     for b in (1e-2, 1e-3):
@@ -62,19 +35,6 @@ def test_cyclotron_limit_of_lowest_line():
     # relativistic value is not eB/m
     e0, e1 = energies([0, 1], 0.0, B_ONE)
     assert e1 - e0 == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-14)
-
-
-def test_label_validation():
-    LandauLabel(n=0, kx=0.0, kz=0.0, eps=1, s=-1)
-    LandauLabel(n=2, kx=0.1, kz=-0.5, eps=-1, s=1)
-    with pytest.raises(ValueError):
-        LandauLabel(n=-1, kx=0.0, kz=0.0, eps=1, s=-1)
-    with pytest.raises(ValueError):
-        LandauLabel(n=1, kx=0.0, kz=0.0, eps=2, s=-1)
-    with pytest.raises(NonexistentStateError):
-        LandauLabel(n=0, kx=0.0, kz=0.0, eps=1, s=1)  # lowest level is spin-polarised
-    with pytest.raises(NonexistentStateError):
-        LandauLabel(n=0, kx=0.0, kz=0.0, eps=-1, s=-1)  # zero norm
 
 
 @given(levels, wavenumbers, fields)
@@ -89,16 +49,3 @@ def test_energy_even_in_kz_and_above_rest(n, kz, b):
 def test_energy_monotone_in_level(n, kz, b):
     p = make_params_dimensionless(b)
     assert energies(n + 1, kz, p) > energies(n, kz, p)
-
-
-@given(levels, wavenumbers, fields)
-@example(0, 5e-324, 1.0)  # n b^2 + kz^2 underflows to zero for the subnormal kz
-def test_norm_positive_for_existing_states(n, kz, b):
-    p = make_params_dimensionless(b)
-    for eps in (1, -1):
-        if n == 0 and kz == 0.0 and eps == -1:
-            continue
-        norm, chi = norm_and_chi(n, eps, kz, p)
-        assert norm > 0.0
-        assert math.isfinite(chi)
-

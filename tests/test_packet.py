@@ -25,9 +25,9 @@ from zbsim.packet import (
     GaussianPacket,
     Numerics,
     _kx_rule,
+    _mean_level,
     check_finite_overlaps,
     decompose,
-    g_z,
     gauss_hermite,
     gauss_legendre,
     momentum_profile_x,
@@ -144,25 +144,6 @@ def test_ground_state_packet_is_orthogonal_to_excited_levels():
         assert abs(f[n]) < 1e-13
 
 
-def test_g_z_norm_symmetry_and_value():
-    packet = GaussianPacket(d_x=1.0, d_y=1.0, d_z=1.0)
-    kz = np.linspace(-30, 30, 20001)
-    norm = np.trapezoid(np.abs(g_z(packet, kz)) ** 2, kz)
-    assert norm == pytest.approx(1.0, abs=1e-10)
-    assert g_z(packet, 0.7) == pytest.approx(g_z(packet, -0.7), rel=1e-15)
-    # closed-form Gaussian transform at kz = 1/d_z
-    dz = 2.0
-    packet = GaussianPacket(d_x=1.0, d_y=1.0, d_z=dz)
-    assert g_z(packet, 1.0 / dz) == pytest.approx(
-        (dz * dz / math.pi) ** 0.25 * math.exp(-0.5), rel=1e-14
-    )
-
-
-def test_g_z_requires_longitudinal_width():
-    with pytest.raises(ValueError):
-        g_z(GaussianPacket(d_x=1.0, d_y=1.0), 0.0)
-
-
 def test_u_band_against_frozen_2d_oracle():
     dec = decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE)
     for n, expected in enumerate(U_BAND):
@@ -230,8 +211,23 @@ def test_overlap_overflow_above_truncation_is_unused():
             decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, rerun)
         far = np.array([200.0 / math.sqrt(2.0)])
         phi = oscillator_overlaps(NARROW_PACKET, B_ONE, far, 300)
-        with pytest.raises(ConvergenceError, match="overflowed at level 268 on 1 kx nodes"):
+        with pytest.raises(ConvergenceError, match="overflowed at level 268 on 1 kx nodes") as raised:
             check_finite_overlaps(phi, far, NARROW_PACKET, B_ONE)
+    # the packet's levels lie far below the overflow: a forced truncation reached it
+    assert "(d_x = 0.33 L, d_y = 1 L, k0x = 0 / L) has its mean level at 2.3, below it" in str(raised.value)
+
+
+@pytest.mark.parametrize("b, d_x, d_y, kick", [
+    (1.0, 0.9, 1.0, math.sqrt(2.0)), (1.0, 0.33, 1.0, 0.0), (2.05, 1.6, 0.6, -1.8), (0.3, 3.0, 2.0, 4.0),
+])
+def test_mean_level_is_the_sum_of_n_u_nn(b, d_x, d_y, kick):
+    # the closed form that the overflow message quotes, against the drawn levels
+    params = make_params_dimensionless(b)
+    ell = params.magnetic_length
+    packet = GaussianPacket(d_x=d_x * ell, d_y=d_y * ell, k0x=kick / ell)
+    dec = decompose(packet, params, TWO_PLUS_ONE, Numerics(tail_tol=1e-14))
+    drawn = np.arange(dec.n_max + 1) @ dec.u_diag
+    assert drawn == pytest.approx(_mean_level(packet, ell), rel=1e-10)
 
 
 # Gauss-Hermite y nodes of the test-side overlap table: the integrand is a

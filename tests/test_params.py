@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zbsim.params import (
-    ELECTRON,
-    cyclotron_quantum_ev,
-    magnetic_length_si,
-    make_params,
-    make_params_dimensionless,
-)
+from zbsim._record import fields
+from zbsim.params import COMPTON_M, SimParams, make_params, make_params_dimensionless
 
 
 def test_gigantic_field_kappa_and_b():
@@ -24,16 +19,10 @@ def test_gigantic_field_kappa_and_b():
     assert p.field_ratio_b == pytest.approx(0.952, rel=1e-3)
 
 
-def test_hundred_tesla_scales():
-    assert magnetic_length_si(100.0) == pytest.approx(2.57e-9, rel=3e-3)
-    # direct arithmetic gives ~0.0116 eV for the cyclotron quantum
-    assert cyclotron_quantum_ev(100.0) == pytest.approx(0.011577, rel=1e-4)
-
-
 def test_b_unity_when_length_is_sqrt2_compton():
     # choose B so that L = sqrt(2) lambda_c
     hbar, e = 1.054571817e-34, 1.602176634e-19
-    target_l = math.sqrt(2.0) * ELECTRON.compton_m
+    target_l = math.sqrt(2.0) * COMPTON_M
     b_field = hbar / (e * target_l**2)
     p = make_params(b_field)
     assert p.field_ratio_b == pytest.approx(1.0, rel=1e-12)
@@ -45,6 +34,17 @@ def test_dimensionless_construction():
     assert p.kappa == pytest.approx(0.25, abs=1e-15)
     assert make_params_dimensionless(2.0).kappa == pytest.approx(1.0, abs=1e-15)
     assert make_params_dimensionless(0.952).kappa == pytest.approx(0.2266, rel=1e-3)
+
+
+def test_params_hold_b_alone():
+    # L, kappa and omega are read off b with the expressions a run has always used
+    p = SimParams(0.952)
+    assert fields(SimParams) == ("field_ratio_b",) and p == make_params_dimensionless(0.952)
+    assert p.magnetic_length == math.sqrt(2.0) / 0.952
+    assert p.kappa == 0.952 * 0.952 / 4.0
+    assert p.mass_energy == 1.0 and p.omega == 0.952
+    with pytest.raises(ValueError, match="field ratio b must be in"):
+        SimParams(1e9)
 
 
 def test_round_trip_si_to_dimensionless():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from physics_checks import build_matrix, check_transform, expected_eigenvalues, oracle_trajectory
 from zbsim import reference
 from zbsim._record import replace
 from zbsim.dynamics import _line_tables, trajectory
@@ -22,13 +23,9 @@ from zbsim.reference import (
     _pair_plan,
     _solve_blocks,
     _line_distance,
-    build_matrix,
-    check_transform,
-    expected_eigenvalues,
     fibre_eigenvalues,
     lowering_matrix,
     oracle_check,
-    oracle_trajectory,
 )
 
 TWO_PLUS_ONE = Dimensionality.TWO_PLUS_ONE

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from physics_checks import interband_envelope
 from zbsim._record import replace
 from zbsim.dynamics import Trajectory, trajectory
 from zbsim.landau import TransitionKind, energies
@@ -13,7 +14,6 @@ from zbsim.spectral import (
     Peak,
     PeakLabel,
     classify_peaks,
-    interband_envelope,
     richness,
     spectrum,
 )
