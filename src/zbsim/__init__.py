@@ -24,7 +24,6 @@ _EXPORTS = {
     "Trajectory": "dynamics",
     "trajectory": "dynamics",
     "cyclotron_reference": "dynamics",
-    "fibre_eigenvalues": "reference",
     "SpectrumReport": "spectral",
     "Peak": "spectral",
     "PeakLabel": "spectral",

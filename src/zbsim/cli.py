@@ -7,7 +7,13 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-convergence
 failure (a truncation or quadrature that did not converge), 4 reference
-mismatch beyond tolerance.
+mismatch beyond tolerance; 1 when stdout or stderr is a pipe whose reader
+has gone.
+
+The `zbsim` console script and `python -m zbsim.cli` run entry, which ends
+the process through os._exit once main has returned and the standard
+streams are flushed: the interpreter's teardown is skipped, so no atexit
+handler runs.  main itself returns its exit code as any function does.
 """
 
 from __future__ import annotations
@@ -125,5 +131,21 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def entry() -> None:
+    """main on the command line, then stdout and stderr flushed and the
+    process ended through os._exit with main's exit code, without the
+    interpreter's teardown.  A stream closed before the start is None and
+    is skipped; a broken pipe on either one ends the run with exit code 1
+    and no traceback, as Python's own EPIPE handling does."""
+    try:
+        code = main()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -11,20 +11,22 @@ matrix is real symmetric and is assembled, solved and collapsed in real
 arithmetic.  It is independent of kx; kx enters only through the packet
 coefficients, so one eigensystem per kz node serves every kx quadrature
 fibre.  The matrix falls apart into small connected blocks (4 x 4 at
-kz != 0, 2 x 2 at kz = 0), read off its nonzero pattern into a block plan;
-one solve, _solve_blocks, diagonalises every block of a plan (one batched
-symmetric eigh per block size), so eigenvectors are exactly zero off their
-block.  The oracle and fibre_eigenvalues (the eigenvalues.csv table) both go
-through it.
+kz != 0, 2 x 2 at kz = 0), read off its nonzero pattern into a block plan,
+one for kz = 0 and one for every other kz.  One solve, _solve_blocks,
+diagonalises every block of a plan at many kz nodes at once, one batched
+symmetric eigh per block size over (nodes x blocks, s, s), so eigenvectors
+are exactly zero off their block.  The kz = 0 spectrum of that solve is the
+eigenvalues.csv table.
 
 The oracle evolves the weighted kx ensemble at once.  With the packet's
 level overlaps phi_f (spinor component 1) and fibre weights w_f, a kz node
 adds <A(t)> = sum_jk A_jk S_jk e^{i (E_j - E_k) t} over its real eigenpairs,
 A_jk = v_j . (1 x a) v_k, S_jk = v_j . G v_k, G = sum_f w_f phi_f phi_f^T;
-the eigenvectors are real, so <A+(t)> = conj <A(t)>.  oracle_lines writes
-each node's lines in the per-band line form of zbsim.dynamics, frequencies
-made non-negative.  The check's independent part is the assembled matrix
-and its solve.
+the eigenvectors are real, so <A+(t)> = conj <A(t)>.  _node_lines forms
+A_jk, A_kj and S_jk of many nodes in one batched product and writes their
+lines in the per-band line form of zbsim.dynamics, frequencies made
+non-negative, each line carrying the index of its node.  The check's
+independent part is the assembled matrix and its solve.
 
 The run's check, oracle_check, compares line tables instead of samples.  At
 each kz node every oracle line joins the analytic line of its band within
@@ -36,8 +38,12 @@ difference in L.  Analytic lines closer than _MATCH_RTOL (weak fields,
 where E_{n+1} - E_n rounds alike for neighbouring n) join one group, whose
 drift term covers their spread.  Both engines read the folded kz grid of
 packet.decompose, so the check also solves the rule's most negative kz
-node, which the fold leaves out, and requires its per-frequency line sums
-to match its mirror's.
+node, which the fold leaves out, in the same batch as its mirror, and
+requires its per-frequency line sums to match its mirror's.  The nodes go
+through the solve, the lines and the comparison in chunks of at most
+_CHUNK pair-product elements, and the lines of a chunk's nodes are grouped
+at once: one lexsort over (node, band, frequency) and bincounts keyed by
+group.
 
 Truncating the ladder at level N leaves, besides the exact eigenstates with
 n <= N, a two-dimensional remnant on the top oscillator level whose
@@ -56,7 +62,6 @@ Basis ordering: index = component*(N+1) + n with spinor components 0..3.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -88,6 +93,12 @@ _MATCH_RTOL = 1e-9
 # The line sums at the rule's most negative kz node must match its mirror's
 # within this fraction of the largest amplitude there.
 _MIRROR_TOL = 1e-12
+# The pair products of one chunk of kz nodes hold at most this many elements
+# (nodes x pairs x width^2, 64 KiB per array).  Chunks of 128 KiB arrays
+# raised a run's peak RSS by 0.1-0.2 MB; at this size the oracle's peak
+# stays below that of its setup, which assembles the full matrices.
+_CHUNK = 1 << 13
+_BANDS = ("intraband", "interband")
 
 
 def lowering_matrix(n_trunc: int) -> np.ndarray:
@@ -157,23 +168,21 @@ def _block_plan(kz: float, h0: np.ndarray, hz: np.ndarray):
     return sizes, idx, h0[rows, cols], hz[rows, cols]
 
 
-def _solve_blocks(plan, kz: float) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors) of h0 + kz hz on each block of a _block_plan,
-    one batched eigh per block size; zero on the padding."""
+def _solve_blocks(plan, kz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of h0 + kz hz on each block of a _block_plan
+    at every node of the 1-d array kz, shaped (nodes, blocks, width[, width]):
+    one batched eigh per block size over nodes x blocks; zero on the padding."""
     sizes, _, h0_blk, hz_blk = plan
-    vals, vecs = np.zeros(h0_blk.shape[:2]), np.zeros(h0_blk.shape)
+    vals, vecs = np.zeros(kz.shape + h0_blk.shape[:2]), np.zeros(kz.shape + h0_blk.shape)
+    kz = kz[:, None, None, None]
     for blk, s in sizes:
         block = h0_blk[blk, :s, :s] + kz * hz_blk[blk, :s, :s]
-        vals[blk, :s], vecs[blk, :s, :s] = np.linalg.eigh(block)
+        vals[:, blk, :s], vecs[:, blk, :s, :s] = np.linalg.eigh(block)
     return vals, vecs
 
 
-def fibre_eigenvalues(kz: float, n_trunc: int, params: SimParams) -> np.ndarray:
-    """Ascending eigenvalues of the fibre matrix at kz on levels 0..n_trunc,
-    solved block by block as the oracle solves it."""
-    h0, hz = _fibre_terms(n_trunc, params)
-    plan = _block_plan(kz, h0, hz)
-    vals, _ = _solve_blocks(plan, kz)
+def _ascending(plan, vals: np.ndarray) -> np.ndarray:
+    """One node's eigenvalues from _solve_blocks, padding dropped, ascending."""
     vals = np.concatenate([vals[blk, :s].ravel() for blk, s in plan[0]])
     # a stable argsort, as in _blocks: np.sort pages in more numpy code (up to 0.2 MB of RSS)
     return vals[np.argsort(vals, kind="stable")]
@@ -209,93 +218,128 @@ def _truncation(decomp: PacketDecomposition, n_trunc: int | None) -> int:
     return trunc
 
 
-def oracle_lines(decomp: PacketDecomposition, trunc: int, nodes=None):
-    """Per kz node, the (intraband, interband) (freqs, cos, sin) line tables of
-    the truncated-matrix evolution, weighted as the node is, each frequency
-    made non-negative by carrying its sign into the sin coefficient.
-
-    nodes holds (kz, weight) pairs, by default the decomposition's kz grid.
-    Per node, A_jk, A_kj and S_jk (module docstring) come from small
-    products on the block pairs the ladder couples; each unordered eigenpair
-    pair is one line, intraband when both energies have the same sign.
-    """
+def _plans(decomp: PacketDecomposition, trunc: int, kz: np.ndarray) -> dict:
+    """The fibre matrix on levels 0..trunc as the oracle solves it: per
+    kz = 0 (True) and, if kz holds such a node, kz != 0 (False), its block
+    plan and the pair plan (_pair_plan) of the operators 1 x a, its
+    transpose and G (module docstring), whose products on the block pairs
+    give A_jk, A_kj and S_jk (None for the kz = 0 plan of a kz without such
+    a node: its one use is the eigenvalue table).  The full matrices are not
+    kept."""
     packet, params = decomp.packet, decomp.params
     phi = oscillator_overlaps(packet, params, decomp.kx_nodes, trunc)
     check_finite_overlaps(phi, decomp.kx_nodes, packet, params)
-
     h0, hz = _fibre_terms(trunc, params)
     lower = np.kron(np.eye(4), lowering_matrix(trunc))
     gram = np.kron(np.diag([0.0, 1.0, 0.0, 0.0]), (phi * decomp.kx_weights) @ phi.T)
-    ops = (lower, lower.T, gram)  # 1 x a, its transpose, G on spinor component 1
-    plans = {}  # one block plan at kz = 0 and one for every other kz
-    if nodes is None:
-        nodes = zip(decomp.kz_nodes.tolist(), decomp.kz_weights.tolist())
-    for kz, w_kz in nodes:
-        if (kz == 0.0) not in plans:
-            plan = _block_plan(kz, h0, hz)
-            plans[kz == 0.0] = plan, _pair_plan(plan[1], ops)
-        plan, (p, q, pair_ops) = plans[kz == 0.0]
-        vals, vecs = _solve_blocks(plan, kz)
-        a_jk, a_kj, s_jk = np.swapaxes(vecs[p], 1, 2) @ pair_ops @ vecs[q]
-        k_jk, k_kj = a_jk * s_jk, a_kj * s_jk
-        mag = np.maximum(np.abs(k_jk), np.abs(k_kj))
-        once = (p != q)[:, None, None] | np.triu(np.ones(mag.shape[1:], dtype=bool))
-        keep = once & (mag > _LINE_CUTOFF * mag.max(initial=0.0))
-        # K_jk e^{iwt} + K_kj e^{-iwt} = (K_jk + K_kj) cos wt + i (K_jk - K_kj) sin wt
-        # for w = E_j - E_k; the diagonal j = k is the one term K_jj
-        diag = ((p == q)[:, None, None] & np.eye(mag.shape[1], dtype=bool))[keep]
-        e_j, e_k = vals[p][:, :, None], vals[q][:, None, :]
-        amps, mirror = w_kz * k_jk[keep], w_kz * k_kj[keep]
-        cos_coef = np.where(diag, amps, amps + mirror)
-        freqs = (e_j - e_k)[keep]
-        sin_coef = np.copysign(1.0, freqs) * (amps - mirror)  # sin(-wt) = -sin wt
-        intra = ((e_j > 0.0) == (e_k > 0.0))[keep]
-        yield kz, tuple((np.abs(freqs[sel]), cos_coef[sel], sin_coef[sel]) for sel in (intra, ~intra))
+    ops = (lower, lower.T, gram)  # G on spinor component 1
+    plans = {}
+    for value in (0.0, *kz[kz != 0.0][:1].tolist()):
+        plan = _block_plan(value, h0, hz)
+        plans[value == 0.0] = plan, _pair_plan(plan[1], ops) if (kz == value).any() else None
+    return plans
 
 
-def _groups(freqs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Per frequency, the label 0, 1, ... of its group, and the group count:
-    the frequencies ascending, a group ends where the next one is more than
+def _node_lines(plan, pairs, kz: np.ndarray, weights: np.ndarray):
+    """The eigenvalues at the nodes kz of one block plan (_solve_blocks) and
+    the oracle's lines there, weighted as the nodes are: (node, band, freqs,
+    cos, sin) over the lines, node the index into kz and band 0 for
+    intraband (both energies of one sign), 1 for interband, each frequency
+    made non-negative by carrying its sign into the sin coefficient.
+
+    A_jk, A_kj and S_jk of every node come from one batched product on the
+    block pairs the ladder couples (pairs, a _pair_plan); each unordered
+    eigenpair pair is one line, kept if its amplitude is above _LINE_CUTOFF
+    of its node's largest.
+    """
+    p, q, pair_ops = pairs
+    vals, vecs = _solve_blocks(plan, kz)
+    a_jk, a_kj, s_jk = np.swapaxes(vecs[:, p], 2, 3) @ pair_ops[:, None] @ vecs[:, q]
+    # in place: the products are the largest arrays of the chunk
+    k_jk, k_kj = np.multiply(a_jk, s_jk, out=a_jk), np.multiply(a_kj, s_jk, out=a_kj)
+    mag = np.maximum(np.abs(k_jk), np.abs(k_kj), out=s_jk)
+    once = (p != q)[:, None, None] | np.triu(np.ones(mag.shape[2:], dtype=bool))
+    keep = once & (mag > _LINE_CUTOFF * mag.max(axis=(1, 2, 3), initial=0.0)[:, None, None, None])
+    node = np.repeat(np.arange(kz.size), np.count_nonzero(keep.reshape(kz.size, -1), axis=1))
+    # K_jk e^{iwt} + K_kj e^{-iwt} = (K_jk + K_kj) cos wt + i (K_jk - K_kj) sin wt
+    # for w = E_j - E_k; the diagonal j = k is the one term K_jj
+    diag = np.broadcast_to((p == q)[:, None, None] & np.eye(mag.shape[-1], dtype=bool), keep.shape)[keep]
+    e_j, e_k = vals[:, p, :, None], vals[:, q, None, :]
+    amps, mirror = weights[node] * k_jk[keep], weights[node] * k_kj[keep]
+    cos_coef = np.where(diag, amps, amps + mirror)
+    freqs = (e_j - e_k)[keep]
+    sin_coef = np.copysign(1.0, freqs) * (amps - mirror)  # sin(-wt) = -sin wt
+    band = ((e_j > 0.0) != (e_k > 0.0))[keep].astype(np.intp)
+    return vals, (node, band, np.abs(freqs), cos_coef, sin_coef)
+
+
+def _groups(freqs: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per line, the label 0, 1, ... of its group, and the group count: the
+    lines sorted stably by the keys (the last one first), then by frequency;
+    a group ends where a key changes or the next frequency is more than
     _MATCH_RTOL of itself above the last."""
-    order = np.argsort(freqs, kind="stable")
+    order = np.lexsort((freqs, *keys))
     f = freqs[order]
     starts = np.ones(f.size, dtype=bool)
     starts[1:] = f[1:] - f[:-1] > _MATCH_RTOL * f[1:]
+    for key in keys:
+        k = key[order]
+        starts[1:] |= k[1:] != k[:-1]
     label = np.empty(f.size, dtype=int)
     label[order] = np.cumsum(starts) - 1
     return label, int(np.count_nonzero(starts))
 
 
-def _line_distance(analytic, oracle, t_max: float, where: str):
-    """The terms of the line-table distance of one band at one kz node, each
-    with its frequency.  The analytic and the oracle lines fall into
-    frequency groups (_groups).  Per group that holds an analytic line, at
-    frequency f: |dC| + |dS| of its summed coefficients plus t_max |f' - f|
-    (|C| + |S|) over its lines at other frequencies f'.  Per oracle line in a
-    group without one (a level above n_max): its |C| + |S|.
+def _analytic_lines(tables, lo: int, hi: int):
+    """The analytic lines of the nodes lo..hi - 1 as (node, band, freqs, cos,
+    sin), from the (intraband, interband) line tables of _line_tables, each
+    column shaped (level pairs, nodes)."""
+    cols = [[x[:, lo:hi] for x in band] for band in tables]
+    node = np.broadcast_to(np.arange(lo, hi), cols[0][0].shape).ravel()
+    return (np.tile(node, 2), np.repeat([0, 1], node.size),
+            *(np.concatenate([band[k].ravel() for band in cols]) for k in range(3)))
+
+
+def _line_distance(analytic, oracle, t_max: float, where):
+    """The terms of the line-table distance at every node and band, from the
+    (node, band, freqs, cos, sin) lines of the analytic engine and of the
+    oracle.  The lines fall into frequency groups per node and band
+    (_groups).  Per group that holds an analytic line, at frequency f:
+    |dC| + |dS| of its summed coefficients plus t_max |f' - f| (|C| + |S|)
+    over its lines at other frequencies f'.  Per oracle line in a group
+    without one (a level above n_max): its |C| + |S|.  Returns
+    (values, node, band, freqs, part) over the terms, part 0 for the first
+    kind (matched lines, in group order) and 1 for the second (truncated
+    lines, in line order).
 
     |cos f't - cos ft| <= |f' - f| t, so at every t in [0, t_max] the two
-    tables' sums differ by at most the sum of the terms.  Analytic lines
-    that round to one group are compared as one.
+    tables' sums at a node and band differ by at most the sum of its terms.
+    Analytic lines that round to one group are compared as one.  A frequency
+    that is not finite is an OracleMismatchError that names its band and,
+    through where, its node.
     """
-    fa, ca, sa = analytic
-    fo, co, so = oracle
-    f = np.concatenate((fa, fo))
-    if not np.isfinite(f).all():
-        raise OracleMismatchError(f"a line frequency of {where} is {f[~np.isfinite(f)][0]}: deviation nan")
-    label, count = _groups(f)
-    owner = np.full(count, fa.size)  # the first analytic line of each group that has one
-    np.minimum.at(owner, label[: fa.size], np.arange(fa.size))
+    node, band, f = (np.concatenate(x) for x in zip(analytic[:3], oracle[:3]))
+    bad = np.flatnonzero(~np.isfinite(f))
+    if bad.size:  # the first, analytic lines first
+        k = bad[0]
+        raise OracleMismatchError(
+            f"a line frequency of {_BANDS[band[k]]} lines at {where(node[k])} is {f[k]}: deviation nan")
+    na = analytic[2].size
+    label, count = _groups(f, band, node)
+    owner = np.full(count, na)  # the first analytic line of each group that has one
+    np.minimum.at(owner, label[:na], np.arange(na))
     line = owner[label]
-    shared = line < fa.size
-    c, s = np.concatenate((-ca, co)), np.concatenate((-sa, so))
+    shared = line < na
+    c, s = np.concatenate((-analytic[3], oracle[3])), np.concatenate((-analytic[4], oracle[4]))
     amp = np.abs(c) + np.abs(s)
     at = label[shared]
-    drift = np.abs(f[shared] - fa[line[shared]]) * t_max * amp[shared]
+    drift = np.abs(f[shared] - f[line[shared]]) * t_max * amp[shared]
     groups = (np.abs(np.bincount(at, c[shared], count)) + np.abs(np.bincount(at, s[shared], count))
               + np.bincount(at, drift, count))
-    has, alone = owner < fa.size, ~shared[fa.size :]
-    return (groups[has], fa[owner[has]]), (amp[fa.size :][alone], fo[alone])
+    first, alone = owner[owner < na], na + np.flatnonzero(~shared[na:])
+    at = np.concatenate((first, alone))
+    part = np.repeat([0, 1], (first.size, alone.size))
+    return np.concatenate((groups[owner < na], amp[alone])), node[at], band[at], f[at], part
 
 
 class OracleCheck(Record):
@@ -308,6 +352,8 @@ class OracleCheck(Record):
     lines that both tables hold and the oracle's lines of levels above n_max;
     worst names the largest term, and mirror_dev is the relative disagreement
     of the most negative kz node of the rule with its mirror (3+1 only).
+    eigenvalues is the ascending spectrum of the fibre matrix at kz = 0 on the
+    check's truncation, solved as the oracle solves it (eigenvalues.csv).
     """
 
     bound: float
@@ -316,66 +362,87 @@ class OracleCheck(Record):
     worst: str
     mirror_dev: float | None
     n_trunc: int
+    eigenvalues: np.ndarray
 
 
-def _mirror_deviation(minus, plus) -> float:
+def _mirror_deviation(lines, kz: np.ndarray) -> float:
     """The largest difference of the per-frequency line sums of the oracle at
-    the rule's most negative kz node and at its mirror, two oracle_lines
-    items at equal weight, relative to the mirror's largest amplitude;
-    OracleMismatchError above _MIRROR_TOL."""
-    diffs, amps = [], []
-    for neg, pos in zip(minus[1], plus[1]):
-        label, count = _groups(np.concatenate((neg[0], pos[0])))
-        sign = np.repeat([1.0, -1.0], (neg[0].size, pos[0].size))
-        for k in (1, 2):
-            diffs.append(np.bincount(label, sign * np.concatenate((neg[k], pos[k])), count))
-            amps.append(pos[k])
-    scale = float(np.max(np.abs(np.concatenate(amps)), initial=0.0))
-    diff = float(np.max(np.abs(np.concatenate(diffs)), initial=0.0))
+    the rule's most negative kz node and at its mirror, the lines of the
+    nodes kz[-2] and kz[-1] at equal weight, relative to the mirror's largest
+    amplitude; OracleMismatchError above _MIRROR_TOL."""
+    node, band, freqs, cos_coef, sin_coef = lines
+    label, count = _groups(freqs, band)
+    sign, plus = np.where(node == kz.size - 2, 1.0, -1.0), node == kz.size - 1
+    sums = np.concatenate([np.bincount(label, sign * x, count) for x in (cos_coef, sin_coef)])
+    diff = float(np.max(np.abs(sums), initial=0.0))
+    scale = float(np.max(np.abs(np.concatenate((cos_coef[plus], sin_coef[plus]))), initial=0.0))
     dev = diff / scale if diff else 0.0  # a NaN stays NaN
     if not dev <= _MIRROR_TOL:  # a NaN fails
         raise OracleMismatchError(
-            f"the oracle's line sums at kz = {minus[0]:.6g} differ from those at its mirror "
-            f"kz = {plus[0]:.6g} by {dev:.3e} of the largest amplitude {scale:.3e}, above {_MIRROR_TOL:.0e}"
+            f"the oracle's line sums at kz = {kz[-2]:.6g} differ from those at its mirror "
+            f"kz = {kz[-1]:.6g} by {dev:.3e} of the largest amplitude {scale:.3e}, above {_MIRROR_TOL:.0e}"
         )
     return dev
 
 
 def oracle_check(decomp: PacketDecomposition, t_max: float, n_trunc: int | None = None) -> OracleCheck:
-    """Compare the analytic engine's line tables with the oracle's, node by
-    node and band by band (OracleCheck); in 3+1 the rule's most negative kz
-    node, which the folded grid leaves out, is solved as well and must agree
-    with its mirror.  A NaN frequency is an OracleMismatchError, and a NaN
-    amplitude makes the bound NaN."""
+    """Compare the analytic engine's line tables with the oracle's at every
+    node and band (OracleCheck); in 3+1 the rule's most negative kz node,
+    which the folded grid leaves out, is solved as well, in the same batch
+    as its mirror, and must agree with it.  A NaN frequency is an
+    OracleMismatchError, and a NaN amplitude makes the bound NaN.
+
+    The nodes go through the solve, the lines and the comparison in chunks
+    of consecutive nodes that share a block plan, each at most _CHUNK
+    pair-product elements; a chunk leaves only its terms' sums, its largest
+    term and its lines of the mirror pair.
+    """
     trunc = _truncation(decomp, n_trunc)
-    n_kz = decomp.kz_nodes.size
-    analytic = [[x.reshape(-1, n_kz) for x in band] for band in _line_tables(decomp)]
+    kz, weights, n_kz = decomp.kz_nodes, decomp.kz_weights, decomp.kz_nodes.size
     three_d = decomp.mode is Dimensionality.THREE_PLUS_ONE
-    nodes = list(zip(decomp.kz_nodes.tolist(), decomp.kz_weights.tolist()))
     if three_d:  # the mirror pair at unit weight: an outer weight may underflow to 0
-        nodes += [(-nodes[-1][0], 1.0), (nodes[-1][0], 1.0)]
-    solved = oracle_lines(decomp, trunc, nodes)
-    parts = np.zeros((2, 2))  # (matched, truncated) x (intraband, interband)
-    worst = []
-    for i, (kz, bands) in enumerate(itertools.islice(solved, n_kz)):
-        node = f"kz = {kz:.6g} (node {i + 1} of {n_kz})"
-        for b, (name, ref, lines) in enumerate(zip(("intraband", "interband"), analytic, bands)):
-            terms = _line_distance([x[:, i] for x in ref], lines, t_max, f"{name} lines at {node}")
-            for part, (values, freqs) in enumerate(terms):
-                parts[part, b] += np.sum(values)
-                if values.size:
-                    k = int(np.argmax(values))  # the first NaN, if any
-                    worst.append((float(values[k]), name, float(freqs[k]), node))
-    bound, parts = math.sqrt(2.0) * float(np.sum(parts)), math.sqrt(2.0) * parts
-    # the largest term, a NaN first
+        kz, weights = np.append(kz, [-kz[-1], kz[-1]]), np.append(weights, [1.0, 1.0])
+    tables = [[x.reshape(-1, n_kz) for x in band] for band in _line_tables(decomp)]
+
+    def where(i) -> str:
+        return f"kz = {kz[i]:.6g} (node {i + 1} of {n_kz})"
+
+    plans = _plans(decomp, trunc, kz)
+    zero = kz == 0.0
+    parts = np.zeros(4)  # (matched, truncated) x (intraband, interband)
+    worst, mirror, eigenvalues, lo = [], [], None, 0
+    while lo < kz.size:
+        plan, pairs = plans[bool(zero[lo])]
+        step = max(1, _CHUNK // pairs[2][0].size)
+        other = np.flatnonzero(zero[lo : lo + step] != zero[lo])
+        hi = lo + (int(other[0]) if other.size else min(step, kz.size - lo))
+        vals, lines = _node_lines(plan, pairs, kz[lo:hi], weights[lo:hi])
+        if kz[lo] == 0.0:
+            eigenvalues = _ascending(plan, vals[0])
+        lines = (lines[0] + lo, *lines[1:])
+        own = int(np.count_nonzero(lines[0] < n_kz))  # the lines come node by node
+        mirror.append([x[own:].copy() for x in lines])
+        if lo < n_kz:
+            analytic = _analytic_lines(tables, lo, min(hi, n_kz))
+            values, node, band, freqs, part = _line_distance(analytic, [x[:own] for x in lines], t_max, where)
+            parts += np.bincount(2 * part + band, values, 4)
+            if values.size:  # the largest term, a NaN first
+                k = np.argmax(values)
+                worst.append((float(values[k]), _BANDS[band[k]], float(freqs[k]), where(node[k])))
+        lo = hi
+    if eigenvalues is None:  # an even kz rule has no node at kz = 0
+        plan = plans[True][0]
+        eigenvalues = _ascending(plan, _solve_blocks(plan, np.zeros(1))[0][0])
+    bound, parts = math.sqrt(2.0) * float(np.sum(parts)), math.sqrt(2.0) * parts.reshape(2, 2)
+    # the largest term, a NaN first; the chunks come in node order
     value, name, freq, node = max(worst, key=lambda w: math.inf if math.isnan(w[0]) else w[0],
                                   default=(0.0, "no", math.nan, "no node"))
-    mirror = _mirror_deviation(*solved) if three_d else None  # the last two nodes
     return OracleCheck(
         bound=bound,
         matched=tuple(parts[0].tolist()),
         truncated=tuple(parts[1].tolist()),
         worst=f"{name} line at f = {freq:.9g}, {node}: {math.sqrt(2.0) * value:.3e} L",
-        mirror_dev=mirror,
+        mirror_dev=_mirror_deviation([np.concatenate(x) for x in zip(*mirror)], kz) if three_d else None,
         n_trunc=trunc,
+        eigenvalues=eigenvalues,
     )

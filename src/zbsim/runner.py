@@ -456,7 +456,7 @@ def run(
     params, t_grid = config.params, config.time_grid()
     with_oracle = check_oracle or config.oracle.enabled
     if with_oracle:  # before decompose: imported after the trajectory, it raised the peak RSS
-        from .reference import fibre_eigenvalues, oracle_check
+        from .reference import oracle_check
 
     decomp = decompose(config.packet, params, config.mode, config.numerics)
     traj = trajectory(decomp, t_grid)
@@ -477,7 +477,7 @@ def run(
         buf = io.StringIO()
         buf.write(_csv_header(config, "truncated-matrix eigenvalues at kx=kz=0"))
         buf.write("index,energy\n")
-        energies = fibre_eigenvalues(0.0, check.n_trunc, params)
+        energies = check.eigenvalues
         buf.write(_csv_rows("%d,%.17g\n", np.arange(energies.size), energies))
         eig_path.write_text(buf.getvalue())
         files.append(eig_path)

@@ -15,6 +15,7 @@ from physics_checks import (
     check_transform,
     dirac_to_trap,
     expected_eigenvalues,
+    fibre_eigenvalues,
     interband_envelope,
     oracle_trajectory,
 )
@@ -24,7 +25,6 @@ from zbsim.ionmap import TrapConfig, excitation_plan, kappa_of
 from zbsim.landau import TransitionKind
 from zbsim.packet import GaussianPacket, Numerics, decompose
 from zbsim.params import Dimensionality, make_params, make_params_dimensionless
-from zbsim.reference import fibre_eigenvalues
 from zbsim.runner import load_preset
 from zbsim.spectral import classify_peaks, richness, spectrum
 

@@ -550,12 +550,17 @@ def test_svg_outputs_are_well_formed_xml(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _last_line(script: str) -> str:
-    """The last stdout line of a script run in a fresh interpreter on this zbsim."""
+def _env() -> dict:
+    """The environment of a fresh interpreter that imports this zbsim."""
     env = dict(os.environ)
     src = str(Path(zbsim.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    return env
+
+
+def _last_line(script: str) -> str:
+    """The last stdout line of a script run in a fresh interpreter on this zbsim."""
+    proc = subprocess.run([sys.executable, "-c", script], env=_env(), capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
@@ -639,14 +644,15 @@ def test_nan_oracle_sample_fails_the_deviation_gate(tmp_path, capsys, monkeypatc
     # a NaN compares false with any tolerance; the gate must still fail.  The
     # NaN goes into one oracle line's sin coefficient, which reaches
     # x = sqrt(2) L Im<A>, or into its cos coefficient, which reaches y
-    oracle_lines = zbsim.reference.oracle_lines
+    node_lines = zbsim.reference._node_lines
 
     def broken(*args):
-        for kz, bands in oracle_lines(*args):
-            bands[0][{"x": 2, "y": 1}[axis]][7] = np.nan
-            yield kz, bands
+        vals, lines = node_lines(*args)
+        intra = np.flatnonzero(lines[1] == 0)  # the one kz node's intraband lines
+        lines[{"x": 4, "y": 3}[axis]][intra[7]] = np.nan
+        return vals, lines
 
-    monkeypatch.setattr("zbsim.reference.oracle_lines", broken)
+    monkeypatch.setattr("zbsim.reference._node_lines", broken)
     config = _write(tmp_path, SMALL_CONFIG)
     assert main(["run", str(config), "--out", str(tmp_path / "out"), "--check-oracle"]) == 4
     assert "deviation nan L" in capsys.readouterr().err
@@ -655,17 +661,18 @@ def test_nan_oracle_sample_fails_the_deviation_gate(tmp_path, capsys, monkeypatc
 def test_a_shifted_oracle_line_fails_the_bound_and_is_named(tmp_path, capsys, monkeypatch):
     # 1e-5 on the cos coefficient of the strongest intraband oracle line puts
     # sqrt(2) 1e-5 L into its group's |dC|, above the 1e-6 L tolerance
-    oracle_lines, shifted = zbsim.reference.oracle_lines, []
+    node_lines, shifted = zbsim.reference._node_lines, []
 
     def shift(*args):
-        for kz, bands in oracle_lines(*args):
-            freqs, cos_coef, _ = bands[0]
-            k = int(np.argmax(np.abs(cos_coef)))
-            cos_coef[k] += 1e-5
-            shifted.append(freqs[k])
-            yield kz, bands
+        vals, lines = node_lines(*args)
+        _, band, freqs, cos_coef, _ = lines
+        intra = np.flatnonzero(band == 0)  # the one kz node's intraband lines
+        k = intra[np.argmax(np.abs(cos_coef[intra]))]
+        cos_coef[k] += 1e-5
+        shifted.append(freqs[k])
+        return vals, lines
 
-    monkeypatch.setattr("zbsim.reference.oracle_lines", shift)
+    monkeypatch.setattr("zbsim.reference._node_lines", shift)
     config = _write(tmp_path, SMALL_CONFIG)
     assert main(["run", str(config), "--out", str(tmp_path / "out"), "--check-oracle"]) == 4
     err = capsys.readouterr().err
@@ -695,7 +702,8 @@ def test_a_perturbed_mirror_node_fails_the_mirror_check(tmp_path, capsys, monkey
 
     def perturbed(plan, kz):
         vals, vecs = solve(plan, kz)
-        return vals, vecs * (1.0 + 1e-9) if kz < 0.0 else vecs
+        vecs[kz < 0.0] *= 1.0 + 1e-9
+        return vals, vecs
 
     monkeypatch.setattr("zbsim.reference._solve_blocks", perturbed)
     config = _write(tmp_path, SMALL_3PLUS1)
@@ -734,3 +742,67 @@ def test_nan_position_sum_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "position sums are not finite at 1 of 512 samples" in err
+
+
+def _command_line(tmp_path, args: list[str], **streams) -> tuple[int, str, str]:
+    """`python -m zbsim.cli` on args in a fresh interpreter, stdout and stderr
+    sent to files unless given: its exit code and the two files' text.
+    stdout is block-buffered, as by default, so a line left unflushed at
+    the exit is lost."""
+    env = {key: value for key, value in _env().items() if key != "PYTHONUNBUFFERED"}
+    out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    with open(out, "w") as stdout, open(err, "w") as stderr:
+        streams = {"stdout": stdout, "stderr": stderr, **streams}
+        proc = subprocess.run([sys.executable, "-m", "zbsim.cli", *args], env=env, timeout=300, **streams)
+    return proc.returncode, out.read_text(), err.read_text()
+
+
+def test_the_command_line_exits_0_with_every_file_and_line(tmp_path, capsys):
+    # the command line ends through os._exit: every output file and every
+    # stdout line must be there, as a run through main writes them
+    config = _write(tmp_path, SMALL_CONFIG)
+    flags = ["--check-oracle", "--dump-decomposition"]
+    assert main(["run", str(config), "--out", str(tmp_path / "main"), *flags]) == 0
+    expected = capsys.readouterr().out.replace(str(tmp_path / "main"), str(tmp_path / "cli"))
+    code, out, err = _command_line(tmp_path, ["run", str(config), "--out", str(tmp_path / "cli"), *flags])
+    assert (code, out, err) == (0, expected, "")
+    assert out.splitlines()[-1] == f"report: {tmp_path / 'cli' / 'report.txt'}"
+    files = sorted(p.name for p in (tmp_path / "main").iterdir())
+    assert "eigenvalues.csv" in files and "report.txt" in files
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == files
+    for name in files:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "main" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("old, new, flags, code, cause", [
+    ("kx_nodes = 64", "kx_nodes = 64\nkzrule = legendre", [], 2, "configuration error: [numerics] unknown key 'kzrule'"),
+    # 32 Legendre nodes on an interval of 20 widths lose 1e-2 of the kz mass
+    ("kz_nodes = 6", "kz_nodes = 32\nkz_rule = legendre\nkz_cutoff_sigmas = 20", [], 3,
+     "numerical convergence failure: the kz rule"),
+    ("position_unit = L", "position_unit = L\n[oracle]\ntol_in_l = 1e-12", ["--check-oracle"], 4,
+     "reference mismatch: analytic vs reference deviation"),
+])
+def test_the_command_line_exits_with_the_code_and_one_line(tmp_path, old, new, flags, code, cause):
+    config = _write(tmp_path, SMALL_3PLUS1.replace(old, new))
+    got, out, err = _command_line(tmp_path, ["run", str(config), "--out", str(tmp_path / "out"), *flags])
+    assert (got, out) == (code, "")
+    assert err.startswith(cause) and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_closed_stdout_ends_without_a_traceback(tmp_path):
+    # the run's files are written before its summary lines, whatever happens to them
+    config = str(_write(tmp_path, SMALL_CONFIG))
+    # stdout closed before the start: the summary goes nowhere, the run succeeds
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m zbsim.cli "$@" >&-', sys.executable, "run", config,
+                           "--out", str(tmp_path / "closed")], env=_env(), capture_output=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    # stdout a pipe whose reader has gone: exit 1, as Python's EPIPE handling
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, _, err = _command_line(tmp_path, ["run", config, "--out", str(tmp_path / "broken")], stdout=write)
+    finally:
+        os.close(write)
+    assert (code, err) == (1, "")
+    for out in ("closed", "broken"):
+        assert (tmp_path / out / "report.txt").read_text().endswith("\n")

@@ -1,10 +1,12 @@
 """Property test of the input boundary: every config, however wrong, ends in
-a documented exit code, and a run that exits 0 wrote only finite numbers."""
+a documented exit code, and a run that exits 0 wrote only finite numbers.
+Each key that docs/config.md bounds exits 2 just outside its bound."""
 
 import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -124,3 +126,46 @@ def test_every_config_ends_in_a_documented_exit(drawn):
         if code == 0:
             for csv in sorted((Path(tmp) / "out").glob("*.csv")):
                 assert all(math.isfinite(v) for v in _csv_values(csv)), csv.name
+
+
+# (section, key): values just outside the key's bound in docs/config.md; the
+# widths and the kick are written in magnetic lengths
+OUT_OF_BOUNDS = {
+    ("field", "b"): ("9.9e-9", "1.1e8"),
+    ("field", "tesla"): ("9.9e-7", "1.1e25"),
+    ("trap", "eta"): ("9.9e-101", "1.1e100"),
+    ("trap", "omega_tilde_hz"): ("9.9e-101", "1.1e100"),
+    ("trap", "omega_carrier_hz"): ("9.9e-101", "1.1e100"),
+    ("trap", "delta_m"): ("9.9e-101", "1.1e100"),
+    ("trap", "ion_mass_kg"): ("9.9e-101", "1.1e100"),
+    ("trap", "trap_freq_hz"): ("9.9e-101", "1.1e100"),
+    ("packet", "d_x"): ("9.9e-7", "1.1e6"),
+    ("packet", "d_y"): ("9.9e-7", "1.1e6"),
+    ("packet", "d_z"): ("9.9e-7", "1.1e6"),
+    ("packet", "k0x"): ("1.1e6", "-1.1e6"),
+    ("time", "t_max"): ("0", "-1"),
+    ("time", "samples"): ("255",),
+    ("numerics", "n_max_floor"): ("-1",),
+    ("numerics", "kx_nodes"): ("4097",),
+    ("numerics", "kz_nodes"): ("4097",),
+    ("numerics", "kz_cutoff_sigmas"): ("0", "37.65"),
+    ("numerics", "tail_tol"): ("0", "-1e-10"),
+    ("numerics", "threads"): ("0",),
+    ("spectral", "pad_factor"): ("0",),
+    ("oracle", "n_trunc"): ("-1", "512"),
+}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (section, key, value) for (section, key), values in OUT_OF_BOUNDS.items() for value in values])
+def test_a_value_outside_its_bound_exits_2(section, key, value, capsys):
+    config = _base("3+1", "trap" if section == "trap" else "b", "magnetic_length")
+    if key == "trap_freq_hz":  # the alternative to delta_m
+        del config["trap"]["delta_m"]
+    config.setdefault(section, {})[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(_render(config))
+        assert main(["run", str(path), "--out", str(Path(tmp) / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and key in err

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from physics_checks import build_matrix, check_transform, expected_eigenvalues, oracle_trajectory
+from physics_checks import (
+    build_matrix,
+    check_transform,
+    expected_eigenvalues,
+    fibre_eigenvalues,
+    oracle_trajectory,
+    per_node_oracle_check,
+)
 from zbsim import reference
 from zbsim._record import replace
 from zbsim.dynamics import _line_tables, trajectory
@@ -11,7 +18,7 @@ from zbsim.errors import OracleMismatchError
 from zbsim.landau import energies
 from zbsim.packet import GaussianPacket, Numerics, _kz_grid, decompose, oscillator_overlaps
 from zbsim.params import Dimensionality, make_params, make_params_dimensionless
-from zbsim.runner import load_preset
+from zbsim.runner import load_preset, parse_config, preset_text
 from zbsim.reference import (
     ALPHA_X,
     ALPHA_Z,
@@ -23,7 +30,6 @@ from zbsim.reference import (
     _pair_plan,
     _solve_blocks,
     _line_distance,
-    fibre_eigenvalues,
     lowering_matrix,
     oracle_check,
 )
@@ -39,7 +45,7 @@ def _scattered_solve(kz, h0, hz):
     space: ascending eigenvalues and their eigenvector columns."""
     plan = _block_plan(kz, h0, hz)
     sizes, idx = plan[:2]
-    vals, vecs = _solve_blocks(plan, kz)
+    vals, vecs = (x[0] for x in _solve_blocks(plan, np.array([kz])))
     full_vals, full_vecs = np.empty(h0.shape[0]), np.zeros(h0.shape)
     for blk, s in sizes:
         i = idx[blk, :s]
@@ -205,6 +211,36 @@ def test_line_table_bound_covers_the_sampled_deviation(name):
     assert check.mirror_dev is None or check.mirror_dev <= 1e-12
 
 
+def _preset_decomposition(name, *replacements):
+    """The decomposition of a preset, its text changed by (old, new) pairs,
+    and its t_max."""
+    text = preset_text(name)
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    config = parse_config(text, name)
+    return decompose(config.packet, config.params, config.mode, config.numerics), config.time.t_max
+
+
+@pytest.mark.parametrize("name, replacements", [
+    ("fig2a", ()),
+    # perfbench's fig1-oracle workload: 24 folded kz nodes and the mirror
+    # pair, in several chunks of one block plan
+    ("fig1", [("kz_nodes = 320", "kz_nodes = 48")]),
+    # an odd rule: the kz = 0 node on its own plan, then chunks of the other
+    ("fig1", [("kz_rule = legendre", "kz_rule = hermite"), ("kz_nodes = 320", "kz_nodes = 61")]),
+])
+def test_batched_check_equals_the_per_node_check(name, replacements):
+    dec, t_max = _preset_decomposition(name, *replacements)
+    check, per_node = oracle_check(dec, t_max), per_node_oracle_check(dec, t_max)
+    for key in ("bound", "matched", "truncated", "mirror_dev"):
+        assert getattr(check, key) == pytest.approx(per_node[key], rel=1e-12, abs=0.0), key
+    assert (check.worst, check.n_trunc) == (per_node["worst"], per_node["n_trunc"])
+    assert check.mirror_dev is None or check.mirror_dev <= 1e-12
+    # the eigenvalues.csv table: the kz = 0 spectrum of the same block solve
+    assert np.array_equal(check.eigenvalues, fibre_eigenvalues(0.0, check.n_trunc, dec.params))
+
+
 def test_weak_field_lines_that_round_alike_are_compared_as_one():
     # at b = 1e-4 neighbouring intraband lines E_{n+1} - E_n round to the same
     # double; they join one group and the check still passes
@@ -219,25 +255,58 @@ def test_weak_field_lines_that_round_alike_are_compared_as_one():
     assert sampled <= check.bound <= 1e-6
 
 
+def _lines(freqs, cos_coef, sin_coef, node=0, band=0):
+    """(node, band, freqs, cos, sin) lines of one node and band."""
+    freqs = np.asarray(freqs, dtype=float)
+    return (np.full(freqs.size, node), np.full(freqs.size, band), freqs,
+            np.asarray(cos_coef, dtype=float), np.asarray(sin_coef, dtype=float))
+
+
+def _distance(analytic, oracle, t_max):
+    """_line_distance's matched and truncated terms: (values, freqs) each."""
+    values, _, _, freqs, part = _line_distance(analytic, oracle, t_max, str)
+    return [(values[part == k], freqs[part == k]) for k in (0, 1)]
+
+
 def test_line_distance_terms_and_failures():
     one = np.ones(1)
     # analytic lines at 1 and 2; oracle lines at 1 + 1e-12 and 1 (one group),
     # and at 3 (a level the analytic table does not hold)
-    analytic = (np.array([1.0, 2.0]), np.array([0.5, 0.25]), np.array([0.1, 0.0]))
-    oracle = (np.array([1.0 + 1e-12, 1.0, 3.0]), np.array([0.2, 0.3, 0.01]), np.array([0.1, -0.02, 0.0]))
-    (matched, f_matched), (truncated, f_truncated) = _line_distance(analytic, oracle, 10.0, "lines")
+    analytic = _lines([1.0, 2.0], [0.5, 0.25], [0.1, 0.0])
+    oracle = _lines([1.0 + 1e-12, 1.0, 3.0], [0.2, 0.3, 0.01], [0.1, -0.02, 0.0])
+    (matched, f_matched), (truncated, f_truncated) = _distance(analytic, oracle, 10.0)
     drift = 1e-12 * 10.0 * 0.3  # |df| t_max (|C| + |S|) of the shifted line
     assert matched == pytest.approx([0.02 + drift, 0.25], abs=1e-15)
-    assert np.array_equal(f_matched, analytic[0])
+    assert np.array_equal(f_matched, analytic[2])
     assert truncated.tolist() == [0.01] and f_truncated.tolist() == [3.0]
     # analytic lines within the matching tolerance form one group: the sums
     # agree, and the drift of the line off the group's frequency remains
-    close = (np.array([1.0, 1.0 + 1e-10]), np.ones(2), np.zeros(2))
-    (matched, f_matched), (truncated, _) = _line_distance(close, (one, 2.0 * one, 0.0 * one), 10.0, "lines")
+    close = _lines([1.0, 1.0 + 1e-10], np.ones(2), np.zeros(2))
+    (matched, f_matched), (truncated, _) = _distance(close, _lines(one, 2.0 * one, 0.0 * one), 10.0)
     assert f_matched.size == 1 and truncated.size == 0
     assert matched == pytest.approx([1e-10 * 10.0], rel=1e-5)
     with pytest.raises(OracleMismatchError, match="is nan: deviation nan"):
-        _line_distance((one, one, one), (np.array([np.nan]), one, one), 1.0, "lines")
+        _line_distance(_lines(one, one, one), _lines([np.nan], one, one), 1.0, str)
+
+
+def test_line_distance_keeps_nodes_and_bands_apart():
+    # the same lines at two nodes and in both bands: no group spans a node or
+    # a band, and each (node, band) gives the terms it gives alone
+    analytic = _lines([1.0, 2.0], [0.5, 0.25], [0.1, 0.0])
+    oracle = _lines([1.0 + 1e-12, 1.0, 3.0], [0.2, 0.3, 0.01], [0.1, -0.02, 0.0])
+    alone = _line_distance(analytic, oracle, 10.0, str)
+    keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    both = [tuple(np.concatenate(x) for x in zip(*(_lines(*lines[2:], node, band) for node, band in keys)))
+            for lines in (analytic, oracle)]
+    values, node, band, freqs, part = _line_distance(*both, 10.0, str)
+    for n, b in keys:
+        at = (node == n) & (band == b)
+        for got, want in zip((values, freqs, part), (alone[0], alone[3], alone[4])):
+            assert np.array_equal(got[at], want)
+    # a NaN frequency is named at its node and band
+    nan_oracle = _lines([np.nan], [1.0], [1.0], node=1, band=1)
+    with pytest.raises(OracleMismatchError, match="interband lines at 1 is nan"):
+        _line_distance(both[0], tuple(np.concatenate(x) for x in zip(both[1], nan_oracle)), 1.0, str)
 
 
 def test_oracle_keeps_a_stray_coupling(monkeypatch):
