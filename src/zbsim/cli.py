@@ -7,8 +7,12 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-convergence
 failure (a truncation or quadrature that did not converge), 4 reference
-mismatch beyond tolerance; 1 when stdout or stderr is a pipe whose reader
-has gone.
+mismatch beyond tolerance; 1, without a traceback, when output cannot be
+written: stdout or stderr a pipe whose reader has gone or a full device, or
+an output file that fails.
+
+The BLAS thread budget is --threads or the environment (OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS, MKL_NUM_THREADS); a config file does not set it.
 
 The `zbsim` console script and `python -m zbsim.cli` run entry, which ends
 the process through os._exit once main has returned and the standard
@@ -68,27 +72,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_thread_hint(path: str | None) -> int | None:
-    """Read [numerics] threads from a config file without loading numerics."""
-    if not path or not os.path.exists(path):
-        return None
-    import configparser
-    from pathlib import Path
-
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        cp.read_string(Path(path).read_text(encoding="utf-8"))
-        return cp.getint("numerics", "threads")
-    except Exception:
-        return None
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = args.threads if args.threads is not None else _config_thread_hint(args.config)
-    if threads is not None and threads > 0:
+    if args.threads is not None and args.threads > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
+            os.environ[var] = str(args.threads)
 
     # heavy imports after the thread environment is pinned
     from .runner import PRESET_NAMES, load_config_file, load_preset, run
@@ -135,8 +123,10 @@ def entry() -> None:
     """main on the command line, then stdout and stderr flushed and the
     process ended through os._exit with main's exit code, without the
     interpreter's teardown.  A stream closed before the start is None and
-    is skipped; a broken pipe on either one ends the run with exit code 1
-    and no traceback, as Python's own EPIPE handling does."""
+    is skipped.  Output that cannot be written ends the run with exit code 1
+    and no traceback: silently for a broken pipe, as Python's own EPIPE
+    handling does, and otherwise with one line on stderr if stderr can
+    still take it."""
     try:
         code = main()
         for stream in (sys.stdout, sys.stderr):
@@ -144,6 +134,13 @@ def entry() -> None:
                 stream.flush()
     except BrokenPipeError:
         code = 1
+    except OSError as exc:
+        code = 1
+        try:
+            if sys.stderr is not None:
+                print(f"cannot write output: {exc}", file=sys.stderr, flush=True)
+        except OSError:  # stderr cannot be written either
+            pass
     os._exit(code)
 
 

@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 
-from ._record import Record, asdict, replace
+from ._record import Record, replace
 from .errors import ConvergenceError
 from .landau import energies
 from .packet import GaussianPacket, PacketDecomposition
@@ -69,7 +69,6 @@ class Trajectory(Record):
     y_interband: np.ndarray
     x_intraband: np.ndarray
     y_intraband: np.ndarray
-    mode: Dimensionality
     position_unit: str
     provenance: dict
 
@@ -169,7 +168,7 @@ def band_sums(t: np.ndarray, bands) -> np.ndarray:
     return np.array([line_sum(t, *lines) for lines in bands])
 
 
-def _banded_trajectory(t, bands: np.ndarray, mode: Dimensionality, provenance: dict):
+def _banded_trajectory(t, bands: np.ndarray, provenance: dict):
     """Trajectory in Compton wavelengths from the (2, samples) <A> of the
     intraband and the interband lines (band_sums); positions that are not
     finite are a ConvergenceError.  With <A+> = conj <A>, the positions
@@ -192,7 +191,6 @@ def _banded_trajectory(t, bands: np.ndarray, mode: Dimensionality, provenance: d
         y_interband=y_inter,
         x_intraband=x_intra,
         y_intraband=y_intra,
-        mode=mode,
         position_unit="lambda_c",
         provenance=provenance,
     )
@@ -214,21 +212,14 @@ def trajectory(decomp: PacketDecomposition, t_grid: np.ndarray) -> Trajectory:
         if np.max(np.abs(dt - dt[0])) > 1e-9 * max(abs(dt[0]), 1e-30):
             raise ValueError("t_grid must be uniform")
 
-    params = decomp.params
     bands = band_sums(t, _line_tables(decomp))
     provenance = {
-        "field_ratio_b": params.field_ratio_b,
-        "kappa": params.kappa,
-        "magnetic_length": params.magnetic_length,
-        "mode": decomp.mode.value,
-        "packet": asdict(decomp.packet),
+        "magnetic_length": decomp.params.magnetic_length,
         "n_max": decomp.n_max,
-        "tail_mass": decomp.tail_mass,
-        "kx_nodes": int(decomp.kx_nodes.size),
         "kz_nodes": int(decomp.kz_nodes.size),  # the distinct |kz| summed
         "kz_rule_nodes": decomp.numerics.kz_nodes if decomp.mode is Dimensionality.THREE_PLUS_ONE else 1,
     }
-    return _banded_trajectory(t, bands, decomp.mode, provenance)
+    return _banded_trajectory(t, bands, provenance)
 
 
 def cyclotron_reference(packet: GaussianPacket, params: SimParams) -> tuple[float, float]:

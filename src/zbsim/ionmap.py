@@ -130,7 +130,6 @@ class ExcitationTerm(Record):
 class ExcitationPlan(Record):
     """Ordered interaction terms realising the simulated wave equation."""
 
-    dimensionality: Dimensionality
     interactions: tuple[ExcitationTerm, ...]
 
     @property
@@ -175,4 +174,4 @@ def excitation_plan(dimensionality: Dimensionality) -> ExcitationPlan:
         ExcitationTerm(InteractionKind.CARRIER, "ac", pauli="sigma_y"),
         ExcitationTerm(InteractionKind.CARRIER, "bd", pauli="sigma_y"),
     ]
-    return ExcitationPlan(dimensionality=dimensionality, interactions=tuple(terms))
+    return ExcitationPlan(interactions=tuple(terms))

@@ -81,6 +81,10 @@ MAX_ARRAY = 1 << 22
 MAX_N_TRUNC = math.isqrt(MAX_ARRAY) // 4 - 1
 # An n-node Gauss-Hermite rule solves an (n/2) x (n/2) Jacobi matrix.
 MAX_NODES = 2 * math.isqrt(MAX_ARRAY)
+# the kx rule's first node count; decompose doubles it as its levels need,
+# and the rule is exact for every level it draws, so the start sets only
+# where the doubling begins
+KX_NODES = 96
 # the Legendre kz cutoff, in packet widths, past which |g_z|^2 at the
 # interval's ends is below the smallest normal double
 MAX_CUTOFF_SIGMAS = math.sqrt(-2.0 * math.log(np.finfo(float).tiny))
@@ -196,20 +200,20 @@ class GaussianPacket(Record):
 class Numerics(Record):
     """Quadrature and truncation knobs shared by decomposition and dynamics.
 
-    The kx and kz rules are the only quadratures; the oscillator overlaps are
-    evaluated in closed form and have no node count.
+    The kz rule is the only quadrature with a node count to set: the kx rule
+    starts on KX_NODES and doubles as the levels need (decompose), and the
+    oscillator overlaps are evaluated in closed form.
     """
 
     n_max_cap: int = 256
     n_max_floor: int = 0  # force at least this many levels (capped)
-    kx_nodes: int = 96  # the kx rule's first node count; decompose doubles it as its levels need
     kz_nodes: int = 160
     kz_rule: str = "hermite"  # "hermite" (default) or "legendre" for long runs
     kz_cutoff_sigmas: float = 6.0
     tail_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name, least in (("n_max_cap", 1), ("n_max_floor", 0), ("kx_nodes", 4), ("kz_nodes", 2)):
+        for name, least in (("n_max_cap", 1), ("n_max_floor", 0), ("kz_nodes", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.kz_rule not in ("hermite", "legendre"):
@@ -223,14 +227,15 @@ class Numerics(Record):
                 f"kz_cutoff_sigmas = {self.kz_cutoff_sigmas!r} is above {MAX_CUTOFF_SIGMAS:g}, "
                 f"where |g_z|^2 underflows"
             )
-        # the largest arrays are the Jacobi matrix of each Gauss rule and the
+        # the largest arrays are the Jacobi matrix of the kz rule and the
         # (levels x kx) overlap table
-        for key, value in (("kx_nodes", self.kx_nodes), ("kz_nodes", self.kz_nodes)):
-            if value > MAX_NODES:
-                raise ValueError(f"{key} = {value} needs a Gauss rule of {value} nodes, above {MAX_NODES}")
-        if (self.n_max_cap + 1) * self.kx_nodes > MAX_ARRAY:
+        if self.kz_nodes > MAX_NODES:
             raise ValueError(
-                f"kx_nodes and n_max_cap need a {self.n_max_cap + 1} x {self.kx_nodes} overlap array, "
+                f"kz_nodes = {self.kz_nodes} needs a Gauss rule of {self.kz_nodes} nodes, above {MAX_NODES}"
+            )
+        if (self.n_max_cap + 1) * KX_NODES > MAX_ARRAY:
+            raise ValueError(
+                f"n_max_cap = {self.n_max_cap} needs a {self.n_max_cap + 1} x {KX_NODES} overlap array, "
                 f"above {MAX_ARRAY} elements"
             )
 
@@ -417,9 +422,10 @@ def decompose(
     min(n_max_floor, n_max_cap), with tail mass below numerics.tail_tol
     (ConvergenceError if the cap is too small).  Levels are drawn one at a
     time until then; none above n_max is evaluated.  The N-node kx rule
-    (_kx_rule) is exact for the levels below N, so a truncation that needs
-    more runs again on 2N nodes (ConvergenceError past the node and array
-    bounds).  An overlap overflow at or below n_max is a ConvergenceError.
+    (_kx_rule) is exact for the levels below N, so starting from
+    N = KX_NODES, a truncation that needs more runs again on 2N nodes
+    (ConvergenceError past the node and array bounds).  An overlap overflow
+    at or below n_max is a ConvergenceError.
     """
     mode = Dimensionality(mode)  # "2+1" or "3+1" as well; anything else is a ValueError
     num = numerics if numerics is not None else Numerics()
@@ -436,7 +442,7 @@ def decompose(
 
     least = min(num.n_max_floor, num.n_max_cap)
     ell = params.magnetic_length
-    for nodes in (num.kx_nodes << k for k in itertools.count()):  # kx_nodes, twice it, ...
+    for nodes in (KX_NODES << k for k in itertools.count()):  # KX_NODES, twice it, ...
         kx, weights = _kx_rule(packet, params, nodes)
         rows, diag = [], []
         cum = 0.0

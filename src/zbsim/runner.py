@@ -192,7 +192,6 @@ class SpectralOptions(Record):
 
 
 class OracleOptions(Record):
-    enabled: bool = False
     n_trunc: int = 0  # 0 = automatic margin above the decomposition truncation
     tol_in_l: float = 1e-6  # in magnetic lengths
 
@@ -218,10 +217,8 @@ class OutputOptions(Record):
 _SECTIONS = dict(run=RunOptions, field=FieldOptions, trap=TrapOptions, packet=PacketOptions,
                  time=TimeOptions, numerics=Numerics, spectral=SpectralOptions,
                  oracle=OracleOptions, output=OutputOptions)
-# the schema: every section and key a config may hold; [numerics] threads is
-# applied by the CLI before numpy loads
+# the schema: every section and key a config may hold
 _KEYS = {name: fields(options) for name, options in _SECTIONS.items()}
-_KEYS["numerics"] += ("threads",)
 
 
 class RunConfig(Record):
@@ -248,12 +245,8 @@ class RunConfig(Record):
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str, cast):
-    if not cp.has_option(section, key):
-        return None
     raw = cp.get(section, key)
     try:
-        if cast is bool:
-            return cp.getboolean(section, key)
         value = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
@@ -309,9 +302,6 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
     mode = Dimensionality(sections.pop("run").mode)
     field, trap, packet = sections.pop("field"), sections.pop("trap", None), sections.pop("packet")
     time, numerics, spectral = sections["time"], sections["numerics"], sections["spectral"]
-    threads = _get(cp, "numerics", "threads", int)
-    if threads is not None and threads < 1:
-        raise ConfigError(f"[numerics] threads must be >= 1, got {threads}")
 
     if sum(x is not None for x in (field.b, field.tesla, trap)) != 1:
         raise ConfigError(
@@ -372,14 +362,12 @@ def load_config_file(path: str | Path) -> RunConfig:
 
 
 class RunResult(Record):
-    out_dir: Path
     report_path: Path
     kappa: float
     n_max: int
     tail_mass: float
     richness: int
     oracle_deviation: float | None
-    files: list[Path]
 
 
 def _csv_rows(fmt: str, *columns) -> str:
@@ -423,8 +411,7 @@ def _write_spectrum_csv(path: Path, report: SpectrumReport, config: RunConfig) -
     path.write_text(buf.getvalue())
 
 
-def _write_decomposition_csv(out: Path, decomp: PacketDecomposition, config: RunConfig) -> list[Path]:
-    f_path = out / "decomposition_f.csv"
+def _write_decomposition_csv(out: Path, decomp: PacketDecomposition, config: RunConfig) -> None:
     buf = io.StringIO()
     buf.write(_csv_header(config, "transverse expansion coefficients F_n(kx)"))
     buf.write("n,kx,re,im\n")
@@ -432,16 +419,14 @@ def _write_decomposition_csv(out: Path, decomp: PacketDecomposition, config: Run
     n_kx = decomp.kx_nodes.size
     buf.write(_csv_rows("%d,%.17g,%.17g,0\n", np.repeat(np.arange(levels), n_kx),
                         np.tile(decomp.kx_nodes, levels), decomp.f_table().ravel()))
-    f_path.write_text(buf.getvalue())
+    (out / "decomposition_f.csv").write_text(buf.getvalue())
 
-    u_path = out / "decomposition_u.csv"
     buf = io.StringIO()
     buf.write(_csv_header(config, "overlap matrix U_mn"))
     buf.write("m,n,re,im\n")
     buf.write("".join("%d,%d,%.17g,0\n" % (m, n, u_overlap(decomp, m, n))
                       for m in range(levels) for n in range(levels)))
-    u_path.write_text(buf.getvalue())
-    return [f_path, u_path]
+    (out / "decomposition_u.csv").write_text(buf.getvalue())
 
 
 def run(
@@ -454,8 +439,7 @@ def run(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params, t_grid = config.params, config.time_grid()
-    with_oracle = check_oracle or config.oracle.enabled
-    if with_oracle:  # before decompose: imported after the trajectory, it raised the peak RSS
+    if check_oracle:  # before decompose: imported after the trajectory, it raised the peak RSS
         from .reference import oracle_check
 
     decomp = decompose(config.packet, params, config.mode, config.numerics)
@@ -469,34 +453,26 @@ def run(
     n_rich = richness(report, opts.significant_rel_power)
 
     check = None
-    files: list[Path] = []
-    if with_oracle:
+    if check_oracle:
         n_trunc = config.oracle.n_trunc if config.oracle.n_trunc > 0 else None
         check = oracle_check(decomp, config.time.t_max, n_trunc)
-        eig_path = out / "eigenvalues.csv"
         buf = io.StringIO()
         buf.write(_csv_header(config, "truncated-matrix eigenvalues at kx=kz=0"))
         buf.write("index,energy\n")
         energies = check.eigenvalues
         buf.write(_csv_rows("%d,%.17g\n", np.arange(energies.size), energies))
-        eig_path.write_text(buf.getvalue())
-        files.append(eig_path)
+        (out / "eigenvalues.csv").write_text(buf.getvalue())
 
-    traj_path = out / "trajectory.csv"
-    _write_trajectory_csv(traj_path, traj_out, config)
-    spec_path = out / "spectrum.csv"
-    _write_spectrum_csv(spec_path, report, config)
-    files += [traj_path, spec_path]
-
-    files += _write_svgs(out, traj_out, report, config)
+    _write_trajectory_csv(out / "trajectory.csv", traj_out, config)
+    _write_spectrum_csv(out / "spectrum.csv", report, config)
+    _write_svgs(out, traj_out, report, config)
     if dump_decomposition:
-        files += _write_decomposition_csv(out, decomp, config)
+        _write_decomposition_csv(out, decomp, config)
 
     report_path = out / "report.txt"
     report_path.write_text(
         _render_report(config, decomp, traj_out, report, n_rich, check)
     )
-    files.append(report_path)
 
     if check is not None and not check.bound <= config.oracle.tol_in_l:  # NaN fails
         raise OracleMismatchError(
@@ -504,18 +480,16 @@ def run(
             f"{config.oracle.tol_in_l:.1e} L; largest term: {check.worst}"
         )
     return RunResult(
-        out_dir=out,
         report_path=report_path,
         kappa=params.kappa,
         n_max=decomp.n_max,
         tail_mass=decomp.tail_mass,
         richness=n_rich,
         oracle_deviation=None if check is None else check.bound,
-        files=files,
     )
 
 
-def _write_svgs(out: Path, traj: Trajectory, report: SpectrumReport, config: RunConfig) -> list[Path]:
+def _write_svgs(out: Path, traj: Trajectory, report: SpectrumReport, config: RunConfig) -> None:
     header = f"zbsim {__version__} config-sha256:{config.config_hash()}"
     unit = traj.position_unit
     xt = line_plot(
@@ -545,12 +519,8 @@ def _write_svgs(out: Path, traj: Trajectory, report: SpectrumReport, config: Run
         header=header,
         markers=markers,
     )
-    paths = []
     for name, doc in (("trajectory_xt.svg", xt), ("trajectory_xy.svg", xy), ("spectrum.svg", spec)):
-        p = out / name
-        p.write_text(doc)
-        paths.append(p)
-    return paths
+        (out / name).write_text(doc)
 
 
 def _render_report(

@@ -56,7 +56,7 @@ class SpectrumReport(Record):
     bin_width: float  # raw (unpadded) angular resolution, the match tolerance
 
 
-WINDOWS = {"hann": np.hanning, "rect": np.ones, "rectangular": np.ones, "boxcar": np.ones}
+WINDOWS = {"hann": np.hanning, "rect": np.ones}
 
 
 def _window(name: str, n: int) -> np.ndarray:

@@ -80,7 +80,7 @@ def oracle_trajectory(
         if on.any():
             _, (_, band, *lines) = reference._node_lines(plan, pairs, kz[on], weights[on])
             bands += band_sums(t, [[x[band == b] for x in lines] for b in (0, 1)])
-    return _banded_trajectory(t, bands, decomp.mode, {
+    return _banded_trajectory(t, bands, {
         "engine": "matrix-reference", "n_trunc": trunc, "magnetic_length": decomp.params.magnetic_length,
     })
 

@@ -19,11 +19,13 @@ from physics_checks import (
     interband_envelope,
     oracle_trajectory,
 )
+
+import zbsim.packet
 from zbsim._record import replace
 from zbsim.dynamics import cyclotron_reference, trajectory
 from zbsim.ionmap import TrapConfig, excitation_plan, kappa_of
 from zbsim.landau import TransitionKind
-from zbsim.packet import GaussianPacket, Numerics, decompose
+from zbsim.packet import KX_NODES, GaussianPacket, Numerics, decompose
 from zbsim.params import Dimensionality, make_params, make_params_dimensionless
 from zbsim.runner import load_preset
 from zbsim.spectral import classify_peaks, richness, spectrum
@@ -172,7 +174,7 @@ def test_criterion_7_unitary_equivalence():
             f"spectrum deviation {report.spectrum_dev:.1e} at N=20")
 
 
-def test_criterion_8_numerical_hygiene():
+def test_criterion_8_numerical_hygiene(monkeypatch):
     details = []
     for name in ("fig1", "fig2a", "fig2b", "fig2c"):
         config = load_preset(name)
@@ -184,12 +186,12 @@ def test_criterion_8_numerical_hygiene():
         base = trajectory(dec, t)
         assert np.all(np.isfinite(base.x)) and np.all(np.isfinite(base.y)), name
 
-        doubled = replace(
-            config.numerics,
-            kx_nodes=2 * config.numerics.kx_nodes,
-            n_max_floor=min(2 * dec.n_max, config.numerics.n_max_cap),
-        )
-        dec2 = decompose(packet, params, config.mode, doubled)
+        # twice the kx rule's first node count, and twice the levels
+        doubled = replace(config.numerics, n_max_floor=min(2 * dec.n_max, config.numerics.n_max_cap))
+        with monkeypatch.context() as patch:
+            patch.setattr(zbsim.packet, "KX_NODES", 2 * KX_NODES)
+            dec2 = decompose(packet, params, config.mode, doubled)
+        assert dec2.kx_nodes.size >= 2 * dec.kx_nodes.size, name
         refined = trajectory(dec2, t)
         shift = max(
             float(np.max(np.abs(base.x - refined.x))),

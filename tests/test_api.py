@@ -57,4 +57,8 @@ def test_unknown_attribute_raises():
 def test_readme_library_sketch_runs(capsys):
     # the docs cannot drift from the exports: run the README's sketch as written
     exec(compile(_readme_sketch(), "README.md", "exec"), {})
-    assert len(capsys.readouterr().out.splitlines()) == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    # the strongest line is the cyclotron line, and every printed peak is labelled
+    assert lines[0].split()[-1] == "intraband(0->1)"
+    assert all(line.split()[-1].startswith(("intraband(", "interband(")) for line in lines)

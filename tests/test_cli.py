@@ -17,6 +17,7 @@ import zbsim.reference
 from zbsim.cli import EXIT_CODES, main
 from zbsim.errors import ConfigError, TruncationError
 from zbsim.runner import _KEYS, PRESET_NAMES, load_preset, parse_config, preset_text
+from zbsim.spectral import WINDOWS
 
 SMALL_CONFIG = """
 [run]
@@ -36,7 +37,7 @@ t_max = 30.0
 samples = 512
 
 [numerics]
-kx_nodes = 64
+tail_tol = 1e-10
 
 [output]
 position_unit = L
@@ -56,27 +57,33 @@ BAD_INPUTS = (
     ("t_max = 30.0", "t_max = inf", "finite"),
     ("samples = 512", "samples = 10", "256"),
     ("d_x = 0.9", "d_x = nan", "finite"),
-    ("kx_nodes = 64", "kx_nodes = 64\nthreads = two", "threads"),
-    ("kx_nodes = 64", "kx_nodes = 64\nthreads = 0", "threads must be >= 1, got 0"),
-    ("kx_nodes = 64", "kx_nodes = 64\nthreads = -5", "threads must be >= 1, got -5"),
-    ("kx_nodes = 64", "kx_nodes = 64\nn_max_floor = -7", "n_max_floor must be >= 0, got -7"),
-    ("kx_nodes = 64", "kx_nodes = 64\nkz_cutoff_sigmas = -1", "kz_cutoff_sigmas"),
-    ("kx_nodes = 64", "kx_nodes = 64\nkz_cutoff_sigmas = 0", "kz_cutoff_sigmas"),
+    # settings that are flags, not keys: the thread budget is --threads and
+    # the reference check --check-oracle; the kx rule's node count has no
+    # key, and each window has one name
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nthreads = 2", "unknown key 'threads'"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nthreads = 0", "unknown key 'threads'"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkx_nodes = 64", "unknown key 'kx_nodes'"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkx_nodes = 4097", "unknown key 'kx_nodes'"),
+    ("position_unit = L", "position_unit = L\n[oracle]\nenabled = true", "unknown key 'enabled'"),
+    ("position_unit = L", "position_unit = L\n[spectral]\nwindow = rectangular", "got 'rectangular'"),
+    ("position_unit = L", "position_unit = L\n[spectral]\nwindow = boxcar", "got 'boxcar'"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nn_max_floor = -7", "n_max_floor must be >= 0, got -7"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_cutoff_sigmas = -1", "kz_cutoff_sigmas"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_cutoff_sigmas = 0", "kz_cutoff_sigmas"),
     ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = 0", "pad_factor"),
     ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = -2", "pad_factor"),
     ("position_unit = L", "position_unit = L\n[spectral]\nwindow = foo", "window"),
     ("position_unit = L", "position_unit = L\n[oracle]\nn_trunc = -3", "n_trunc"),
-    ("kx_nodes = 64", "kx_nodes = 64\ny_nodes = 40", "unknown key 'y_nodes'"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\ny_nodes = 40", "unknown key 'y_nodes'"),
     # the kx rule is exact, so its doubling check and the check's knobs are gone
-    ("kx_nodes = 64", "kx_nodes = 64\nconvergence_check = false", "unknown key 'convergence_check'"),
-    ("kx_nodes = 64", "kx_nodes = 64\nconvergence_tol = 1e-9", "unknown key 'convergence_tol'"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nconvergence_check = false", "unknown key 'convergence_check'"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nconvergence_tol = 1e-9", "unknown key 'convergence_tol'"),
     # past the cutoff where |g_z|^2 underflows, before any arithmetic on it
-    ("kx_nodes = 64", "kx_nodes = 64\nkz_cutoff_sigmas = 38", "kz_cutoff_sigmas = 38.0 is above 37.64"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_cutoff_sigmas = 38", "kz_cutoff_sigmas = 38.0 is above 37.64"),
     ("k0x = 1.4142135623730951", "k0x = 1.4142135623730951\ncomponent = 3", "component"),
     # sizes whose arrays would pass 32 MiB, rejected before anything is allocated
-    ("kx_nodes = 64", "kx_nodes = 4097", "kx_nodes = 4097 needs a Gauss rule of 4097 nodes"),
-    ("kx_nodes = 64", "kx_nodes = 64\nkz_nodes = 8192", "kz_nodes"),
-    ("kx_nodes = 64", "kx_nodes = 64\nn_max_cap = 100000", "n_max_cap"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_nodes = 8192", "kz_nodes"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nn_max_cap = 100000", "n_max_cap = 100000 needs a 100001 x 96 overlap array"),
     ("position_unit = L", "position_unit = L\n[oracle]\nn_trunc = 512", "n_trunc"),
     # the padded spectrum has samples x pad_factor points
     ("samples = 512", "samples = 10000000000000", "samples = 10000000000000 and"),
@@ -109,7 +116,7 @@ BAD_INPUTS = (
     # within their own bounds, but b = 2 eta Omega_tilde / Omega is not
     _trap_row("eta = 0.06", "eta = 1e90", "field ratio b must be in"),
     # sections and keys outside the schema
-    ("kx_nodes = 64", "kx_nodes = 64\nkzrule = legendre", "unknown key 'kzrule'"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkzrule = legendre", "unknown key 'kzrule'"),
     ("[numerics]", "[numeric]", "unknown section"),
     ("k0x = 1.4142135623730951", "k0x_ = 1.0", "unknown key 'k0x_'"),
 )
@@ -157,15 +164,15 @@ def test_line_tables_are_bounded_in_3plus1(tmp_path, capsys):
     # the folded tables hold n_max_cap x ceil(kz_nodes / 2) rows
     for numerics in ("kz_nodes = 2048", "kz_nodes = 4096\nn_max_cap = 1025",
                      "kz_nodes = 4096\nn_max_cap = 2048", "kz_nodes = 4095\nn_max_cap = 2048"):
-        parse_config(text_3d.replace("kx_nodes = 64", f"kx_nodes = 64\n{numerics}"))
-    too_many = "kx_nodes = 64\nkz_nodes = 4096\nn_max_cap = 2049"
-    parse_config(SMALL_CONFIG.replace("kx_nodes = 64", too_many))  # 2+1 has one kz node
+        parse_config(text_3d.replace("tail_tol = 1e-10", f"tail_tol = 1e-10\n{numerics}"))
+    too_many = "tail_tol = 1e-10\nkz_nodes = 4096\nn_max_cap = 2049"
+    parse_config(SMALL_CONFIG.replace("tail_tol = 1e-10", too_many))  # 2+1 has one kz node
     with pytest.raises(ConfigError, match="n_max_cap = 2049 and kz_nodes = 4096 need 4196352-row"):
-        parse_config(text_3d.replace("kx_nodes = 64", too_many))
+        parse_config(text_3d.replace("tail_tol = 1e-10", too_many))
     # an odd rule keeps its kz = 0 node: 2048 rows per level, not 2047
     with pytest.raises(ConfigError, match="n_max_cap = 2049 and kz_nodes = 4095 need 4196352-row"):
-        parse_config(text_3d.replace("kx_nodes = 64", too_many.replace("4096", "4095")))
-    path = _write(tmp_path, text_3d.replace("kx_nodes = 64", too_many))
+        parse_config(text_3d.replace("tail_tol = 1e-10", too_many.replace("4096", "4095")))
+    path = _write(tmp_path, text_3d.replace("tail_tol = 1e-10", too_many))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "n_max_cap = 2049 and kz_nodes = 4096" in err and "Traceback" not in err
@@ -274,14 +281,18 @@ def test_threads_below_one_exit_code(tmp_path, capsys, value):
 
 
 def test_docs_list_every_config_key():
-    # the key column of each "## [section]" table of docs/config.md, against the parser's schema
+    # the key column of each "## [section]" table of docs/config.md, against
+    # the parser's schema section by section, and the window names of the
+    # [spectral] window row against the windows the parser accepts
     text = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
     documented = {}
     for block in re.split(r"^## ", text, flags=re.M)[1:]:
-        rows = [line.split("|")[1] for line in block.splitlines() if line.startswith("|")][2:]
-        keys = {key.strip(" `") for cell in rows for key in cell.split(",")}
-        documented[re.match(r"\[(\w+)\]", block).group(1)] = keys
-    assert documented == {section: set(keys) for section, keys in _KEYS.items()}
+        rows = [line.split("|") for line in block.splitlines() if line.startswith("|")][2:]
+        documented[re.match(r"\[(\w+)\]", block).group(1)] = {
+            key.strip(" `"): row[-2] for row in rows for key in row[1].split(",")}
+    assert {section: set(rows) for section, rows in documented.items()} == \
+        {section: set(keys) for section, keys in _KEYS.items()}
+    assert set(re.findall(r"`(\w+)`", documented["spectral"]["window"])) == set(WINDOWS)
 
 
 def test_cli_list_scenarios(capsys):
@@ -372,8 +383,8 @@ def test_eigenvalues_follow_the_oracle_truncation(tmp_path, capsys):
 
 def test_convergence_failure_exit_code(tmp_path, capsys):
     text = SMALL_CONFIG.replace(
-        "[numerics]\nkx_nodes = 64",
-        "[numerics]\nkx_nodes = 64\nn_max_cap = 4",
+        "[numerics]\ntail_tol = 1e-10",
+        "[numerics]\ntail_tol = 1e-10\nn_max_cap = 4",
     )
     config = _write(tmp_path, text)
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
@@ -381,20 +392,21 @@ def test_convergence_failure_exit_code(tmp_path, capsys):
 
 
 def test_kx_rerun_past_the_array_bound_exit_code(tmp_path, capsys):
-    # the floor needs a 2048-node rerun, whose overlap array passes MAX_ARRAY
-    text = SMALL_CONFIG.replace(
-        "kx_nodes = 64", "kx_nodes = 1024\nn_max_cap = 2048\nn_max_floor = 1024")
+    # the floor needs a 3072-node rerun (96 nodes doubled five times), whose
+    # overlap array passes MAX_ARRAY
+    text = SMALL_CONFIG.replace("tail_tol = 1e-10", "n_max_cap = 2048\nn_max_floor = 1536")
     config = _write(tmp_path, text)
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert "need more than 1024 kx nodes, and 2048 pass 4096 nodes" in err
+    assert ("need more than 1536 kx nodes, and 3072 pass 4096 nodes or the 4194304-element "
+            "bound of a 2049 x 3072 overlap array") in err
 
 
 def test_packet_far_from_one_magnetic_length_exit_code(tmp_path, capsys):
     # no level cap covers d_y = 1e5 L; the message gives the packet in L
     text = SMALL_CONFIG.replace("d_y = 1.0", "d_y = 1e5").replace(
-        "kx_nodes = 64", "kx_nodes = 64\nn_max_cap = 40")
+        "tail_tol = 1e-10", "tail_tol = 1e-10\nn_max_cap = 40")
     config = _write(tmp_path, text)
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
@@ -459,12 +471,13 @@ def test_kz_rule_that_loses_the_packet_mass_fails(tmp_path, capsys, cutoff, code
     assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
-def test_overflow_above_truncation_exit_code(tmp_path, capsys):
-    # with a raised cap the overlaps of the 2048-node rule overflow at level
+def test_overflow_above_truncation_exit_code(tmp_path, capsys, monkeypatch):
+    # with a raised cap the overlaps of a 2048-node rule overflow at level
     # 489, above the converged truncation n_max = 106; those levels are never used
+    monkeypatch.setattr("zbsim.packet.KX_NODES", 2048)
     text = SMALL_CONFIG.replace("d_x = 0.9", "d_x = 0.33").replace(
         "k0x = 1.4142135623730951", "k0x = 0.0"
-    ).replace("kx_nodes = 64", "kx_nodes = 2048\nn_max_cap = 512")
+    ).replace("tail_tol = 1e-10", "n_max_cap = 512")
     config = _write(tmp_path, text)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -505,9 +518,9 @@ def test_thread_count_reproducibility(tmp_path):
 
 def test_oracle_mismatch_exit_code(tmp_path, capsys):
     # an absurdly tight tolerance forces the mismatch path
-    text = SMALL_CONFIG + "\n[oracle]\nenabled = true\ntol_in_l = 1e-16\n"
+    text = SMALL_CONFIG + "\n[oracle]\ntol_in_l = 1e-16\n"
     config = _write(tmp_path, text)
-    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 4
+    assert main(["run", str(config), "--out", str(tmp_path / "out"), "--check-oracle"]) == 4
     assert "reference mismatch" in capsys.readouterr().err
 
 
@@ -597,7 +610,7 @@ print(json.dumps(seen))
 def test_the_oracle_and_the_trap_mapping_load_only_for_the_runs_that_use_them(tmp_path):
     text_3d = SMALL_CONFIG.replace("mode = 2+1", "mode = 3+1").replace(
         "k0x = 1.4142135623730951", "k0x = 1.4142135623730951\nd_z = 1.0").replace(
-        "kx_nodes = 64", "kx_nodes = 64\nkz_nodes = 8")
+        "tail_tol = 1e-10", "tail_tol = 1e-10\nkz_nodes = 8")
     trap = SMALL_CONFIG.replace("[field]\nb = 1.0", TRAP)
     runs = (  # (config, extra flag, modules loaded from decompose on)
         (text_3d, [], []),
@@ -681,7 +694,7 @@ def test_a_shifted_oracle_line_fails_the_bound_and_is_named(tmp_path, capsys, mo
 
 
 SMALL_3PLUS1 = SMALL_CONFIG.replace("mode = 2+1", "mode = 3+1").replace(
-    "d_y = 1.0", "d_y = 1.0\nd_z = 1.0").replace("kx_nodes = 64", "kx_nodes = 64\nkz_nodes = 6")
+    "d_y = 1.0", "d_y = 1.0\nd_z = 1.0").replace("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_nodes = 6")
 
 
 def test_check_oracle_3plus1_reports_the_folded_grid(tmp_path, capsys):
@@ -714,11 +727,14 @@ def test_a_perturbed_mirror_node_fails_the_mirror_check(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("old, new, message", [
     # the removed doubling check's switch is now an unknown [numerics] key
-    ("kx_nodes = 64", "kx_nodes = 64\nconvergence_check = maybe",
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nconvergence_check = maybe",
      "[numerics] unknown key 'convergence_check'; known keys: n_max_cap, n_max_floor, "
-     "kx_nodes, kz_nodes, kz_rule, kz_cutoff_sigmas, tail_tol, threads"),
+     "kz_nodes, kz_rule, kz_cutoff_sigmas, tail_tol"),
+    # the check's switch is the --check-oracle flag
     ("position_unit = L", "position_unit = L\n[oracle]\nenabled = maybe",
-     "[oracle] enabled: cannot parse 'maybe'"),
+     "[oracle] unknown key 'enabled'; known keys: n_trunc, tol_in_l"),
+    ("position_unit = L", "position_unit = L\n[spectral]\nwindow = boxcar",
+     "[spectral] window must be one of hann, rect, got 'boxcar'"),
     ("position_unit = L", "position_unit = L\n[oracle]\ntol_in_l = nan",
      "[oracle] tol_in_l: must be finite, got 'nan'"),
 ])
@@ -775,7 +791,7 @@ def test_the_command_line_exits_0_with_every_file_and_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old, new, flags, code, cause", [
-    ("kx_nodes = 64", "kx_nodes = 64\nkzrule = legendre", [], 2, "configuration error: [numerics] unknown key 'kzrule'"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkzrule = legendre", [], 2, "configuration error: [numerics] unknown key 'kzrule'"),
     # 32 Legendre nodes on an interval of 20 widths lose 1e-2 of the kz mass
     ("kz_nodes = 6", "kz_nodes = 32\nkz_rule = legendre\nkz_cutoff_sigmas = 20", [], 3,
      "numerical convergence failure: the kz rule"),
@@ -806,3 +822,24 @@ def test_a_closed_stdout_ends_without_a_traceback(tmp_path):
     assert (code, err) == (1, "")
     for out in ("closed", "broken"):
         assert (tmp_path / out / "report.txt").read_text().endswith("\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_output_that_cannot_be_written_exits_1_in_one_line(tmp_path):
+    config = str(_write(tmp_path, SMALL_CONFIG))
+    with open("/dev/full", "w") as full:
+        # stdout on a full device: the run's files are written, its summary
+        # fails, and stderr names the error
+        code, _, err = _command_line(tmp_path, ["run", config, "--out", str(tmp_path / "full")], stdout=full)
+        assert (code, err) == (1, "cannot write output: [Errno 28] No space left on device\n")
+        assert (tmp_path / "full" / "report.txt").read_text().endswith("\n")
+        # stderr on a full device too: a configuration error's line is lost,
+        # the exit code is 1, and nothing reaches stdout
+        code, out, _ = _command_line(tmp_path, ["run", "--scenario", "fig9"], stderr=full)
+        assert (code, out) == (1, "")
+    # an output file that cannot be written: one line naming it, no traceback
+    (tmp_path / "blocked" / "trajectory.csv").mkdir(parents=True)
+    code, out, err = _command_line(tmp_path, ["run", config, "--out", str(tmp_path / "blocked")])
+    assert (code, out) == (1, "")
+    assert err.startswith("cannot write output: [Errno 21] Is a directory: ") and err.count("\n") == 1
+    assert "trajectory.csv" in err

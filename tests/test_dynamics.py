@@ -351,7 +351,7 @@ def test_matches_matrix_reference_2plus1():
 
 
 def test_matches_matrix_reference_3plus1():
-    num = Numerics(kz_nodes=32, kx_nodes=64)
+    num = Numerics(kz_nodes=32)
     dec = decompose(FIG1_PACKET, FIG1_PARAMS, THREE_PLUS_ONE, num)
     t = np.linspace(0.0, 5.0, 51)
     analytic = trajectory(dec, t)

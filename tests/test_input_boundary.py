@@ -26,13 +26,17 @@ IN_BOUNDS = {
     ("packet", "k0x"): ("0.0", "1.0", "-2.0", "1e6", "-1e5"),
     ("time", "t_max"): ("5.0", "30.0", "1e-300", "1e300", "1e-10", "1e10"),
     ("time", "samples"): ("256", "300"),
-    ("numerics", "kx_nodes"): ("16", "48"),
     ("numerics", "n_max_cap"): ("8", "40"),
     ("numerics", "n_max_floor"): ("0", "12", "-1"),  # -1 is below the least value 0
     # removed keys, now unknown: any config that holds one exits 2
     ("numerics", "y_nodes"): ("40",),
     ("numerics", "convergence_check"): ("false",),
     ("numerics", "convergence_tol"): ("1e-9",),
+    ("numerics", "kx_nodes"): ("96",),
+    ("numerics", "threads"): ("1",),
+    ("oracle", "enabled"): ("true",),
+    # the windows, and the removed aliases of rect
+    ("spectral", "window"): ("hann", "rect", "rectangular", "boxcar"),
     ("numerics", "kz_nodes"): ("4", "12"),
     ("numerics", "kz_rule"): ("hermite", "legendre"),
     ("numerics", "kz_cutoff_sigmas"): ("2.0", "6.0"),
@@ -58,7 +62,7 @@ def _base(mode, field, unit):
         "run": {"mode": mode},
         "packet": {"unit": unit, "d_x": "0.9", "d_y": "1.0", "k0x": "1.0"},
         "time": {"t_max": "20.0", "samples": "256"},
-        "numerics": {"kx_nodes": "32", "n_max_cap": "40"},
+        "numerics": {"n_max_cap": "40"},
         "output": {"position_unit": "L"},
     }
     if mode == "3+1":
@@ -146,13 +150,17 @@ OUT_OF_BOUNDS = {
     ("time", "t_max"): ("0", "-1"),
     ("time", "samples"): ("255",),
     ("numerics", "n_max_floor"): ("-1",),
-    ("numerics", "kx_nodes"): ("4097",),
     ("numerics", "kz_nodes"): ("4097",),
     ("numerics", "kz_cutoff_sigmas"): ("0", "37.65"),
     ("numerics", "tail_tol"): ("0", "-1e-10"),
-    ("numerics", "threads"): ("0",),
     ("spectral", "pad_factor"): ("0",),
     ("oracle", "n_trunc"): ("-1", "512"),
+    # removed keys and window aliases: every value is outside, and the
+    # message names the key (and the alias)
+    ("numerics", "kx_nodes"): ("4097",),
+    ("numerics", "threads"): ("0",),
+    ("oracle", "enabled"): ("true",),
+    ("spectral", "window"): ("rectangular", "boxcar"),
 }
 
 

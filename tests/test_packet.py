@@ -21,6 +21,8 @@ import zbsim.packet
 from zbsim._record import replace
 from zbsim.errors import ConvergenceError, TruncationError
 from zbsim.packet import (
+    KX_NODES,
+    MAX_ARRAY,
     MAX_NODES,
     GaussianPacket,
     Numerics,
@@ -192,21 +194,23 @@ def test_truncation_behaviour():
 # a narrow x profile (L/d_x = 3) with a raised cap: the tail mass converges
 # at level 106, and the overlaps on 2048 kx nodes overflow at level 489
 NARROW_PACKET = GaussianPacket(d_x=0.33 * math.sqrt(2.0), d_y=math.sqrt(2.0))
-RAISED_CAP = Numerics(n_max_cap=512, kx_nodes=2048)
+RAISED_CAP = Numerics(n_max_cap=512)
 
 
-def test_overlap_overflow_above_truncation_is_unused():
+def test_overlap_overflow_above_truncation_is_unused(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        monkeypatch.setattr(zbsim.packet, "KX_NODES", 2048)  # the kx rule's first node count
         dec = decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, RAISED_CAP)
         assert dec.n_max == 106 and dec.kx_nodes.size == 2048
         assert np.all(np.isfinite(dec.phi)) and np.all(np.isfinite(dec.u_band))
         # a floor that forces the truncation past the overflow names it, on
-        # the rule asked for and on the doubled rule of a rerun: 512 nodes
-        # hold levels up to 511, and 1024 nodes overflow at level 871
+        # the first rule and on the doubled rule of a rerun: 512 nodes hold
+        # levels up to 511, and 1024 nodes overflow at level 871
         with pytest.raises(ConvergenceError, match=r"overflowed at level 489 on 2048 kx nodes"):
             decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, replace(RAISED_CAP, n_max_floor=500))
-        rerun = Numerics(n_max_cap=1023, n_max_floor=1000, kx_nodes=512)
+        monkeypatch.setattr(zbsim.packet, "KX_NODES", 512)
+        rerun = Numerics(n_max_cap=1023, n_max_floor=1000)
         with pytest.raises(ConvergenceError, match=r"overflowed at level 871 on 1024 kx nodes"):
             decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, rerun)
         far = np.array([200.0 / math.sqrt(2.0)])
@@ -260,11 +264,11 @@ def _overlap_table(packet, params, kx, n_top, y_nodes=Y_NODES):
 
 
 def _preset_grids(name):
-    """Packet, field and the preset's kx rule (nodes and weights) at its
-    node count and at twice it."""
+    """Packet, field and the preset's kx rule (nodes and weights) at the
+    first node count and at twice it."""
     config = load_preset(name)
     params, packet = config.params, config.packet
-    grids = [_kx_rule(packet, params, n) for n in (config.numerics.kx_nodes, 2 * config.numerics.kx_nodes)]
+    grids = [_kx_rule(packet, params, n) for n in (KX_NODES, 2 * KX_NODES)]
     return config, params, packet, grids
 
 
@@ -320,7 +324,7 @@ def test_decompose_draws_only_the_kept_levels(name, monkeypatch):
     # a floor at the node count draws every level the rule holds, then runs
     # again on twice the nodes
     counts.clear()
-    nodes = config.numerics.kx_nodes
+    nodes = KX_NODES
     doubled = decompose(packet, params, config.mode, replace(config.numerics, n_max_floor=nodes))
     assert counts == [nodes, nodes + 1]
     assert doubled.n_max == nodes and np.array_equal(doubled.kx_nodes, grids[1][0])
@@ -332,30 +336,35 @@ def test_decompose_draws_only_the_kept_levels(name, monkeypatch):
 
 
 def test_node_counts_and_caps_are_bounded():
-    # the largest values the tests and the acceptance criteria use
-    Numerics(kx_nodes=512, n_max_cap=512)
+    # the largest values the tests and the acceptance criteria use, and the
+    # largest cap whose overlap array on the first kx rule fits MAX_ARRAY
+    largest_cap = MAX_ARRAY // KX_NODES - 1
+    Numerics(n_max_cap=512)
     Numerics(kz_rule="legendre", kz_nodes=2048)
-    Numerics(kx_nodes=MAX_NODES)
+    Numerics(kz_nodes=MAX_NODES)
+    Numerics(n_max_cap=largest_cap)
     OracleOptions(n_trunc=511)
     for kwargs, key in (
-        ({"kx_nodes": MAX_NODES + 1}, "kx_nodes"),
         ({"kz_nodes": MAX_NODES + 1}, "kz_nodes"),
         ({"n_max_cap": 100000}, "n_max_cap"),
-        ({"kx_nodes": 2048, "n_max_cap": 4000}, "kx_nodes and n_max_cap"),
+        ({"n_max_cap": largest_cap + 1}, f"n_max_cap = {largest_cap + 1} needs a {largest_cap + 2} x 96 "),
     ):
         with pytest.raises(ValueError, match=key):
             Numerics(**kwargs)
+    # the kx rule's node count is not a setting
+    with pytest.raises(TypeError, match="unexpected argument 'kx_nodes'"):
+        Numerics(kx_nodes=KX_NODES)
     with pytest.raises(ValueError, match="n_trunc"):
         OracleOptions(n_trunc=512)
 
 
 def test_rerun_past_the_node_bounds_is_a_convergence_error():
-    # 1024 nodes hold levels up to 1023; the floor needs 1024, and the
-    # 2049 x 2048 overlap array of the rerun is above MAX_ARRAY
-    num = Numerics(kx_nodes=1024, n_max_cap=2048, n_max_floor=1024)
-    with pytest.raises(ConvergenceError, match=r"levels past 1023 \(tail mass .*, n_max_floor 1024\) need "
-                       r"more than 1024 kx nodes, and 2048 pass 4096 nodes or the 4194304-element "
-                       r"bound of a 2049 x 2048 overlap array"):
+    # 96 nodes doubled four times hold levels up to 1535; the floor needs
+    # 1536, and the 2049 x 3072 overlap array of the rerun is above MAX_ARRAY
+    num = Numerics(n_max_cap=2048, n_max_floor=1536)
+    with pytest.raises(ConvergenceError, match=r"levels past 1535 \(tail mass .*, n_max_floor 1536\) need "
+                       r"more than 1536 kx nodes, and 3072 pass 4096 nodes or the 4194304-element "
+                       r"bound of a 2049 x 3072 overlap array"):
         decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, num)
 
 
@@ -441,8 +450,8 @@ def test_completeness_property(d_x, d_y, k0x, b):
 
 
 # preset counts (kx 96/192, kz 160/320), the test-side overlap table's 136
-# y nodes and the largest a test reaches (kx_nodes = 512, doubled), plus
-# 2048 where weights underflow
+# y nodes and the largest a test reaches (a 512-node first kx rule, doubled),
+# plus 2048 where weights underflow
 RULE_COUNTS = (1, 2, 3, 24, 96, 136, 160, 272, 320, 1024, 2048)
 
 

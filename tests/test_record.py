@@ -32,10 +32,10 @@ class Pair(Record):  # the same fields and values as Point, another class
 
 def test_fields_keep_declaration_order_and_defaults():
     assert fields(Point) == ("x", "y", "tag") == fields(Point(1.0))
-    assert fields(Numerics)[:3] == ("n_max_cap", "n_max_floor", "kx_nodes")
+    assert fields(Numerics)[:3] == ("n_max_cap", "n_max_floor", "kz_nodes")
     assert fields(Numerics)[-1] == "tail_tol"
     # a default stays the class attribute, which the config schema reads
-    assert (Point.y, Point.tag, Numerics.kx_nodes) == (0.0, None, 96)
+    assert (Point.y, Point.tag, Numerics.kz_nodes) == (0.0, None, 160)
     assert asdict(Point(1.0)) == {"x": 1.0, "y": 0.0, "tag": None}
     assert list(asdict(Point(tag="a", x=2.0))) == ["x", "y", "tag"]
 
@@ -79,12 +79,12 @@ def test_equality_and_hash():
     assert a != Pair(1.0, 2.0) and a != (1.0, 2.0, None)
     assert len({a, b, Point(1.0, 3.0), Pair(1.0, 2.0)}) == 3
     assert Numerics() == Numerics() and hash(Numerics()) == hash(Numerics())
-    assert Numerics() != Numerics(kx_nodes=128)
+    assert Numerics() != Numerics(kz_nodes=128)
 
 
 def test_repr_names_every_field():
     assert repr(Point(1.0, tag="a")) == "Point(x=1.0, y=0.0, tag='a')"
-    assert repr(OracleOptions()) == "OracleOptions(enabled=False, n_trunc=0, tol_in_l=1e-06)"
+    assert repr(OracleOptions()) == "OracleOptions(n_trunc=0, tol_in_l=1e-06)"
 
 
 def test_validation_on_construction_and_on_replace():
@@ -92,14 +92,16 @@ def test_validation_on_construction_and_on_replace():
         Point(-1.0)
     with pytest.raises(ValueError, match="non-negative"):
         replace(Point(1.0), x=-1.0)
-    with pytest.raises(ValueError, match="kx_nodes must be >= 4"):
-        replace(Numerics(), kx_nodes=2)
+    with pytest.raises(ValueError, match="kz_nodes must be >= 2"):
+        replace(Numerics(), kz_nodes=1)
     with pytest.raises(TypeError, match="unexpected argument 'y_nodes'"):
         replace(Numerics(), y_nodes=40)
+    with pytest.raises(TypeError, match="unexpected argument 'kx_nodes'"):
+        replace(Numerics(), kx_nodes=128)
     p = Point(1.0, 2.0, "a")
     q = replace(p, y=5.0)
     assert q == Point(1.0, 5.0, "a") and p == Point(1.0, 2.0, "a")
-    assert replace(Numerics(), kx_nodes=128).kx_nodes == 128
+    assert replace(Numerics(), kz_nodes=128).kz_nodes == 128
 
 
 def test_an_omitted_numerics_is_the_one_shared_default():

@@ -154,7 +154,7 @@ def _odd_hermite_3plus1():
     params = make_params_dimensionless(1.0)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, d_z=ell, k0x=math.sqrt(2.0) / ell)
-    num = Numerics(kx_nodes=32, kz_nodes=5, kz_rule="hermite")
+    num = Numerics(kz_nodes=5, kz_rule="hermite")
     return packet, params, decompose(packet, params, THREE_PLUS_ONE, num)
 
 
@@ -194,7 +194,7 @@ def test_line_table_bound_covers_the_sampled_deviation(name):
     if name == "small":  # test_cli's SMALL_CONFIG
         ell = B_ONE.magnetic_length
         packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
-        dec = decompose(packet, B_ONE, TWO_PLUS_ONE, Numerics(kx_nodes=64))
+        dec = decompose(packet, B_ONE, TWO_PLUS_ONE)
         t = np.linspace(0.0, 30.0, 512)
     elif name == "fig2a":
         config = load_preset("fig2a")
@@ -247,7 +247,7 @@ def test_weak_field_lines_that_round_alike_are_compared_as_one():
     params = make_params_dimensionless(1e-4)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
-    dec = decompose(packet, params, TWO_PLUS_ONE, Numerics(kx_nodes=64))
+    dec = decompose(packet, params, TWO_PLUS_ONE)
     freqs = _line_tables(dec)[0][0]
     assert len(set(freqs.tolist())) < freqs.size
     t = np.linspace(0.0, 5 * 2.0 * math.pi / freqs[0], 512)

@@ -28,7 +28,6 @@ def _synthetic(t, x, y=None):
         times=t, x=x, y=y,
         x_interband=zero, y_interband=zero,
         x_intraband=x, y_intraband=y,
-        mode=Dimensionality.TWO_PLUS_ONE,
         position_unit="lambda_c",
         provenance={},
     )
@@ -205,7 +204,7 @@ def test_envelope_windows():
         times=t, x=decaying, y=np.zeros_like(t),
         x_interband=decaying, y_interband=np.zeros_like(t),
         x_intraband=np.zeros_like(t), y_intraband=np.zeros_like(t),
-        mode=Dimensionality.THREE_PLUS_ONE, position_unit="lambda_c", provenance={},
+        position_unit="lambda_c", provenance={},
     )
     env = interband_envelope(tr, period)
     assert env.early_max == pytest.approx(1.0, rel=1e-2)
@@ -216,7 +215,7 @@ def test_envelope_windows():
         times=t, x=persistent, y=np.zeros_like(t),
         x_interband=persistent, y_interband=np.zeros_like(t),
         x_intraband=np.zeros_like(t), y_intraband=np.zeros_like(t),
-        mode=Dimensionality.TWO_PLUS_ONE, position_unit="lambda_c", provenance={},
+        position_unit="lambda_c", provenance={},
     )
     env2 = interband_envelope(tr2, period)
     assert env2.ratio > 0.99
