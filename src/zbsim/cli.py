@@ -23,6 +23,7 @@ handler runs.  main itself returns its exit code as any function does.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -108,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     except tuple(EXIT_CODES) as exc:
         code, cause = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
-        print(f"{cause}: {exc}", file=sys.stderr)
+        _to_stderr(f"{cause}: {exc}\n")
         return code
 
     print(f"run complete: kappa = {result.kappa:.6g}, n_max = {result.n_max}, "
@@ -119,19 +120,34 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def _to_stderr(text: str) -> None:
+    """Write text to stderr and flush it.  On a closed descriptor, as `2>&-`
+    leaves it, the text is dropped, so that the exit code stays the cause's;
+    any other failed write raises."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError as exc:
+        if exc.errno != errno.EBADF:
+            raise
+
+
 def entry() -> None:
     """main on the command line, then stdout and stderr flushed and the
     process ended through os._exit with main's exit code, without the
     interpreter's teardown.  A stream closed before the start is None and
-    is skipped.  Output that cannot be written ends the run with exit code 1
-    and no traceback: silently for a broken pipe, as Python's own EPIPE
-    handling does, and otherwise with one line on stderr if stderr can
-    still take it."""
+    is skipped, and a stderr on a closed descriptor drops its lines.  Other
+    output that cannot be written ends the run with exit code 1 and no
+    traceback: silently for a broken pipe, as Python's own EPIPE handling
+    does, and otherwise with one line on stderr if stderr can still take
+    it."""
     try:
         code = main()
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        _to_stderr("")
     except BrokenPipeError:
         code = 1
     except OSError as exc:

@@ -463,10 +463,12 @@ def decompose(
                         f"(d_x = {packet.d_x / ell:.3g} L, d_y = {packet.d_y / ell:.3g} L, "
                         f"k0x = {packet.k0x * ell:.3g} / L) nearer one magnetic length"
                     )
-                if 2 * nodes > MAX_NODES or (num.n_max_cap + 1) * 2 * nodes > MAX_ARRAY:
+                # a rerun means n_max_cap >= nodes, so the array passes MAX_ARRAY
+                # at 1536 nodes, before twice the nodes can pass MAX_NODES
+                if (num.n_max_cap + 1) * 2 * nodes > MAX_ARRAY:
                     raise ConvergenceError(
                         f"levels past {n_max} (tail mass {1.0 - cum:.3e}, n_max_floor {num.n_max_floor}) need "
-                        f"more than {nodes} kx nodes, and {2 * nodes} pass {MAX_NODES} nodes or the "
+                        f"more than {nodes} kx nodes, and {2 * nodes} pass the "
                         f"{MAX_ARRAY}-element bound of a {num.n_max_cap + 1} x {2 * nodes} overlap array"
                     )
                 continue

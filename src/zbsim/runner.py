@@ -21,7 +21,6 @@ order can change with the number of threads).
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from importlib import resources
 from pathlib import Path
@@ -370,63 +369,16 @@ class RunResult(Record):
     oracle_deviation: float | None
 
 
-def _csv_rows(fmt: str, *columns) -> str:
-    """fmt % row for each row of the stacked columns; %.17g round-trips a float."""
-    return "".join(fmt % tuple(row) for row in np.column_stack(columns).tolist())
-
-
-def _csv_header(config: RunConfig, extra: str = "") -> str:
-    lines = [
-        f"# zbsim {__version__}",
-        f"# config-sha256: {config.config_hash()}",
-        f"# scenario: {config.scenario}; mode: {config.mode.value}",
-    ]
-    if extra:
-        lines.append(f"# {extra}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_trajectory_csv(path: Path, traj: Trajectory, config: RunConfig) -> None:
-    buf = io.StringIO()
-    buf.write(_csv_header(config, f"position-unit: {traj.position_unit}; time-unit: t_c"))
-    buf.write("t,x,y,x_interband,y_interband,x_intraband,y_intraband\n")
-    cols = (traj.times, traj.x, traj.y, traj.x_interband, traj.y_interband,
-            traj.x_intraband, traj.y_intraband)
-    buf.write(_csv_rows(",".join(["%.17g"] * len(cols)) + "\n", *cols))
-    path.write_text(buf.getvalue())
-
-
-def _write_spectrum_csv(path: Path, report: SpectrumReport, config: RunConfig) -> None:
-    labels = [""] * report.freqs.size
-    df = report.freqs[1] - report.freqs[0] if report.freqs.size > 1 else 1.0
-    for peak in report.peaks:
-        k = int(round(peak.freq / df))
-        if 0 <= k < len(labels):
-            labels[k] = peak.label_text()
-    buf = io.StringIO()
-    buf.write(_csv_header(config, "frequency-unit: rad/t_c"))
-    buf.write("freq,power_x,power_y,label\n")
-    rows = np.column_stack((report.freqs, report.power_x, report.power_y)).tolist()
-    buf.write("".join("%.17g,%.17g,%.17g,%s\n" % (*row, lab) for row, lab in zip(rows, labels)))
-    path.write_text(buf.getvalue())
-
-
-def _write_decomposition_csv(out: Path, decomp: PacketDecomposition, config: RunConfig) -> None:
-    buf = io.StringIO()
-    buf.write(_csv_header(config, "transverse expansion coefficients F_n(kx)"))
-    buf.write("n,kx,re,im\n")
-    levels = decomp.n_max + 1
-    n_kx = decomp.kx_nodes.size
-    buf.write(_csv_rows("%d,%.17g,%.17g,0\n", np.repeat(np.arange(levels), n_kx),
-                        np.tile(decomp.kx_nodes, levels), decomp.f_table().ravel()))
-    (out / "decomposition_f.csv").write_text(buf.getvalue())
-
-    buf = io.StringIO()
-    buf.write(_csv_header(config, "overlap matrix U_mn"))
-    buf.write("m,n,re,im\n")
-    buf.write("".join("%d,%d,%.17g,0\n" % (m, n, u_overlap(decomp, m, n))
-                      for m in range(levels) for n in range(levels)))
-    (out / "decomposition_u.csv").write_text(buf.getvalue())
+def _write_csv(path: Path, config: RunConfig, note: str, names: str, fmt: str, *columns) -> None:
+    """A CSV table in one write: four '#' header lines, the column names, and
+    fmt (the format of one row) over every row of the columns through one %
+    on the whole table; %.17g round-trips a float."""
+    cells = tuple(cell for row in zip(*(np.asarray(col).tolist() for col in columns)) for cell in row)
+    path.write_text(
+        f"# zbsim {__version__}\n# config-sha256: {config.config_hash()}\n"
+        f"# scenario: {config.scenario}; mode: {config.mode.value}\n# {note}\n{names}\n"
+        + (f"{fmt}\n" * len(columns[0])) % cells
+    )
 
 
 def run(
@@ -456,18 +408,31 @@ def run(
     if check_oracle:
         n_trunc = config.oracle.n_trunc if config.oracle.n_trunc > 0 else None
         check = oracle_check(decomp, config.time.t_max, n_trunc)
-        buf = io.StringIO()
-        buf.write(_csv_header(config, "truncated-matrix eigenvalues at kx=kz=0"))
-        buf.write("index,energy\n")
-        energies = check.eigenvalues
-        buf.write(_csv_rows("%d,%.17g\n", np.arange(energies.size), energies))
-        (out / "eigenvalues.csv").write_text(buf.getvalue())
+        _write_csv(out / "eigenvalues.csv", config, "truncated-matrix eigenvalues at kx=kz=0",
+                   "index,energy", "%d,%.17g", np.arange(check.eigenvalues.size), check.eigenvalues)
 
-    _write_trajectory_csv(out / "trajectory.csv", traj_out, config)
-    _write_spectrum_csv(out / "spectrum.csv", report, config)
+    _write_csv(out / "trajectory.csv", config,
+               f"position-unit: {traj_out.position_unit}; time-unit: t_c",
+               "t,x,y,x_interband,y_interband,x_intraband,y_intraband", ",".join(["%.17g"] * 7),
+               traj_out.times, traj_out.x, traj_out.y, traj_out.x_interband, traj_out.y_interband,
+               traj_out.x_intraband, traj_out.y_intraband)
+    labels = [""] * report.freqs.size  # each peak's label on its own bin
+    df = report.freqs[1] - report.freqs[0] if report.freqs.size > 1 else 1.0
+    for peak in report.peaks:
+        k = int(round(peak.freq / df))
+        if 0 <= k < len(labels):
+            labels[k] = peak.label_text()
+    _write_csv(out / "spectrum.csv", config, "frequency-unit: rad/t_c", "freq,power_x,power_y,label",
+               "%.17g,%.17g,%.17g,%s", report.freqs, report.power_x, report.power_y, labels)
     _write_svgs(out, traj_out, report, config)
     if dump_decomposition:
-        _write_decomposition_csv(out, decomp, config)
+        levels, n_kx = decomp.n_max + 1, decomp.kx_nodes.size
+        _write_csv(out / "decomposition_f.csv", config, "transverse expansion coefficients F_n(kx)",
+                   "n,kx,re,im", "%d,%.17g,%.17g,0", np.repeat(np.arange(levels), n_kx),
+                   np.tile(decomp.kx_nodes, levels), decomp.f_table().ravel())
+        _write_csv(out / "decomposition_u.csv", config, "overlap matrix U_mn", "m,n,re,im",
+                   "%d,%d,%.17g,0", np.repeat(np.arange(levels), levels), np.tile(np.arange(levels), levels),
+                   [u_overlap(decomp, m, n) for m in range(levels) for n in range(levels)])
 
     report_path = out / "report.txt"
     report_path.write_text(

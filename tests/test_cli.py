@@ -339,18 +339,41 @@ def test_runs_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+# the cells of every CSV table, column by column: f a float, d an integer, s a peak label
+CSV_COLUMNS = {
+    "trajectory.csv": "fffffff",
+    "spectrum.csv": "fffs",
+    "eigenvalues.csv": "df",
+    "decomposition_f.csv": "dffd",
+    "decomposition_u.csv": "ddfd",
+}
+
+
 def test_csv_floats_round_trip(tmp_path, capsys):
-    config = _write(tmp_path, SMALL_CONFIG)
-    out = tmp_path / "out"
-    assert main(["run", str(config), "--out", str(out)]) == 0
-    lines = [
-        line for line in (out / "trajectory.csv").read_text().splitlines()
-        if line and not line.startswith("#") and not line.startswith("t,")
-    ]
-    first = lines[1].split(",")
-    # 17 significant digits reproduce the binary double exactly
-    value = float(first[2])
-    assert f"{value:.17g}" == first[2]
+    # every table a run can write, on fig2a and on a small 3+1 config: four
+    # header lines, the column names, and rows of as many cells, each float
+    # written with the 17 significant digits that reproduce the binary
+    # double exactly, and each label one of the report's peaks
+    for i, source in enumerate((["--scenario", "fig2a"], [str(_write(tmp_path, SMALL_3PLUS1))])):
+        out = tmp_path / f"out{i}"
+        assert main(["run", *source, "--out", str(out), "--check-oracle", "--dump-decomposition"]) == 0
+        listed = set(re.findall(r"rel power = \S+  (.+)$", (out / "report.txt").read_text(), re.MULTILINE))
+        labels = set()
+        for name, kinds in CSV_COLUMNS.items():
+            lines = (out / name).read_text().splitlines()
+            assert [line[0] for line in lines[:4]] == ["#"] * 4 and not lines[4].startswith("#"), name
+            assert len(lines[4].split(",")) == len(kinds) and len(lines) > 5, name
+            for line in lines[5:]:
+                cells = line.split(",")
+                assert len(cells) == len(kinds), (name, line)
+                for cell, kind in zip(cells, kinds):
+                    if kind == "f":
+                        assert "%.17g" % float(cell) == cell, (name, line)
+                    elif kind == "d":
+                        assert "%d" % int(cell) == cell, (name, line)
+                    elif cell:
+                        labels.add(cell)
+        assert labels and labels <= listed, (source, labels - listed)
     capsys.readouterr()
 
 
@@ -399,7 +422,7 @@ def test_kx_rerun_past_the_array_bound_exit_code(tmp_path, capsys):
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert ("need more than 1536 kx nodes, and 3072 pass 4096 nodes or the 4194304-element "
+    assert ("need more than 1536 kx nodes, and 3072 pass the 4194304-element "
             "bound of a 2049 x 3072 overlap array") in err
 
 
@@ -822,6 +845,20 @@ def test_a_closed_stdout_ends_without_a_traceback(tmp_path):
     assert (code, err) == (1, "")
     for out in ("closed", "broken"):
         assert (tmp_path / out / "report.txt").read_text().endswith("\n")
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_a_closed_stderr_keeps_the_exit_code(tmp_path, unbuffered):
+    # stderr closed before the start: the configuration error's line is
+    # dropped, and the exit code still names the cause, whether stderr is
+    # line-buffered or written through
+    env = {key: value for key, value in _env().items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m zbsim.cli "$@" 2>&-', sys.executable, "run",
+                           "--scenario", "fig9", "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (2, b"")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")

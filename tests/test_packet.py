@@ -363,7 +363,7 @@ def test_rerun_past_the_node_bounds_is_a_convergence_error():
     # 1536, and the 2049 x 3072 overlap array of the rerun is above MAX_ARRAY
     num = Numerics(n_max_cap=2048, n_max_floor=1536)
     with pytest.raises(ConvergenceError, match=r"levels past 1535 \(tail mass .*, n_max_floor 1536\) need "
-                       r"more than 1536 kx nodes, and 3072 pass 4096 nodes or the 4194304-element "
+                       r"more than 1536 kx nodes, and 3072 pass the 4194304-element "
                        r"bound of a 2049 x 3072 overlap array"):
         decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, num)
 
