@@ -22,14 +22,14 @@ Positions follow from the relative-coordinate operators
 These exclude the guiding-centre offset kx L^2, so a packet kicked by k0x
 starts at Y(0) = -k0x L^2 and circles the origin.
 
-Both engines write <A(t)> in one line form, per band: the intraband
-(cyclotron) lines at the difference frequencies E_{n+1} - E_n and the
-interband (trembling) lines at the sums E_{n+1} + E_n, each band a
-(freqs, cos, sin) table with <A> = sum cos cos(f t) + i sin sin(f t).
-band_sums evaluates the pair of tables into a (2, samples) array through the
-one kernel line_sum.  The matrix oracle (zbsim.reference) builds the same
-tables per kz node and is checked against these tables line by line, not
-sample by sample.
+Both engines write <A(t)> as one line record (node, band, freqs, cos, sin),
+<A> = sum cos cos(f t) + i sin sin(f t) over its lines, each line carrying
+the index of its kz node and its band: 0 for the intraband (cyclotron)
+lines at the difference frequencies E_{n+1} - E_n, 1 for the interband
+(trembling) lines at the sums E_{n+1} + E_n.  band_sums evaluates a record
+into a (2, samples) array, one row per band, through the one kernel
+line_sum.  The matrix oracle (zbsim.reference) builds the same record and
+is checked against this one line by line, not sample by sample.
 
 The engine's one input is the packet's PacketDecomposition (packet.decompose):
 it holds the packet, the field parameters, the mode, the overlap tables and
@@ -82,8 +82,9 @@ class Trajectory(Record):
 
 
 def _line_tables(decomp: PacketDecomposition):
-    """The packet's (intraband, interband) line tables, one line per level
-    pair and kz node, with w = 1/2 sqrt(n+1) U_{n,n+1} times the kz weight:
+    """The packet's line record (node, band, freqs, cos, sin), intraband
+    first, then pair by pair and node by node, with w = 1/2 sqrt(n+1)
+    U_{n,n+1} times the kz weight:
 
         intraband (E_{n+1} - E_n, w (1 + E_n/E_{n+1}), -w (1/E_n + 1/E_{n+1})),
         interband (E_{n+1} + E_n, w (1 - E_n/E_{n+1}),  w (1/E_n - 1/E_{n+1})),
@@ -97,7 +98,8 @@ def _line_tables(decomp: PacketDecomposition):
     bw = base * decomp.kz_weights
     intra = (e_hi - e_lo, bw * (1.0 + e_lo / e_hi), -(bw * (1.0 / e_lo + 1.0 / e_hi)))
     inter = (e_hi + e_lo, bw * (1.0 - e_lo / e_hi), bw * (1.0 / e_lo - 1.0 / e_hi))
-    return tuple(tuple(x.ravel() for x in band) for band in (intra, inter))
+    return (np.tile(np.arange(decomp.kz_nodes.size), 2 * decomp.n_max), np.repeat([0, 1], bw.size),
+            *(np.concatenate((a, b), axis=None) for a, b in zip(intra, inter)))
 
 
 def _grid_block(t: np.ndarray) -> int:
@@ -162,10 +164,11 @@ def line_sum(t: np.ndarray, freqs: np.ndarray, cos_coef: np.ndarray, sin_coef: n
     return acc.ravel()[: 2 * t.size].view(complex)
 
 
-def band_sums(t: np.ndarray, bands) -> np.ndarray:
+def band_sums(t: np.ndarray, lines) -> np.ndarray:
     """The (2, samples) complex <A(t)> of the intraband and the interband
-    lines, from their (freqs, cos, sin) tables."""
-    return np.array([line_sum(t, *lines) for lines in bands])
+    lines of a (node, band, freqs, cos, sin) record, in record order."""
+    _, band, *table = lines
+    return np.array([line_sum(t, *(x[band == b] for x in table)) for b in (0, 1)])
 
 
 def _banded_trajectory(t, bands: np.ndarray, provenance: dict):
@@ -230,6 +233,7 @@ def cyclotron_reference(packet: GaussianPacket, params: SimParams) -> tuple[floa
     hbar*eB/m = b^2/2 in natural units.
     """
     e0, e1 = energies([0, 1], 0.0, params)
-    omega_c = float(e1 - e0)
+    # E_1 - E_0 = (E_1^2 - E_0^2)/(E_1 + E_0): no cancellation at weak fields
+    omega_c = float(params.omega**2 / (e1 + e0))
     radius = packet.k0x * params.magnetic_length**2
     return omega_c, radius

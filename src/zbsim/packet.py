@@ -358,31 +358,25 @@ def u_overlap(decomp: PacketDecomposition, m: int, n: int) -> float:
 
 
 def _kz_grid(packet: GaussianPacket, numerics: Numerics) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights approximating Integral h(kz) |g_z(kz)|^2 dkz."""
+    """Nodes and weights for Integral h(kz) |g_z(kz)|^2 dkz, folded: the kz >= 0
+    half of the mirrored Gauss rule (_gauss_rule), each kz > 0 node at twice
+    its weight.  Every integrand of the engines depends on kz only through
+    kz^2, so the folded rule integrates it as the full one does."""
     dz = packet.d_z
     if dz is None:
         raise ValueError("3+1 decomposition requires a longitudinal width d_z")
+    half = numerics.kz_nodes // 2
     if numerics.kz_rule == "hermite":
         u, w = gauss_hermite(numerics.kz_nodes)
-        return u / dz, w / math.sqrt(math.pi)
-    # truncated Gauss-Legendre for long-horizon runs with oscillatory kernels
-    sigma = 1.0 / (math.sqrt(2.0) * dz)
-    cutoff = numerics.kz_cutoff_sigmas * sigma
-    x, w = gauss_legendre(numerics.kz_nodes)
-    kz = cutoff * x
-    weights = cutoff * w * (dz / math.sqrt(math.pi)) * np.exp(-((kz * dz) ** 2))
-    return kz, weights
-
-
-def _folded(kz: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The kz >= 0 nodes of a mirrored rule, ascending, each kz > 0 node at
-    twice its weight; an odd rule's kz = 0 node keeps its own.  Every
-    integrand of the engines depends on kz only through kz^2, so the folded
-    rule integrates it as the full one does."""
-    k = kz.size // 2
-    if not (np.array_equal(kz[:k], -kz[::-1][:k]) and np.array_equal(weights[:k], weights[::-1][:k])):
-        raise AssertionError("the kz rule does not mirror its nodes and weights")
-    return kz[k:], np.where(kz[k:] > 0.0, 2.0, 1.0) * weights[k:]
+        kz, weights = u[half:] / dz, w[half:] / math.sqrt(math.pi)
+    else:
+        # truncated Gauss-Legendre for long-horizon runs with oscillatory kernels
+        sigma = 1.0 / (math.sqrt(2.0) * dz)
+        cutoff = numerics.kz_cutoff_sigmas * sigma
+        x, w = gauss_legendre(numerics.kz_nodes)
+        kz = cutoff * x[half:]
+        weights = cutoff * w[half:] * (dz / math.sqrt(math.pi)) * np.exp(-((kz * dz) ** 2))
+    return kz, np.where(kz > 0.0, 2.0, 1.0) * weights
 
 
 def _kx_rule(packet: GaussianPacket, params: SimParams, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -411,12 +405,11 @@ def decompose(
     The run's mode enters here and only here: a 3+1 decomposition carries a
     kz quadrature of the packet's longitudinal profile, a 2+1 one the single
     node kz = 0.  The engines and the peak labels read the packet, the field
-    parameters and the mode from the decomposition.  The 3+1 rule is folded
-    onto its distinct |kz| (_folded): it must mirror its nodes and weights
-    exactly, and the engines and the oracle read only its kz >= 0 half, so
-    numerics.kz_nodes counts the rule's nodes and kz_nodes.size the nodes
-    evaluated.  A kz rule whose weights miss more than KZ_MASS_TOL of the
-    packet's kz mass is a QuadratureError.
+    parameters and the mode from the decomposition.  The 3+1 rule comes
+    folded onto its distinct |kz| (_kz_grid), so numerics.kz_nodes counts
+    the rule's nodes and kz_nodes.size the nodes evaluated.  A kz rule whose
+    weights miss more than KZ_MASS_TOL of the packet's kz mass is a
+    QuadratureError.
 
     The truncation n_max is the smallest level, at least
     min(n_max_floor, n_max_cap), with tail mass below numerics.tail_tol
@@ -431,7 +424,7 @@ def decompose(
     num = numerics if numerics is not None else Numerics()
     kz_nodes, kz_weights = np.array([0.0]), np.array([1.0])
     if mode is Dimensionality.THREE_PLUS_ONE:
-        kz_nodes, kz_weights = _folded(*_kz_grid(packet, num))
+        kz_nodes, kz_weights = _kz_grid(packet, num)
         lost = 1.0 - math.fsum(kz_weights)
         if not abs(lost) <= KZ_MASS_TOL:  # a NaN fails
             raise QuadratureError(

@@ -15,8 +15,8 @@ kz != 0, 2 x 2 at kz = 0), read off its nonzero pattern into a block plan,
 one for kz = 0 and one for every other kz.  One solve, _solve_blocks,
 diagonalises every block of a plan at many kz nodes at once, one batched
 symmetric eigh per block size over (nodes x blocks, s, s), so eigenvectors
-are exactly zero off their block.  The kz = 0 spectrum of that solve is the
-eigenvalues.csv table.
+are exactly zero off their block.  One more kz = 0 solve, after the check's
+nodes, gives the eigenvalues.csv table.
 
 The oracle evolves the weighted kx ensemble at once.  With the packet's
 level overlaps phi_f (spinor component 1) and fibre weights w_f, a kz node
@@ -24,13 +24,14 @@ adds <A(t)> = sum_jk A_jk S_jk e^{i (E_j - E_k) t} over its real eigenpairs,
 A_jk = v_j . (1 x a) v_k, S_jk = v_j . G v_k, G = sum_f w_f phi_f phi_f^T;
 the eigenvectors are real, so <A+(t)> = conj <A(t)>.  _node_lines forms
 A_jk, A_kj and S_jk of many nodes in one batched product and writes their
-lines in the per-band line form of zbsim.dynamics, frequencies made
-non-negative, each line carrying the index of its node.  The check's
-independent part is the assembled matrix and its solve.
+lines in the one line record (node, band, freqs, cos, sin) of
+zbsim.dynamics, frequencies made non-negative.  The check's independent
+part is the assembled matrix and its solve.
 
-The run's check, oracle_check, compares line tables instead of samples.  At
-each kz node every oracle line joins the analytic line of its band within
-_MATCH_RTOL of its frequency; the summed |dC| + |dS| of the joined lines,
+The run's check, oracle_check, compares the two line records instead of
+samples, selecting each chunk's analytic lines by node.  At each kz node
+every oracle line joins the analytic line of its band within _MATCH_RTOL
+of its frequency; the summed |dC| + |dS| of the joined lines,
 their frequency drift |df| t_max (|C| + |S|), and |C| + |S| of every line
 that joins none (the levels above n_max) bound |<A>_analytic - <A>_oracle|
 at every 0 <= t <= t_max, and sqrt(2) times that bounds the position
@@ -181,8 +182,9 @@ def _solve_blocks(plan, kz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def _ascending(plan, vals: np.ndarray) -> np.ndarray:
-    """One node's eigenvalues from _solve_blocks, padding dropped, ascending."""
+def _ascending(plan, kz: float) -> np.ndarray:
+    """A block plan's eigenvalues at one kz (_solve_blocks), padding dropped, ascending."""
+    vals = _solve_blocks(plan, np.array([kz]))[0][0]
     vals = np.concatenate([vals[blk, :s].ravel() for blk, s in plan[0]])
     # a stable argsort, as in _blocks: np.sort pages in more numpy code (up to 0.2 MB of RSS)
     return vals[np.argsort(vals, kind="stable")]
@@ -241,11 +243,11 @@ def _plans(decomp: PacketDecomposition, trunc: int, kz: np.ndarray) -> dict:
 
 
 def _node_lines(plan, pairs, kz: np.ndarray, weights: np.ndarray):
-    """The eigenvalues at the nodes kz of one block plan (_solve_blocks) and
-    the oracle's lines there, weighted as the nodes are: (node, band, freqs,
-    cos, sin) over the lines, node the index into kz and band 0 for
-    intraband (both energies of one sign), 1 for interband, each frequency
-    made non-negative by carrying its sign into the sin coefficient.
+    """The oracle's lines at the nodes kz of one block plan (_solve_blocks),
+    weighted as the nodes are: (node, band, freqs, cos, sin) over the lines,
+    node the index into kz and band 0 for intraband (both energies of one
+    sign), 1 for interband, each frequency made non-negative by carrying its
+    sign into the sin coefficient.
 
     A_jk, A_kj and S_jk of every node come from one batched product on the
     block pairs the ladder couples (pairs, a _pair_plan); each unordered
@@ -270,7 +272,7 @@ def _node_lines(plan, pairs, kz: np.ndarray, weights: np.ndarray):
     freqs = (e_j - e_k)[keep]
     sin_coef = np.copysign(1.0, freqs) * (amps - mirror)  # sin(-wt) = -sin wt
     band = ((e_j > 0.0) != (e_k > 0.0))[keep].astype(np.intp)
-    return vals, (node, band, np.abs(freqs), cos_coef, sin_coef)
+    return node, band, np.abs(freqs), cos_coef, sin_coef
 
 
 def _groups(freqs: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, int]:
@@ -288,16 +290,6 @@ def _groups(freqs: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, int]:
     label = np.empty(f.size, dtype=int)
     label[order] = np.cumsum(starts) - 1
     return label, int(np.count_nonzero(starts))
-
-
-def _analytic_lines(tables, lo: int, hi: int):
-    """The analytic lines of the nodes lo..hi - 1 as (node, band, freqs, cos,
-    sin), from the (intraband, interband) line tables of _line_tables, each
-    column shaped (level pairs, nodes)."""
-    cols = [[x[:, lo:hi] for x in band] for band in tables]
-    node = np.broadcast_to(np.arange(lo, hi), cols[0][0].shape).ravel()
-    return (np.tile(node, 2), np.repeat([0, 1], node.size),
-            *(np.concatenate([band[k].ravel() for band in cols]) for k in range(3)))
 
 
 def _line_distance(analytic, oracle, t_max: float, where):
@@ -386,7 +378,7 @@ def _mirror_deviation(lines, kz: np.ndarray) -> float:
 
 
 def oracle_check(decomp: PacketDecomposition, t_max: float, n_trunc: int | None = None) -> OracleCheck:
-    """Compare the analytic engine's line tables with the oracle's at every
+    """Compare the analytic engine's line record with the oracle's at every
     node and band (OracleCheck); in 3+1 the rule's most negative kz node,
     which the folded grid leaves out, is solved as well, in the same batch
     as its mirror, and must agree with it.  A NaN frequency is an
@@ -402,7 +394,7 @@ def oracle_check(decomp: PacketDecomposition, t_max: float, n_trunc: int | None 
     three_d = decomp.mode is Dimensionality.THREE_PLUS_ONE
     if three_d:  # the mirror pair at unit weight: an outer weight may underflow to 0
         kz, weights = np.append(kz, [-kz[-1], kz[-1]]), np.append(weights, [1.0, 1.0])
-    tables = [[x.reshape(-1, n_kz) for x in band] for band in _line_tables(decomp)]
+    analytic = _line_tables(decomp)
 
     def where(i) -> str:
         return f"kz = {kz[i]:.6g} (node {i + 1} of {n_kz})"
@@ -410,29 +402,25 @@ def oracle_check(decomp: PacketDecomposition, t_max: float, n_trunc: int | None 
     plans = _plans(decomp, trunc, kz)
     zero = kz == 0.0
     parts = np.zeros(4)  # (matched, truncated) x (intraband, interband)
-    worst, mirror, eigenvalues, lo = [], [], None, 0
+    worst, mirror, lo = [], [], 0
     while lo < kz.size:
         plan, pairs = plans[bool(zero[lo])]
         step = max(1, _CHUNK // pairs[2][0].size)
         other = np.flatnonzero(zero[lo : lo + step] != zero[lo])
         hi = lo + (int(other[0]) if other.size else min(step, kz.size - lo))
-        vals, lines = _node_lines(plan, pairs, kz[lo:hi], weights[lo:hi])
-        if kz[lo] == 0.0:
-            eigenvalues = _ascending(plan, vals[0])
+        lines = _node_lines(plan, pairs, kz[lo:hi], weights[lo:hi])
         lines = (lines[0] + lo, *lines[1:])
         own = int(np.count_nonzero(lines[0] < n_kz))  # the lines come node by node
         mirror.append([x[own:].copy() for x in lines])
         if lo < n_kz:
-            analytic = _analytic_lines(tables, lo, min(hi, n_kz))
-            values, node, band, freqs, part = _line_distance(analytic, [x[:own] for x in lines], t_max, where)
+            chunk = (analytic[0] >= lo) & (analytic[0] < hi)
+            values, node, band, freqs, part = _line_distance(
+                [x[chunk] for x in analytic], [x[:own] for x in lines], t_max, where)
             parts += np.bincount(2 * part + band, values, 4)
             if values.size:  # the largest term, a NaN first
                 k = np.argmax(values)
                 worst.append((float(values[k]), _BANDS[band[k]], float(freqs[k]), where(node[k])))
         lo = hi
-    if eigenvalues is None:  # an even kz rule has no node at kz = 0
-        plan = plans[True][0]
-        eigenvalues = _ascending(plan, _solve_blocks(plan, np.zeros(1))[0][0])
     bound, parts = math.sqrt(2.0) * float(np.sum(parts)), math.sqrt(2.0) * parts.reshape(2, 2)
     # the largest term, a NaN first; the chunks come in node order
     value, name, freq, node = max(worst, key=lambda w: math.inf if math.isnan(w[0]) else w[0],
@@ -444,5 +432,5 @@ def oracle_check(decomp: PacketDecomposition, t_max: float, n_trunc: int | None 
         worst=f"{name} line at f = {freq:.9g}, {node}: {math.sqrt(2.0) * value:.3e} L",
         mirror_dev=_mirror_deviation([np.concatenate(x) for x in zip(*mirror)], kz) if three_d else None,
         n_trunc=trunc,
-        eigenvalues=eigenvalues,
+        eigenvalues=_ascending(plans[True][0], 0.0),
     )

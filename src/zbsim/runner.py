@@ -279,6 +279,18 @@ def _section(cp: configparser.ConfigParser, section: str):
     return _checked(section, options, **values)
 
 
+def _parse_error(exc: configparser.Error, text: str) -> str:
+    """One line for an error of configparser's reader on text: line number, line and cause."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        lineno, cause = exc.lineno, "comes before the first [section] header"
+    elif isinstance(exc, configparser.ParsingError):
+        lineno, cause = exc.errors[0][0], "is neither a [section] header nor a 'key = value' line"
+    else:  # a DuplicateOptionError names its option, a DuplicateSectionError none
+        lineno, cause = exc.lineno, "repeats a key of its section" if hasattr(exc, "option") else "repeats a section"
+    line = text.split("\n")[lineno - 1].strip()  # read_string splits at "\n" alone
+    return f"line {lineno}: {line!r} {cause}"
+
+
 def parse_config(text: str, scenario: str = "inline") -> RunConfig:
     """Parse and validate an INI configuration; raises ConfigError on problems.
 
@@ -286,11 +298,12 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
     values; the rules that span sections are checked here, and the field
     parameters, trap and packet are built once.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark, so it changes no hash
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)  # values are literal
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
+        raise ConfigError(f"cannot parse config: {_parse_error(exc, text)}") from exc
     for name in cp.sections():
         if name not in _SECTIONS:
             raise ConfigError(f"unknown section [{name}]; known sections: {', '.join(_SECTIONS)}")

@@ -50,7 +50,7 @@ def fibre_eigenvalues(kz: float, n_trunc: int, params: SimParams) -> np.ndarray:
     solved block by block as the oracle solves it."""
     h0, hz = reference._fibre_terms(n_trunc, params)
     plan = reference._block_plan(kz, h0, hz)
-    return reference._ascending(plan, reference._solve_blocks(plan, np.array([kz]))[0][0])
+    return reference._ascending(plan, kz)
 
 
 def expected_eigenvalues(kz: float, n_trunc: int, params: SimParams) -> np.ndarray:
@@ -78,8 +78,7 @@ def oracle_trajectory(
     for at_zero, (plan, pairs) in reference._plans(decomp, trunc, kz).items():
         on = (kz == 0.0) == at_zero
         if on.any():
-            _, (_, band, *lines) = reference._node_lines(plan, pairs, kz[on], weights[on])
-            bands += band_sums(t, [[x[band == b] for x in lines] for b in (0, 1)])
+            bands += band_sums(t, reference._node_lines(plan, pairs, kz[on], weights[on]))
     return _banded_trajectory(t, bands, {
         "engine": "matrix-reference", "n_trunc": trunc, "magnetic_length": decomp.params.magnetic_length,
     })
@@ -270,7 +269,7 @@ def per_node_oracle_check(decomp: PacketDecomposition, t_max: float, n_trunc: in
     and n_trunc."""
     trunc = reference._truncation(decomp, n_trunc)
     n_kz = decomp.kz_nodes.size
-    analytic = [[x.reshape(-1, n_kz) for x in band] for band in _line_tables(decomp)]
+    at, in_band, *analytic = _line_tables(decomp)
     three_d = decomp.mode is Dimensionality.THREE_PLUS_ONE
     nodes = list(zip(decomp.kz_nodes.tolist(), decomp.kz_weights.tolist()))
     if three_d:
@@ -280,8 +279,9 @@ def per_node_oracle_check(decomp: PacketDecomposition, t_max: float, n_trunc: in
     worst = []
     for i, (kz, bands) in enumerate(solved[:n_kz]):
         node = f"kz = {kz:.6g} (node {i + 1} of {n_kz})"
-        for b, (name, ref, lines) in enumerate(zip(("intraband", "interband"), analytic, bands)):
-            terms = _per_node_distance([x[:, i] for x in ref], lines, t_max, f"{name} lines at {node}")
+        for b, (name, lines) in enumerate(zip(("intraband", "interband"), bands)):
+            ref = [x[(at == i) & (in_band == b)] for x in analytic]
+            terms = _per_node_distance(ref, lines, t_max, f"{name} lines at {node}")
             for part, (values, freqs) in enumerate(terms):
                 parts[part, b] += np.sum(values)
                 if values.size:

@@ -119,12 +119,19 @@ BAD_INPUTS = (
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nkzrule = legendre", "unknown key 'kzrule'"),
     ("[numerics]", "[numeric]", "unknown section"),
     ("k0x = 1.4142135623730951", "k0x_ = 1.0", "unknown key 'k0x_'"),
+    # values are literal: a % is no interpolation, the value fails its own check
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_rule = herm%ite", "unknown kz rule 'herm%ite'"),
+    ("position_unit = L", "position_unit = %(x)s", "position_unit must be lambda_c or L, got '%"),
+    # lines the reader rejects, named by their line number; a byte-order mark is no line
+    ("\n[run]", "b = 1.0\n[run]", "cannot parse config: line 1: 'b = 1.0' comes before the first"),
+    ("\n[run]", "\ufeffb = 1.0\n[run]", "cannot parse config: line 1: 'b = 1.0' comes before the first"),
+    ("position_unit = L", "position_unit = L\nfoo", "cannot parse config: line 23: 'foo' is neither a"),
 )
 
 
 def _write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -195,7 +202,8 @@ def test_cli_exit_codes_for_bad_invocations(tmp_path, capsys):
     for i, (old, new, cause) in enumerate(BAD_INPUTS):
         path = _write(tmp_path, SMALL_CONFIG.replace(old, new), f"bad{i}.ini")
         assert main(["run", str(path), "--out", str(tmp_path / f"out{i}")]) == 2
-        assert cause in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert cause in err and err.count("\n") == 1, (new, err)
 
 
 @pytest.mark.parametrize("case", ["directory", "latin-1", "out-below-a-file", "out-is-a-file"])
@@ -216,6 +224,21 @@ def test_unreadable_config_or_output_path_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_byte_order_mark_changes_no_output(tmp_path, capsys):
+    # the mark is dropped on reading, so the config hash and every file agree
+    plain, marked = tmp_path / "plain" / "run.ini", tmp_path / "marked" / "run.ini"
+    for path, head in ((plain, b""), (marked, b"\xef\xbb\xbf")):
+        path.parent.mkdir()
+        path.write_bytes(head + SMALL_CONFIG.encode())
+        assert main(["run", str(path), "--out", str(path.parent / "out")]) == 0
+    names = sorted(path.name for path in (plain.parent / "out").iterdir())
+    assert "report.txt" in names
+    assert sorted(path.name for path in (marked.parent / "out").iterdir()) == names
+    for name in names:
+        assert (plain.parent / "out" / name).read_bytes() == (marked.parent / "out" / name).read_bytes(), name
+    capsys.readouterr()
 
 
 def test_every_error_type_has_an_exit_code(tmp_path, capsys, monkeypatch):
@@ -683,10 +706,10 @@ def test_nan_oracle_sample_fails_the_deviation_gate(tmp_path, capsys, monkeypatc
     node_lines = zbsim.reference._node_lines
 
     def broken(*args):
-        vals, lines = node_lines(*args)
+        lines = node_lines(*args)
         intra = np.flatnonzero(lines[1] == 0)  # the one kz node's intraband lines
         lines[{"x": 4, "y": 3}[axis]][intra[7]] = np.nan
-        return vals, lines
+        return lines
 
     monkeypatch.setattr("zbsim.reference._node_lines", broken)
     config = _write(tmp_path, SMALL_CONFIG)
@@ -700,13 +723,13 @@ def test_a_shifted_oracle_line_fails_the_bound_and_is_named(tmp_path, capsys, mo
     node_lines, shifted = zbsim.reference._node_lines, []
 
     def shift(*args):
-        vals, lines = node_lines(*args)
+        lines = node_lines(*args)
         _, band, freqs, cos_coef, _ = lines
         intra = np.flatnonzero(band == 0)  # the one kz node's intraband lines
         k = intra[np.argmax(np.abs(cos_coef[intra]))]
         cos_coef[k] += 1e-5
         shifted.append(freqs[k])
-        return vals, lines
+        return lines
 
     monkeypatch.setattr("zbsim.reference._node_lines", shift)
     config = _write(tmp_path, SMALL_CONFIG)

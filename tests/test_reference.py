@@ -16,7 +16,7 @@ from zbsim._record import replace
 from zbsim.dynamics import _line_tables, trajectory
 from zbsim.errors import OracleMismatchError
 from zbsim.landau import energies
-from zbsim.packet import GaussianPacket, Numerics, _kz_grid, decompose, oscillator_overlaps
+from zbsim.packet import GaussianPacket, Numerics, decompose, gauss_hermite, oscillator_overlaps
 from zbsim.params import Dimensionality, make_params, make_params_dimensionless
 from zbsim.runner import load_preset, parse_config, preset_text
 from zbsim.reference import (
@@ -111,6 +111,13 @@ def test_single_eigenstate_shows_no_ladder_motion():
     assert np.max(np.abs(a_t)) < 1e-12
 
 
+def _hermite_kz_rule(packet, numerics):
+    """The full, unfolded Gauss-Hermite kz rule of the packet's |g_z|^2."""
+    assert numerics.kz_rule == "hermite"
+    u, w = gauss_hermite(numerics.kz_nodes)
+    return u / packet.d_z, w / math.sqrt(math.pi)
+
+
 def _literal_oracle(packet, params, dec, n_trunc, t):
     """Positions from a literal loop: per kz node of the full, unfolded rule
     a dense solve that shares no code with the oracle's block solve, each kx
@@ -120,7 +127,7 @@ def _literal_oracle(packet, params, dec, n_trunc, t):
     phi = oscillator_overlaps(packet, params, dec.kx_nodes, n_trunc)
     a_full = np.kron(np.eye(4), lowering_matrix(n_trunc))
     a_t, adag_t = np.zeros(t.size, dtype=complex), np.zeros(t.size, dtype=complex)
-    rule = _kz_grid(packet, dec.numerics) if dec.mode is THREE_PLUS_ONE else ([0.0], [1.0])
+    rule = _hermite_kz_rule(packet, dec.numerics) if dec.mode is THREE_PLUS_ONE else ([0.0], [1.0])
     for kz, w_kz in zip(*rule):
         vals, vecs = np.linalg.eigh(build_matrix(float(kz), n_trunc, params))
         for i, w in enumerate(dec.kx_weights):
@@ -163,7 +170,7 @@ def _check_oracle_3plus1():
     ell = params.magnetic_length
     # the 5-node rule folds onto its 3 distinct |kz|: kz = 0 at its own
     # weight, the others at twice theirs, the weight sum unchanged
-    kz, w = _kz_grid(packet, dec.numerics)
+    kz, w = _hermite_kz_rule(packet, dec.numerics)
     assert kz.size == 5 and dec.kz_nodes.size == 3
     assert np.array_equal(dec.kz_nodes, kz[2:]) and dec.kz_nodes[0] == 0.0
     assert dec.kz_weights[0] == w[2] and np.array_equal(dec.kz_weights[1:], 2.0 * w[3:])
@@ -248,7 +255,8 @@ def test_weak_field_lines_that_round_alike_are_compared_as_one():
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
     dec = decompose(packet, params, TWO_PLUS_ONE)
-    freqs = _line_tables(dec)[0][0]
+    _, band, freqs, _, _ = _line_tables(dec)
+    freqs = freqs[band == 0]
     assert len(set(freqs.tolist())) < freqs.size
     t = np.linspace(0.0, 5 * 2.0 * math.pi / freqs[0], 512)
     check, sampled = _bound_and_sampled(dec, t)
