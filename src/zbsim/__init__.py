@@ -14,7 +14,6 @@ _EXPORTS = {
     "SimParams": "params",
     "Dimensionality": "params",
     "make_params": "params",
-    "make_params_dimensionless": "params",
     "TransitionKind": "landau",
     "GaussianPacket": "packet",
     "Numerics": "packet",
@@ -32,7 +31,6 @@ _EXPORTS = {
     "richness": "spectral",
     "TrapConfig": "ionmap",
     "ExcitationPlan": "ionmap",
-    "kappa_of": "ionmap",
     "trap_to_dirac": "ionmap",
     "excitation_plan": "ionmap",
     "RunConfig": "runner",

@@ -234,6 +234,6 @@ def cyclotron_reference(packet: GaussianPacket, params: SimParams) -> tuple[floa
     """
     e0, e1 = energies([0, 1], 0.0, params)
     # E_1 - E_0 = (E_1^2 - E_0^2)/(E_1 + E_0): no cancellation at weak fields
-    omega_c = float(params.omega**2 / (e1 + e0))
+    omega_c = float(params.field_ratio_b**2 / (e1 + e0))
     radius = packet.k0x * params.magnetic_length**2
     return omega_c, radius

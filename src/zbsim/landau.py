@@ -26,7 +26,7 @@ class TransitionKind(enum.Enum):
 
 
 def energies(n, kz, params: SimParams) -> np.ndarray:
-    """Level energy E(n, kz) = sqrt(m^2 + (n omega^2 + kz^2)) in mc^2.
+    """Level energy E(n, kz) = sqrt(1 + (n b^2 + kz^2)) in mc^2.
 
     Broadcasts over arrays of levels n and wavenumbers kz.  This is the one
     implementation of the spectrum: the line tables, the peak labels and the
@@ -35,4 +35,4 @@ def energies(n, kz, params: SimParams) -> np.ndarray:
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError(f"Landau index must be non-negative, got {n.min()}")
-    return np.sqrt(params.mass_energy**2 + (n * params.omega**2 + np.asarray(kz) ** 2))
+    return np.sqrt(1.0 + (n * params.field_ratio_b**2 + np.asarray(kz) ** 2))

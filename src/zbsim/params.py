@@ -12,10 +12,10 @@ The single dimensionless knob is
 so that in internal units L = sqrt(2)/b and the (non-relativistic) cyclotron
 quantum is hbar*omega_c = b^2/2, i.e. kappa = hbar*omega_c / (2 mc^2) = b^2/4.
 
-SimParams holds b alone; L, kappa and omega are read off it.  The
-dimensionality of a run is not a field property: it enters once, as the
-mode argument of packet.decompose, and the decomposition carries it to the
-engines and the peak labels.
+SimParams holds b alone; L and kappa are read off it, and the ladder
+frequency omega is b itself.  The dimensionality of a run is not a field
+property: it enters once, as the mode argument of packet.decompose, and the
+decomposition carries it to the engines and the peak labels.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ class SimParams(Record):
 
     field_ratio_b: float
 
-    mass_energy = 1.0  # rest energy mc^2, the unit of energy
-
     def __post_init__(self) -> None:
         b = self.field_ratio_b
         if not B_RANGE[0] <= b <= B_RANGE[1]:  # a NaN fails
@@ -71,16 +69,6 @@ class SimParams(Record):
         """hbar*omega_c/(2 mc^2) = b^2/4."""
         return self.field_ratio_b * self.field_ratio_b / 4.0
 
-    @property
-    def omega(self) -> float:
-        """Ladder (oscillator) angular frequency in 1/t_c; equals b."""
-        return self.field_ratio_b  # hbar = mc^2 = 1
-
-
-def make_params_dimensionless(b: float) -> SimParams:
-    """Build parameters directly from the dimensionless field ratio b."""
-    return SimParams(b)
-
 
 def make_params(field_tesla: float) -> SimParams:
     """Build parameters from a magnetic field in tesla.
@@ -95,4 +83,4 @@ def make_params(field_tesla: float) -> SimParams:
         )
     length_si = math.sqrt(HBAR_SI / (E_CHARGE_SI * field_tesla))
     b = math.sqrt(2.0) * COMPTON_M / length_si
-    return make_params_dimensionless(b)
+    return SimParams(b)

@@ -145,7 +145,7 @@ def _fibre_terms(n_trunc: int, params: SimParams) -> tuple[np.ndarray, np.ndarra
     h0 = (
         -(b / 2.0) * np.kron(ALPHA_X, a + a.T)
         + (b / 2.0) * np.kron(I_ALPHA_Y, a.T - a)
-        + params.mass_energy * np.kron(BETA, eye)
+        + np.kron(BETA, eye)  # the mass term, mc^2 = 1
     )
     hz = np.kron(ALPHA_Z, eye)
     if not (np.array_equal(h0, h0.T) and np.array_equal(hz, hz.T)):

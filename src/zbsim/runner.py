@@ -33,7 +33,7 @@ from ._record import Record, fields
 from .dynamics import Trajectory, cyclotron_reference, trajectory
 from .errors import ConfigError, OracleMismatchError
 from .packet import MAX_ARRAY, MAX_N_TRUNC, GaussianPacket, Numerics, PacketDecomposition, decompose, u_overlap
-from .params import Dimensionality, SimParams, make_params, make_params_dimensionless
+from .params import Dimensionality, SimParams, make_params
 from .spectral import MIN_SAMPLES, WINDOWS, SpectrumReport, classify_peaks, richness, spectrum
 from .svg import Series, line_plot
 
@@ -50,8 +50,9 @@ PRESET_NAMES = ("fig1", "fig2a", "fig2b", "fig2c")
 # packet widths and |kick| in magnetic lengths (inverse for the kick); no
 # truncation under the level caps covers a transverse width or kick near them
 PACKET_RANGE_L = (1e-6, 1e6)
-# every [trap] number, in its own unit (TrapConfig checks the values derived from them)
-TRAP_RANGE = (1e-100, 1e100)
+# the time horizon in t_c: its step stays a normal float up to 2^22 samples,
+# and every phase the engines form over it stays finite
+TIME_RANGE = (1e-100, 1e100)
 
 
 class RunOptions(Record):
@@ -66,65 +67,13 @@ class FieldOptions(Record):
     b: float | None = None
     tesla: float | None = None
 
-    def build(self) -> tuple[None, SimParams]:
-        """No trap, and the field parameters."""
-        key, make = ("b", make_params_dimensionless) if self.b is not None else ("tesla", make_params)
+    def build(self) -> SimParams:
+        """The field parameters."""
+        key, make = ("b", SimParams) if self.b is not None else ("tesla", make_params)
         try:
-            return None, make(getattr(self, key))
+            return make(getattr(self, key))
         except ValueError as exc:
             raise ValueError(f"{key} = {getattr(self, key)!r}: {exc}") from exc
-
-
-class TrapOptions(Record):
-    eta: float | None = None
-    omega_tilde_hz: float | None = None
-    omega_carrier_hz: float | None = None
-    ion_mass_kg: float | None = None
-    delta_m: float | None = None
-    trap_freq_hz: float | None = None
-    ion: str = "ca40"
-
-    def __post_init__(self) -> None:
-        from .ionmap import ION_MASSES_KG
-
-        lo, hi = TRAP_RANGE
-        for name in fields(self):
-            value = getattr(self, name)
-            if isinstance(value, float) and not lo <= value <= hi:
-                raise ValueError(f"{name} = {value!r} must be within [{lo:g}, {hi:g}]")
-        if None in (self.eta, self.omega_tilde_hz, self.omega_carrier_hz):
-            raise ValueError("eta, omega_tilde_hz and omega_carrier_hz are required")
-        if self.ion_mass_kg is None and self.ion not in ION_MASSES_KG:
-            raise ValueError(f"unknown ion {self.ion!r}; use ca40, mg25 or ion_mass_kg")
-        if (self.delta_m is None) == (self.trap_freq_hz is None):
-            raise ValueError("give exactly one of delta_m and trap_freq_hz")
-
-    def build(self) -> tuple[TrapConfig, SimParams]:
-        """The drive and motion in SI units, and the simulated field parameters;
-        an error names the keys that the failing value was derived from."""
-        from .ionmap import ION_MASSES_KG, TrapConfig, trap_to_dirac
-
-        mass_key = "ion_mass_kg" if self.ion_mass_kg is not None else "ion"
-        mass = self.ion_mass_kg if self.ion_mass_kg is not None else ION_MASSES_KG[self.ion]
-        source = "delta_m" if self.delta_m is not None else "trap_freq_hz"
-        drive = (self.eta, 2.0 * math.pi * self.omega_carrier_hz, 2.0 * math.pi * self.omega_tilde_hz)
-        try:
-            if self.delta_m is not None:
-                trap = TrapConfig.from_spread(*drive, self.delta_m, mass)
-            else:
-                trap = TrapConfig.from_trap_frequency(*drive, 2.0 * math.pi * self.trap_freq_hz, mass)
-        except ValueError as exc:
-            raise ValueError(
-                f"{exc}, derived from {source} and {mass_key} ({source} = "
-                f"{getattr(self, source)!r}, {mass_key} = {getattr(self, mass_key)!r})"
-            ) from exc
-        try:
-            return trap, trap_to_dirac(trap)
-        except ValueError as exc:
-            raise ValueError(
-                f"eta = {self.eta!r}, omega_tilde_hz = {self.omega_tilde_hz:g}, "
-                f"omega_carrier_hz = {self.omega_carrier_hz:g}: {exc}"
-            ) from exc
 
 
 class PacketOptions(Record):
@@ -173,6 +122,9 @@ class TimeOptions(Record):
             raise ValueError(
                 f"t_max > 0 and samples >= {MIN_SAMPLES} (the spectrum's floor) are required"
             )
+        lo, hi = TIME_RANGE
+        if not lo <= self.t_max <= hi:
+            raise ValueError(f"t_max = {self.t_max!r} must be within [{lo:g}, {hi:g}] t_c")
 
 
 class SpectralOptions(Record):
@@ -212,17 +164,20 @@ class OutputOptions(Record):
 
 
 # every section of a config: a frozen record whose fields are its keys and
-# whose __post_init__ holds the checks within the section
-_SECTIONS = dict(run=RunOptions, field=FieldOptions, trap=TrapOptions, packet=PacketOptions,
+# whose __post_init__ holds the checks within the section.  The [trap]
+# record is ionmap.TrapConfig, imported only for a config with that section.
+_SECTIONS = dict(run=RunOptions, field=FieldOptions, trap=None, packet=PacketOptions,
                  time=TimeOptions, numerics=Numerics, spectral=SpectralOptions,
                  oracle=OracleOptions, output=OutputOptions)
-# the schema: every section and key a config may hold
-_KEYS = {name: fields(options) for name, options in _SECTIONS.items()}
+# the schema: every section and key a config may hold; the [trap] keys are
+# TrapConfig's fields (tests/test_ionmap.py checks that they agree)
+_TRAP_KEYS = ("eta", "omega_tilde_hz", "omega_carrier_hz", "ion_mass_kg", "delta_m", "trap_freq_hz", "ion")
+_KEYS = {name: _TRAP_KEYS if options is None else fields(options) for name, options in _SECTIONS.items()}
 
 
 class RunConfig(Record):
-    """A validated run: its sections, the field parameters, trap and packet
-    built from them, and the raw text they were parsed from."""
+    """A validated run: its sections, the field parameters and packet built
+    from them, and the raw text they were parsed from."""
 
     scenario: str
     mode: Dimensionality
@@ -273,6 +228,8 @@ def _section(cp: configparser.ConfigParser, section: str):
                 f"[{section}] unknown key {key!r}; known keys: {', '.join(_KEYS[section])}"
             )
     options = _SECTIONS[section]
+    if options is None:
+        from .ionmap import TrapConfig as options
     defaults = {name: getattr(options, name) for name in fields(options)}
     values = {name: _get(cp, section, name, float if default is None else type(default))
               for name, default in defaults.items() if cp.has_option(section, name)}
@@ -296,7 +253,7 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
 
     Each section is read into its options record, which checks its own
     values; the rules that span sections are checked here, and the field
-    parameters, trap and packet are built once.
+    parameters and packet are built once.
     """
     text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark, so it changes no hash
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)  # values are literal
@@ -337,13 +294,17 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
             f"need {lines}-row line tables ({folded} folded kz nodes), above {MAX_ARRAY} elements"
         )
 
-    section, source = ("trap", trap) if trap is not None else ("field", field)
-    trap_config, params = _checked(section, source.build)
+    if trap is None:
+        params = _checked("field", field.build)
+    else:
+        from .ionmap import trap_to_dirac
+
+        params = _checked("trap", trap_to_dirac, trap)
     return RunConfig(
         scenario=scenario,
         mode=mode,
         params=params,
-        trap=trap_config,
+        trap=trap,
         packet=_checked("packet", packet.packet, params.magnetic_length),
         raw_text=text,
         **sections,
@@ -545,17 +506,16 @@ def _render_report(
         rel = p.power / top if top > 0 else 0.0
         lines.append(f"  freq = {p.freq:10.6g}  rel power = {rel:9.3e}  {p.label_text()}")
     if trap is not None:
-        from .ionmap import excitation_plan, kappa_of
+        from .ionmap import excitation_plan
 
-        k = kappa_of(trap)
-        lines += [
+        lines += [  # Omega/2pi, Omega_tilde/2pi and nu/2pi from the SI values the mapping uses
             "",
             "trap mapping:",
             f"  eta = {trap.eta}, Omega/2pi = {trap.omega_carrier / (2 * math.pi):.6g} Hz, "
             f"Omega_tilde/2pi = {trap.omega_tilde / (2 * math.pi):.6g} Hz",
             f"  Delta = {trap.delta:.6g} m, nu/2pi = {trap.trap_freq / (2 * math.pi):.6g} Hz, "
             f"M = {trap.ion_mass:.6g} kg",
-            f"  kappa from trap = {k:.6g}",
+            f"  kappa from trap = {params.kappa:.6g}",
             "",
             f"excitation plan ({config.mode.value}):",
         ]

@@ -127,7 +127,7 @@ def check_transform(params: SimParams, n_trunc: int = 20, kz: float = 0.0) -> Tr
     transformed = p_full @ build_matrix(kz, n_trunc, params) @ p_full.conj().T
 
     b = params.field_ratio_b
-    m = params.mass_energy
+    m = 1.0  # mc^2
     a = reference.lowering_matrix(n_trunc)
     eye = np.eye(dim_osc)
     upper = np.block([[(kz - 1j * m) * eye, -b * a], [-b * a.T, (-kz - 1j * m) * eye]])
@@ -178,9 +178,10 @@ def interband_envelope(
     return EnvelopeSummary(early_max=window_max(*early), late_max=window_max(*late))
 
 
-def dirac_to_trap(params: SimParams, *, eta: float, omega_tilde: float, delta: float) -> TrapConfig:
+def dirac_to_trap(params: SimParams, *, eta: float, omega_tilde_hz: float, delta_m: float) -> TrapConfig:
     """The calcium trap whose carrier coupling realises params: Omega = eta Omega_tilde / sqrt(kappa)."""
-    return TrapConfig.from_spread(eta, eta * omega_tilde / math.sqrt(params.kappa), omega_tilde, delta)
+    return TrapConfig(eta=eta, omega_carrier_hz=eta * omega_tilde_hz / math.sqrt(params.kappa),
+                      omega_tilde_hz=omega_tilde_hz, delta_m=delta_m)
 
 
 def _solve_node(plan, kz: float) -> tuple[np.ndarray, np.ndarray]:

@@ -23,10 +23,10 @@ from physics_checks import (
 import zbsim.packet
 from zbsim._record import replace
 from zbsim.dynamics import cyclotron_reference, trajectory
-from zbsim.ionmap import TrapConfig, excitation_plan, kappa_of
+from zbsim.ionmap import TrapConfig, excitation_plan, trap_to_dirac
 from zbsim.landau import TransitionKind
 from zbsim.packet import KX_NODES, GaussianPacket, Numerics, decompose
-from zbsim.params import Dimensionality, make_params, make_params_dimensionless
+from zbsim.params import Dimensionality, SimParams, make_params
 from zbsim.runner import load_preset
 from zbsim.spectral import classify_peaks, richness, spectrum
 
@@ -48,7 +48,7 @@ def test_criterion_1_spectrum_closed_form():
     start = time.time()
     worst = 0.0
     for b in (0.1, 1.0, 2.0):
-        params = make_params_dimensionless(b)
+        params = SimParams(b)
         for kz in (0.0, 0.5):
             computed = fibre_eigenvalues(kz, 40, params)
             expected = expected_eigenvalues(kz, 40, params)
@@ -86,7 +86,7 @@ def test_criterion_2_oracle_equivalence(name):
 
 
 def test_criterion_3_cyclotron_limit():
-    params = make_params_dimensionless(1e-2)
+    params = SimParams(1e-2)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=ell, d_y=ell, k0x=1.0 / ell)  # k0x L = 1
     omega_c, radius = cyclotron_reference(packet, params)
@@ -106,15 +106,12 @@ def test_criterion_3_cyclotron_limit():
 
 def test_criterion_4_kappa_regression():
     for name, carrier_hz in FIG2_CARRIERS_HZ.items():
-        trap = TrapConfig.from_spread(
-            eta=0.06, omega_carrier=TWO_PI * carrier_hz,
-            omega_tilde=TWO_PI * 68e3, delta=9.6e-9,
-        )
-        kappa = kappa_of(trap)
+        trap = TrapConfig(eta=0.06, omega_carrier_hz=carrier_hz, omega_tilde_hz=68e3, delta_m=9.6e-9)
+        kappa = trap_to_dirac(trap).kappa
         assert kappa == pytest.approx(FIG2_KAPPAS[name], rel=1e-2)
-        params = make_params_dimensionless(2.0 * math.sqrt(FIG2_KAPPAS[name]))
-        back = dirac_to_trap(params, eta=0.06, omega_tilde=TWO_PI * 68e3, delta=9.6e-9)
-        round_tripped = kappa_of(back)
+        params = SimParams(2.0 * math.sqrt(FIG2_KAPPAS[name]))
+        back = dirac_to_trap(params, eta=0.06, omega_tilde_hz=68e3, delta_m=9.6e-9)
+        round_tripped = trap_to_dirac(back).kappa
         assert round_tripped == pytest.approx(params.kappa, rel=1e-10)
     _report("criterion 4 (kappa regression)",
             "16.65 / 1.05 / 0.116 within 1%, round trips at 1e-10")
@@ -164,7 +161,7 @@ def test_criterion_6_persistence_and_transience():
 
 
 def test_criterion_7_unitary_equivalence():
-    report = check_transform(make_params_dimensionless(1.0), n_trunc=20)
+    report = check_transform(SimParams(1.0), n_trunc=20)
     assert report.unitarity_dev < 1e-14
     assert report.involution_dev < 1e-14
     assert report.spectrum_dev < 1e-10

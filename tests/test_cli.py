@@ -55,6 +55,9 @@ def _trap_row(old, new, cause):
 # (line replaced, replacement, text the error message must contain)
 BAD_INPUTS = (
     ("t_max = 30.0", "t_max = inf", "finite"),
+    # past TIME_RANGE the time step leaves the normal floats or a phase overflows
+    ("t_max = 30.0", "t_max = 1e-320", "t_max = 1e-320 must be within"),
+    ("t_max = 30.0", "t_max = 1e308", "t_max = 1e"),
     ("samples = 512", "samples = 10", "256"),
     ("d_x = 0.9", "d_x = nan", "finite"),
     # settings that are flags, not keys: the thread budget is --threads and
@@ -750,6 +753,37 @@ def test_check_oracle_3plus1_reports_the_folded_grid(tmp_path, capsys):
     assert "kz nodes = 3 distinct |kz| of a 6-node rule" in report
     assert re.search(r"max \|analytic - matrix reference\| = [0-9.e+-]+ L \(line-table bound", report)
     assert "mirror kz node: line sums agree within" in report
+    capsys.readouterr()
+
+
+# the trap blocks of report.txt, frozen as text, for a 3+1 [trap] run given
+# by its trap frequency and a named ion
+TRAP_REPORT_3PLUS1 = """\
+trap mapping:
+  eta = 0.06, Omega/2pi = 3980 Hz, Omega_tilde/2pi = 68000 Hz
+  Delta = 1.24737e-08 m, nu/2pi = 1.3e+06 Hz, M = 4.1489e-26 kg
+  kappa from trap = 1.05088
+
+excitation plan (3+1):
+  + sigma_x momentum (ad) [p_x, sigma_x] pairs=2
+  + sigma_x momentum (bc) [p_x, sigma_x] pairs=2
+  +               JC (ad) [phase=3.142] pairs=1
+  +              AJC (bc) [phase=3.142] pairs=1
+  + sigma_x momentum (ac) [p_z, sigma_x] pairs=2
+  - sigma_x momentum (bd) [p_z, sigma_x] pairs=2
+  +          carrier (ac) [sigma_y] pairs=1
+  +          carrier (bd) [sigma_y] pairs=1
+  total laser-excitation pairs: 12
+"""
+
+
+def test_the_trap_report_of_a_3plus1_trap_frequency_run(tmp_path, capsys):
+    trap = TRAP.replace("1e3", "3.98e3").replace("delta_m = 9.6e-9", "trap_freq_hz = 1.3e6\nion = mg25")
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, SMALL_3PLUS1.replace("[field]\nb = 1.0", trap))),
+                 "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text()
+    assert report[report.index("trap mapping:"):] == TRAP_REPORT_3PLUS1
     capsys.readouterr()
 
 

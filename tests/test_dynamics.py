@@ -28,11 +28,11 @@ from zbsim.packet import (
     decompose,
     momentum_profile_x,
 )
-from zbsim.params import Dimensionality, make_params, make_params_dimensionless
+from zbsim.params import Dimensionality, SimParams, make_params
 from zbsim.runner import load_preset
 
 TWO_PLUS_ONE, THREE_PLUS_ONE = Dimensionality.TWO_PLUS_ONE, Dimensionality.THREE_PLUS_ONE
-B_ONE = make_params_dimensionless(1.0)
+B_ONE = SimParams(1.0)
 FIG1_PARAMS = make_params(2e9)  # b = 0.951948764143658
 FIG1_PACKET = GaussianPacket(d_x=2.0, d_y=2.0, d_z=2.0, k0x=1.0)
 
@@ -328,7 +328,7 @@ def test_band_split_sums_to_total_and_anisotropy():
 
 
 def test_cyclotron_reference_values():
-    p = make_params_dimensionless(0.01)
+    p = SimParams(0.01)
     packet = GaussianPacket(d_x=1.0, d_y=1.0, k0x=0.1)
     omega_c, radius = cyclotron_reference(packet, p)
     assert abs(omega_c - p.field_ratio_b**2 / 2.0) < p.field_ratio_b**4
@@ -339,12 +339,12 @@ def test_cyclotron_reference_values():
 
     # weak fields: E_1 - E_0 by subtraction loses every digit near b = 1e-8
     for b in (1e-7, 1e-8):
-        omega_c, _ = cyclotron_reference(packet, make_params_dimensionless(b))
+        omega_c, _ = cyclotron_reference(packet, SimParams(b))
         assert abs(omega_c / (b**2 / 2.0) - 1.0) < 1e-12
 
 
 def test_matches_matrix_reference_2plus1():
-    params = make_params_dimensionless(2.0503)
+    params = SimParams(2.0503)
     dec = decompose(_fig2_packet(params), params, TWO_PLUS_ONE)
     t = np.linspace(0.0, 20.0, 256)
     analytic = trajectory(dec, t)
@@ -387,7 +387,7 @@ def test_unit_conversion_to_magnetic_lengths():
 )
 def test_matrix_reference_equivalence_property(b, width_ratio, kick):
     """Engines agree over random field strengths, widths and kicks."""
-    params = make_params_dimensionless(b)
+    params = SimParams(b)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * width_ratio * ell, d_y=width_ratio * ell,
                             k0x=kick / ell)
@@ -404,7 +404,7 @@ def test_regression_anchor_values():
     """Absolute anchors (cross-validated against the matrix reference when
     frozen) guard conventions that a simultaneous sign drift in both engines
     would hide."""
-    params = make_params_dimensionless(2.0503)
+    params = SimParams(2.0503)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
     tr = trajectory(decompose(packet, params, TWO_PLUS_ONE), np.linspace(0.0, 2.5, 3))

@@ -24,7 +24,7 @@ IN_BOUNDS = {
     ("packet", "d_y"): ("0.6", "1.0", "1.4", "1e-6", "1e6", "1e5"),
     ("packet", "d_z"): ("0.5", "2.0", "1e-6", "1e6"),
     ("packet", "k0x"): ("0.0", "1.0", "-2.0", "1e6", "-1e5"),
-    ("time", "t_max"): ("5.0", "30.0", "1e-300", "1e300", "1e-10", "1e10"),
+    ("time", "t_max"): ("5.0", "30.0", "1e-100", "1e100", "1e-10", "1e10"),
     ("time", "samples"): ("256", "300"),
     ("numerics", "n_max_cap"): ("8", "40"),
     ("numerics", "n_max_floor"): ("0", "12", "-1"),  # -1 is below the least value 0
@@ -147,7 +147,7 @@ OUT_OF_BOUNDS = {
     ("packet", "d_y"): ("9.9e-7", "1.1e6"),
     ("packet", "d_z"): ("9.9e-7", "1.1e6"),
     ("packet", "k0x"): ("1.1e6", "-1.1e6"),
-    ("time", "t_max"): ("0", "-1"),
+    ("time", "t_max"): ("0", "-1", "9.9e-101", "1.1e100"),
     ("time", "samples"): ("255",),
     ("numerics", "n_max_floor"): ("-1",),
     ("numerics", "kz_nodes"): ("4097",),

@@ -37,11 +37,11 @@ from zbsim.packet import (
     overlap_levels,
     u_overlap,
 )
-from zbsim.params import Dimensionality, make_params_dimensionless
+from zbsim.params import Dimensionality, SimParams
 from zbsim.runner import OracleOptions, load_preset
 
 TWO_PLUS_ONE, THREE_PLUS_ONE = Dimensionality.TWO_PLUS_ONE, Dimensionality.THREE_PLUS_ONE
-B_ONE = make_params_dimensionless(1.0)
+B_ONE = SimParams(1.0)
 
 # fig2-style packet in units of the motional spread: L = sqrt(2), d_y = L,
 # d_x = 0.9 d_y, kick k0x = 1 so that k0x L = sqrt(2)
@@ -226,7 +226,7 @@ def test_overlap_overflow_above_truncation_is_unused(monkeypatch):
 ])
 def test_mean_level_is_the_sum_of_n_u_nn(b, d_x, d_y, kick):
     # the closed form that the overflow message quotes, against the drawn levels
-    params = make_params_dimensionless(b)
+    params = SimParams(b)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=d_x * ell, d_y=d_y * ell, k0x=kick / ell)
     dec = decompose(packet, params, TWO_PLUS_ONE, Numerics(tail_tol=1e-14))
@@ -378,7 +378,7 @@ def test_rerun_past_the_node_bounds_is_a_convergence_error():
 def test_quadrature_doubling_is_converged(d_x, d_y, k0x, b):
     # the rule of n_max + 1 nodes is exact for every U_mn it is used for, so
     # a rule of 2 n_max + 3 nodes changes them only by roundoff
-    params = make_params_dimensionless(b)
+    params = SimParams(b)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=d_x * ell, d_y=d_y * ell, k0x=k0x / ell)
     n_max = decompose(packet, params, TWO_PLUS_ONE).n_max
@@ -416,7 +416,7 @@ def test_non_finite_fields_rejected(options, key, kwargs):
 
 
 def test_three_plus_one_needs_dz():
-    p31 = make_params_dimensionless(1.0)
+    p31 = SimParams(1.0)
     with pytest.raises(ValueError):
         decompose(GaussianPacket(d_x=1.0, d_y=1.0), p31, THREE_PLUS_ONE)
     dec = decompose(GaussianPacket(d_x=1.0, d_y=1.0, d_z=1.5), p31, THREE_PLUS_ONE)
@@ -441,7 +441,7 @@ def test_decompose_takes_the_mode_explicitly():
     st.floats(min_value=0.3, max_value=3.0),
 )
 def test_completeness_property(d_x, d_y, k0x, b):
-    params = make_params_dimensionless(b)
+    params = SimParams(b)
     packet = GaussianPacket(d_x=d_x * params.magnetic_length,
                             d_y=d_y * params.magnetic_length,
                             k0x=k0x / params.magnetic_length)

@@ -17,7 +17,7 @@ from zbsim.dynamics import _line_tables, trajectory
 from zbsim.errors import OracleMismatchError
 from zbsim.landau import energies
 from zbsim.packet import GaussianPacket, Numerics, decompose, gauss_hermite, oscillator_overlaps
-from zbsim.params import Dimensionality, make_params, make_params_dimensionless
+from zbsim.params import Dimensionality, SimParams, make_params
 from zbsim.runner import load_preset, parse_config, preset_text
 from zbsim.reference import (
     ALPHA_X,
@@ -36,7 +36,7 @@ from zbsim.reference import (
 
 TWO_PLUS_ONE = Dimensionality.TWO_PLUS_ONE
 THREE_PLUS_ONE = Dimensionality.THREE_PLUS_ONE
-B_ONE = make_params_dimensionless(1.0)
+B_ONE = SimParams(1.0)
 FIG1_PARAMS = make_params(2e9)  # the fig1 preset's field
 
 
@@ -78,7 +78,7 @@ def test_smallest_positive_eigenvalue_is_rest_energy():
 @pytest.mark.parametrize("b", [0.1, 1.0, 2.0])
 @pytest.mark.parametrize("kz", [0.0, 0.5])
 def test_spectrum_matches_closed_form(b, kz):
-    params = make_params_dimensionless(b)
+    params = SimParams(b)
     matrix = build_matrix(kz, 40, params)
     computed = fibre_eigenvalues(kz, 40, params)
     expected = expected_eigenvalues(kz, 40, params)
@@ -158,7 +158,7 @@ def test_oracle_equals_explicit_fibre_evolution():
 def _odd_hermite_3plus1():
     """An odd Hermite kz rule: 4- and 2-blocks at kz != 0, 2- and 1-blocks at
     kz = 0.  The packet, the field and the decomposition."""
-    params = make_params_dimensionless(1.0)
+    params = SimParams(1.0)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, d_z=ell, k0x=math.sqrt(2.0) / ell)
     num = Numerics(kz_nodes=5, kz_rule="hermite")
@@ -251,7 +251,7 @@ def test_batched_check_equals_the_per_node_check(name, replacements):
 def test_weak_field_lines_that_round_alike_are_compared_as_one():
     # at b = 1e-4 neighbouring intraband lines E_{n+1} - E_n round to the same
     # double; they join one group and the check still passes
-    params = make_params_dimensionless(1e-4)
+    params = SimParams(1e-4)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
     dec = decompose(packet, params, TWO_PLUS_ONE)
@@ -357,7 +357,7 @@ def test_build_matrix_is_bitwise_the_dirac_sum(kz):
         -(b / 2.0) * np.kron(ALPHA_X, a + a.T)
         + (b / 2.0) * np.kron(I_ALPHA_Y, a.T - a)
         + kz * np.kron(ALPHA_Z, eye)
-        + FIG1_PARAMS.mass_energy * np.kron(BETA, eye)
+        + np.kron(BETA, eye)
     )
     h0, hz = _fibre_terms(n_trunc, FIG1_PARAMS)
     matrix = build_matrix(kz, n_trunc, FIG1_PARAMS)
@@ -378,7 +378,7 @@ def test_oracle_band_split_matches_analytic():
 
 
 def test_truncation_doubling_changes_little():
-    params = make_params_dimensionless(2.05)
+    params = SimParams(2.05)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
     dec = decompose(packet, params, TWO_PLUS_ONE)
@@ -401,7 +401,7 @@ def test_transform_check():
 @pytest.mark.parametrize("b", [0.1, 1.0, 5.0])
 @pytest.mark.parametrize("kz", [0.0, 0.7])
 def test_transform_check_passes_across_fields(b, kz):
-    report = check_transform(make_params_dimensionless(b), n_trunc=40, kz=kz)
+    report = check_transform(SimParams(b), n_trunc=40, kz=kz)
     assert report.block_form_dev < 1e-13 and report.passed()
 
 

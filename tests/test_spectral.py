@@ -8,7 +8,7 @@ from zbsim._record import replace
 from zbsim.dynamics import Trajectory, trajectory
 from zbsim.landau import TransitionKind, energies
 from zbsim.packet import GaussianPacket, decompose
-from zbsim.params import Dimensionality, make_params_dimensionless
+from zbsim.params import Dimensionality, SimParams
 from zbsim.runner import load_preset, parse_config, preset_text, run
 from zbsim.spectral import (
     Peak,
@@ -18,7 +18,7 @@ from zbsim.spectral import (
     spectrum,
 )
 
-B_ONE = make_params_dimensionless(1.0)
+B_ONE = SimParams(1.0)
 
 
 def _synthetic(t, x, y=None):
