@@ -14,7 +14,6 @@ _EXPORTS = {
     "SimParams": "params",
     "Dimensionality": "params",
     "make_params": "params",
-    "TransitionKind": "landau",
     "GaussianPacket": "packet",
     "Numerics": "packet",
     "PacketDecomposition": "packet",

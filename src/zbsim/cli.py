@@ -27,13 +27,7 @@ import errno
 import os
 import sys
 
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    OracleMismatchError,
-    QuadratureError,
-    TruncationError,
-)
+from .errors import ConfigError, ConvergenceError, OracleMismatchError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,8 +38,6 @@ EXIT_ORACLE = 4
 EXIT_CODES = {
     ConfigError: (EXIT_CONFIG, "configuration error"),
     ConvergenceError: (EXIT_CONVERGENCE, "numerical convergence failure"),
-    QuadratureError: (EXIT_CONVERGENCE, "numerical convergence failure"),
-    TruncationError: (EXIT_CONVERGENCE, "numerical convergence failure"),
     OracleMismatchError: (EXIT_ORACLE, "reference mismatch"),
 }
 

@@ -24,11 +24,11 @@ starts at Y(0) = -k0x L^2 and circles the origin.
 
 Both engines write <A(t)> as one line record (node, band, freqs, cos, sin),
 <A> = sum cos cos(f t) + i sin sin(f t) over its lines, each line carrying
-the index of its kz node and its band: 0 for the intraband (cyclotron)
-lines at the difference frequencies E_{n+1} - E_n, 1 for the interband
-(trembling) lines at the sums E_{n+1} + E_n.  band_sums evaluates a record
-into a (2, samples) array, one row per band, through the one kernel
-line_sum.  The matrix oracle (zbsim.reference) builds the same record and
+the index of its kz node and its band, named by landau.BANDS: 0 for the
+intraband (cyclotron) lines at the difference frequencies E_{n+1} - E_n, 1
+for the interband (trembling) lines at the sums E_{n+1} + E_n.  band_sums
+evaluates a record into a (2, samples) array, one row per band, through the
+one kernel line_sum.  The matrix oracle (zbsim.reference) builds the same record and
 is checked against this one line by line, not sample by sample.
 
 The engine's one input is the packet's PacketDecomposition (packet.decompose):
@@ -49,7 +49,7 @@ from ._record import Record, replace
 from .errors import ConvergenceError
 from .landau import energies
 from .packet import GaussianPacket, PacketDecomposition
-from .params import Dimensionality, SimParams
+from .params import SimParams
 
 _CHUNK = 1 << 18  # element budget of one line block's tables
 _POSITION_FIELDS = ("x", "y", "x_interband", "y_interband", "x_intraband", "y_intraband")
@@ -220,7 +220,6 @@ def trajectory(decomp: PacketDecomposition, t_grid: np.ndarray) -> Trajectory:
         "magnetic_length": decomp.params.magnetic_length,
         "n_max": decomp.n_max,
         "kz_nodes": int(decomp.kz_nodes.size),  # the distinct |kz| summed
-        "kz_rule_nodes": decomp.numerics.kz_nodes if decomp.mode is Dimensionality.THREE_PLUS_ONE else 1,
     }
     return _banded_trajectory(t, bands, provenance)
 

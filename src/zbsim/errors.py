@@ -1,17 +1,11 @@
-"""Shared exception types."""
-
-
-class QuadratureError(RuntimeError):
-    """A quadrature rule failed one of its checks: Newton did not converge,
-    or the kz weights lose the packet's kz mass."""
+"""The error types, one per exit code of the command line (zbsim.cli):
+2 for ConfigError, 3 for ConvergenceError and 4 for OracleMismatchError.
+Anything else a run raises is a builtin exception."""
 
 
 class ConvergenceError(RuntimeError):
-    """A truncation or series failed to reach the requested tolerance."""
-
-
-class TruncationError(IndexError):
-    """An index beyond the truncated table was requested."""
+    """A truncation, series or quadrature rule failed to reach the requested
+    tolerance or one of its checks."""
 
 
 class ConfigError(ValueError):

@@ -1,7 +1,7 @@
 """Closed-form Landau-level spectrum of the Dirac equation in a uniform field.
 
-The level energies and the two kinds of transition between them.  All
-quantities are in natural units (see :mod:`zbsim.params`):
+The level energies and the names of the two bands of lines between them.
+All quantities are in natural units (see :mod:`zbsim.params`):
 
     E(n, kz) = sqrt(1 + n b^2 + kz^2),
 
@@ -13,16 +13,13 @@ branches (E_{n+1} + E_n) interband.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from .params import SimParams
 
-
-class TransitionKind(enum.Enum):
-    INTRABAND = "intraband"  # same energy branch: classical cyclotron lines
-    INTERBAND = "interband"  # opposite branches: trembling-motion lines
+# the band index of every line record, 0 and 1: the same-branch classical
+# cyclotron lines and the cross-branch trembling-motion lines
+BANDS = ("intraband", "interband")
 
 
 def energies(n, kz, params: SimParams) -> np.ndarray:

@@ -66,7 +66,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from ._record import Record
-from .errors import ConvergenceError, QuadratureError, TruncationError
+from .errors import ConvergenceError
 from .params import Dimensionality, SimParams
 
 _PI_QUARTER = math.pi ** 0.25
@@ -129,7 +129,7 @@ def _gauss_rule(start: np.ndarray, n: int, a: np.ndarray, p0: float, derivative)
             break
         x = x - step
     else:
-        raise QuadratureError(f"the {n}-point Gauss rule did not converge")
+        raise ConvergenceError(f"the {n}-point Gauss rule did not converge")
     log_w = -np.log(squares) - 2.0 * scale
     k = n // 2
     return np.concatenate((-x[::-1][:k], x)), np.concatenate((log_w[::-1][:k], log_w))
@@ -350,9 +350,7 @@ def u_overlap(decomp: PacketDecomposition, m: int, n: int) -> float:
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")
     if m > decomp.n_max or n > decomp.n_max:
-        raise TruncationError(
-            f"U_({m},{n}) beyond the truncation n_max={decomp.n_max}"
-        )
+        raise IndexError(f"U_({m},{n}) beyond the truncation n_max={decomp.n_max}")
     lo, hi = sorted((m, n))  # fixed operand order keeps U exactly symmetric
     return float(np.sum(decomp.kx_weights * decomp.phi[lo] * decomp.phi[hi]))
 
@@ -409,7 +407,7 @@ def decompose(
     folded onto its distinct |kz| (_kz_grid), so numerics.kz_nodes counts
     the rule's nodes and kz_nodes.size the nodes evaluated.  A kz rule whose
     weights miss more than KZ_MASS_TOL of the packet's kz mass is a
-    QuadratureError.
+    ConvergenceError.
 
     The truncation n_max is the smallest level, at least
     min(n_max_floor, n_max_cap), with tail mass below numerics.tail_tol
@@ -427,7 +425,7 @@ def decompose(
         kz_nodes, kz_weights = _kz_grid(packet, num)
         lost = 1.0 - math.fsum(kz_weights)
         if not abs(lost) <= KZ_MASS_TOL:  # a NaN fails
-            raise QuadratureError(
+            raise ConvergenceError(
                 f"the kz rule ([numerics] kz_rule = {num.kz_rule}, kz_nodes = {num.kz_nodes}, "
                 f"kz_cutoff_sigmas = {num.kz_cutoff_sigmas:g}) has weights summing to "
                 f"{1.0 - lost:.6g}, more than {KZ_MASS_TOL:.0e} from the packet's kz mass 1"

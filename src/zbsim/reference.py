@@ -70,6 +70,7 @@ import numpy as np
 from ._record import Record
 from .dynamics import _line_tables
 from .errors import ConfigError, OracleMismatchError
+from .landau import BANDS
 from .packet import MAX_N_TRUNC, PacketDecomposition, check_finite_overlaps, oscillator_overlaps
 from .params import Dimensionality, SimParams
 
@@ -99,7 +100,6 @@ _MIRROR_TOL = 1e-12
 # raised a run's peak RSS by 0.1-0.2 MB; at this size the oracle's peak
 # stays below that of its setup, which assembles the full matrices.
 _CHUNK = 1 << 13
-_BANDS = ("intraband", "interband")
 
 
 def lowering_matrix(n_trunc: int) -> np.ndarray:
@@ -315,7 +315,7 @@ def _line_distance(analytic, oracle, t_max: float, where):
     if bad.size:  # the first, analytic lines first
         k = bad[0]
         raise OracleMismatchError(
-            f"a line frequency of {_BANDS[band[k]]} lines at {where(node[k])} is {f[k]}: deviation nan")
+            f"a line frequency of {BANDS[band[k]]} lines at {where(node[k])} is {f[k]}: deviation nan")
     na = analytic[2].size
     label, count = _groups(f, band, node)
     owner = np.full(count, na)  # the first analytic line of each group that has one
@@ -419,7 +419,7 @@ def oracle_check(decomp: PacketDecomposition, t_max: float, n_trunc: int | None 
             parts += np.bincount(2 * part + band, values, 4)
             if values.size:  # the largest term, a NaN first
                 k = np.argmax(values)
-                worst.append((float(values[k]), _BANDS[band[k]], float(freqs[k]), where(node[k])))
+                worst.append((float(values[k]), BANDS[band[k]], float(freqs[k]), where(node[k])))
         lo = hi
     bound, parts = math.sqrt(2.0) * float(np.sum(parts)), math.sqrt(2.0) * parts.reshape(2, 2)
     # the largest term, a NaN first; the chunks come in node order

@@ -163,16 +163,13 @@ class OutputOptions(Record):
             raise ValueError(f"position_unit must be lambda_c or L, got {self.position_unit!r}")
 
 
-# every section of a config: a frozen record whose fields are its keys and
-# whose __post_init__ holds the checks within the section.  The [trap]
-# record is ionmap.TrapConfig, imported only for a config with that section.
+# the schema: every section of a config, in order, and its record, whose
+# fields are the section's keys and whose __post_init__ holds the checks
+# within the section.  The [trap] record is ionmap.TrapConfig, imported only
+# for a config with that section.
 _SECTIONS = dict(run=RunOptions, field=FieldOptions, trap=None, packet=PacketOptions,
                  time=TimeOptions, numerics=Numerics, spectral=SpectralOptions,
                  oracle=OracleOptions, output=OutputOptions)
-# the schema: every section and key a config may hold; the [trap] keys are
-# TrapConfig's fields (tests/test_ionmap.py checks that they agree)
-_TRAP_KEYS = ("eta", "omega_tilde_hz", "omega_carrier_hz", "ion_mass_kg", "delta_m", "trap_freq_hz", "ion")
-_KEYS = {name: _TRAP_KEYS if options is None else fields(options) for name, options in _SECTIONS.items()}
 
 
 class RunConfig(Record):
@@ -221,15 +218,15 @@ def _checked(section: str, build, *args, **kwargs):
 def _section(cp: configparser.ConfigParser, section: str):
     """The options record of a section, every key given read with its
     field's default's type (a None default marks an optional float); a key
-    outside the schema is an error."""
-    for key in cp[section] if cp.has_section(section) else ():
-        if key not in _KEYS[section]:
-            raise ConfigError(
-                f"[{section}] unknown key {key!r}; known keys: {', '.join(_KEYS[section])}"
-            )
+    that is not a field of the record is an error."""
     options = _SECTIONS[section]
     if options is None:
         from .ionmap import TrapConfig as options
+    for key in cp[section] if cp.has_section(section) else ():
+        if key not in fields(options):
+            raise ConfigError(
+                f"[{section}] unknown key {key!r}; known keys: {', '.join(fields(options))}"
+            )
     defaults = {name: getattr(options, name) for name in fields(options)}
     values = {name: _get(cp, section, name, float if default is None else type(default))
               for name, default in defaults.items() if cp.has_option(section, name)}
@@ -256,7 +253,10 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
     parameters and packet are built once.
     """
     text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark, so it changes no hash
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)  # values are literal
+    # values are literal and follow '=' alone; no header names the empty
+    # default section, so [DEFAULT] is an unknown section like any other
+    cp = configparser.ConfigParser(delimiters=("=",), inline_comment_prefixes=(";", "#"),
+                                   interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -409,9 +409,7 @@ def run(
                    [u_overlap(decomp, m, n) for m in range(levels) for n in range(levels)])
 
     report_path = out / "report.txt"
-    report_path.write_text(
-        _render_report(config, decomp, traj_out, report, n_rich, check)
-    )
+    report_path.write_text(_render_report(config, decomp, report, n_rich, check))
 
     if check is not None and not check.bound <= config.oracle.tol_in_l:  # NaN fails
         raise OracleMismatchError(
@@ -465,16 +463,15 @@ def _write_svgs(out: Path, traj: Trajectory, report: SpectrumReport, config: Run
 def _render_report(
     config: RunConfig,
     decomp: PacketDecomposition,
-    traj: Trajectory,
     report: SpectrumReport,
     n_rich: int,
     check: OracleCheck | None,
 ) -> str:
     params, packet, trap = config.params, config.packet, config.trap
     omega_c, radius = cyclotron_reference(packet, params)
-    kz_nodes = traj.provenance["kz_nodes"]
+    kz_nodes = decomp.kz_nodes.size
     if config.mode is Dimensionality.THREE_PLUS_ONE:
-        kz_nodes = f"{kz_nodes} distinct |kz| of a {traj.provenance['kz_rule_nodes']}-node rule"
+        kz_nodes = f"{kz_nodes} distinct |kz| of a {decomp.numerics.kz_nodes}-node rule"
     lines = [
         f"zbsim {__version__} run report",
         f"config-sha256: {config.config_hash()}",

@@ -4,7 +4,8 @@ Windowed DFT with amplitude normalisation (a unit cosine gives unit peak
 power), zero-padding for peak interpolation, parabolic peak refinement, and
 labelling of each peak with a level transition.  The labels come from the
 kz = 0 lines of each consecutive pair n, n + 1 of occupied levels (U_nn above
-OCCUPIED_U): intraband E_{n+1} - E_n and interband E_{n+1} + E_n.  A peak
+OCCUPIED_U): intraband E_{n+1} - E_n (band 0) and interband E_{n+1} + E_n
+(band 1), the band index of the line record (landau.BANDS).  A peak
 takes the nearest such line within one raw frequency bin; of equally near
 lines the last in the table (ascending n, intraband first) wins.
 Frequencies are angular, in 1/t_c.
@@ -18,7 +19,7 @@ import numpy as np
 
 from ._record import Record, replace
 from .dynamics import Trajectory
-from .landau import TransitionKind, energies
+from .landau import BANDS, energies
 from .packet import PacketDecomposition
 
 MIN_SAMPLES = 256  # fewest trajectory samples the spectrum accepts
@@ -26,15 +27,14 @@ OCCUPIED_U = 1e-6  # levels with U_nn above this carry the lines peaks are label
 
 
 class PeakLabel(Record):
-    """Assignment of one spectral line to a level transition."""
+    """Assignment of one spectral line to the level pair n, n + 1 in a band
+    (0 intraband, 1 interband; landau.BANDS)."""
 
-    kind: TransitionKind
+    band: int
     n: int
-    n_prime: int
 
     def __str__(self) -> str:
-        arrow = "->" if self.kind is TransitionKind.INTRABAND else "<->"
-        return f"{self.kind.value}({self.n}{arrow}{self.n_prime})"
+        return f"{BANDS[self.band]}({self.n}{('->', '<->')[self.band]}{self.n + 1})"
 
 
 class Peak(Record):
@@ -158,8 +158,7 @@ def classify_peaks(report: SpectrumReport, decomp: PacketDecomposition) -> Spect
     e_lo = energies(lower, 0.0, decomp.params)
     e_hi = energies(lower + 1, 0.0, decomp.params)
     freqs = np.column_stack((e_hi - e_lo, e_hi + e_lo)).ravel()
-    kinds = (TransitionKind.INTRABAND, TransitionKind.INTERBAND)  # the column order of freqs
-    labels = [PeakLabel(kind, int(n), int(n) + 1) for n in lower for kind in kinds]
+    labels = [PeakLabel(band, int(n)) for n in lower for band in (0, 1)]  # the order of freqs
     if not labels:
         return replace(report, peaks=tuple(replace(p, label=None) for p in report.peaks))
     # reversed table: argmin returns the first minimum, i.e. the last equally near line

@@ -24,7 +24,6 @@ import zbsim.packet
 from zbsim._record import replace
 from zbsim.dynamics import cyclotron_reference, trajectory
 from zbsim.ionmap import TrapConfig, excitation_plan, trap_to_dirac
-from zbsim.landau import TransitionKind
 from zbsim.packet import KX_NODES, GaussianPacket, Numerics, decompose
 from zbsim.params import Dimensionality, SimParams, make_params
 from zbsim.runner import load_preset
@@ -126,9 +125,9 @@ def test_criterion_5_richness_monotonicity():
         rep = classify_peaks(spectrum(traj), dec)
         counts[name] = richness(rep, config.spectral.significant_rel_power)
         interband = [p for p in rep.peaks
-                     if p.label is not None and p.label.kind is TransitionKind.INTERBAND]
+                     if p.label is not None and p.label.band == 1]
         strongest = max(interband, key=lambda p: p.power)
-        assert (strongest.label.n, strongest.label.n_prime) == (0, 1), name
+        assert str(strongest.label) == "interband(0<->1)", name
     assert counts["fig2c"] < counts["fig2b"] < counts["fig2a"]
     _report("criterion 5 (richness monotonicity)",
             f"significant peaks {counts['fig2c']} < {counts['fig2b']} < {counts['fig2a']}, "

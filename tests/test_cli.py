@@ -1,3 +1,5 @@
+import ast
+import builtins
 import json
 import os
 import re
@@ -14,9 +16,11 @@ import zbsim
 import zbsim.dynamics
 import zbsim.errors
 import zbsim.reference
+from zbsim._record import fields
 from zbsim.cli import EXIT_CODES, main
-from zbsim.errors import ConfigError, TruncationError
-from zbsim.runner import _KEYS, PRESET_NAMES, load_preset, parse_config, preset_text
+from zbsim.errors import ConfigError, ConvergenceError
+from zbsim.ionmap import TrapConfig
+from zbsim.runner import _SECTIONS, PRESET_NAMES, load_preset, parse_config, preset_text
 from zbsim.spectral import WINDOWS
 
 SMALL_CONFIG = """
@@ -129,6 +133,11 @@ BAD_INPUTS = (
     ("\n[run]", "b = 1.0\n[run]", "cannot parse config: line 1: 'b = 1.0' comes before the first"),
     ("\n[run]", "\ufeffb = 1.0\n[run]", "cannot parse config: line 1: 'b = 1.0' comes before the first"),
     ("position_unit = L", "position_unit = L\nfoo", "cannot parse config: line 23: 'foo' is neither a"),
+    # a value follows '=' alone, and [DEFAULT] is a section like any other
+    ("b = 1.0", "b: 1.0", "cannot parse config: line 6: 'b: 1.0' is neither a"),
+    ("d_x = 0.9", "d_x : 0.9", "cannot parse config: line 10: 'd_x : 0.9' is neither a"),
+    ("[time]", "[DEFAULT]\n[time]", "DEFAULT]; known sections: run, field"),
+    ("[time]", "[DEFAULT]\nk0x = 1.0\n[time]", "DEFAULT]; known sections: run, field"),
 )
 
 
@@ -247,17 +256,32 @@ def test_a_byte_order_mark_changes_no_output(tmp_path, capsys):
 def test_every_error_type_has_an_exit_code(tmp_path, capsys, monkeypatch):
     types = [obj for obj in vars(zbsim.errors).values()
              if isinstance(obj, type) and issubclass(obj, Exception)]
-    assert len(types) == 5 and set(types) == set(EXIT_CODES)
-    assert {code for code, _ in EXIT_CODES.values()} == {2, 3, 4}
+    assert len(types) == 3 and set(types) == set(EXIT_CODES)
+    assert sorted(code for code, _ in EXIT_CODES.values()) == [2, 3, 4]
 
-    def truncated(*args, **kwargs):
-        raise TruncationError("U_(0,40) beyond the truncation n_max=33")
+    def unconverged(*args, **kwargs):
+        raise ConvergenceError("the 48-point Gauss rule did not converge")
 
-    monkeypatch.setattr("zbsim.runner.run", truncated)
+    monkeypatch.setattr("zbsim.runner.run", unconverged)
     config = _write(tmp_path, SMALL_CONFIG)
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert "numerical convergence failure: U_(0,40)" in err and "Traceback" not in err
+    assert err == "numerical convergence failure: the 48-point Gauss rule did not converge\n"
+
+
+def test_every_raise_names_an_exit_code_type_or_a_builtin():
+    # one class per exit code: a raise in the package names a zbsim.errors
+    # type of EXIT_CODES, or an exception of the builtins
+    allowed = {cls.__name__ for cls in EXIT_CODES} | {
+        name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+    raised = set()
+    for path in Path(zbsim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else ast.unparse(exc))
+    assert raised and raised <= allowed, raised - allowed
+    assert {cls.__name__ for cls in EXIT_CODES} <= raised
 
 
 def test_oracle_truncation_beyond_the_bound_exit_code(tmp_path, capsys, monkeypatch):
@@ -308,7 +332,8 @@ def test_threads_below_one_exit_code(tmp_path, capsys, value):
 
 def test_docs_list_every_config_key():
     # the key column of each "## [section]" table of docs/config.md, against
-    # the parser's schema section by section, and the window names of the
+    # the fields of each section's record (ionmap.TrapConfig for [trap]),
+    # section by section, and the window names of the
     # [spectral] window row against the windows the parser accepts
     text = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
     documented = {}
@@ -317,7 +342,7 @@ def test_docs_list_every_config_key():
         documented[re.match(r"\[(\w+)\]", block).group(1)] = {
             key.strip(" `"): row[-2] for row in rows for key in row[1].split(",")}
     assert {section: set(rows) for section, rows in documented.items()} == \
-        {section: set(keys) for section, keys in _KEYS.items()}
+        {section: set(fields(record or TrapConfig)) for section, record in _SECTIONS.items()}
     assert set(re.findall(r"`(\w+)`", documented["spectral"]["window"])) == set(WINDOWS)
 
 

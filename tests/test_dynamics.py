@@ -363,7 +363,7 @@ def test_matches_matrix_reference_3plus1():
     t = np.linspace(0.0, 5.0, 51)
     analytic = trajectory(dec, t)
     # the 32-node rule is summed over its 16 distinct |kz|
-    assert (analytic.provenance["kz_nodes"], analytic.provenance["kz_rule_nodes"]) == (16, 32)
+    assert (analytic.provenance["kz_nodes"], dec.numerics.kz_nodes) == (16, 32)
     reference = oracle_trajectory(dec, t)
     tol = 1e-6 * FIG1_PARAMS.magnetic_length
     assert np.max(np.abs(analytic.x - reference.x)) < tol

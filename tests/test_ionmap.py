@@ -5,10 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from physics_checks import dirac_to_trap
-from zbsim._record import fields
 from zbsim.ionmap import TrapConfig, excitation_plan, trap_to_dirac
 from zbsim.params import Dimensionality, SimParams
-from zbsim.runner import _KEYS
 
 TWO_PI = 2.0 * math.pi
 DELTA_M = 9.6e-9  # 96 angstrom ground-state spread
@@ -20,10 +18,6 @@ def _trap(carrier_hz: float) -> TrapConfig:
 
 def _kappa(trap: TrapConfig) -> float:
     return trap_to_dirac(trap).kappa
-
-
-def test_the_trap_section_keys_are_the_trap_record_fields():
-    assert _KEYS["trap"] == fields(TrapConfig)
 
 
 def test_kappa_regimes():

@@ -19,7 +19,7 @@ from scipy.special import roots_hermite, roots_legendre
 
 import zbsim.packet
 from zbsim._record import replace
-from zbsim.errors import ConvergenceError, TruncationError
+from zbsim.errors import ConvergenceError
 from zbsim.packet import (
     KX_NODES,
     MAX_ARRAY,
@@ -181,7 +181,7 @@ def test_parseval_at_every_stage():
 
 def test_truncation_behaviour():
     dec = decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE)
-    with pytest.raises(TruncationError):
+    with pytest.raises(IndexError, match=f"U_\\(0,{dec.n_max + 1}\\) beyond the truncation n_max={dec.n_max}"):
         u_overlap(dec, 0, dec.n_max + 1)
     # tighter tail tolerance cannot lower the chosen truncation
     dec_tight = decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, Numerics(tail_tol=1e-13))

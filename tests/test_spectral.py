@@ -6,7 +6,7 @@ import pytest
 from physics_checks import interband_envelope
 from zbsim._record import replace
 from zbsim.dynamics import Trajectory, trajectory
-from zbsim.landau import TransitionKind, energies
+from zbsim.landau import energies
 from zbsim.packet import GaussianPacket, decompose
 from zbsim.params import Dimensionality, SimParams
 from zbsim.runner import load_preset, parse_config, preset_text, run
@@ -100,9 +100,16 @@ def test_classify_lowest_lines():
         return peak.label
 
     intra = label_at(math.sqrt(2.0) - 1.0)
-    assert intra.kind is TransitionKind.INTRABAND and (intra.n, intra.n_prime) == (0, 1)
+    assert (intra.band, intra.n, str(intra)) == (0, 0, "intraband(0->1)")
     inter = label_at(math.sqrt(2.0) + 1.0)
-    assert inter.kind is TransitionKind.INTERBAND and (inter.n, inter.n_prime) == (0, 1)
+    assert (inter.band, inter.n, str(inter)) == (1, 0, "interband(0<->1)")
+
+
+@pytest.mark.parametrize("n", [0, 7, 41])
+def test_label_text(n):
+    # spectrum.csv, report.txt and the SVG markers all carry this text
+    assert str(PeakLabel(0, n)) == f"intraband({n}->{n + 1})"
+    assert str(PeakLabel(1, n)) == f"interband({n}<->{n + 1})"
 
 
 def test_interband_only_trajectory_classifies_interband():
@@ -117,12 +124,12 @@ def test_interband_only_trajectory_classifies_interband():
     assert significant
     for peak in significant:
         assert peak.label is not None
-        assert peak.label.kind is TransitionKind.INTERBAND
+        assert peak.label.band == 1
 
     only_intra = _synthetic(t, tr.x_intraband, tr.y_intraband)
     rep = classify_peaks(spectrum(only_intra), dec)
     for peak in (p for p in rep.peaks if p.power >= 0.01 * rep.peaks[0].power):
-        assert peak.label is not None and peak.label.kind is TransitionKind.INTRABAND
+        assert peak.label is not None and peak.label.band == 0
 
 
 def test_every_significant_peak_classifiable():
@@ -157,10 +164,10 @@ def test_classify_window_edge_and_occupation_cut():
         Peak(freq=e_top - e_below, power=1.0),  # the occupied pair below lies within one bin
     )
     labels = [p.label for p in classify_peaks(replace(report, peaks=peaks), dec).peaks]
-    assert labels[0] == PeakLabel(TransitionKind.INTRABAND, 0, 1)
+    assert labels[0] == PeakLabel(0, 0)
     assert labels[1] is None
     assert labels[2] is None
-    assert labels[3] == PeakLabel(TransitionKind.INTRABAND, top - 2, top - 1)
+    assert labels[3] == PeakLabel(0, top - 2)
 
     # a peak exactly midway between the 0->1 and 1->2 intraband lines takes
     # the later line of the table
@@ -168,7 +175,7 @@ def test_classify_window_edge_and_occupation_cut():
     mid = ((e1 - e0) + (e2 - e1)) / 2.0
     assert (e1 - e0) - mid == mid - (e2 - e1)
     tie = replace(report, peaks=(Peak(freq=mid, power=1.0),), bin_width=0.05)
-    assert classify_peaks(tie, dec).peaks[0].label == PeakLabel(TransitionKind.INTRABAND, 1, 2)
+    assert classify_peaks(tie, dec).peaks[0].label == PeakLabel(0, 1)
 
 
 def _config(name):
@@ -231,6 +238,6 @@ def test_gigantic_field_run_shows_both_line_kinds():
     traj = trajectory(dec, config.time_grid())
     rep = classify_peaks(spectrum(traj), dec)
     top = rep.peaks[0].power
-    kinds = {p.label.kind for p in rep.peaks if p.label is not None and p.power > 1e-3 * top}
-    assert TransitionKind.INTRABAND in kinds
-    assert TransitionKind.INTERBAND in kinds
+    bands = {p.label.band for p in rep.peaks if p.label is not None and p.power > 1e-3 * top}
+    assert 0 in bands
+    assert 1 in bands
