@@ -4,8 +4,8 @@ Analytic Landau-basis trajectories of a Gaussian wave packet (2+1 and 3+1),
 a truncated-matrix oracle that checks their line tables, spectral line
 classification into cyclotron and trembling components, and a trapped-ion
 parameter mapping.  Every function exported here is one a run reaches
-(tests/test_api.py checks it).  Submodules are imported lazily so the CLI
-can pin the BLAS thread environment first.
+(tests/test_api.py checks it).  Submodules are imported lazily, so that
+importing the package loads no numpy.
 """
 
 __version__ = "0.1.0"

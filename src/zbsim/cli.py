@@ -1,7 +1,6 @@
 """Command-line front end.
 
-    zbsim run <config.ini> [--out DIR] [--check-oracle] [--threads N]
-                           [--dump-decomposition]
+    zbsim run <config.ini> [--out DIR] [--check-oracle] [--dump-decomposition]
     zbsim run --scenario fig2a [...]
     zbsim run --list-scenarios
 
@@ -11,8 +10,9 @@ mismatch beyond tolerance; 1, without a traceback, when output cannot be
 written: stdout or stderr a pipe whose reader has gone or a full device, or
 an output file that fails.
 
-The BLAS thread budget is --threads or the environment (OMP_NUM_THREADS,
-OPENBLAS_NUM_THREADS, MKL_NUM_THREADS); a config file does not set it.
+The BLAS thread budget is the environment's (OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS, MKL_NUM_THREADS); neither a flag nor a config file
+sets it.
 
 The `zbsim` console script and `python -m zbsim.cli` run entry, which ends
 the process through os._exit once main has returned and the standard
@@ -55,9 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--out", default="zbsim-out", help="output directory")
     runp.add_argument("--check-oracle", action="store_true",
                       help="also run the matrix-reference evolution and compare")
-    runp.add_argument("--threads", type=int, default=None,
-                      help="BLAS thread budget, at least 1; overrides OMP/OPENBLAS/MKL_NUM_THREADS "
-                      "(exported before numerics load)")
     runp.add_argument("--dump-decomposition", action="store_true",
                       help="write F_n(kx) and U_mn tables as CSV")
     runp.add_argument("--list-scenarios", action="store_true",
@@ -67,16 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is not None and args.threads > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
-    # heavy imports after the thread environment is pinned
+    # numpy loads only after the arguments parse, so --help and argument errors stay quick
     from .runner import PRESET_NAMES, load_config_file, load_preset, run
 
     try:
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.list_scenarios:
             for name in PRESET_NAMES:
                 print(name)

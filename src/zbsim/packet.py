@@ -77,8 +77,6 @@ _RESCALE_EVERY = 16  # recurrence steps between rescalings; |p| grows < (1.5|x| 
 # matrix truncation may imply; larger settings are rejected before anything
 # is allocated.
 MAX_ARRAY = 1 << 22
-# the largest oracle truncation whose 4(n_trunc + 1)-square fibre matrix fits MAX_ARRAY
-MAX_N_TRUNC = math.isqrt(MAX_ARRAY) // 4 - 1
 # An n-node Gauss-Hermite rule solves an (n/2) x (n/2) Jacobi matrix.
 MAX_NODES = 2 * math.isqrt(MAX_ARRAY)
 # the kx rule's first node count; decompose doubles it as its levels need,
@@ -305,7 +303,7 @@ def check_finite_overlaps(values: np.ndarray, kx: np.ndarray, packet: GaussianPa
         mean = _mean_level(packet, ell)
         if mean < bad[0]:
             cause = ("below it, so only a truncation forced past the packet's tail "
-                     "(n_max_floor, or the oracle's n_trunc) draws levels this high")
+                     "(n_max_floor, or the oracle's n_max + 12) draws levels this high")
         else:
             cause = ("and a truncation needs more levels than that, so no level cap can hold it; "
                      "bring the widths nearer one magnetic length and the kick nearer 0")

@@ -50,9 +50,9 @@ Truncating the ladder at level N leaves, besides the exact eigenstates with
 n <= N, a two-dimensional remnant on the top oscillator level whose
 eigenvalues coincide with +-E_0(kz), so the solved spectrum holds +-E_0 once
 more than the closed-form levels.
-The oracle's default truncation is the decomposition level n_max + 12; an
-explicit one must lie above n_max, since at or below it the matrix drops
-levels the packet occupies or truncates exactly as the analytic engine does.
+The oracle's truncation is the decomposition level n_max + 12: above n_max,
+since at or below it the matrix drops levels the packet occupies or
+truncates exactly as the analytic engine does.
 
 Like the analytic engine, the oracle takes the packet's PacketDecomposition
 as its one input: the packet, the field parameters, the mode, the kx
@@ -71,7 +71,7 @@ from ._record import Record
 from .dynamics import _line_tables
 from .errors import ConfigError, OracleMismatchError
 from .landau import BANDS
-from .packet import MAX_N_TRUNC, PacketDecomposition, check_finite_overlaps, oscillator_overlaps
+from .packet import MAX_ARRAY, PacketDecomposition, check_finite_overlaps, oscillator_overlaps
 from .params import Dimensionality, SimParams
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -100,6 +100,8 @@ _MIRROR_TOL = 1e-12
 # raised a run's peak RSS by 0.1-0.2 MB; at this size the oracle's peak
 # stays below that of its setup, which assembles the full matrices.
 _CHUNK = 1 << 13
+# the largest truncation whose 4(n_trunc + 1)-square fibre matrix fits MAX_ARRAY
+MAX_N_TRUNC = math.isqrt(MAX_ARRAY) // 4 - 1
 
 
 def lowering_matrix(n_trunc: int) -> np.ndarray:
@@ -203,19 +205,13 @@ def _pair_plan(idx: np.ndarray, ops: tuple):
     return p, q, np.stack([op[rows[p], cols[q]] for op in ops])
 
 
-def _truncation(decomp: PacketDecomposition, n_trunc: int | None) -> int:
-    """The oracle's truncation: n_trunc, or n_max + 12; ConfigError unless it
-    lies above n_max and within MAX_N_TRUNC."""
-    trunc = n_trunc if n_trunc is not None else decomp.n_max + 12
-    if n_trunc is None and trunc > MAX_N_TRUNC:  # an explicit n_trunc: _fibre_terms checks it
+def _truncation(decomp: PacketDecomposition) -> int:
+    """The oracle's truncation n_max + 12; ConfigError above MAX_N_TRUNC."""
+    trunc = decomp.n_max + 12
+    if trunc > MAX_N_TRUNC:
         raise ConfigError(
-            f"[oracle] the reference matrices need the truncation n_max + 12 = "
+            f"--check-oracle: the reference matrices need the truncation n_max + 12 = "
             f"{trunc}, above {MAX_N_TRUNC}; run without the oracle check"
-        )
-    if trunc <= decomp.n_max:
-        raise ConfigError(
-            f"[oracle] n_trunc = {trunc} must be above the decomposition level "
-            f"n_max = {decomp.n_max}, or 0 for the automatic n_max + 12"
         )
     return trunc
 
@@ -377,7 +373,7 @@ def _mirror_deviation(lines, kz: np.ndarray) -> float:
     return dev
 
 
-def oracle_check(decomp: PacketDecomposition, t_max: float, n_trunc: int | None = None) -> OracleCheck:
+def oracle_check(decomp: PacketDecomposition, t_max: float) -> OracleCheck:
     """Compare the analytic engine's line record with the oracle's at every
     node and band (OracleCheck); in 3+1 the rule's most negative kz node,
     which the folded grid leaves out, is solved as well, in the same batch
@@ -389,7 +385,7 @@ def oracle_check(decomp: PacketDecomposition, t_max: float, n_trunc: int | None 
     pair-product elements; a chunk leaves only its terms' sums, its largest
     term and its lines of the mirror pair.
     """
-    trunc = _truncation(decomp, n_trunc)
+    trunc = _truncation(decomp)
     kz, weights, n_kz = decomp.kz_nodes, decomp.kz_weights, decomp.kz_nodes.size
     three_d = decomp.mode is Dimensionality.THREE_PLUS_ONE
     if three_d:  # the mirror pair at unit weight: an outer weight may underflow to 0

@@ -10,7 +10,7 @@ output directory:
     report.txt       parameters, kappa, truncation, peaks, plan, oracle summary
     decomposition_f.csv / decomposition_u.csv        (on request)
     eigenvalues.csv  (with the oracle check) the spectrum of the oracle's own
-                     matrix at kz = 0, at its truncation n_trunc
+                     matrix at kz = 0, at its truncation n_max + 12
 
 Every file carries the artifact version and a hash of the configuration
 text, and identical configurations produce byte-identical CSV output at a
@@ -32,7 +32,7 @@ from . import __version__
 from ._record import Record, fields
 from .dynamics import Trajectory, cyclotron_reference, trajectory
 from .errors import ConfigError, OracleMismatchError
-from .packet import MAX_ARRAY, MAX_N_TRUNC, GaussianPacket, Numerics, PacketDecomposition, decompose, u_overlap
+from .packet import MAX_ARRAY, GaussianPacket, Numerics, PacketDecomposition, decompose, u_overlap
 from .params import Dimensionality, SimParams, make_params
 from .spectral import MIN_SAMPLES, WINDOWS, SpectrumReport, classify_peaks, richness, spectrum
 from .svg import Series, line_plot
@@ -53,6 +53,9 @@ PACKET_RANGE_L = (1e-6, 1e6)
 # the time horizon in t_c: its step stays a normal float up to 2^22 samples,
 # and every phase the engines form over it stays finite
 TIME_RANGE = (1e-100, 1e100)
+# the oracle check's gate: the largest line-table distance between the
+# analytic engine and the oracle, in magnetic lengths
+TOL_IN_L = 1e-6
 
 
 class RunOptions(Record):
@@ -142,19 +145,6 @@ class SpectralOptions(Record):
             raise ValueError("thresholds must be positive")
 
 
-class OracleOptions(Record):
-    n_trunc: int = 0  # 0 = automatic margin above the decomposition truncation
-    tol_in_l: float = 1e-6  # in magnetic lengths
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.n_trunc <= MAX_N_TRUNC:
-            raise ValueError(
-                f"n_trunc must be in 0..{MAX_N_TRUNC} (0 = automatic), got {self.n_trunc}"
-            )
-        if self.tol_in_l <= 0.0:
-            raise ValueError("tol_in_l must be positive")
-
-
 class OutputOptions(Record):
     position_unit: str = "lambda_c"
 
@@ -169,7 +159,7 @@ class OutputOptions(Record):
 # for a config with that section.
 _SECTIONS = dict(run=RunOptions, field=FieldOptions, trap=None, packet=PacketOptions,
                  time=TimeOptions, numerics=Numerics, spectral=SpectralOptions,
-                 oracle=OracleOptions, output=OutputOptions)
+                 output=OutputOptions)
 
 
 class RunConfig(Record):
@@ -184,7 +174,6 @@ class RunConfig(Record):
     time: TimeOptions
     numerics: Numerics
     spectral: SpectralOptions
-    oracle: OracleOptions
     output: OutputOptions
     raw_text: str
 
@@ -380,8 +369,7 @@ def run(
 
     check = None
     if check_oracle:
-        n_trunc = config.oracle.n_trunc if config.oracle.n_trunc > 0 else None
-        check = oracle_check(decomp, config.time.t_max, n_trunc)
+        check = oracle_check(decomp, config.time.t_max)
         _write_csv(out / "eigenvalues.csv", config, "truncated-matrix eigenvalues at kx=kz=0",
                    "index,energy", "%d,%.17g", np.arange(check.eigenvalues.size), check.eigenvalues)
 
@@ -411,10 +399,10 @@ def run(
     report_path = out / "report.txt"
     report_path.write_text(_render_report(config, decomp, report, n_rich, check))
 
-    if check is not None and not check.bound <= config.oracle.tol_in_l:  # NaN fails
+    if check is not None and not check.bound <= TOL_IN_L:  # NaN fails
         raise OracleMismatchError(
             f"analytic vs reference deviation {check.bound:.3e} L exceeds "
-            f"{config.oracle.tol_in_l:.1e} L; largest term: {check.worst}"
+            f"{TOL_IN_L:.1e} L; largest term: {check.worst}"
         )
     return RunResult(
         report_path=report_path,
@@ -524,7 +512,7 @@ def _render_report(
             "",
             f"reference check (n_trunc = {check.n_trunc}):",
             f"  max |analytic - matrix reference| = {check.bound:.3e} L "
-            f"(line-table bound for 0 <= t <= {config.time.t_max:.6g}, tolerance {config.oracle.tol_in_l:.1e} L)",
+            f"(line-table bound for 0 <= t <= {config.time.t_max:.6g}, tolerance {TOL_IN_L:.1e} L)",
             "  matched lines {:.3e} + {:.3e} L, unmatched (levels above n_max) {:.3e} + {:.3e} L "
             "(intraband + interband)".format(*check.matched, *check.truncated),
             f"  largest term: {check.worst}",

@@ -70,9 +70,10 @@ def oracle_trajectory(
 ) -> Trajectory:
     """Trajectory from truncated-matrix evolution, bin-compatible with the
     analytic engine (same time grid, same position units, same band split):
-    band_sums over the oracle's lines at every kz node."""
+    band_sums over the oracle's lines at every kz node, on levels 0..n_trunc
+    (the run's n_max + 12 if None)."""
     t = np.asarray(t_grid, dtype=float)
-    trunc = reference._truncation(decomp, n_trunc)
+    trunc = reference._truncation(decomp) if n_trunc is None else n_trunc
     kz, weights = decomp.kz_nodes, decomp.kz_weights
     bands = np.zeros((2, t.size), dtype=complex)  # intraband, interband <A>
     for at_zero, (plan, pairs) in reference._plans(decomp, trunc, kz).items():
@@ -264,11 +265,11 @@ def _per_node_distance(analytic, oracle, t_max: float, where: str):
     return (groups[has], fa[owner[has]]), (amp[fa.size :][alone], fo[alone])
 
 
-def per_node_oracle_check(decomp: PacketDecomposition, t_max: float, n_trunc: int | None = None) -> dict:
+def per_node_oracle_check(decomp: PacketDecomposition, t_max: float) -> dict:
     """The oracle check of reference.oracle_check, solved and compared one kz
     node and band at a time: its bound, matched, truncated, worst, mirror_dev
     and n_trunc."""
-    trunc = reference._truncation(decomp, n_trunc)
+    trunc = reference._truncation(decomp)
     n_kz = decomp.kz_nodes.size
     at, in_band, *analytic = _line_tables(decomp)
     three_d = decomp.mode is Dimensionality.THREE_PLUS_ONE

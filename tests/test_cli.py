@@ -64,14 +64,15 @@ BAD_INPUTS = (
     ("t_max = 30.0", "t_max = 1e308", "t_max = 1e"),
     ("samples = 512", "samples = 10", "256"),
     ("d_x = 0.9", "d_x = nan", "finite"),
-    # settings that are flags, not keys: the thread budget is --threads and
-    # the reference check --check-oracle; the kx rule's node count has no
-    # key, and each window has one name
+    # settings that are not keys: the thread budget is the environment's and
+    # the reference check is --check-oracle, with no section of its own; the
+    # kx rule's node count has no key, and each window has one name
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nthreads = 2", "unknown key 'threads'"),
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nthreads = 0", "unknown key 'threads'"),
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nkx_nodes = 64", "unknown key 'kx_nodes'"),
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nkx_nodes = 4097", "unknown key 'kx_nodes'"),
-    ("position_unit = L", "position_unit = L\n[oracle]\nenabled = true", "unknown key 'enabled'"),
+    ("position_unit = L", "position_unit = L\n[oracle]\nn_trunc = 60",
+     "oracle]; known sections: run, field, trap, packet, time, numerics, spectral, output"),
     ("position_unit = L", "position_unit = L\n[spectral]\nwindow = rectangular", "got 'rectangular'"),
     ("position_unit = L", "position_unit = L\n[spectral]\nwindow = boxcar", "got 'boxcar'"),
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nn_max_floor = -7", "n_max_floor must be >= 0, got -7"),
@@ -80,7 +81,6 @@ BAD_INPUTS = (
     ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = 0", "pad_factor"),
     ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = -2", "pad_factor"),
     ("position_unit = L", "position_unit = L\n[spectral]\nwindow = foo", "window"),
-    ("position_unit = L", "position_unit = L\n[oracle]\nn_trunc = -3", "n_trunc"),
     ("tail_tol = 1e-10", "tail_tol = 1e-10\ny_nodes = 40", "unknown key 'y_nodes'"),
     # the kx rule is exact, so its doubling check and the check's knobs are gone
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nconvergence_check = false", "unknown key 'convergence_check'"),
@@ -91,7 +91,6 @@ BAD_INPUTS = (
     # sizes whose arrays would pass 32 MiB, rejected before anything is allocated
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_nodes = 8192", "kz_nodes"),
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nn_max_cap = 100000", "n_max_cap = 100000 needs a 100001 x 96 overlap array"),
-    ("position_unit = L", "position_unit = L\n[oracle]\nn_trunc = 512", "n_trunc"),
     # the padded spectrum has samples x pad_factor points
     ("samples = 512", "samples = 10000000000000", "samples = 10000000000000 and"),
     ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = 10000000000000",
@@ -292,20 +291,6 @@ def test_oracle_truncation_beyond_the_bound_exit_code(tmp_path, capsys, monkeypa
     assert "n_max + 12 = 43, above 42" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n_trunc, code", [(5, 2), (31, 2), (32, 0)])
-def test_oracle_truncation_must_exceed_the_decomposition_level(tmp_path, capsys, n_trunc, code):
-    # SMALL_CONFIG converges at n_max = 31; at or below it the reference matrix
-    # drops occupied levels (5 missed the tolerance, exit 4) or truncates as
-    # the analytic engine does (31 agreed to 1.6e-15 L and checked nothing)
-    text = SMALL_CONFIG + f"\n[oracle]\nn_trunc = {n_trunc}\n"
-    args = ["run", str(_write(tmp_path, text)), "--out", str(tmp_path / "out"), "--check-oracle"]
-    assert main(args) == code
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    if code == 2:
-        assert f"[oracle] n_trunc = {n_trunc} must be above the decomposition level n_max = 31" in err
-
-
 def test_overflowing_packet_width_exit_code(tmp_path, capsys):
     # finite in the config, but d_x L overflows to inf in lambda_c
     config = _write(tmp_path, SMALL_CONFIG.replace("d_x = 0.9", "d_x = 1.3e308"))
@@ -313,21 +298,13 @@ def test_overflowing_packet_width_exit_code(tmp_path, capsys):
     assert "[packet] width d_x must be finite" in capsys.readouterr().err
 
 
-def test_threads_override_environment(monkeypatch, capsys):
-    variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-    for var in variables:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert main(["run", "--threads", "1", "--list-scenarios"]) == 0
-    assert [os.environ.get(var) for var in variables] == ["1", "1", "1"]
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_threads_below_one_exit_code(tmp_path, capsys, value):
-    config = _write(tmp_path, SMALL_CONFIG)
-    assert main(["run", str(config), "--threads", value, "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"configuration error: --threads must be >= 1, got {value}\n"
+def test_threads_is_no_flag(tmp_path, capsys):
+    # the BLAS thread budget is the environment's alone
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "fig2a", "--threads", "2", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_docs_list_every_config_key():
@@ -337,7 +314,7 @@ def test_docs_list_every_config_key():
     # [spectral] window row against the windows the parser accepts
     text = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
     documented = {}
-    for block in re.split(r"^## ", text, flags=re.M)[1:]:
+    for block in re.split(r"^## (?=\[)", text, flags=re.M)[1:]:
         rows = [line.split("|") for line in block.splitlines() if line.startswith("|")][2:]
         documented[re.match(r"\[(\w+)\]", block).group(1)] = {
             key.strip(" `"): row[-2] for row in rows for key in row[1].split(",")}
@@ -440,19 +417,18 @@ def test_check_oracle_reports_deviation(tmp_path, capsys):
 
 
 def test_eigenvalues_follow_the_oracle_truncation(tmp_path, capsys):
-    # SMALL_CONFIG converges at n_max = 31; the table is the spectrum of the
-    # checked matrix at n_trunc = 60, 4 (60 + 1) rows, not one at n_max + 12
-    text = SMALL_CONFIG + "\n[oracle]\nn_trunc = 60\n"
+    # the table is the spectrum of the checked matrix at its truncation
+    # n_max + 12, 4 (n_max + 13) rows
     out = tmp_path / "out"
-    assert main(["run", str(_write(tmp_path, text)), "--out", str(out), "--check-oracle"]) == 0
+    assert main(["run", str(_write(tmp_path, SMALL_CONFIG)), "--out", str(out), "--check-oracle"]) == 0
+    n_max = int(re.search(r"n_max = (\d+)", capsys.readouterr().out).group(1))
     lines = (out / "eigenvalues.csv").read_text().splitlines()
     assert lines[4] == "index,energy"
     rows = np.array([line.split(",") for line in lines[5:]], dtype=float)
-    assert rows.shape == (4 * 61, 2)
-    assert np.array_equal(rows[:, 0], np.arange(4 * 61))
-    expected = expected_eigenvalues(0.0, 60, parse_config(text).params)
+    assert rows.shape == (4 * (n_max + 13), 2)
+    assert np.array_equal(rows[:, 0], np.arange(4 * (n_max + 13)))
+    expected = expected_eigenvalues(0.0, n_max + 12, parse_config(SMALL_CONFIG).params)
     assert np.max(np.abs(rows[:, 1] - expected)) < 1e-12
-    capsys.readouterr()
 
 
 def test_convergence_failure_exit_code(tmp_path, capsys):
@@ -590,10 +566,10 @@ def test_thread_count_reproducibility(tmp_path):
     assert np.max(np.abs(_csv_table(two) - _csv_table(first))) <= 1e-13
 
 
-def test_oracle_mismatch_exit_code(tmp_path, capsys):
+def test_oracle_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     # an absurdly tight tolerance forces the mismatch path
-    text = SMALL_CONFIG + "\n[oracle]\ntol_in_l = 1e-16\n"
-    config = _write(tmp_path, text)
+    monkeypatch.setattr("zbsim.runner.TOL_IN_L", 1e-16)
+    config = _write(tmp_path, SMALL_CONFIG)
     assert main(["run", str(config), "--out", str(tmp_path / "out"), "--check-oracle"]) == 4
     assert "reference mismatch" in capsys.readouterr().err
 
@@ -835,13 +811,8 @@ def test_a_perturbed_mirror_node_fails_the_mirror_check(tmp_path, capsys, monkey
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nconvergence_check = maybe",
      "[numerics] unknown key 'convergence_check'; known keys: n_max_cap, n_max_floor, "
      "kz_nodes, kz_rule, kz_cutoff_sigmas, tail_tol"),
-    # the check's switch is the --check-oracle flag
-    ("position_unit = L", "position_unit = L\n[oracle]\nenabled = maybe",
-     "[oracle] unknown key 'enabled'; known keys: n_trunc, tol_in_l"),
     ("position_unit = L", "position_unit = L\n[spectral]\nwindow = boxcar",
      "[spectral] window must be one of hann, rect, got 'boxcar'"),
-    ("position_unit = L", "position_unit = L\n[oracle]\ntol_in_l = nan",
-     "[oracle] tol_in_l: must be finite, got 'nan'"),
 ])
 def test_section_errors_carry_one_prefix(tmp_path, capsys, old, new, message):
     path = _write(tmp_path, SMALL_CONFIG.replace(old, new))
@@ -865,16 +836,19 @@ def test_nan_position_sum_exits_3(tmp_path, capsys, monkeypatch):
     assert "position sums are not finite at 1 of 512 samples" in err
 
 
-def _command_line(tmp_path, args: list[str], **streams) -> tuple[int, str, str]:
+def _command_line(tmp_path, args: list[str], prelude: str | None = None, **streams) -> tuple[int, str, str]:
     """`python -m zbsim.cli` on args in a fresh interpreter, stdout and stderr
     sent to files unless given: its exit code and the two files' text.
     stdout is block-buffered, as by default, so a line left unflushed at
-    the exit is lost."""
+    the exit is lost.  A prelude, a statement run after `import zbsim.runner`,
+    runs the same entry point through `python -c` instead."""
     env = {key: value for key, value in _env().items() if key != "PYTHONUNBUFFERED"}
     out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    command = ["-m", "zbsim.cli"] if prelude is None else [
+        "-c", f"import zbsim.runner; {prelude}; from zbsim.cli import entry; entry()"]
     with open(out, "w") as stdout, open(err, "w") as stderr:
         streams = {"stdout": stdout, "stderr": stderr, **streams}
-        proc = subprocess.run([sys.executable, "-m", "zbsim.cli", *args], env=env, timeout=300, **streams)
+        proc = subprocess.run([sys.executable, *command, *args], env=env, timeout=300, **streams)
     return proc.returncode, out.read_text(), err.read_text()
 
 
@@ -895,17 +869,19 @@ def test_the_command_line_exits_0_with_every_file_and_line(tmp_path, capsys):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "main" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("old, new, flags, code, cause", [
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkzrule = legendre", [], 2, "configuration error: [numerics] unknown key 'kzrule'"),
+@pytest.mark.parametrize("old, new, flags, prelude, code, cause", [
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkzrule = legendre", [], None, 2,
+     "configuration error: [numerics] unknown key 'kzrule'"),
     # 32 Legendre nodes on an interval of 20 widths lose 1e-2 of the kz mass
-    ("kz_nodes = 6", "kz_nodes = 32\nkz_rule = legendre\nkz_cutoff_sigmas = 20", [], 3,
+    ("kz_nodes = 6", "kz_nodes = 32\nkz_rule = legendre\nkz_cutoff_sigmas = 20", [], None, 3,
      "numerical convergence failure: the kz rule"),
-    ("position_unit = L", "position_unit = L\n[oracle]\ntol_in_l = 1e-12", ["--check-oracle"], 4,
+    # the config as it stands, against a gate tighter than the check's own rounding
+    ("position_unit = L", "position_unit = L", ["--check-oracle"], "zbsim.runner.TOL_IN_L = 1e-12", 4,
      "reference mismatch: analytic vs reference deviation"),
 ])
-def test_the_command_line_exits_with_the_code_and_one_line(tmp_path, old, new, flags, code, cause):
+def test_the_command_line_exits_with_the_code_and_one_line(tmp_path, old, new, flags, prelude, code, cause):
     config = _write(tmp_path, SMALL_3PLUS1.replace(old, new))
-    got, out, err = _command_line(tmp_path, ["run", str(config), "--out", str(tmp_path / "out"), *flags])
+    got, out, err = _command_line(tmp_path, ["run", str(config), "--out", str(tmp_path / "out"), *flags], prelude)
     assert (got, out) == (code, "")
     assert err.startswith(cause) and err.count("\n") == 1 and "Traceback" not in err
 

@@ -34,7 +34,6 @@ IN_BOUNDS = {
     ("numerics", "convergence_tol"): ("1e-9",),
     ("numerics", "kx_nodes"): ("96",),
     ("numerics", "threads"): ("1",),
-    ("oracle", "enabled"): ("true",),
     # the windows, and the removed aliases of rect
     ("spectral", "window"): ("hann", "rect", "rectangular", "boxcar"),
     ("numerics", "kz_nodes"): ("4", "12"),
@@ -44,8 +43,6 @@ IN_BOUNDS = {
     ("spectral", "pad_factor"): ("1", "4"),
     ("spectral", "detection_floor"): ("1e-3", "0.5"),
     ("spectral", "significant_rel_power"): ("0.01", "0.9"),
-    ("oracle", "n_trunc"): ("0", "30"),
-    ("oracle", "tol_in_l"): ("1e-6", "1.0"),
     ("trap", "eta"): ("0.06", "0.2", "1e-100", "1e100"),
     ("trap", "omega_tilde_hz"): ("68e3", "20e3"),
     ("trap", "omega_carrier_hz"): ("1e3", "5e3"),
@@ -154,12 +151,10 @@ OUT_OF_BOUNDS = {
     ("numerics", "kz_cutoff_sigmas"): ("0", "37.65"),
     ("numerics", "tail_tol"): ("0", "-1e-10"),
     ("spectral", "pad_factor"): ("0",),
-    ("oracle", "n_trunc"): ("-1", "512"),
     # removed keys and window aliases: every value is outside, and the
     # message names the key (and the alias)
     ("numerics", "kx_nodes"): ("4097",),
     ("numerics", "threads"): ("0",),
-    ("oracle", "enabled"): ("true",),
     ("spectral", "window"): ("rectangular", "boxcar"),
 }
 

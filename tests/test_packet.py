@@ -38,7 +38,7 @@ from zbsim.packet import (
     u_overlap,
 )
 from zbsim.params import Dimensionality, SimParams
-from zbsim.runner import OracleOptions, load_preset
+from zbsim.runner import load_preset
 
 TWO_PLUS_ONE, THREE_PLUS_ONE = Dimensionality.TWO_PLUS_ONE, Dimensionality.THREE_PLUS_ONE
 B_ONE = SimParams(1.0)
@@ -343,7 +343,6 @@ def test_node_counts_and_caps_are_bounded():
     Numerics(kz_rule="legendre", kz_nodes=2048)
     Numerics(kz_nodes=MAX_NODES)
     Numerics(n_max_cap=largest_cap)
-    OracleOptions(n_trunc=511)
     for kwargs, key in (
         ({"kz_nodes": MAX_NODES + 1}, "kz_nodes"),
         ({"n_max_cap": 100000}, "n_max_cap"),
@@ -354,8 +353,6 @@ def test_node_counts_and_caps_are_bounded():
     # the kx rule's node count is not a setting
     with pytest.raises(TypeError, match="unexpected argument 'kx_nodes'"):
         Numerics(kx_nodes=KX_NODES)
-    with pytest.raises(ValueError, match="n_trunc"):
-        OracleOptions(n_trunc=512)
 
 
 def test_rerun_past_the_node_bounds_is_a_convergence_error():

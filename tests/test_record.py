@@ -11,7 +11,6 @@ import pytest
 import zbsim
 from zbsim._record import Record, asdict, fields, replace
 from zbsim.packet import GaussianPacket, Numerics, PacketDecomposition
-from zbsim.runner import OracleOptions
 
 
 class Point(Record):
@@ -84,7 +83,8 @@ def test_equality_and_hash():
 
 def test_repr_names_every_field():
     assert repr(Point(1.0, tag="a")) == "Point(x=1.0, y=0.0, tag='a')"
-    assert repr(OracleOptions()) == "OracleOptions(n_trunc=0, tol_in_l=1e-06)"
+    assert repr(Numerics(tail_tol=1e-06)) == ("Numerics(n_max_cap=256, n_max_floor=0, kz_nodes=160, "
+                                              "kz_rule='hermite', kz_cutoff_sigmas=6.0, tail_tol=1e-06)")
 
 
 def test_validation_on_construction_and_on_replace():

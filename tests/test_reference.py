@@ -415,6 +415,9 @@ def test_transform_report_fails_on_the_block_form():
 def test_build_matrix_rejects_negative_truncation():
     with pytest.raises(ValueError):
         build_matrix(0.0, -1, B_ONE)
+    # and one past MAX_N_TRUNC, whose fibre matrix would pass MAX_ARRAY
+    with pytest.raises(ValueError, match=r"n_trunc must be in 0\.\.511, got 512"):
+        build_matrix(0.0, 512, B_ONE)
 
 
 @pytest.mark.parametrize("kz, blocks", [(0.37, {4: 45, 2: 2}), (0.0, {2: 90, 1: 4})])
