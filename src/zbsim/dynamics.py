@@ -22,11 +22,12 @@ Positions follow from the relative-coordinate operators
 These exclude the guiding-centre offset kx L^2, so a packet kicked by k0x
 starts at Y(0) = -k0x L^2 and circles the origin.
 
-Both engines write <A(t)> as one line record (node, band, freqs, cos, sin),
-<A> = sum cos cos(f t) + i sin sin(f t) over its lines, each line carrying
-the index of its kz node and its band, named by landau.BANDS: 0 for the
-intraband (cyclotron) lines at the difference frequencies E_{n+1} - E_n, 1
-for the interband (trembling) lines at the sums E_{n+1} + E_n.  band_sums
+Both engines write <A(t)> as one line record (node, band, n, freqs, cos,
+sin), <A> = sum cos cos(f t) + i sin sin(f t) over its lines, each line
+carrying its kz node, its pair's lower level n and its band, named by
+landau.BANDS: 0 for the intraband (cyclotron) lines at the difference
+frequencies E_{n+1} - E_n, 1 for the interband (trembling) lines at the
+sums E_{n+1} + E_n.  band_sums
 evaluates a record into a (2, samples) array, one row per band, through the
 one kernel line_sum.  The matrix oracle (zbsim.reference) builds the same record and
 is checked against this one line by line, not sample by sample.
@@ -82,7 +83,7 @@ class Trajectory(Record):
 
 
 def _line_tables(decomp: PacketDecomposition):
-    """The packet's line record (node, band, freqs, cos, sin), intraband
+    """The packet's line record (node, band, n, freqs, cos, sin), intraband
     first, then pair by pair and node by node, with w = 1/2 sqrt(n+1)
     U_{n,n+1} times the kz weight:
 
@@ -96,8 +97,9 @@ def _line_tables(decomp: PacketDecomposition):
     e_lo = energies(n_idx, decomp.kz_nodes, decomp.params)
     e_hi = energies(n_idx + 1, decomp.kz_nodes, decomp.params)
     bw = base * decomp.kz_weights
-    intra = (e_hi - e_lo, bw * (1.0 + e_lo / e_hi), -(bw * (1.0 / e_lo + 1.0 / e_hi)))
-    inter = (e_hi + e_lo, bw * (1.0 - e_lo / e_hi), bw * (1.0 / e_lo - 1.0 / e_hi))
+    level = np.broadcast_to(n_idx, bw.shape)
+    intra = (level, e_hi - e_lo, bw * (1.0 + e_lo / e_hi), -(bw * (1.0 / e_lo + 1.0 / e_hi)))
+    inter = (level, e_hi + e_lo, bw * (1.0 - e_lo / e_hi), bw * (1.0 / e_lo - 1.0 / e_hi))
     return (np.tile(np.arange(decomp.kz_nodes.size), 2 * decomp.n_max), np.repeat([0, 1], bw.size),
             *(np.concatenate((a, b), axis=None) for a, b in zip(intra, inter)))
 
@@ -166,8 +168,8 @@ def line_sum(t: np.ndarray, freqs: np.ndarray, cos_coef: np.ndarray, sin_coef: n
 
 def band_sums(t: np.ndarray, lines) -> np.ndarray:
     """The (2, samples) complex <A(t)> of the intraband and the interband
-    lines of a (node, band, freqs, cos, sin) record, in record order."""
-    _, band, *table = lines
+    lines of a (node, band, n, freqs, cos, sin) record, in record order."""
+    _, band, _, *table = lines
     return np.array([line_sum(t, *(x[band == b] for x in table)) for b in (0, 1)])
 
 

@@ -24,32 +24,33 @@ adds <A(t)> = sum_jk A_jk S_jk e^{i (E_j - E_k) t} over its real eigenpairs,
 A_jk = v_j . (1 x a) v_k, S_jk = v_j . G v_k, G = sum_f w_f phi_f phi_f^T;
 the eigenvectors are real, so <A+(t)> = conj <A(t)>.  _node_lines forms
 A_jk, A_kj and S_jk of many nodes in one batched product and writes their
-lines in the one line record (node, band, freqs, cos, sin) of
-zbsim.dynamics, frequencies made non-negative.  The check's independent
-part is the assembled matrix and its solve.
+lines in the one line record (node, band, n, freqs, cos, sin) of
+zbsim.dynamics, frequencies made non-negative.  A line's level n is read
+off the assembled matrix, not off the closed form: a block's level is the
+largest oscillator index in its basis, and a line's the smaller of its two
+blocks' levels.  The check's independent part is the assembled matrix and
+its solve.
 
 The run's check, oracle_check, compares the two line records instead of
-samples, selecting each chunk's analytic lines by node.  At each kz node
-every oracle line joins the analytic line of its band within _MATCH_RTOL
-of its frequency; the summed |dC| + |dS| of the joined lines,
-their frequency drift |df| t_max (|C| + |S|), and |C| + |S| of every line
-that joins none (the levels above n_max) bound |<A>_analytic - <A>_oracle|
-at every 0 <= t <= t_max, and sqrt(2) times that bounds the position
-difference in L.  Analytic lines closer than _MATCH_RTOL (weak fields,
-where E_{n+1} - E_n rounds alike for neighbouring n) join one group, whose
-drift term covers their spread.  Both engines read the folded kz grid of
-packet.decompose, so the check also solves the rule's most negative kz
-node, which the fold leaves out, in the same batch as its mirror, and
-requires its per-frequency line sums to match its mirror's.  The nodes go
-through the solve, the lines and the comparison in chunks of at most
-_CHUNK pair-product elements, and the lines of a chunk's nodes are grouped
-at once: one lexsort over (node, band, frequency) and bincounts keyed by
-group.
+samples, selecting each chunk's analytic lines by node.  Every oracle line
+joins the analytic line of its kz node, band and level; the summed
+|dC| + |dS| of the joined lines, their frequency drift |df| t_max
+(|C| + |S|), and |C| + |S| of every line that joins none (the levels at or
+above n_max) bound |<A>_analytic - <A>_oracle| at every 0 <= t <= t_max,
+and sqrt(2) times that bounds the position difference in L.  Both engines
+read the folded kz grid of packet.decompose, so the check also solves the
+rule's most negative kz node, which the fold leaves out, in the same batch
+as its mirror, and requires its line sums per band and level to match its
+mirror's.  The nodes go through the solve, the lines and the comparison in
+chunks of at most _CHUNK pair-product elements, and the lines of a chunk's
+nodes are joined at once: one argsort of the analytic keys, a searchsorted
+of the oracle's and bincounts keyed by analytic line.
 
 Truncating the ladder at level N leaves, besides the exact eigenstates with
 n <= N, a two-dimensional remnant on the top oscillator level whose
 eigenvalues coincide with +-E_0(kz), so the solved spectrum holds +-E_0 once
-more than the closed-form levels.
+more than the closed-form levels.  Its block's level is n_trunc, so its
+lines join no analytic line.
 The oracle's truncation is the decomposition level n_max + 12: above n_max,
 since at or below it the matrix drops levels the packet occupies or
 truncates exactly as the analytic engine does.
@@ -88,10 +89,6 @@ BETA = np.block([[_EYE2, _ZERO2], [_ZERO2, -_EYE2]])
 # Line amplitudes at or below this fraction of a kz node's largest entry
 # are roundoff and are not evaluated.
 _LINE_CUTOFF = 1e-15
-
-# Lines of one band whose frequencies lie within this fraction of each
-# other are compared as one group (_groups).
-_MATCH_RTOL = 1e-9
 # The line sums at the rule's most negative kz node must match its mirror's
 # within this fraction of the largest amplitude there.
 _MIRROR_TOL = 1e-12
@@ -193,16 +190,20 @@ def _ascending(plan, kz: float) -> np.ndarray:
 
 
 def _pair_plan(idx: np.ndarray, ops: tuple):
-    """(p, q, ops on the block pairs p <= q that ops[0] or its transpose
-    joins) for the padded block indices idx of a _block_plan."""
+    """(p, q, n, ops on the block pairs p <= q that ops[0] or its transpose
+    joins) for the padded block indices idx of a _block_plan, where ops[0]
+    acts on the basis of 4 (n_trunc + 1) indices.  n is each pair's level,
+    the smaller of its two blocks' levels: the largest oscillator index,
+    index % (n_trunc + 1), in the block's basis."""
     label = np.empty(ops[0].shape[0], dtype=int)
     label[idx] = np.arange(idx.shape[0])[:, None]
     coupled = np.zeros((idx.shape[0], idx.shape[0]), dtype=bool)
     rows, cols = np.nonzero(ops[0])
     coupled[label[rows], label[cols]] = True
     p, q = np.nonzero(np.triu(coupled | coupled.T))
+    level = (idx % (ops[0].shape[0] // 4)).max(axis=1)
     rows, cols = idx[:, :, None], idx[:, None, :]
-    return p, q, np.stack([op[rows[p], cols[q]] for op in ops])
+    return p, q, np.minimum(level[p], level[q]), np.stack([op[rows[p], cols[q]] for op in ops])
 
 
 def _truncation(decomp: PacketDecomposition) -> int:
@@ -240,17 +241,18 @@ def _plans(decomp: PacketDecomposition, trunc: int, kz: np.ndarray) -> dict:
 
 def _node_lines(plan, pairs, kz: np.ndarray, weights: np.ndarray):
     """The oracle's lines at the nodes kz of one block plan (_solve_blocks),
-    weighted as the nodes are: (node, band, freqs, cos, sin) over the lines,
-    node the index into kz and band 0 for intraband (both energies of one
-    sign), 1 for interband, each frequency made non-negative by carrying its
-    sign into the sin coefficient.
+    weighted as the nodes are: (node, band, n, freqs, cos, sin) over the
+    lines, node the index into kz, band 0 for intraband (both energies of
+    one sign), 1 for interband, and n the level of the line's block pair,
+    each frequency made non-negative by carrying its sign into the sin
+    coefficient.
 
     A_jk, A_kj and S_jk of every node come from one batched product on the
     block pairs the ladder couples (pairs, a _pair_plan); each unordered
     eigenpair pair is one line, kept if its amplitude is above _LINE_CUTOFF
     of its node's largest.
     """
-    p, q, pair_ops = pairs
+    p, q, level, pair_ops = pairs
     vals, vecs = _solve_blocks(plan, kz)
     a_jk, a_kj, s_jk = np.swapaxes(vecs[:, p], 2, 3) @ pair_ops[:, None] @ vecs[:, q]
     # in place: the products are the largest arrays of the chunk
@@ -268,66 +270,50 @@ def _node_lines(plan, pairs, kz: np.ndarray, weights: np.ndarray):
     freqs = (e_j - e_k)[keep]
     sin_coef = np.copysign(1.0, freqs) * (amps - mirror)  # sin(-wt) = -sin wt
     band = ((e_j > 0.0) != (e_k > 0.0))[keep].astype(np.intp)
-    return node, band, np.abs(freqs), cos_coef, sin_coef
-
-
-def _groups(freqs: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Per line, the label 0, 1, ... of its group, and the group count: the
-    lines sorted stably by the keys (the last one first), then by frequency;
-    a group ends where a key changes or the next frequency is more than
-    _MATCH_RTOL of itself above the last."""
-    order = np.lexsort((freqs, *keys))
-    f = freqs[order]
-    starts = np.ones(f.size, dtype=bool)
-    starts[1:] = f[1:] - f[:-1] > _MATCH_RTOL * f[1:]
-    for key in keys:
-        k = key[order]
-        starts[1:] |= k[1:] != k[:-1]
-    label = np.empty(f.size, dtype=int)
-    label[order] = np.cumsum(starts) - 1
-    return label, int(np.count_nonzero(starts))
+    n = np.broadcast_to(level[:, None, None], keep.shape)[keep]
+    return node, band, n, np.abs(freqs), cos_coef, sin_coef
 
 
 def _line_distance(analytic, oracle, t_max: float, where):
     """The terms of the line-table distance at every node and band, from the
-    (node, band, freqs, cos, sin) lines of the analytic engine and of the
-    oracle.  The lines fall into frequency groups per node and band
-    (_groups).  Per group that holds an analytic line, at frequency f:
-    |dC| + |dS| of its summed coefficients plus t_max |f' - f| (|C| + |S|)
-    over its lines at other frequencies f'.  Per oracle line in a group
-    without one (a level above n_max): its |C| + |S|.  Returns
-    (values, node, band, freqs, part) over the terms, part 0 for the first
-    kind (matched lines, in group order) and 1 for the second (truncated
-    lines, in line order).
+    (node, band, n, freqs, cos, sin) lines of the analytic engine and of the
+    oracle.  Each oracle line joins the analytic line of its node, band and
+    level n.  Per analytic line, at frequency f: |dC| + |dS| of its
+    coefficients against the summed ones of its oracle lines, plus
+    t_max |f' - f| (|C| + |S|) over its oracle lines at frequencies f'.  Per
+    oracle line that joins none (a level at or above n_max): its |C| + |S|.
+    Returns (values, node, band, freqs, part) over the terms, part 0 for the
+    first kind (matched lines, in analytic line order) and 1 for the second
+    (truncated lines, in line order).
 
     |cos f't - cos ft| <= |f' - f| t, so at every t in [0, t_max] the two
     tables' sums at a node and band differ by at most the sum of its terms.
-    Analytic lines that round to one group are compared as one.  A frequency
-    that is not finite is an OracleMismatchError that names its band and,
-    through where, its node.
+    A frequency that is not finite is an OracleMismatchError that names its
+    band and, through where, its node.
     """
-    node, band, f = (np.concatenate(x) for x in zip(analytic[:3], oracle[:3]))
+    node, band, n, f = (np.concatenate(x) for x in zip(analytic[:4], oracle[:4]))
     bad = np.flatnonzero(~np.isfinite(f))
     if bad.size:  # the first, analytic lines first
         k = bad[0]
         raise OracleMismatchError(
             f"a line frequency of {BANDS[band[k]]} lines at {where(node[k])} is {f[k]}: deviation nan")
-    na = analytic[2].size
-    label, count = _groups(f, band, node)
-    owner = np.full(count, na)  # the first analytic line of each group that has one
-    np.minimum.at(owner, label[:na], np.arange(na))
-    line = owner[label]
-    shared = line < na
-    c, s = np.concatenate((-analytic[3], oracle[3])), np.concatenate((-analytic[4], oracle[4]))
-    amp = np.abs(c) + np.abs(s)
-    at = label[shared]
-    drift = np.abs(f[shared] - f[line[shared]]) * t_max * amp[shared]
-    groups = (np.abs(np.bincount(at, c[shared], count)) + np.abs(np.bincount(at, s[shared], count))
-              + np.bincount(at, drift, count))
-    first, alone = owner[owner < na], na + np.flatnonzero(~shared[na:])
-    at = np.concatenate((first, alone))
-    part = np.repeat([0, 1], (first.size, alone.size))
-    return np.concatenate((groups[owner < na], amp[alone])), node[at], band[at], f[at], part
+    na = analytic[3].size
+    key = (2 * node + band) * (int(n.max(initial=0)) + 1) + n  # one integer per (node, band, n)
+    order = np.argsort(key[:na], kind="stable")
+    ranked = key[:na][order]
+    pos = np.searchsorted(ranked, key[na:])
+    joined = pos < na
+    joined[joined] = ranked[pos[joined]] == key[na:][joined]
+    own = order[pos[joined]]  # the analytic line of each joined oracle line
+    f_o, c_o, s_o = (x[joined] for x in oracle[3:])
+    amp = np.abs(oracle[4]) + np.abs(oracle[5])
+    drift = np.abs(f_o - analytic[3][own]) * t_max * amp[joined]
+    matched = (np.abs(np.bincount(own, c_o, na) - analytic[4]) + np.abs(np.bincount(own, s_o, na) - analytic[5])
+               + np.bincount(own, drift, na))
+    alone = np.flatnonzero(~joined)
+    at = np.concatenate((np.arange(na), na + alone))
+    part = np.repeat([0, 1], (na, alone.size))
+    return np.concatenate((matched, amp[alone])), node[at], band[at], f[at], part
 
 
 class OracleCheck(Record):
@@ -354,14 +340,13 @@ class OracleCheck(Record):
 
 
 def _mirror_deviation(lines, kz: np.ndarray) -> float:
-    """The largest difference of the per-frequency line sums of the oracle at
-    the rule's most negative kz node and at its mirror, the lines of the
-    nodes kz[-2] and kz[-1] at equal weight, relative to the mirror's largest
-    amplitude; OracleMismatchError above _MIRROR_TOL."""
-    node, band, freqs, cos_coef, sin_coef = lines
-    label, count = _groups(freqs, band)
+    """The largest difference of the line sums per band and level of the
+    oracle at the rule's most negative kz node and at its mirror, the lines
+    of the nodes kz[-2] and kz[-1] at equal weight, relative to the mirror's
+    largest amplitude; OracleMismatchError above _MIRROR_TOL."""
+    node, band, n, _, cos_coef, sin_coef = lines
     sign, plus = np.where(node == kz.size - 2, 1.0, -1.0), node == kz.size - 1
-    sums = np.concatenate([np.bincount(label, sign * x, count) for x in (cos_coef, sin_coef)])
+    sums = np.concatenate([np.bincount(2 * n + band, sign * x) for x in (cos_coef, sin_coef)])
     diff = float(np.max(np.abs(sums), initial=0.0))
     scale = float(np.max(np.abs(np.concatenate((cos_coef[plus], sin_coef[plus]))), initial=0.0))
     dev = diff / scale if diff else 0.0  # a NaN stays NaN
@@ -401,7 +386,7 @@ def oracle_check(decomp: PacketDecomposition, t_max: float) -> OracleCheck:
     worst, mirror, lo = [], [], 0
     while lo < kz.size:
         plan, pairs = plans[bool(zero[lo])]
-        step = max(1, _CHUNK // pairs[2][0].size)
+        step = max(1, _CHUNK // pairs[3][0].size)
         other = np.flatnonzero(zero[lo : lo + step] != zero[lo])
         hi = lo + (int(other[0]) if other.size else min(step, kz.size - lo))
         lines = _node_lines(plan, pairs, kz[lo:hi], weights[lo:hi])

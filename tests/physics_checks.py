@@ -197,10 +197,11 @@ def _solve_node(plan, kz: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _per_node_lines(decomp: PacketDecomposition, trunc: int, nodes):
-    """Per (kz, weight) of nodes, the (intraband, interband) (freqs, cos, sin)
-    line tables of the truncated-matrix evolution, weighted as the node is,
-    each frequency made non-negative by carrying its sign into the sin
-    coefficient; each unordered eigenpair pair is one line."""
+    """Per (kz, weight) of nodes, the (intraband, interband) (n, freqs, cos,
+    sin) line tables of the truncated-matrix evolution, weighted as the node
+    is, n the level of the line's block pair, each frequency made
+    non-negative by carrying its sign into the sin coefficient; each
+    unordered eigenpair pair is one line."""
     packet, params = decomp.packet, decomp.params
     phi = oscillator_overlaps(packet, params, decomp.kx_nodes, trunc)
     check_finite_overlaps(phi, decomp.kx_nodes, packet, params)
@@ -213,7 +214,7 @@ def _per_node_lines(decomp: PacketDecomposition, trunc: int, nodes):
         if (kz == 0.0) not in plans:
             plan = reference._block_plan(kz, h0, hz)
             plans[kz == 0.0] = plan, reference._pair_plan(plan[1], ops)
-        plan, (p, q, pair_ops) = plans[kz == 0.0]
+        plan, (p, q, level, pair_ops) = plans[kz == 0.0]
         vals, vecs = _solve_node(plan, kz)
         a_jk, a_kj, s_jk = np.swapaxes(vecs[p], 1, 2) @ pair_ops @ vecs[q]
         k_jk, k_kj = a_jk * s_jk, a_kj * s_jk
@@ -226,43 +227,29 @@ def _per_node_lines(decomp: PacketDecomposition, trunc: int, nodes):
         cos_coef = np.where(diag, amps, amps + mirror)
         freqs = (e_j - e_k)[keep]
         sin_coef = np.copysign(1.0, freqs) * (amps - mirror)
+        n = np.broadcast_to(level[:, None, None], keep.shape)[keep]
         intra = ((e_j > 0.0) == (e_k > 0.0))[keep]
-        yield kz, tuple((np.abs(freqs[sel]), cos_coef[sel], sin_coef[sel]) for sel in (intra, ~intra))
-
-
-def _per_node_groups(freqs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Per frequency, its group label and the group count: ascending, a group
-    ends where the next frequency is more than _MATCH_RTOL of itself above."""
-    order = np.argsort(freqs, kind="stable")
-    f = freqs[order]
-    starts = np.ones(f.size, dtype=bool)
-    starts[1:] = f[1:] - f[:-1] > reference._MATCH_RTOL * f[1:]
-    label = np.empty(f.size, dtype=int)
-    label[order] = np.cumsum(starts) - 1
-    return label, int(np.count_nonzero(starts))
+        yield kz, tuple((n[sel], np.abs(freqs[sel]), cos_coef[sel], sin_coef[sel]) for sel in (intra, ~intra))
 
 
 def _per_node_distance(analytic, oracle, t_max: float, where: str):
-    """The line-table distance terms of one band at one kz node:
-    ((matched values, freqs), (truncated values, freqs))."""
-    fa, ca, sa = analytic
-    fo, co, so = oracle
+    """The line-table distance terms of one band at one kz node, each oracle
+    line joined to the analytic line of its level n (the analytic levels are
+    0..n_max - 1, one line each): ((matched values, freqs), (truncated
+    values, freqs))."""
+    na, fa, ca, sa = analytic
+    no, fo, co, so = oracle
     f = np.concatenate((fa, fo))
     if not np.isfinite(f).all():
         raise OracleMismatchError(f"a line frequency of {where} is {f[~np.isfinite(f)][0]}: deviation nan")
-    label, count = _per_node_groups(f)
-    owner = np.full(count, fa.size)
-    np.minimum.at(owner, label[: fa.size], np.arange(fa.size))
-    line = owner[label]
-    shared = line < fa.size
-    c, s = np.concatenate((-ca, co)), np.concatenate((-sa, so))
-    amp = np.abs(c) + np.abs(s)
-    at = label[shared]
-    drift = np.abs(f[shared] - fa[line[shared]]) * t_max * amp[shared]
-    groups = (np.abs(np.bincount(at, c[shared], count)) + np.abs(np.bincount(at, s[shared], count))
-              + np.bincount(at, drift, count))
-    has, alone = owner < fa.size, ~shared[fa.size :]
-    return (groups[has], fa[owner[has]]), (amp[fa.size :][alone], fo[alone])
+    assert np.array_equal(na, np.arange(na.size))
+    joined = no < na.size
+    amp = np.abs(co) + np.abs(so)
+    at = no[joined]
+    drift = np.abs(fo[joined] - fa[at]) * t_max * amp[joined]
+    matched = (np.abs(np.bincount(at, co[joined], na.size) - ca) + np.abs(np.bincount(at, so[joined], na.size) - sa)
+               + np.bincount(at, drift, na.size))
+    return (matched, fa), (amp[~joined], fo[~joined])
 
 
 def per_node_oracle_check(decomp: PacketDecomposition, t_max: float) -> dict:
@@ -295,11 +282,11 @@ def per_node_oracle_check(decomp: PacketDecomposition, t_max: float) -> dict:
     if three_d:
         (minus, neg), (_, pos) = solved[n_kz:]
         diffs, amps = [], []
-        for n_lines, p_lines in zip(neg, pos):
-            label, count = _per_node_groups(np.concatenate((n_lines[0], p_lines[0])))
+        for n_lines, p_lines in zip(neg, pos):  # summed per level
+            level = np.concatenate((n_lines[0], p_lines[0]))
             sign = np.repeat([1.0, -1.0], (n_lines[0].size, p_lines[0].size))
-            for k in (1, 2):
-                diffs.append(np.bincount(label, sign * np.concatenate((n_lines[k], p_lines[k])), count))
+            for k in (2, 3):
+                diffs.append(np.bincount(level, sign * np.concatenate((n_lines[k], p_lines[k]))))
                 amps.append(p_lines[k])
         scale = float(np.max(np.abs(np.concatenate(amps)), initial=0.0))
         diff = float(np.max(np.abs(np.concatenate(diffs)), initial=0.0))

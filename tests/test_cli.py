@@ -712,7 +712,7 @@ def test_nan_oracle_sample_fails_the_deviation_gate(tmp_path, capsys, monkeypatc
     def broken(*args):
         lines = node_lines(*args)
         intra = np.flatnonzero(lines[1] == 0)  # the one kz node's intraband lines
-        lines[{"x": 4, "y": 3}[axis]][intra[7]] = np.nan
+        lines[{"x": 5, "y": 4}[axis]][intra[7]] = np.nan
         return lines
 
     monkeypatch.setattr("zbsim.reference._node_lines", broken)
@@ -723,12 +723,12 @@ def test_nan_oracle_sample_fails_the_deviation_gate(tmp_path, capsys, monkeypatc
 
 def test_a_shifted_oracle_line_fails_the_bound_and_is_named(tmp_path, capsys, monkeypatch):
     # 1e-5 on the cos coefficient of the strongest intraband oracle line puts
-    # sqrt(2) 1e-5 L into its group's |dC|, above the 1e-6 L tolerance
+    # sqrt(2) 1e-5 L into its level's |dC|, above the 1e-6 L tolerance
     node_lines, shifted = zbsim.reference._node_lines, []
 
     def shift(*args):
         lines = node_lines(*args)
-        _, band, freqs, cos_coef, _ = lines
+        _, band, _, freqs, cos_coef, _ = lines
         intra = np.flatnonzero(band == 0)  # the one kz node's intraband lines
         k = intra[np.argmax(np.abs(cos_coef[intra]))]
         cos_coef[k] += 1e-5
@@ -753,6 +753,37 @@ def test_check_oracle_3plus1_reports_the_folded_grid(tmp_path, capsys):
     report = (out / "report.txt").read_text()
     assert "kz nodes = 3 distinct |kz| of a 6-node rule" in report
     assert re.search(r"max \|analytic - matrix reference\| = [0-9.e+-]+ L \(line-table bound", report)
+    assert "mirror kz node: line sums agree within" in report
+    capsys.readouterr()
+
+
+NARROW_DZ = """
+[run]
+mode = 3+1
+[field]
+b = 1.0
+[packet]
+unit = magnetic_length
+d_x = 0.9
+d_y = 1.0
+d_z = {d_z}
+k0x = 1.0
+[time]
+t_max = 30.0
+samples = 256
+"""
+
+
+@pytest.mark.parametrize("d_z", ["1e-2", "1e-6"])
+def test_check_oracle_passes_a_packet_narrow_in_z(tmp_path, capsys, d_z):
+    # the default kz rule of a packet this narrow reaches |kz| of about 1e3 /
+    # 1e7, where E_{n+1} - E_n keeps few of its digits: the mirror node's lines
+    # and its mirror's, summed per band and level, still agree, and every
+    # oracle line joins its own level's analytic line
+    out = tmp_path / "out"
+    args = ["run", str(_write(tmp_path, NARROW_DZ.format(d_z=d_z))), "--out", str(out), "--check-oracle"]
+    assert main(args) == 0
+    report = (out / "report.txt").read_text()
     assert "mirror kz node: line sums agree within" in report
     capsys.readouterr()
 

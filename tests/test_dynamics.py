@@ -75,9 +75,9 @@ def _pair_integrals(n, t, decomp):
     prefactor 1/2 sqrt(n+1) U_{n,n+1}, summed by line_sum (the cos sums in
     the real part, the sin sums in the imaginary part; the intraband sin
     coefficients carry the sign of -i Is+)."""
-    _, band, *table = _line_tables(decomp)
-    rows = slice(n * decomp.kz_nodes.size, (n + 1) * decomp.kz_nodes.size)
-    (f_minus, c_minus, s_minus), (f_plus, c_plus, s_plus) = ([x[band == b][rows] for x in table] for b in (0, 1))
+    _, band, level, *table = _line_tables(decomp)
+    (f_minus, c_minus, s_minus), (f_plus, c_plus, s_plus) = (
+        [x[(band == b) & (level == n)] for x in table] for b in (0, 1))
     base = 0.5 * math.sqrt(n + 1.0) * decomp.u_band[n]
     tt = np.array([float(t)])
     zero = np.zeros(f_minus.size)
@@ -218,7 +218,7 @@ def test_line_sum_is_bitwise_the_complex_kernel_on_fig1():
     config = load_preset("fig1")
     t = config.time_grid()
     dec = decompose(config.packet, config.params, config.mode, config.numerics)
-    _, band, *table = _line_tables(dec)
+    _, band, _, *table = _line_tables(dec)
     assert np.count_nonzero(band == 0) == 5280  # 33 level pairs x 160 distinct |kz| of the 320-node rule
     for b in (0, 1):
         freqs, c, s = (x[band == b] for x in table)

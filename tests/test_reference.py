@@ -248,14 +248,15 @@ def test_batched_check_equals_the_per_node_check(name, replacements):
     assert np.array_equal(check.eigenvalues, fibre_eigenvalues(0.0, check.n_trunc, dec.params))
 
 
-def test_weak_field_lines_that_round_alike_are_compared_as_one():
+def test_weak_field_lines_that_round_alike_are_matched_by_level():
     # at b = 1e-4 neighbouring intraband lines E_{n+1} - E_n round to the same
-    # double; they join one group and the check still passes
+    # double; each oracle line still joins its own level's line, and the
+    # check passes
     params = SimParams(1e-4)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=0.9 * ell, d_y=ell, k0x=math.sqrt(2.0) / ell)
     dec = decompose(packet, params, TWO_PLUS_ONE)
-    _, band, freqs, _, _ = _line_tables(dec)
+    _, band, _, freqs, _, _ = _line_tables(dec)
     freqs = freqs[band == 0]
     assert len(set(freqs.tolist())) < freqs.size
     t = np.linspace(0.0, 5 * 2.0 * math.pi / freqs[0], 512)
@@ -263,10 +264,12 @@ def test_weak_field_lines_that_round_alike_are_compared_as_one():
     assert sampled <= check.bound <= 1e-6
 
 
-def _lines(freqs, cos_coef, sin_coef, node=0, band=0):
-    """(node, band, freqs, cos, sin) lines of one node and band."""
+def _lines(freqs, cos_coef, sin_coef, n=None, node=0, band=0):
+    """(node, band, n, freqs, cos, sin) lines of one node and band, at the
+    levels n (0, 1, ... if None)."""
     freqs = np.asarray(freqs, dtype=float)
-    return (np.full(freqs.size, node), np.full(freqs.size, band), freqs,
+    n = np.arange(freqs.size) if n is None else np.asarray(n)
+    return (np.full(freqs.size, node), np.full(freqs.size, band), n, freqs,
             np.asarray(cos_coef, dtype=float), np.asarray(sin_coef, dtype=float))
 
 
@@ -278,33 +281,33 @@ def _distance(analytic, oracle, t_max):
 
 def test_line_distance_terms_and_failures():
     one = np.ones(1)
-    # analytic lines at 1 and 2; oracle lines at 1 + 1e-12 and 1 (one group),
-    # and at 3 (a level the analytic table does not hold)
+    # analytic lines at 1 (level 0) and 2 (level 1); oracle lines at
+    # 1 + 1e-12 and 1 (both level 0), and at 3 (level 2, which the analytic
+    # table does not hold)
     analytic = _lines([1.0, 2.0], [0.5, 0.25], [0.1, 0.0])
-    oracle = _lines([1.0 + 1e-12, 1.0, 3.0], [0.2, 0.3, 0.01], [0.1, -0.02, 0.0])
+    oracle = _lines([1.0 + 1e-12, 1.0, 3.0], [0.2, 0.3, 0.01], [0.1, -0.02, 0.0], n=[0, 0, 2])
     (matched, f_matched), (truncated, f_truncated) = _distance(analytic, oracle, 10.0)
     drift = 1e-12 * 10.0 * 0.3  # |df| t_max (|C| + |S|) of the shifted line
     assert matched == pytest.approx([0.02 + drift, 0.25], abs=1e-15)
-    assert np.array_equal(f_matched, analytic[2])
+    assert np.array_equal(f_matched, analytic[3])
     assert truncated.tolist() == [0.01] and f_truncated.tolist() == [3.0]
-    # analytic lines within the matching tolerance form one group: the sums
-    # agree, and the drift of the line off the group's frequency remains
-    close = _lines([1.0, 1.0 + 1e-10], np.ones(2), np.zeros(2))
-    (matched, f_matched), (truncated, _) = _distance(close, _lines(one, 2.0 * one, 0.0 * one), 10.0)
-    assert f_matched.size == 1 and truncated.size == 0
-    assert matched == pytest.approx([1e-10 * 10.0], rel=1e-5)
+    # two analytic lines at one frequency but at levels 0 and 1: each joins
+    # only its own level's oracle line, so swapped amplitudes do not cancel
+    same = _lines([1.0, 1.0], [1.0, 0.5], np.zeros(2))
+    (matched, f_matched), (truncated, _) = _distance(same, _lines([1.0, 1.0], [0.5, 1.0], np.zeros(2)), 10.0)
+    assert matched.tolist() == [0.5, 0.5] and f_matched.tolist() == [1.0, 1.0] and truncated.size == 0
     with pytest.raises(OracleMismatchError, match="is nan: deviation nan"):
         _line_distance(_lines(one, one, one), _lines([np.nan], one, one), 1.0, str)
 
 
 def test_line_distance_keeps_nodes_and_bands_apart():
-    # the same lines at two nodes and in both bands: no group spans a node or
-    # a band, and each (node, band) gives the terms it gives alone
+    # the same lines at two nodes and in both bands: no line joins across a
+    # node or a band, and each (node, band) gives the terms it gives alone
     analytic = _lines([1.0, 2.0], [0.5, 0.25], [0.1, 0.0])
-    oracle = _lines([1.0 + 1e-12, 1.0, 3.0], [0.2, 0.3, 0.01], [0.1, -0.02, 0.0])
+    oracle = _lines([1.0 + 1e-12, 1.0, 3.0], [0.2, 0.3, 0.01], [0.1, -0.02, 0.0], n=[0, 0, 2])
     alone = _line_distance(analytic, oracle, 10.0, str)
     keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    both = [tuple(np.concatenate(x) for x in zip(*(_lines(*lines[2:], node, band) for node, band in keys)))
+    both = [tuple(np.concatenate(x) for x in zip(*(_lines(*lines[3:], lines[2], node, band) for node, band in keys)))
             for lines in (analytic, oracle)]
     values, node, band, freqs, part = _line_distance(*both, 10.0, str)
     for n, b in keys:
@@ -315,6 +318,29 @@ def test_line_distance_keeps_nodes_and_bands_apart():
     nan_oracle = _lines([np.nan], [1.0], [1.0], node=1, band=1)
     with pytest.raises(OracleMismatchError, match="interband lines at 1 is nan"):
         _line_distance(both[0], tuple(np.concatenate(x) for x in zip(both[1], nan_oracle)), 1.0, str)
+
+
+@pytest.mark.parametrize("kz", [0.0, 0.3])
+def test_block_levels_are_the_solved_levels_but_the_remnant(kz):
+    # a block's level is its largest oscillator index; a plan in which every
+    # block is paired with itself (the identity as the ladder) gives it per
+    # block.  It is round((E^2 - 1 - kz^2) / b^2) of the energies the block
+    # holds, except on the truncation remnant at +-E_0, whose block sits on
+    # the top level n_trunc
+    n_trunc, b = 20, B_ONE.field_ratio_b
+    h0, hz = _fibre_terms(n_trunc, B_ONE)
+    plan = _block_plan(kz, h0, hz)
+    p, q, level, _ = _pair_plan(plan[1], (np.eye(h0.shape[0]),))
+    assert np.array_equal(p, np.arange(plan[1].shape[0])) and np.array_equal(p, q)
+    vals = _solve_blocks(plan, np.array([kz]))[0][0]
+    remnant = []
+    for blk, s in plan[0]:
+        solved = np.rint((vals[blk, :s] ** 2 - 1.0 - kz**2) / b**2)
+        assert np.all(solved == solved[:, :1])  # one level per block
+        off = level[blk] != solved[:, 0]
+        assert np.all(level[blk][off] == n_trunc) and np.all(solved[off] == 0.0)
+        remnant += vals[blk, :s][off].ravel().tolist()
+    assert sorted(remnant) == pytest.approx([-math.sqrt(1.0 + kz**2), math.sqrt(1.0 + kz**2)], rel=1e-14)
 
 
 def test_oracle_keeps_a_stray_coupling(monkeypatch):
@@ -339,7 +365,7 @@ def test_pair_plan_keeps_every_coupling():
     lower = np.where(rng.random(matrix.shape) < 0.05, 1.0 + rng.random(matrix.shape), 0.0)
     ops = (lower, lower.T, np.zeros_like(lower))
     sizes, idx, h0_blk, _ = _block_plan(0.0, matrix, np.zeros_like(matrix))
-    p, q, pair_ops = _pair_plan(idx, ops)
+    p, q, _, pair_ops = _pair_plan(idx, ops)
     assert np.all(p <= q) and len(set(zip(p.tolist(), q.tolist()))) == p.size
     # every entry of `lower` is on some pair, in one orientation or the other,
     # and every pair holds one
