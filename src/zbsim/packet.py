@@ -204,14 +204,13 @@ class Numerics(Record):
     """
 
     n_max_cap: int = 256
-    n_max_floor: int = 0  # force at least this many levels (capped)
     kz_nodes: int = 160
     kz_rule: str = "hermite"  # "hermite" (default) or "legendre" for long runs
     kz_cutoff_sigmas: float = 6.0
     tail_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name, least in (("n_max_cap", 1), ("n_max_floor", 0), ("kz_nodes", 2)):
+        for name, least in (("n_max_cap", 1), ("kz_nodes", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.kz_rule not in ("hermite", "legendre"):
@@ -303,7 +302,7 @@ def check_finite_overlaps(values: np.ndarray, kx: np.ndarray, packet: GaussianPa
         mean = _mean_level(packet, ell)
         if mean < bad[0]:
             cause = ("below it, so only a truncation forced past the packet's tail "
-                     "(n_max_floor, or the oracle's n_max + 12) draws levels this high")
+                     "(decompose's n_max_floor, or the oracle's n_max + 12) draws levels this high")
         else:
             cause = ("and a truncation needs more levels than that, so no level cap can hold it; "
                      "bring the widths nearer one magnetic length and the kick nearer 0")
@@ -395,6 +394,8 @@ def decompose(
     params: SimParams,
     mode: Dimensionality,
     numerics: Numerics | None = None,
+    *,
+    n_max_floor: int = 0,
 ) -> PacketDecomposition:
     """Expand the packet over the Landau basis and build the overlap tables.
 
@@ -409,8 +410,9 @@ def decompose(
 
     The truncation n_max is the smallest level, at least
     min(n_max_floor, n_max_cap), with tail mass below numerics.tail_tol
-    (ConvergenceError if the cap is too small).  Levels are drawn one at a
-    time until then; none above n_max is evaluated.  The N-node kx rule
+    (ConvergenceError if the cap is too small); the floor is no setting of a
+    run, it lets a check force levels past the packet's tail.  Levels are
+    drawn one at a time until then; none above n_max is evaluated.  The N-node kx rule
     (_kx_rule) is exact for the levels below N, so starting from
     N = KX_NODES, a truncation that needs more runs again on 2N nodes
     (ConvergenceError past the node and array bounds).  An overlap overflow
@@ -429,7 +431,7 @@ def decompose(
                 f"{1.0 - lost:.6g}, more than {KZ_MASS_TOL:.0e} from the packet's kz mass 1"
             )
 
-    least = min(num.n_max_floor, num.n_max_cap)
+    least = min(n_max_floor, num.n_max_cap)
     ell = params.magnetic_length
     for nodes in (KX_NODES << k for k in itertools.count()):  # KX_NODES, twice it, ...
         kx, weights = _kx_rule(packet, params, nodes)
@@ -456,7 +458,7 @@ def decompose(
                 # at 1536 nodes, before twice the nodes can pass MAX_NODES
                 if (num.n_max_cap + 1) * 2 * nodes > MAX_ARRAY:
                     raise ConvergenceError(
-                        f"levels past {n_max} (tail mass {1.0 - cum:.3e}, n_max_floor {num.n_max_floor}) need "
+                        f"levels past {n_max} (tail mass {1.0 - cum:.3e}, n_max_floor {n_max_floor}) need "
                         f"more than {nodes} kx nodes, and {2 * nodes} pass the "
                         f"{MAX_ARRAY}-element bound of a {num.n_max_cap + 1} x {2 * nodes} overlap array"
                     )

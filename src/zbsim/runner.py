@@ -5,7 +5,8 @@ schema and the shipped presets for examples.  A run produces, inside the
 output directory:
 
     trajectory.csv   t, x, y, x_interband, y_interband, x_intraband, y_intraband
-    spectrum.csv     freq, power_x, power_y, label
+    spectrum.csv     freq, power_x, power_y, label: the one fixed analysis of
+                     spectral (Hann window, PAD_FACTOR zero padding)
     trajectory_xt.svg, trajectory_xy.svg, spectrum.svg
     report.txt       parameters, kappa, truncation, peaks, plan, oracle summary
     decomposition_f.csv / decomposition_u.csv        (on request)
@@ -34,7 +35,8 @@ from .dynamics import Trajectory, cyclotron_reference, trajectory
 from .errors import ConfigError, OracleMismatchError
 from .packet import MAX_ARRAY, GaussianPacket, Numerics, PacketDecomposition, decompose, u_overlap
 from .params import Dimensionality, SimParams, make_params
-from .spectral import MIN_SAMPLES, WINDOWS, SpectrumReport, classify_peaks, richness, spectrum
+from .spectral import (DETECTION_FLOOR, MIN_SAMPLES, PAD_FACTOR, SIGNIFICANT_REL_POWER, SpectrumReport,
+                       classify_peaks, richness, spectrum)
 from .svg import Series, line_plot
 
 if TYPE_CHECKING:  # the trap mapping and the oracle load only for the runs that use them
@@ -130,21 +132,6 @@ class TimeOptions(Record):
             raise ValueError(f"t_max = {self.t_max!r} must be within [{lo:g}, {hi:g}] t_c")
 
 
-class SpectralOptions(Record):
-    window: str = "hann"
-    pad_factor: int = 4
-    detection_floor: float = 1e-3
-    significant_rel_power: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.window not in WINDOWS:
-            raise ValueError(f"window must be one of {', '.join(WINDOWS)}, got {self.window!r}")
-        if self.pad_factor < 1:
-            raise ValueError(f"pad_factor must be >= 1, got {self.pad_factor}")
-        if self.detection_floor <= 0.0 or self.significant_rel_power <= 0.0:
-            raise ValueError("thresholds must be positive")
-
-
 class OutputOptions(Record):
     position_unit: str = "lambda_c"
 
@@ -158,8 +145,10 @@ class OutputOptions(Record):
 # within the section.  The [trap] record is ionmap.TrapConfig, imported only
 # for a config with that section.
 _SECTIONS = dict(run=RunOptions, field=FieldOptions, trap=None, packet=PacketOptions,
-                 time=TimeOptions, numerics=Numerics, spectral=SpectralOptions,
-                 output=OutputOptions)
+                 time=TimeOptions, numerics=Numerics, output=OutputOptions)
+# the keys of the longitudinal profile and its kz rule, which a 2+1 run has no use for
+_ONLY_3PLUS1 = (("packet", "d_z"), ("numerics", "kz_nodes"), ("numerics", "kz_rule"),
+                ("numerics", "kz_cutoff_sigmas"))
 
 
 class RunConfig(Record):
@@ -173,7 +162,6 @@ class RunConfig(Record):
     packet: GaussianPacket  # in Compton wavelengths
     time: TimeOptions
     numerics: Numerics
-    spectral: SpectralOptions
     output: OutputOptions
     raw_text: str
 
@@ -259,7 +247,7 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
                 if name != "trap" or cp.has_section("trap")}
     mode = Dimensionality(sections.pop("run").mode)
     field, trap, packet = sections.pop("field"), sections.pop("trap", None), sections.pop("packet")
-    time, numerics, spectral = sections["time"], sections["numerics"], sections["spectral"]
+    time, numerics = sections["time"], sections["numerics"]
 
     if sum(x is not None for x in (field.b, field.tesla, trap)) != 1:
         raise ConfigError(
@@ -267,13 +255,17 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
         )
     if mode is Dimensionality.THREE_PLUS_ONE and packet.d_z is None:
         raise ConfigError("[packet] d_z is required in 3+1 mode")
+    if mode is Dimensionality.TWO_PLUS_ONE:
+        for section, key in _ONLY_3PLUS1:
+            if cp.has_option(section, key):
+                raise ConfigError(f"[{section}] {key} is read only in 3+1 mode; this config is 2+1")
     # the largest arrays a run allocates past the Numerics bounds: the padded
     # spectrum and, in 3+1, the (level pair x kz node) line tables, which
     # hold the ceil(kz_nodes / 2) nodes of the folded rule
-    if time.samples * spectral.pad_factor > MAX_ARRAY:
+    if time.samples * PAD_FACTOR > MAX_ARRAY:
         raise ConfigError(
-            f"[time] samples = {time.samples} and [spectral] pad_factor = {spectral.pad_factor} "
-            f"need a {time.samples * spectral.pad_factor}-point spectrum, above {MAX_ARRAY} elements"
+            f"[time] samples = {time.samples} needs a {time.samples * PAD_FACTOR}-point spectrum "
+            f"({PAD_FACTOR}x padded), above {MAX_ARRAY} elements"
         )
     folded = (numerics.kz_nodes + 1) // 2
     lines = numerics.n_max_cap * folded
@@ -361,11 +353,8 @@ def run(
     traj = trajectory(decomp, t_grid)
     traj_out = traj.in_magnetic_length_units() if config.output.position_unit == "L" else traj
 
-    opts = config.spectral
-    report = spectrum(traj_out, window=opts.window, pad_factor=opts.pad_factor,
-                      detection_floor=opts.detection_floor)
-    report = classify_peaks(report, decomp)
-    n_rich = richness(report, opts.significant_rel_power)
+    report = classify_peaks(spectrum(traj_out), decomp)
+    n_rich = richness(report)
 
     check = None
     if check_oracle:
@@ -483,8 +472,8 @@ def _render_report(
         f"  sum U_nn = {float(np.sum(decomp.u_diag)):.12f}",
         f"  kx nodes = {decomp.kx_nodes.size}, kz nodes = {kz_nodes}",
         "",
-        f"spectrum: {len(report.peaks)} peaks detected, "
-        f"{n_rich} significant at {config.spectral.significant_rel_power:.0%} of max",
+        f"spectrum: Hann window, {PAD_FACTOR}x zero padding, {len(report.peaks)} peaks detected "
+        f"above {DETECTION_FLOOR:.1%} of max, {n_rich} significant at {SIGNIFICANT_REL_POWER:.0%} of max",
     ]
     top = max((p.power for p in report.peaks), default=0.0)
     for p in report.peaks[:15]:

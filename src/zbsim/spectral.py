@@ -1,14 +1,15 @@
 """Frequency-content analysis of trajectories.
 
-Windowed DFT with amplitude normalisation (a unit cosine gives unit peak
-power), zero-padding for peak interpolation, parabolic peak refinement, and
-labelling of each peak with a level transition.  The labels come from the
-kz = 0 lines of each consecutive pair n, n + 1 of occupied levels (U_nn above
-OCCUPIED_U): intraband E_{n+1} - E_n (band 0) and interband E_{n+1} + E_n
-(band 1), the band index of the line record (landau.BANDS).  A peak
-takes the nearest such line within one raw frequency bin; of equally near
-lines the last in the table (ascending n, intraband first) wins.
-Frequencies are angular, in 1/t_c.
+One fixed analysis: a Hann-windowed DFT with amplitude normalisation (a
+unit cosine gives unit peak power), zero-padded PAD_FACTOR times for peak
+interpolation, peaks above DETECTION_FLOOR of the strongest with parabolic
+refinement, and labelling of each peak with a level transition.  The labels
+come from the kz = 0 lines of each consecutive pair n, n + 1 of occupied
+levels (U_nn above OCCUPIED_U): intraband E_{n+1} - E_n (band 0) and
+interband E_{n+1} + E_n (band 1), the band index of the line record
+(landau.BANDS).  A peak takes the nearest such line within one raw
+frequency bin; of equally near lines the last in the table (ascending n,
+intraband first) wins.  Frequencies are angular, in 1/t_c.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .packet import PacketDecomposition
 
 MIN_SAMPLES = 256  # fewest trajectory samples the spectrum accepts
 OCCUPIED_U = 1e-6  # levels with U_nn above this carry the lines peaks are labelled by
+PAD_FACTOR = 4  # the transform's length over the sample count
+DETECTION_FLOOR = 1e-3  # peaks below this share of the strongest one are not detected
+SIGNIFICANT_REL_POWER = 0.01  # peaks at or above this share of the strongest one are significant
 
 
 class PeakLabel(Record):
@@ -56,15 +60,6 @@ class SpectrumReport(Record):
     bin_width: float  # raw (unpadded) angular resolution, the match tolerance
 
 
-WINDOWS = {"hann": np.hanning, "rect": np.ones}
-
-
-def _window(name: str, n: int) -> np.ndarray:
-    if name not in WINDOWS:
-        raise ValueError(f"unknown window {name!r}")
-    return WINDOWS[name](n)
-
-
 def _axis_power(values: np.ndarray, w: np.ndarray, n_pad: int) -> np.ndarray:
     spec = np.fft.rfft(values * w, n=n_pad)
     amp = np.abs(spec) * (2.0 / np.sum(w))
@@ -88,16 +83,11 @@ def _refine(freqs: np.ndarray, power: np.ndarray, k: int) -> tuple[float, float]
     return float(freqs[k] + shift * df), float(math.exp(y1 - 0.25 * (y0 - y2) * shift))
 
 
-def spectrum(
-    trajectory: Trajectory,
-    window: str = "hann",
-    pad_factor: int = 4,
-    detection_floor: float = 1e-3,
-) -> SpectrumReport:
-    """Windowed power spectrum of both position components with peak list.
+def spectrum(trajectory: Trajectory) -> SpectrumReport:
+    """Hann-windowed power spectrum of both position components with peak list.
 
     Requires a uniform grid with at least MIN_SAMPLES samples.  Peaks are local
-    maxima of the combined power above `detection_floor` of the strongest
+    maxima of the combined power above DETECTION_FLOOR of the strongest
     line, refined by parabolic interpolation; they are returned unlabelled
     (see :func:`classify_peaks`).
     """
@@ -109,8 +99,8 @@ def spectrum(
         raise ValueError("spectrum requires a uniform time grid")
     step = float(dt[0])
     n = t.size
-    n_pad = int(pad_factor) * n
-    w = _window(window, n)
+    n_pad = PAD_FACTOR * n
+    w = np.hanning(n)
 
     power_x = _axis_power(trajectory.x, w, n_pad)
     power_y = _axis_power(trajectory.y, w, n_pad)
@@ -121,7 +111,7 @@ def spectrum(
     peaks: list[Peak] = []
     top = float(np.max(total))
     if top > 0.0:
-        floor = detection_floor * top
+        floor = DETECTION_FLOOR * top
         interior = (total[1:-1] > total[:-2]) & (total[1:-1] >= total[2:])
         for k in np.nonzero(interior)[0] + 1:
             if total[k] < floor:
@@ -170,11 +160,11 @@ def classify_peaks(report: SpectrumReport, decomp: PacketDecomposition) -> Spect
     return replace(report, peaks=tuple(peaks))
 
 
-def richness(report: SpectrumReport, rel_threshold: float = 0.01) -> int:
-    """Number of peaks whose power reaches `rel_threshold` of the strongest."""
+def richness(report: SpectrumReport) -> int:
+    """Number of peaks whose power reaches SIGNIFICANT_REL_POWER of the strongest."""
     if not report.peaks:
         return 0
     top = max(p.power for p in report.peaks)
     if top <= 0.0:
         return 0
-    return sum(1 for p in report.peaks if p.power >= rel_threshold * top)
+    return sum(1 for p in report.peaks if p.power >= SIGNIFICANT_REL_POWER * top)

@@ -21,7 +21,6 @@ from physics_checks import (
 )
 
 import zbsim.packet
-from zbsim._record import replace
 from zbsim.dynamics import cyclotron_reference, trajectory
 from zbsim.ionmap import TrapConfig, excitation_plan, trap_to_dirac
 from zbsim.packet import KX_NODES, GaussianPacket, Numerics, decompose
@@ -123,7 +122,7 @@ def test_criterion_5_richness_monotonicity():
         dec = decompose(packet, params, config.mode, config.numerics)
         traj = trajectory(dec, config.time_grid())
         rep = classify_peaks(spectrum(traj), dec)
-        counts[name] = richness(rep, config.spectral.significant_rel_power)
+        counts[name] = richness(rep)
         interband = [p for p in rep.peaks
                      if p.label is not None and p.label.band == 1]
         strongest = max(interband, key=lambda p: p.power)
@@ -183,10 +182,10 @@ def test_criterion_8_numerical_hygiene(monkeypatch):
         assert np.all(np.isfinite(base.x)) and np.all(np.isfinite(base.y)), name
 
         # twice the kx rule's first node count, and twice the levels
-        doubled = replace(config.numerics, n_max_floor=min(2 * dec.n_max, config.numerics.n_max_cap))
+        floor = min(2 * dec.n_max, config.numerics.n_max_cap)
         with monkeypatch.context() as patch:
             patch.setattr(zbsim.packet, "KX_NODES", 2 * KX_NODES)
-            dec2 = decompose(packet, params, config.mode, doubled)
+            dec2 = decompose(packet, params, config.mode, config.numerics, n_max_floor=floor)
         assert dec2.kx_nodes.size >= 2 * dec.kx_nodes.size, name
         refined = trajectory(dec2, t)
         shift = max(

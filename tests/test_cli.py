@@ -1,5 +1,6 @@
 import ast
 import builtins
+import functools
 import json
 import os
 import re
@@ -16,12 +17,13 @@ import zbsim
 import zbsim.dynamics
 import zbsim.errors
 import zbsim.reference
+import zbsim.runner
 from zbsim._record import fields
 from zbsim.cli import EXIT_CODES, main
 from zbsim.errors import ConfigError, ConvergenceError
 from zbsim.ionmap import TrapConfig
 from zbsim.runner import _SECTIONS, PRESET_NAMES, load_preset, parse_config, preset_text
-from zbsim.spectral import WINDOWS
+from zbsim.packet import decompose
 
 SMALL_CONFIG = """
 [run]
@@ -66,21 +68,24 @@ BAD_INPUTS = (
     ("d_x = 0.9", "d_x = nan", "finite"),
     # settings that are not keys: the thread budget is the environment's and
     # the reference check is --check-oracle, with no section of its own; the
-    # kx rule's node count has no key, and each window has one name
+    # kx rule's node count and the level floor have no key, and the spectral
+    # analysis is fixed, with no section of its own
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nthreads = 2", "unknown key 'threads'"),
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nthreads = 0", "unknown key 'threads'"),
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nkx_nodes = 64", "unknown key 'kx_nodes'"),
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nkx_nodes = 4097", "unknown key 'kx_nodes'"),
     ("position_unit = L", "position_unit = L\n[oracle]\nn_trunc = 60",
-     "oracle]; known sections: run, field, trap, packet, time, numerics, spectral, output"),
-    ("position_unit = L", "position_unit = L\n[spectral]\nwindow = rectangular", "got 'rectangular'"),
-    ("position_unit = L", "position_unit = L\n[spectral]\nwindow = boxcar", "got 'boxcar'"),
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nn_max_floor = -7", "n_max_floor must be >= 0, got -7"),
+     "oracle]; known sections: run, field, trap, packet, time, numerics, output"),
+    ("position_unit = L", "position_unit = L\n[spectral]\nwindow = rectangular", "spectral]; known sections"),
+    ("position_unit = L", "position_unit = L\n[spectral]\nwindow = boxcar", "spectral]; known sections"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nn_max_floor = -7", "unknown key 'n_max_floor'"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nn_max_floor = 12", "unknown key 'n_max_floor'"),
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_cutoff_sigmas = -1", "kz_cutoff_sigmas"),
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_cutoff_sigmas = 0", "kz_cutoff_sigmas"),
-    ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = 0", "pad_factor"),
-    ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = -2", "pad_factor"),
-    ("position_unit = L", "position_unit = L\n[spectral]\nwindow = foo", "window"),
+    ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = 0", "spectral]; known sections"),
+    ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = -2", "spectral]; known sections"),
+    ("position_unit = L", "position_unit = L\n[spectral]\nwindow = foo", "spectral]; known sections"),
+    ("position_unit = L", "position_unit = L\n[spectral]\nwindow = hann", "spectral]; known sections"),
     ("tail_tol = 1e-10", "tail_tol = 1e-10\ny_nodes = 40", "unknown key 'y_nodes'"),
     # the kx rule is exact, so its doubling check and the check's knobs are gone
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nconvergence_check = false", "unknown key 'convergence_check'"),
@@ -90,12 +95,17 @@ BAD_INPUTS = (
     ("k0x = 1.4142135623730951", "k0x = 1.4142135623730951\ncomponent = 3", "component"),
     # sizes whose arrays would pass 32 MiB, rejected before anything is allocated
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_nodes = 8192", "kz_nodes"),
+    # the longitudinal profile and the kz rule, valid values in a 2+1 config
+    ("d_y = 1.0", "d_y = 1.0\nd_z = 5", "d_z is read only in 3"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_nodes = 7", "kz_nodes is read only in 3"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_rule = legendre", "kz_rule is read only in 3"),
+    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_cutoff_sigmas = 30", "kz_cutoff_sigmas is read only in 3"),
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nn_max_cap = 100000", "n_max_cap = 100000 needs a 100001 x 96 overlap array"),
-    # the padded spectrum has samples x pad_factor points
-    ("samples = 512", "samples = 10000000000000", "samples = 10000000000000 and"),
+    # the padded spectrum has samples x 4 points
+    ("samples = 512", "samples = 10000000000000", "samples = 10000000000000 needs"),
     ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = 10000000000000",
-     "pad_factor = 10000000000000 need"),
-    ("samples = 512", "samples = 1048577", "4194308-point spectrum"),
+     "spectral]; known sections"),
+    ("samples = 512", "samples = 1048577", "samples = 1048577 needs a 4194308-point spectrum"),
     # the field and the packet, bounded before any arithmetic on them; the
     # causes are both regular expressions and plain text, so a value written
     # 1e+300 is matched by its start
@@ -184,7 +194,8 @@ def test_line_tables_are_bounded_in_3plus1(tmp_path, capsys):
                      "kz_nodes = 4096\nn_max_cap = 2048", "kz_nodes = 4095\nn_max_cap = 2048"):
         parse_config(text_3d.replace("tail_tol = 1e-10", f"tail_tol = 1e-10\n{numerics}"))
     too_many = "tail_tol = 1e-10\nkz_nodes = 4096\nn_max_cap = 2049"
-    parse_config(SMALL_CONFIG.replace("tail_tol = 1e-10", too_many))  # 2+1 has one kz node
+    # 2+1 has one kz node and no kz rule, so the same cap passes
+    parse_config(SMALL_CONFIG.replace("tail_tol = 1e-10", "tail_tol = 1e-10\nn_max_cap = 2049"))
     with pytest.raises(ConfigError, match="n_max_cap = 2049 and kz_nodes = 4096 need 4196352-row"):
         parse_config(text_3d.replace("tail_tol = 1e-10", too_many))
     # an odd rule keeps its kz = 0 node: 2048 rows per level, not 2047
@@ -197,9 +208,8 @@ def test_line_tables_are_bounded_in_3plus1(tmp_path, capsys):
 
 
 def test_spectrum_bound_admits_its_largest_size():
+    # 2^20 samples, padded 4x, fill the 2^22-element bound exactly
     parse_config(SMALL_CONFIG.replace("samples = 512", "samples = 1048576"))
-    parse_config(SMALL_CONFIG.replace("samples = 512", "samples = 4096").replace(
-        "position_unit = L", "position_unit = L\n[spectral]\npad_factor = 1024"))
 
 
 def test_cli_exit_codes_for_bad_invocations(tmp_path, capsys):
@@ -310,8 +320,7 @@ def test_threads_is_no_flag(tmp_path, capsys):
 def test_docs_list_every_config_key():
     # the key column of each "## [section]" table of docs/config.md, against
     # the fields of each section's record (ionmap.TrapConfig for [trap]),
-    # section by section, and the window names of the
-    # [spectral] window row against the windows the parser accepts
+    # section by section
     text = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
     documented = {}
     for block in re.split(r"^## (?=\[)", text, flags=re.M)[1:]:
@@ -320,7 +329,6 @@ def test_docs_list_every_config_key():
             key.strip(" `"): row[-2] for row in rows for key in row[1].split(",")}
     assert {section: set(rows) for section, rows in documented.items()} == \
         {section: set(fields(record or TrapConfig)) for section, record in _SECTIONS.items()}
-    assert set(re.findall(r"`(\w+)`", documented["spectral"]["window"])) == set(WINDOWS)
 
 
 def test_cli_list_scenarios(capsys):
@@ -441,10 +449,11 @@ def test_convergence_failure_exit_code(tmp_path, capsys):
     assert "convergence" in capsys.readouterr().err
 
 
-def test_kx_rerun_past_the_array_bound_exit_code(tmp_path, capsys):
-    # the floor needs a 3072-node rerun (96 nodes doubled five times), whose
-    # overlap array passes MAX_ARRAY
-    text = SMALL_CONFIG.replace("tail_tol = 1e-10", "n_max_cap = 2048\nn_max_floor = 1536")
+def test_kx_rerun_past_the_array_bound_exit_code(tmp_path, capsys, monkeypatch):
+    # the floor, a decompose argument and no config key, needs a 3072-node
+    # rerun (96 nodes doubled five times), whose overlap array passes MAX_ARRAY
+    monkeypatch.setattr(zbsim.runner, "decompose", functools.partial(decompose, n_max_floor=1536))
+    text = SMALL_CONFIG.replace("tail_tol = 1e-10", "n_max_cap = 2048")
     config = _write(tmp_path, text)
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
@@ -840,10 +849,14 @@ def test_a_perturbed_mirror_node_fails_the_mirror_check(tmp_path, capsys, monkey
 @pytest.mark.parametrize("old, new, message", [
     # the removed doubling check's switch is now an unknown [numerics] key
     ("tail_tol = 1e-10", "tail_tol = 1e-10\nconvergence_check = maybe",
-     "[numerics] unknown key 'convergence_check'; known keys: n_max_cap, n_max_floor, "
+     "[numerics] unknown key 'convergence_check'; known keys: n_max_cap, "
      "kz_nodes, kz_rule, kz_cutoff_sigmas, tail_tol"),
+    # the spectral analysis is fixed: its section is unknown
     ("position_unit = L", "position_unit = L\n[spectral]\nwindow = boxcar",
-     "[spectral] window must be one of hann, rect, got 'boxcar'"),
+     "unknown section [spectral]; known sections: run, field, trap, packet, time, numerics, output"),
+    # a 2+1 run has no longitudinal profile and no kz rule
+    ("k0x = 1.4142135623730951", "k0x = 1.4142135623730951\nd_z = 5",
+     "[packet] d_z is read only in 3+1 mode; this config is 2+1"),
 ])
 def test_section_errors_carry_one_prefix(tmp_path, capsys, old, new, message):
     path = _write(tmp_path, SMALL_CONFIG.replace(old, new))

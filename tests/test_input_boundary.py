@@ -27,22 +27,22 @@ IN_BOUNDS = {
     ("time", "t_max"): ("5.0", "30.0", "1e-100", "1e100", "1e-10", "1e10"),
     ("time", "samples"): ("256", "300"),
     ("numerics", "n_max_cap"): ("8", "40"),
-    ("numerics", "n_max_floor"): ("0", "12", "-1"),  # -1 is below the least value 0
-    # removed keys, now unknown: any config that holds one exits 2
+    # removed keys and sections, now unknown: any config that holds one exits 2
+    ("numerics", "n_max_floor"): ("0", "12", "-1"),
     ("numerics", "y_nodes"): ("40",),
     ("numerics", "convergence_check"): ("false",),
     ("numerics", "convergence_tol"): ("1e-9",),
     ("numerics", "kx_nodes"): ("96",),
     ("numerics", "threads"): ("1",),
-    # the windows, and the removed aliases of rect
     ("spectral", "window"): ("hann", "rect", "rectangular", "boxcar"),
+    ("spectral", "pad_factor"): ("1", "4"),
+    ("spectral", "detection_floor"): ("1e-3", "0.5"),
+    ("spectral", "significant_rel_power"): ("0.01", "0.9"),
+    # the kz keys, and [packet] d_z above, in a 2+1 config exit 2 as well
     ("numerics", "kz_nodes"): ("4", "12"),
     ("numerics", "kz_rule"): ("hermite", "legendre"),
     ("numerics", "kz_cutoff_sigmas"): ("2.0", "6.0"),
     ("numerics", "tail_tol"): ("1e-10", "1e-3"),
-    ("spectral", "pad_factor"): ("1", "4"),
-    ("spectral", "detection_floor"): ("1e-3", "0.5"),
-    ("spectral", "significant_rel_power"): ("0.01", "0.9"),
     ("trap", "eta"): ("0.06", "0.2", "1e-100", "1e100"),
     ("trap", "omega_tilde_hz"): ("68e3", "20e3"),
     ("trap", "omega_carrier_hz"): ("1e3", "5e3"),
@@ -146,17 +146,18 @@ OUT_OF_BOUNDS = {
     ("packet", "k0x"): ("1.1e6", "-1.1e6"),
     ("time", "t_max"): ("0", "-1", "9.9e-101", "1.1e100"),
     ("time", "samples"): ("255",),
-    ("numerics", "n_max_floor"): ("-1",),
     ("numerics", "kz_nodes"): ("4097",),
     ("numerics", "kz_cutoff_sigmas"): ("0", "37.65"),
     ("numerics", "tail_tol"): ("0", "-1e-10"),
-    ("spectral", "pad_factor"): ("0",),
-    # removed keys and window aliases: every value is outside, and the
-    # message names the key (and the alias)
+    # removed keys and sections: every value is outside, and the message
+    # names the key, or the section of a removed section
     ("numerics", "kx_nodes"): ("4097",),
     ("numerics", "threads"): ("0",),
-    ("spectral", "window"): ("rectangular", "boxcar"),
+    ("numerics", "n_max_floor"): ("-1", "12"),
+    ("spectral", "pad_factor"): ("0", "4"),
+    ("spectral", "window"): ("hann", "rectangular", "boxcar"),
 }
+REMOVED_SECTIONS = ("spectral",)
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -171,4 +172,5 @@ def test_a_value_outside_its_bound_exits_2(section, key, value, capsys):
         path.write_text(_render(config))
         assert main(["run", str(path), "--out", str(Path(tmp) / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and key in err
+    named = f"unknown section [{section}]" if section in REMOVED_SECTIONS else key
+    assert err.startswith("configuration error: ") and named in err

@@ -208,11 +208,10 @@ def test_overlap_overflow_above_truncation_is_unused(monkeypatch):
         # the first rule and on the doubled rule of a rerun: 512 nodes hold
         # levels up to 511, and 1024 nodes overflow at level 871
         with pytest.raises(ConvergenceError, match=r"overflowed at level 489 on 2048 kx nodes"):
-            decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, replace(RAISED_CAP, n_max_floor=500))
+            decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, RAISED_CAP, n_max_floor=500)
         monkeypatch.setattr(zbsim.packet, "KX_NODES", 512)
-        rerun = Numerics(n_max_cap=1023, n_max_floor=1000)
         with pytest.raises(ConvergenceError, match=r"overflowed at level 871 on 1024 kx nodes"):
-            decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, rerun)
+            decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, Numerics(n_max_cap=1023), n_max_floor=1000)
         far = np.array([200.0 / math.sqrt(2.0)])
         phi = oscillator_overlaps(NARROW_PACKET, B_ONE, far, 300)
         with pytest.raises(ConvergenceError, match="overflowed at level 268 on 1 kx nodes") as raised:
@@ -316,7 +315,7 @@ def test_decompose_draws_only_the_kept_levels(name, monkeypatch):
     # a floor above the natural truncation draws floor + 1 levels
     counts.clear()
     floor = dec.n_max + 7
-    raised = decompose(packet, params, config.mode, replace(config.numerics, n_max_floor=floor))
+    raised = decompose(packet, params, config.mode, config.numerics, n_max_floor=floor)
     assert raised.n_max == floor and raised.phi.shape[0] == floor + 1
     assert counts == [floor + 1]
     assert np.array_equal(raised.u_diag, diag[: floor + 1])
@@ -325,7 +324,7 @@ def test_decompose_draws_only_the_kept_levels(name, monkeypatch):
     # again on twice the nodes
     counts.clear()
     nodes = KX_NODES
-    doubled = decompose(packet, params, config.mode, replace(config.numerics, n_max_floor=nodes))
+    doubled = decompose(packet, params, config.mode, config.numerics, n_max_floor=nodes)
     assert counts == [nodes, nodes + 1]
     assert doubled.n_max == nodes and np.array_equal(doubled.kx_nodes, grids[1][0])
     # reaching the cap draws every level up to it once
@@ -358,11 +357,10 @@ def test_node_counts_and_caps_are_bounded():
 def test_rerun_past_the_node_bounds_is_a_convergence_error():
     # 96 nodes doubled four times hold levels up to 1535; the floor needs
     # 1536, and the 2049 x 3072 overlap array of the rerun is above MAX_ARRAY
-    num = Numerics(n_max_cap=2048, n_max_floor=1536)
     with pytest.raises(ConvergenceError, match=r"levels past 1535 \(tail mass .*, n_max_floor 1536\) need "
                        r"more than 1536 kx nodes, and 3072 pass the 4194304-element "
                        r"bound of a 2049 x 3072 overlap array"):
-        decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, num)
+        decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, Numerics(n_max_cap=2048), n_max_floor=1536)
 
 
 @settings(max_examples=25, deadline=None)

@@ -68,16 +68,6 @@ def test_grid_validation():
         spectrum(_synthetic(short, np.cos(short)))
 
 
-def test_rectangular_window_also_normalised():
-    t = np.linspace(0.0, 400.0, 4096)
-    # bin-centred frequency avoids scalloping for the boxcar
-    f = 2.0 * math.pi * 32 / (t[1] - t[0]) / 4096
-    rep = spectrum(_synthetic(t, np.cos(f * t)), window="rect")
-    assert max(p.power for p in rep.peaks) == pytest.approx(1.0, rel=1e-3)
-    with pytest.raises(ValueError):
-        spectrum(_synthetic(t, np.cos(t)), window="bogus")
-
-
 def test_richness_counts_relative_power():
     t = np.linspace(0.0, 500.0, 4096)
     weak = np.cos(0.5 * t) + 0.05 * np.cos(1.5 * t)  # power ratio 2.5e-3
