@@ -73,9 +73,9 @@ _PI_QUARTER = math.pi ** 0.25
 _NEWTON_STEPS = 50
 _RESCALE_EVERY = 16  # recurrence steps between rescalings; |p| grows < (1.5|x| + 1)^16 between
 
-# The largest dense float64 array (32 MiB) that a node count, level cap or
-# matrix truncation may imply; larger settings are rejected before anything
-# is allocated.
+# The largest dense float64 array (32 MiB) that a node count or matrix
+# truncation may imply; larger settings are rejected before anything is
+# allocated.
 MAX_ARRAY = 1 << 22
 # An n-node Gauss-Hermite rule solves an (n/2) x (n/2) Jacobi matrix.
 MAX_NODES = 2 * math.isqrt(MAX_ARRAY)
@@ -83,11 +83,12 @@ MAX_NODES = 2 * math.isqrt(MAX_ARRAY)
 # and the rule is exact for every level it draws, so the start sets only
 # where the doubling begins
 KX_NODES = 96
-# the Legendre kz cutoff, in packet widths, past which |g_z|^2 at the
-# interval's ends is below the smallest normal double
-MAX_CUTOFF_SIGMAS = math.sqrt(-2.0 * math.log(np.finfo(float).tiny))
-# the largest share of the packet's kz mass a kz rule may lose; the
-# truncated Legendre rule drops erfc(c / sqrt(2)), 1.97e-9 at c = 6
+# the truncation n_max is the first level whose tail mass is below this
+TAIL_TOL = 1e-10
+# the Legendre kz rule's interval half-width, in widths of |g_z|^2; it drops
+# the kz mass erfc(6 / sqrt(2)) = 1.97e-9 outside
+KZ_CUTOFF_SIGMAS = 6.0
+# the largest share of the packet's kz mass a kz rule may lose
 KZ_MASS_TOL = 1e-8
 
 
@@ -196,44 +197,26 @@ class GaussianPacket(Record):
 
 
 class Numerics(Record):
-    """Quadrature and truncation knobs shared by decomposition and dynamics.
+    """The kz rule of a 3+1 run, the one quadrature with settings.
 
-    The kz rule is the only quadrature with a node count to set: the kx rule
-    starts on KX_NODES and doubles as the levels need (decompose), and the
-    oscillator overlaps are evaluated in closed form.
+    The kx rule starts on KX_NODES and doubles as the levels need
+    (decompose), the oscillator overlaps are evaluated in closed form, the
+    truncation follows from TAIL_TOL and the Legendre interval is
+    KZ_CUTOFF_SIGMAS wide.
     """
 
-    n_max_cap: int = 256
     kz_nodes: int = 160
     kz_rule: str = "hermite"  # "hermite" (default) or "legendre" for long runs
-    kz_cutoff_sigmas: float = 6.0
-    tail_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name, least in (("n_max_cap", 1), ("kz_nodes", 2)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.kz_nodes < 2:
+            raise ValueError(f"kz_nodes must be >= 2, got {self.kz_nodes}")
         if self.kz_rule not in ("hermite", "legendre"):
             raise ValueError(f"unknown kz rule {self.kz_rule!r}")
-        for name in ("kz_cutoff_sigmas", "tail_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if self.kz_cutoff_sigmas > MAX_CUTOFF_SIGMAS:
-            raise ValueError(
-                f"kz_cutoff_sigmas = {self.kz_cutoff_sigmas!r} is above {MAX_CUTOFF_SIGMAS:g}, "
-                f"where |g_z|^2 underflows"
-            )
-        # the largest arrays are the Jacobi matrix of the kz rule and the
-        # (levels x kx) overlap table
+        # its Jacobi matrix is the largest array a kz rule implies
         if self.kz_nodes > MAX_NODES:
             raise ValueError(
                 f"kz_nodes = {self.kz_nodes} needs a Gauss rule of {self.kz_nodes} nodes, above {MAX_NODES}"
-            )
-        if (self.n_max_cap + 1) * KX_NODES > MAX_ARRAY:
-            raise ValueError(
-                f"n_max_cap = {self.n_max_cap} needs a {self.n_max_cap + 1} x {KX_NODES} overlap array, "
-                f"above {MAX_ARRAY} elements"
             )
 
 
@@ -294,7 +277,7 @@ def _mean_level(packet: GaussianPacket, ell: float) -> float:
 def check_finite_overlaps(values: np.ndarray, kx: np.ndarray, packet: GaussianPacket, params: SimParams):
     """ConvergenceError naming the first level (axis 0) whose overlaps
     overflowed, and the packet in magnetic lengths with its mean level: at or
-    past the overflow no level cap can hold the packet, below it only a
+    past the overflow no truncation converges before it, below it only a
     truncation forced past the packet's tail reaches the overflow."""
     bad = np.flatnonzero(~np.isfinite(values).reshape(len(values), -1).all(axis=1))
     if bad.size:
@@ -367,7 +350,7 @@ def _kz_grid(packet: GaussianPacket, numerics: Numerics) -> tuple[np.ndarray, np
     else:
         # truncated Gauss-Legendre for long-horizon runs with oscillatory kernels
         sigma = 1.0 / (math.sqrt(2.0) * dz)
-        cutoff = numerics.kz_cutoff_sigmas * sigma
+        cutoff = KZ_CUTOFF_SIGMAS * sigma
         x, w = gauss_legendre(numerics.kz_nodes)
         kz = cutoff * x[half:]
         weights = cutoff * w[half:] * (dz / math.sqrt(math.pi)) * np.exp(-((kz * dz) ** 2))
@@ -408,15 +391,16 @@ def decompose(
     weights miss more than KZ_MASS_TOL of the packet's kz mass is a
     ConvergenceError.
 
-    The truncation n_max is the smallest level, at least
-    min(n_max_floor, n_max_cap), with tail mass below numerics.tail_tol
-    (ConvergenceError if the cap is too small); the floor is no setting of a
-    run, it lets a check force levels past the packet's tail.  Levels are
-    drawn one at a time until then; none above n_max is evaluated.  The N-node kx rule
+    The truncation n_max is the smallest level, at least n_max_floor, with
+    tail mass below TAIL_TOL; the floor is no setting of a run, it lets a
+    check force levels past the packet's tail.  Levels are drawn one at a
+    time until then; none above n_max is evaluated.  The N-node kx rule
     (_kx_rule) is exact for the levels below N, so starting from
-    N = KX_NODES, a truncation that needs more runs again on 2N nodes
-    (ConvergenceError past the node and array bounds).  An overlap overflow
-    at or below n_max is a ConvergenceError.
+    N = KX_NODES, a truncation that needs more runs again on 2N nodes.  The
+    (levels x nodes) overlap array bounds that: where the (2N)^2 array of a
+    rerun would pass MAX_ARRAY, a truncation past level N - 1 (1535 on the
+    1536-node rule) is a ConvergenceError.  So is an overlap overflow at or
+    below n_max.
     """
     mode = Dimensionality(mode)  # "2+1" or "3+1" as well; anything else is a ValueError
     num = numerics if numerics is not None else Numerics()
@@ -426,41 +410,33 @@ def decompose(
         lost = 1.0 - math.fsum(kz_weights)
         if not abs(lost) <= KZ_MASS_TOL:  # a NaN fails
             raise ConvergenceError(
-                f"the kz rule ([numerics] kz_rule = {num.kz_rule}, kz_nodes = {num.kz_nodes}, "
-                f"kz_cutoff_sigmas = {num.kz_cutoff_sigmas:g}) has weights summing to "
-                f"{1.0 - lost:.6g}, more than {KZ_MASS_TOL:.0e} from the packet's kz mass 1"
+                f"the kz rule ([numerics] kz_rule = {num.kz_rule}, kz_nodes = {num.kz_nodes}) has "
+                f"weights summing to {1.0 - lost:.6g}, more than {KZ_MASS_TOL:.0e} from the "
+                f"packet's kz mass 1"
             )
 
-    least = min(n_max_floor, num.n_max_cap)
     ell = params.magnetic_length
     for nodes in (KX_NODES << k for k in itertools.count()):  # KX_NODES, twice it, ...
         kx, weights = _kx_rule(packet, params, nodes)
         rows, diag = [], []
         cum = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            levels = zip(range(min(num.n_max_cap, nodes - 1) + 1), overlap_levels(packet, params, kx))
-            for n_max, row in levels:
+            for n_max, row in zip(range(nodes), overlap_levels(packet, params, kx)):
                 rows.append(row)
                 diag.append(row**2 @ weights)
                 check_finite_overlaps(np.array(diag), kx, packet, params)
                 cum += diag[-1]
-                if n_max >= least and 1.0 - cum < num.tail_tol:
+                if n_max >= n_max_floor and 1.0 - cum < TAIL_TOL:
                     break
             else:
-                if n_max == num.n_max_cap:
+                if (2 * nodes) ** 2 > MAX_ARRAY:
                     raise ConvergenceError(
-                        f"tail mass {1.0 - cum:.3e} above {num.tail_tol:.1e} at the "
-                        f"cap n_max_cap={num.n_max_cap}; raise the cap, or bring the packet "
-                        f"(d_x = {packet.d_x / ell:.3g} L, d_y = {packet.d_y / ell:.3g} L, "
-                        f"k0x = {packet.k0x * ell:.3g} / L) nearer one magnetic length"
-                    )
-                # a rerun means n_max_cap >= nodes, so the array passes MAX_ARRAY
-                # at 1536 nodes, before twice the nodes can pass MAX_NODES
-                if (num.n_max_cap + 1) * 2 * nodes > MAX_ARRAY:
-                    raise ConvergenceError(
-                        f"levels past {n_max} (tail mass {1.0 - cum:.3e}, n_max_floor {n_max_floor}) need "
-                        f"more than {nodes} kx nodes, and {2 * nodes} pass the "
-                        f"{MAX_ARRAY}-element bound of a {num.n_max_cap + 1} x {2 * nodes} overlap array"
+                        f"the truncation needs levels past {n_max} (tail mass {1.0 - cum:.3e}, "
+                        f"tolerance {TAIL_TOL:.0e}), the last that {nodes} kx nodes integrate "
+                        f"exactly, and {2 * nodes} nodes pass the {MAX_ARRAY}-element bound of "
+                        f"the overlap array; bring the packet (d_x = {packet.d_x / ell:.3g} L, "
+                        f"d_y = {packet.d_y / ell:.3g} L, k0x = {packet.k0x * ell:.3g} / L) "
+                        f"nearer one magnetic length"
                     )
                 continue
         break

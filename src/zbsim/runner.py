@@ -33,7 +33,8 @@ from . import __version__
 from ._record import Record, fields
 from .dynamics import Trajectory, cyclotron_reference, trajectory
 from .errors import ConfigError, OracleMismatchError
-from .packet import MAX_ARRAY, GaussianPacket, Numerics, PacketDecomposition, decompose, u_overlap
+from .packet import (KZ_CUTOFF_SIGMAS, MAX_ARRAY, GaussianPacket, Numerics, PacketDecomposition, decompose,
+                     u_overlap)
 from .params import Dimensionality, SimParams, make_params
 from .spectral import (DETECTION_FLOOR, MIN_SAMPLES, PAD_FACTOR, SIGNIFICANT_REL_POWER, SpectrumReport,
                        classify_peaks, richness, spectrum)
@@ -50,7 +51,7 @@ except ImportError:  # Python 3.12 and later, or a build without the built-in ha
 
 PRESET_NAMES = ("fig1", "fig2a", "fig2b", "fig2c")
 # packet widths and |kick| in magnetic lengths (inverse for the kick); no
-# truncation under the level caps covers a transverse width or kick near them
+# truncation under the level bound covers a transverse width or kick near them
 PACKET_RANGE_L = (1e-6, 1e6)
 # the time horizon in t_c: its step stays a normal float up to 2^22 samples,
 # and every phase the engines form over it stays finite
@@ -147,8 +148,7 @@ class OutputOptions(Record):
 _SECTIONS = dict(run=RunOptions, field=FieldOptions, trap=None, packet=PacketOptions,
                  time=TimeOptions, numerics=Numerics, output=OutputOptions)
 # the keys of the longitudinal profile and its kz rule, which a 2+1 run has no use for
-_ONLY_3PLUS1 = (("packet", "d_z"), ("numerics", "kz_nodes"), ("numerics", "kz_rule"),
-                ("numerics", "kz_cutoff_sigmas"))
+_ONLY_3PLUS1 = (("packet", "d_z"), ("numerics", "kz_nodes"), ("numerics", "kz_rule"))
 
 
 class RunConfig(Record):
@@ -247,7 +247,7 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
                 if name != "trap" or cp.has_section("trap")}
     mode = Dimensionality(sections.pop("run").mode)
     field, trap, packet = sections.pop("field"), sections.pop("trap", None), sections.pop("packet")
-    time, numerics = sections["time"], sections["numerics"]
+    time = sections["time"]
 
     if sum(x is not None for x in (field.b, field.tesla, trap)) != 1:
         raise ConfigError(
@@ -259,20 +259,12 @@ def parse_config(text: str, scenario: str = "inline") -> RunConfig:
         for section, key in _ONLY_3PLUS1:
             if cp.has_option(section, key):
                 raise ConfigError(f"[{section}] {key} is read only in 3+1 mode; this config is 2+1")
-    # the largest arrays a run allocates past the Numerics bounds: the padded
-    # spectrum and, in 3+1, the (level pair x kz node) line tables, which
-    # hold the ceil(kz_nodes / 2) nodes of the folded rule
+    # the largest array a run allocates past the Numerics bound: the padded
+    # spectrum (decompose bounds the levels, and with them the line tables)
     if time.samples * PAD_FACTOR > MAX_ARRAY:
         raise ConfigError(
             f"[time] samples = {time.samples} needs a {time.samples * PAD_FACTOR}-point spectrum "
             f"({PAD_FACTOR}x padded), above {MAX_ARRAY} elements"
-        )
-    folded = (numerics.kz_nodes + 1) // 2
-    lines = numerics.n_max_cap * folded
-    if mode is Dimensionality.THREE_PLUS_ONE and lines > MAX_ARRAY:
-        raise ConfigError(
-            f"[numerics] n_max_cap = {numerics.n_max_cap} and kz_nodes = {numerics.kz_nodes} "
-            f"need {lines}-row line tables ({folded} folded kz nodes), above {MAX_ARRAY} elements"
         )
 
     if trap is None:
@@ -448,7 +440,10 @@ def _render_report(
     omega_c, radius = cyclotron_reference(packet, params)
     kz_nodes = decomp.kz_nodes.size
     if config.mode is Dimensionality.THREE_PLUS_ONE:
-        kz_nodes = f"{kz_nodes} distinct |kz| of a {decomp.numerics.kz_nodes}-node rule"
+        num, lost = decomp.numerics, 1.0 - math.fsum(decomp.kz_weights)
+        interval = f" on +-{KZ_CUTOFF_SIGMAS:g} widths of |g_z|^2" if num.kz_rule == "legendre" else ""
+        kz_nodes = (f"{kz_nodes} distinct |kz| of a {num.kz_nodes}-node rule ({num.kz_rule}{interval}, "
+                    f"weights sum to 1 {'-' if lost >= 0.0 else '+'} {abs(lost):.3e})")
     lines = [
         f"zbsim {__version__} run report",
         f"config-sha256: {config.config_hash()}",

@@ -182,7 +182,7 @@ def test_criterion_8_numerical_hygiene(monkeypatch):
         assert np.all(np.isfinite(base.x)) and np.all(np.isfinite(base.y)), name
 
         # twice the kx rule's first node count, and twice the levels
-        floor = min(2 * dec.n_max, config.numerics.n_max_cap)
+        floor = 2 * dec.n_max
         with monkeypatch.context() as patch:
             patch.setattr(zbsim.packet, "KX_NODES", 2 * KX_NODES)
             dec2 = decompose(packet, params, config.mode, config.numerics, n_max_floor=floor)

@@ -23,7 +23,7 @@ from zbsim.cli import EXIT_CODES, main
 from zbsim.errors import ConfigError, ConvergenceError
 from zbsim.ionmap import TrapConfig
 from zbsim.runner import _SECTIONS, PRESET_NAMES, load_preset, parse_config, preset_text
-from zbsim.packet import decompose
+from zbsim.packet import MAX_ARRAY, MAX_NODES, decompose
 
 SMALL_CONFIG = """
 [run]
@@ -43,7 +43,6 @@ t_max = 30.0
 samples = 512
 
 [numerics]
-tail_tol = 1e-10
 
 [output]
 position_unit = L
@@ -70,37 +69,36 @@ BAD_INPUTS = (
     # the reference check is --check-oracle, with no section of its own; the
     # kx rule's node count and the level floor have no key, and the spectral
     # analysis is fixed, with no section of its own
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nthreads = 2", "unknown key 'threads'"),
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nthreads = 0", "unknown key 'threads'"),
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkx_nodes = 64", "unknown key 'kx_nodes'"),
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkx_nodes = 4097", "unknown key 'kx_nodes'"),
+    ("[numerics]", "[numerics]\nthreads = 2", "unknown key 'threads'"),
+    ("[numerics]", "[numerics]\nthreads = 0", "unknown key 'threads'"),
+    ("[numerics]", "[numerics]\nkx_nodes = 64", "unknown key 'kx_nodes'"),
+    ("[numerics]", "[numerics]\nkx_nodes = 4097", "unknown key 'kx_nodes'"),
     ("position_unit = L", "position_unit = L\n[oracle]\nn_trunc = 60",
      "oracle]; known sections: run, field, trap, packet, time, numerics, output"),
     ("position_unit = L", "position_unit = L\n[spectral]\nwindow = rectangular", "spectral]; known sections"),
     ("position_unit = L", "position_unit = L\n[spectral]\nwindow = boxcar", "spectral]; known sections"),
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nn_max_floor = -7", "unknown key 'n_max_floor'"),
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nn_max_floor = 12", "unknown key 'n_max_floor'"),
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_cutoff_sigmas = -1", "kz_cutoff_sigmas"),
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_cutoff_sigmas = 0", "kz_cutoff_sigmas"),
+    ("[numerics]", "[numerics]\nn_max_floor = -7", "unknown key 'n_max_floor'"),
+    ("[numerics]", "[numerics]\nn_max_floor = 12", "unknown key 'n_max_floor'"),
+    # the level cap, the tail tolerance and the Legendre cutoff: the level
+    # bound follows from the array bound, and the other two are constants
+    ("[numerics]", "[numerics]\nn_max_cap = 256", "unknown key 'n_max_cap'"),
+    ("[numerics]", "[numerics]\ntail_tol = 1e-10", "unknown key 'tail_tol'"),
+    ("[numerics]", "[numerics]\nkz_cutoff_sigmas = 6", "unknown key 'kz_cutoff_sigmas'"),
     ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = 0", "spectral]; known sections"),
     ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = -2", "spectral]; known sections"),
     ("position_unit = L", "position_unit = L\n[spectral]\nwindow = foo", "spectral]; known sections"),
     ("position_unit = L", "position_unit = L\n[spectral]\nwindow = hann", "spectral]; known sections"),
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\ny_nodes = 40", "unknown key 'y_nodes'"),
+    ("[numerics]", "[numerics]\ny_nodes = 40", "unknown key 'y_nodes'"),
     # the kx rule is exact, so its doubling check and the check's knobs are gone
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nconvergence_check = false", "unknown key 'convergence_check'"),
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nconvergence_tol = 1e-9", "unknown key 'convergence_tol'"),
-    # past the cutoff where |g_z|^2 underflows, before any arithmetic on it
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_cutoff_sigmas = 38", "kz_cutoff_sigmas = 38.0 is above 37.64"),
+    ("[numerics]", "[numerics]\nconvergence_check = false", "unknown key 'convergence_check'"),
+    ("[numerics]", "[numerics]\nconvergence_tol = 1e-9", "unknown key 'convergence_tol'"),
     ("k0x = 1.4142135623730951", "k0x = 1.4142135623730951\ncomponent = 3", "component"),
     # sizes whose arrays would pass 32 MiB, rejected before anything is allocated
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_nodes = 8192", "kz_nodes"),
+    ("[numerics]", "[numerics]\nkz_nodes = 8192", "kz_nodes"),
     # the longitudinal profile and the kz rule, valid values in a 2+1 config
     ("d_y = 1.0", "d_y = 1.0\nd_z = 5", "d_z is read only in 3"),
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_nodes = 7", "kz_nodes is read only in 3"),
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_rule = legendre", "kz_rule is read only in 3"),
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_cutoff_sigmas = 30", "kz_cutoff_sigmas is read only in 3"),
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nn_max_cap = 100000", "n_max_cap = 100000 needs a 100001 x 96 overlap array"),
+    ("[numerics]", "[numerics]\nkz_nodes = 7", "kz_nodes is read only in 3"),
+    ("[numerics]", "[numerics]\nkz_rule = legendre", "kz_rule is read only in 3"),
     # the padded spectrum has samples x 4 points
     ("samples = 512", "samples = 10000000000000", "samples = 10000000000000 needs"),
     ("position_unit = L", "position_unit = L\n[spectral]\npad_factor = 10000000000000",
@@ -132,16 +130,16 @@ BAD_INPUTS = (
     # within their own bounds, but b = 2 eta Omega_tilde / Omega is not
     _trap_row("eta = 0.06", "eta = 1e90", "field ratio b must be in"),
     # sections and keys outside the schema
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkzrule = legendre", "unknown key 'kzrule'"),
+    ("[numerics]", "[numerics]\nkzrule = legendre", "unknown key 'kzrule'"),
     ("[numerics]", "[numeric]", "unknown section"),
     ("k0x = 1.4142135623730951", "k0x_ = 1.0", "unknown key 'k0x_'"),
     # values are literal: a % is no interpolation, the value fails its own check
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_rule = herm%ite", "unknown kz rule 'herm%ite'"),
+    ("[numerics]", "[numerics]\nkz_rule = herm%ite", "unknown kz rule 'herm%ite'"),
     ("position_unit = L", "position_unit = %(x)s", "position_unit must be lambda_c or L, got '%"),
     # lines the reader rejects, named by their line number; a byte-order mark is no line
     ("\n[run]", "b = 1.0\n[run]", "cannot parse config: line 1: 'b = 1.0' comes before the first"),
     ("\n[run]", "\ufeffb = 1.0\n[run]", "cannot parse config: line 1: 'b = 1.0' comes before the first"),
-    ("position_unit = L", "position_unit = L\nfoo", "cannot parse config: line 23: 'foo' is neither a"),
+    ("position_unit = L", "position_unit = L\nfoo", "cannot parse config: line 22: 'foo' is neither a"),
     # a value follows '=' alone, and [DEFAULT] is a section like any other
     ("b = 1.0", "b: 1.0", "cannot parse config: line 6: 'b: 1.0' is neither a"),
     ("d_x = 0.9", "d_x : 0.9", "cannot parse config: line 10: 'd_x : 0.9' is neither a"),
@@ -185,26 +183,23 @@ def test_config_validation_errors():
             parse_config(SMALL_CONFIG.replace(old, new))
 
 
-def test_line_tables_are_bounded_in_3plus1(tmp_path, capsys):
+def test_line_tables_are_bounded_by_the_level_bound():
+    # the highest truncation decompose reaches is the last level of its
+    # largest kx rule, 1536 nodes: a rerun on 3072 would need an overlap
+    # array past MAX_ARRAY.  The 3+1 line tables hold one row per level pair
+    # and folded kz node, and a rule folds onto at most ceil(MAX_NODES / 2)
+    config = parse_config(SMALL_CONFIG)
+    largest = decompose(config.packet, config.params, config.mode, n_max_floor=1535)
+    assert (largest.n_max, largest.kx_nodes.size) == (1535, 1536)
+    assert (2 * largest.kx_nodes.size) ** 2 > MAX_ARRAY
+    assert largest.n_max * -(-MAX_NODES // 2) <= MAX_ARRAY
+    # so no kz rule within its own bound needs a check of its own: the
+    # largest rule, an odd one and acceptance criterion 6's all parse
     text_3d = SMALL_CONFIG.replace("mode = 2+1", "mode = 3+1").replace(
         "k0x = 1.4142135623730951", "k0x = 1.4142135623730951\nd_z = 1.0")
-    # acceptance criterion 6's quadrature, and the largest products allowed:
-    # the folded tables hold n_max_cap x ceil(kz_nodes / 2) rows
-    for numerics in ("kz_nodes = 2048", "kz_nodes = 4096\nn_max_cap = 1025",
-                     "kz_nodes = 4096\nn_max_cap = 2048", "kz_nodes = 4095\nn_max_cap = 2048"):
-        parse_config(text_3d.replace("tail_tol = 1e-10", f"tail_tol = 1e-10\n{numerics}"))
-    too_many = "tail_tol = 1e-10\nkz_nodes = 4096\nn_max_cap = 2049"
-    # 2+1 has one kz node and no kz rule, so the same cap passes
-    parse_config(SMALL_CONFIG.replace("tail_tol = 1e-10", "tail_tol = 1e-10\nn_max_cap = 2049"))
-    with pytest.raises(ConfigError, match="n_max_cap = 2049 and kz_nodes = 4096 need 4196352-row"):
-        parse_config(text_3d.replace("tail_tol = 1e-10", too_many))
-    # an odd rule keeps its kz = 0 node: 2048 rows per level, not 2047
-    with pytest.raises(ConfigError, match="n_max_cap = 2049 and kz_nodes = 4095 need 4196352-row"):
-        parse_config(text_3d.replace("tail_tol = 1e-10", too_many.replace("4096", "4095")))
-    path = _write(tmp_path, text_3d.replace("tail_tol = 1e-10", too_many))
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "n_max_cap = 2049 and kz_nodes = 4096" in err and "Traceback" not in err
+    for kz_nodes in (MAX_NODES, MAX_NODES - 1, 2048):
+        config = parse_config(text_3d.replace("[numerics]", f"[numerics]\nkz_nodes = {kz_nodes}"))
+        assert config.numerics.kz_nodes == kz_nodes
 
 
 def test_spectrum_bound_admits_its_largest_size():
@@ -440,36 +435,52 @@ def test_eigenvalues_follow_the_oracle_truncation(tmp_path, capsys):
 
 
 def test_convergence_failure_exit_code(tmp_path, capsys):
-    text = SMALL_CONFIG.replace(
-        "[numerics]\ntail_tol = 1e-10",
-        "[numerics]\ntail_tol = 1e-10\nn_max_cap = 4",
-    )
-    config = _write(tmp_path, text)
+    # a packet 30 L wide in y leaves a tail mass of 9e-3 at level 1535, the
+    # last that the largest kx rule (1536 nodes) integrates exactly
+    config = _write(tmp_path, SMALL_CONFIG.replace("d_y = 1.0", "d_y = 30"))
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
-    assert "convergence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("numerical convergence failure: the truncation needs levels past 1535")
+    assert "(d_x = 0.9 L, d_y = 30 L, k0x = 1.41 / L)" in err
 
 
 def test_kx_rerun_past_the_array_bound_exit_code(tmp_path, capsys, monkeypatch):
     # the floor, a decompose argument and no config key, needs a 3072-node
     # rerun (96 nodes doubled five times), whose overlap array passes MAX_ARRAY
     monkeypatch.setattr(zbsim.runner, "decompose", functools.partial(decompose, n_max_floor=1536))
-    text = SMALL_CONFIG.replace("tail_tol = 1e-10", "n_max_cap = 2048")
-    config = _write(tmp_path, text)
+    config = _write(tmp_path, SMALL_CONFIG)
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert ("need more than 1536 kx nodes, and 3072 pass the 4194304-element "
-            "bound of a 2049 x 3072 overlap array") in err
+    assert "needs levels past 1535 (tail mass " in err
+    assert ("the last that 1536 kx nodes integrate exactly, and 3072 nodes pass the "
+            "4194304-element bound of the overlap array") in err
 
 
 def test_packet_far_from_one_magnetic_length_exit_code(tmp_path, capsys):
-    # no level cap covers d_y = 1e5 L; the message gives the packet in L
-    text = SMALL_CONFIG.replace("d_y = 1.0", "d_y = 1e5").replace(
-        "tail_tol = 1e-10", "tail_tol = 1e-10\nn_max_cap = 40")
-    config = _write(tmp_path, text)
+    # no truncation within the level bound covers d_y = 1e5 L; the message
+    # gives the packet in L
+    config = _write(tmp_path, SMALL_CONFIG.replace("d_y = 1.0", "d_y = 1e5"))
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert "at the cap n_max_cap=40" in err and "d_y = 1e+05 L" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "needs levels past 1535 (tail mass 9.994e-01" in err and "d_y = 1e+05 L" in err
+
+
+def test_a_kick_of_20_per_l_needs_346_levels_and_passes_the_oracle(tmp_path, capsys):
+    # k0x L = 20 has its mean level at 200 and converges at level 346 on the
+    # 384-node kx rule; the oracle agrees within 1e-8 L (4.5e-9 L measured)
+    text = SMALL_CONFIG.replace("d_x = 0.9", "d_x = 1.0").replace(
+        "k0x = 1.4142135623730951", "k0x = 20").replace(
+        "t_max = 30.0\nsamples = 512", "t_max = 60.0\nsamples = 1024")
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, text)), "--out", str(out), "--check-oracle"]) == 0
+    stdout = capsys.readouterr().out
+    assert "n_max = 346," in stdout
+    assert float(re.search(r"reference deviation: (\S+) L", stdout).group(1)) < 1e-8
+    report = (out / "report.txt").read_text()
+    assert "  kx nodes = 384, kz nodes = 1\n" in report
 
 
 def test_weak_field_overflow_exit_code(tmp_path, capsys):
@@ -508,35 +519,28 @@ def test_kick_too_strong_for_any_cap_names_the_packet(tmp_path, capsys, kick):
     assert "no level cap can hold it" in err
 
 
-# fig1 on 32 Legendre kz nodes: a cutoff past the underflow of |g_z|^2 is
-# rejected before any arithmetic, and one within it whose weights lose the
-# packet's kz mass stops the run; neither writes a trajectory
-@pytest.mark.parametrize("cutoff, code, message", [
-    ("1e20", 2, "configuration error: [numerics] kz_cutoff_sigmas = 1e+20 is above 37.64"),
-    ("60", 2, "configuration error: [numerics] kz_cutoff_sigmas = 60.0 is above 37.64"),
-    ("1e200", 2, "configuration error: [numerics] kz_cutoff_sigmas = 1e+200 is above 37.64"),
-    ("20", 3, "kz rule ([numerics] kz_rule = legendre, kz_nodes = 32, kz_cutoff_sigmas = 20) "
-            "has weights summing to 0.989504"),
-])
-def test_kz_rule_that_loses_the_packet_mass_fails(tmp_path, capsys, cutoff, code, message):
-    text = preset_text("fig1").replace("kz_nodes = 320", f"kz_nodes = 32\nkz_cutoff_sigmas = {cutoff}")
-    config = _write(tmp_path, text)
+def test_kz_rule_that_loses_the_packet_mass_fails(tmp_path, capsys):
+    # fig1 on 8 Legendre kz nodes: on the fixed interval of 6 widths the
+    # weights lose 4.2e-2 of the packet's kz mass, which stops the run before
+    # it writes a trajectory
+    config = _write(tmp_path, preset_text("fig1").replace("kz_nodes = 320", "kz_nodes = 8"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == code
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and message in err and "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "kz rule ([numerics] kz_rule = legendre, kz_nodes = 8) has weights summing to 0.957929" in err
     assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
 def test_overflow_above_truncation_exit_code(tmp_path, capsys, monkeypatch):
-    # with a raised cap the overlaps of a 2048-node rule overflow at level
-    # 489, above the converged truncation n_max = 106; those levels are never used
+    # the overlaps of a 2048-node rule overflow at level 489, above the
+    # converged truncation n_max = 106; those levels are never used
     monkeypatch.setattr("zbsim.packet.KX_NODES", 2048)
     text = SMALL_CONFIG.replace("d_x = 0.9", "d_x = 0.33").replace(
         "k0x = 1.4142135623730951", "k0x = 0.0"
-    ).replace("tail_tol = 1e-10", "n_max_cap = 512")
+    )
     config = _write(tmp_path, text)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -669,7 +673,7 @@ print(json.dumps(seen))
 def test_the_oracle_and_the_trap_mapping_load_only_for_the_runs_that_use_them(tmp_path):
     text_3d = SMALL_CONFIG.replace("mode = 2+1", "mode = 3+1").replace(
         "k0x = 1.4142135623730951", "k0x = 1.4142135623730951\nd_z = 1.0").replace(
-        "tail_tol = 1e-10", "tail_tol = 1e-10\nkz_nodes = 8")
+        "[numerics]", "[numerics]\nkz_nodes = 8")
     trap = SMALL_CONFIG.replace("[field]\nb = 1.0", TRAP)
     runs = (  # (config, extra flag, modules loaded from decompose on)
         (text_3d, [], []),
@@ -753,7 +757,7 @@ def test_a_shifted_oracle_line_fails_the_bound_and_is_named(tmp_path, capsys, mo
 
 
 SMALL_3PLUS1 = SMALL_CONFIG.replace("mode = 2+1", "mode = 3+1").replace(
-    "d_y = 1.0", "d_y = 1.0\nd_z = 1.0").replace("tail_tol = 1e-10", "tail_tol = 1e-10\nkz_nodes = 6")
+    "d_y = 1.0", "d_y = 1.0\nd_z = 1.0").replace("[numerics]", "[numerics]\nkz_nodes = 6")
 
 
 def test_check_oracle_3plus1_reports_the_folded_grid(tmp_path, capsys):
@@ -848,9 +852,8 @@ def test_a_perturbed_mirror_node_fails_the_mirror_check(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("old, new, message", [
     # the removed doubling check's switch is now an unknown [numerics] key
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nconvergence_check = maybe",
-     "[numerics] unknown key 'convergence_check'; known keys: n_max_cap, "
-     "kz_nodes, kz_rule, kz_cutoff_sigmas, tail_tol"),
+    ("[numerics]", "[numerics]\nconvergence_check = maybe",
+     "[numerics] unknown key 'convergence_check'; known keys: kz_nodes, kz_rule"),
     # the spectral analysis is fixed: its section is unknown
     ("position_unit = L", "position_unit = L\n[spectral]\nwindow = boxcar",
      "unknown section [spectral]; known sections: run, field, trap, packet, time, numerics, output"),
@@ -914,10 +917,10 @@ def test_the_command_line_exits_0_with_every_file_and_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old, new, flags, prelude, code, cause", [
-    ("tail_tol = 1e-10", "tail_tol = 1e-10\nkzrule = legendre", [], None, 2,
+    ("[numerics]", "[numerics]\nkzrule = legendre", [], None, 2,
      "configuration error: [numerics] unknown key 'kzrule'"),
-    # 32 Legendre nodes on an interval of 20 widths lose 1e-2 of the kz mass
-    ("kz_nodes = 6", "kz_nodes = 32\nkz_rule = legendre\nkz_cutoff_sigmas = 20", [], None, 3,
+    # 8 Legendre nodes on the interval of 6 widths lose 4.2e-2 of the kz mass
+    ("kz_nodes = 6", "kz_nodes = 8\nkz_rule = legendre", [], None, 3,
      "numerical convergence failure: the kz rule"),
     # the config as it stands, against a gate tighter than the check's own rounding
     ("position_unit = L", "position_unit = L", ["--check-oracle"], "zbsim.runner.TOL_IN_L = 1e-12", 4,

@@ -16,7 +16,7 @@ from zbsim.cli import main
 EXTREMES = ("1e-100", "1e100", "0", "-1", "1e-300", "-1e-300", "1e300", "-1e300", "nan", "inf", "-inf")
 
 # (section, key): values inside the key's bounds, some at their edges; the
-# node counts and caps stay small, so a run is short
+# node counts stay small, so a run is short
 IN_BOUNDS = {
     ("field", "b"): ("0.3", "1.0", "2.5", "1e-8", "1e8"),
     ("field", "tesla"): ("1e9", "2e9", "1e-6", "1e25"),
@@ -26,8 +26,10 @@ IN_BOUNDS = {
     ("packet", "k0x"): ("0.0", "1.0", "-2.0", "1e6", "-1e5"),
     ("time", "t_max"): ("5.0", "30.0", "1e-100", "1e100", "1e-10", "1e10"),
     ("time", "samples"): ("256", "300"),
-    ("numerics", "n_max_cap"): ("8", "40"),
     # removed keys and sections, now unknown: any config that holds one exits 2
+    ("numerics", "n_max_cap"): ("8", "40"),
+    ("numerics", "kz_cutoff_sigmas"): ("2.0", "6.0"),
+    ("numerics", "tail_tol"): ("1e-10", "1e-3"),
     ("numerics", "n_max_floor"): ("0", "12", "-1"),
     ("numerics", "y_nodes"): ("40",),
     ("numerics", "convergence_check"): ("false",),
@@ -41,8 +43,6 @@ IN_BOUNDS = {
     # the kz keys, and [packet] d_z above, in a 2+1 config exit 2 as well
     ("numerics", "kz_nodes"): ("4", "12"),
     ("numerics", "kz_rule"): ("hermite", "legendre"),
-    ("numerics", "kz_cutoff_sigmas"): ("2.0", "6.0"),
-    ("numerics", "tail_tol"): ("1e-10", "1e-3"),
     ("trap", "eta"): ("0.06", "0.2", "1e-100", "1e100"),
     ("trap", "omega_tilde_hz"): ("68e3", "20e3"),
     ("trap", "omega_carrier_hz"): ("1e3", "5e3"),
@@ -59,7 +59,7 @@ def _base(mode, field, unit):
         "run": {"mode": mode},
         "packet": {"unit": unit, "d_x": "0.9", "d_y": "1.0", "k0x": "1.0"},
         "time": {"t_max": "20.0", "samples": "256"},
-        "numerics": {"n_max_cap": "40"},
+        "numerics": {},
         "output": {"position_unit": "L"},
     }
     if mode == "3+1":
@@ -108,9 +108,9 @@ def _csv_values(path):
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(configs)
-# a Legendre kz cutoff far past the underflow of |g_z|^2
-@example(("3+1", "b", "magnetic_length",
-          [(("numerics", "kz_rule"), "legendre"), (("numerics", "kz_cutoff_sigmas"), "1e300")], False))
+# a Legendre kz rule too coarse for its fixed interval: 8 nodes lose 4.2e-2
+# of the kz mass
+@example(("3+1", "b", "magnetic_length", [(("numerics", "kz_rule"), "legendre")], False))
 def test_every_config_ends_in_a_documented_exit(drawn):
     mode, field, unit, overrides, oracle = drawn
     config = _base(mode, field, unit)
@@ -147,10 +147,11 @@ OUT_OF_BOUNDS = {
     ("time", "t_max"): ("0", "-1", "9.9e-101", "1.1e100"),
     ("time", "samples"): ("255",),
     ("numerics", "kz_nodes"): ("4097",),
-    ("numerics", "kz_cutoff_sigmas"): ("0", "37.65"),
-    ("numerics", "tail_tol"): ("0", "-1e-10"),
     # removed keys and sections: every value is outside, and the message
     # names the key, or the section of a removed section
+    ("numerics", "n_max_cap"): ("256",),
+    ("numerics", "kz_cutoff_sigmas"): ("0", "37.65"),
+    ("numerics", "tail_tol"): ("0", "-1e-10"),
     ("numerics", "kx_nodes"): ("4097",),
     ("numerics", "threads"): ("0",),
     ("numerics", "n_max_floor"): ("-1", "12"),

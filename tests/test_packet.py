@@ -18,12 +18,12 @@ from scipy.integrate import quad
 from scipy.special import roots_hermite, roots_legendre
 
 import zbsim.packet
-from zbsim._record import replace
 from zbsim.errors import ConvergenceError
 from zbsim.packet import (
     KX_NODES,
-    MAX_ARRAY,
+    KZ_CUTOFF_SIGMAS,
     MAX_NODES,
+    TAIL_TOL,
     GaussianPacket,
     Numerics,
     _kx_rule,
@@ -179,39 +179,42 @@ def test_parseval_at_every_stage():
     assert float(np.sum(dec.u_diag)) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_truncation_behaviour():
+def test_truncation_behaviour(monkeypatch):
     dec = decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE)
     with pytest.raises(IndexError, match=f"U_\\(0,{dec.n_max + 1}\\) beyond the truncation n_max={dec.n_max}"):
         u_overlap(dec, 0, dec.n_max + 1)
     # tighter tail tolerance cannot lower the chosen truncation
-    dec_tight = decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, Numerics(tail_tol=1e-13))
+    with monkeypatch.context() as patch:
+        patch.setattr(zbsim.packet, "TAIL_TOL", 1e-13)
+        dec_tight = decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE)
     assert dec_tight.n_max >= dec.n_max
     assert dec_tight.tail_mass <= dec.tail_mass
-    with pytest.raises(ConvergenceError):
-        decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, Numerics(n_max_cap=4))
+    # a packet whose tail outlasts the level bound
+    wide = GaussianPacket(d_x=TRAP_PACKET.d_x, d_y=1e3 * TRAP_PACKET.d_y)
+    with pytest.raises(ConvergenceError, match=r"needs levels past 1535 \(tail mass 9\.375e-01"):
+        decompose(wide, B_ONE, TWO_PLUS_ONE)
 
 
-# a narrow x profile (L/d_x = 3) with a raised cap: the tail mass converges
-# at level 106, and the overlaps on 2048 kx nodes overflow at level 489
+# a narrow x profile (L/d_x = 3): the tail mass converges at level 106, and
+# the overlaps on 2048 kx nodes overflow at level 489
 NARROW_PACKET = GaussianPacket(d_x=0.33 * math.sqrt(2.0), d_y=math.sqrt(2.0))
-RAISED_CAP = Numerics(n_max_cap=512)
 
 
 def test_overlap_overflow_above_truncation_is_unused(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         monkeypatch.setattr(zbsim.packet, "KX_NODES", 2048)  # the kx rule's first node count
-        dec = decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, RAISED_CAP)
+        dec = decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE)
         assert dec.n_max == 106 and dec.kx_nodes.size == 2048
         assert np.all(np.isfinite(dec.phi)) and np.all(np.isfinite(dec.u_band))
         # a floor that forces the truncation past the overflow names it, on
         # the first rule and on the doubled rule of a rerun: 512 nodes hold
         # levels up to 511, and 1024 nodes overflow at level 871
         with pytest.raises(ConvergenceError, match=r"overflowed at level 489 on 2048 kx nodes"):
-            decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, RAISED_CAP, n_max_floor=500)
+            decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, n_max_floor=500)
         monkeypatch.setattr(zbsim.packet, "KX_NODES", 512)
         with pytest.raises(ConvergenceError, match=r"overflowed at level 871 on 1024 kx nodes"):
-            decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, Numerics(n_max_cap=1023), n_max_floor=1000)
+            decompose(NARROW_PACKET, B_ONE, TWO_PLUS_ONE, n_max_floor=1000)
         far = np.array([200.0 / math.sqrt(2.0)])
         phi = oscillator_overlaps(NARROW_PACKET, B_ONE, far, 300)
         with pytest.raises(ConvergenceError, match="overflowed at level 268 on 1 kx nodes") as raised:
@@ -223,12 +226,13 @@ def test_overlap_overflow_above_truncation_is_unused(monkeypatch):
 @pytest.mark.parametrize("b, d_x, d_y, kick", [
     (1.0, 0.9, 1.0, math.sqrt(2.0)), (1.0, 0.33, 1.0, 0.0), (2.05, 1.6, 0.6, -1.8), (0.3, 3.0, 2.0, 4.0),
 ])
-def test_mean_level_is_the_sum_of_n_u_nn(b, d_x, d_y, kick):
+def test_mean_level_is_the_sum_of_n_u_nn(b, d_x, d_y, kick, monkeypatch):
     # the closed form that the overflow message quotes, against the drawn levels
     params = SimParams(b)
     ell = params.magnetic_length
     packet = GaussianPacket(d_x=d_x * ell, d_y=d_y * ell, k0x=kick / ell)
-    dec = decompose(packet, params, TWO_PLUS_ONE, Numerics(tail_tol=1e-14))
+    monkeypatch.setattr(zbsim.packet, "TAIL_TOL", 1e-14)
+    dec = decompose(packet, params, TWO_PLUS_ONE)
     drawn = np.arange(dec.n_max + 1) @ dec.u_diag
     assert drawn == pytest.approx(_mean_level(packet, ell), rel=1e-10)
 
@@ -303,13 +307,12 @@ def test_decompose_draws_only_the_kept_levels(name, monkeypatch):
     counts = _counting_levels(monkeypatch)
     dec = decompose(packet, params, config.mode, config.numerics)
     assert counts == [dec.n_max + 1]
-    # the diagonal and the tail are those of the full n_max_cap table
+    # the diagonal and the tail are those of the full table of the first rule
     kx, weights = grids[0]
     assert np.array_equal(dec.kx_nodes, kx) and np.array_equal(dec.kx_weights, weights)
-    cap = config.numerics.n_max_cap
-    diag = np.array([row @ weights for row in oscillator_overlaps(packet, params, kx, cap) ** 2])
+    diag = np.array([row @ weights for row in oscillator_overlaps(packet, params, kx, KX_NODES - 1) ** 2])
     cum = np.cumsum(diag)
-    assert dec.n_max == np.flatnonzero(1.0 - cum < config.numerics.tail_tol)[0]
+    assert dec.n_max == np.flatnonzero(1.0 - cum < TAIL_TOL)[0]
     assert np.array_equal(dec.u_diag, diag[: dec.n_max + 1])
     assert dec.tail_mass == 1.0 - cum[dec.n_max]
     # a floor above the natural truncation draws floor + 1 levels
@@ -327,40 +330,37 @@ def test_decompose_draws_only_the_kept_levels(name, monkeypatch):
     doubled = decompose(packet, params, config.mode, config.numerics, n_max_floor=nodes)
     assert counts == [nodes, nodes + 1]
     assert doubled.n_max == nodes and np.array_equal(doubled.kx_nodes, grids[1][0])
-    # reaching the cap draws every level up to it once
+    # with an array bound that admits no rerun, the same floor draws every
+    # level of the first rule once and stops at the level bound
     counts.clear()
-    with pytest.raises(ConvergenceError, match="at the cap n_max_cap=4"):
-        decompose(packet, params, config.mode, replace(config.numerics, n_max_cap=4))
-    assert counts == [5]
+    monkeypatch.setattr(zbsim.packet, "MAX_ARRAY", (2 * nodes) ** 2 - 1)
+    with pytest.raises(ConvergenceError, match=f"needs levels past {nodes - 1} .* the last that {nodes} kx"):
+        decompose(packet, params, config.mode, config.numerics, n_max_floor=nodes)
+    assert counts == [nodes]
 
 
 def test_node_counts_and_caps_are_bounded():
-    # the largest values the tests and the acceptance criteria use, and the
-    # largest cap whose overlap array on the first kx rule fits MAX_ARRAY
-    largest_cap = MAX_ARRAY // KX_NODES - 1
-    Numerics(n_max_cap=512)
+    # the largest kz rules the acceptance criteria and the bound admit
     Numerics(kz_rule="legendre", kz_nodes=2048)
     Numerics(kz_nodes=MAX_NODES)
-    Numerics(n_max_cap=largest_cap)
-    for kwargs, key in (
-        ({"kz_nodes": MAX_NODES + 1}, "kz_nodes"),
-        ({"n_max_cap": 100000}, "n_max_cap"),
-        ({"n_max_cap": largest_cap + 1}, f"n_max_cap = {largest_cap + 1} needs a {largest_cap + 2} x 96 "),
-    ):
-        with pytest.raises(ValueError, match=key):
-            Numerics(**kwargs)
-    # the kx rule's node count is not a setting
-    with pytest.raises(TypeError, match="unexpected argument 'kx_nodes'"):
-        Numerics(kx_nodes=KX_NODES)
+    with pytest.raises(ValueError, match=f"kz_nodes = {MAX_NODES + 1} needs a Gauss rule"):
+        Numerics(kz_nodes=MAX_NODES + 1)
+    # the kx rule's node count, the level cap, the tail tolerance and the
+    # Legendre cutoff are not settings
+    for key, value in (("kx_nodes", KX_NODES), ("n_max_cap", 256), ("tail_tol", TAIL_TOL),
+                       ("kz_cutoff_sigmas", KZ_CUTOFF_SIGMAS)):
+        with pytest.raises(TypeError, match=f"unexpected argument '{key}'"):
+            Numerics(**{key: value})
 
 
 def test_rerun_past_the_node_bounds_is_a_convergence_error():
     # 96 nodes doubled four times hold levels up to 1535; the floor needs
-    # 1536, and the 2049 x 3072 overlap array of the rerun is above MAX_ARRAY
-    with pytest.raises(ConvergenceError, match=r"levels past 1535 \(tail mass .*, n_max_floor 1536\) need "
-                       r"more than 1536 kx nodes, and 3072 pass the 4194304-element "
-                       r"bound of a 2049 x 3072 overlap array"):
-        decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, Numerics(n_max_cap=2048), n_max_floor=1536)
+    # 1536, and the 3072 x 3072 overlap array of the rerun is above MAX_ARRAY
+    with pytest.raises(ConvergenceError, match=r"needs levels past 1535 \(tail mass .*, tolerance 1e-10\), "
+                       r"the last that 1536 kx nodes integrate exactly, and 3072 nodes pass the "
+                       r"4194304-element bound of the overlap array; bring the packet \(d_x = 0.9 L, "
+                       r"d_y = 1 L, k0x = 1.41 / L\) nearer one magnetic length"):
+        decompose(TRAP_PACKET, B_ONE, TWO_PLUS_ONE, n_max_floor=1536)
 
 
 @settings(max_examples=25, deadline=None)
@@ -400,10 +400,8 @@ def test_packet_validation():
         (GaussianPacket, "d_x", {"d_x": math.nan, "d_y": 1.0}),
         (GaussianPacket, "d_y", {"d_x": 1.0, "d_y": math.inf}),
         (GaussianPacket, "d_z", {"d_x": 1.0, "d_y": 1.0, "d_z": math.nan}),
-        (Numerics, "tail_tol", {"tail_tol": math.nan}),
-        (Numerics, "kz_cutoff_sigmas", {"kz_cutoff_sigmas": math.inf}),
     ],
-    ids=["d_x-nan", "d_y-inf", "d_z-nan", "tail_tol-nan", "kz_cutoff_sigmas-inf"],
+    ids=["d_x-nan", "d_y-inf", "d_z-nan"],
 )
 def test_non_finite_fields_rejected(options, key, kwargs):
     with pytest.raises(ValueError, match=f"{key} must be finite"):
